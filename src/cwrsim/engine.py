@@ -5,7 +5,8 @@ import heapq
 import random
 from typing import Callable
 
-_TIME, _SEQ, _FN, _LABEL, _ALIVE = range(5)
+_TIME, _SEQ, _FN, _LABEL, _ALIVE, _ARGS = range(6)
+_NO_ARGS = ()
 
 SEED_MASK = (1 << 64) - 1
 
@@ -35,14 +36,15 @@ class EventQueue:
             [] if record_dispatch else None
         )
 
-    def schedule(self, fire_time: int, fn: Callable[[], None],
-                 label: str = "event") -> list:
-        """Enqueue fn to run at fire_time; returns a handle usable with cancel()."""
+    def schedule(self, fire_time: int, fn: Callable[..., None],
+                 label: str = "event", *, args: tuple = _NO_ARGS) -> list:
+        """Enqueue fn(*args) to run at fire_time; returns a handle usable
+        with cancel()."""
         if fire_time < self.now:
             raise InvariantError(
                 f"event {label!r} scheduled at {fire_time} behind clock {self.now}"
             )
-        entry = [fire_time, self._seq, fn, label, True]
+        entry = [fire_time, self._seq, fn, label, True, args]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -50,6 +52,7 @@ class EventQueue:
     def cancel(self, entry: list) -> None:
         entry[_ALIVE] = False
         entry[_FN] = None
+        entry[_ARGS] = _NO_ARGS
 
     def run_until(self, t_end: int) -> int:
         """Dispatch every live event with fire_time <= t_end, in order.
@@ -71,7 +74,7 @@ class EventQueue:
             self.now = entry[0]
             if log is not None:
                 log.append((entry[0], entry[1], entry[3]))
-            entry[2]()
+            entry[2](*entry[5])
             count += 1
             if checker is not None:
                 countdown -= 1

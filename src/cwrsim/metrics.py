@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,19 +100,42 @@ def throughput_series(deliveries: Iterable[tuple[int, int, int, bool, bool]],
     return bins
 
 
-def cwnd_growth(samples: list[tuple[int, int]], ca_since: int | None,
-                decreases: list[int], rtt_us: int, start_us: int,
-                end_us: int) -> tuple[float, int]:
+class CwndTrace:
+    """A path's (time, cwnd) samples, held as two integer arrays.
+
+    Iterates as (time, cwnd) pairs; times are nondecreasing.
+    """
+
+    __slots__ = ("times", "values")
+
+    def __init__(self, when: int, cwnd: int):
+        self.times = array("q", (when,))
+        self.values = array("q", (cwnd,))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        return zip(self.times, self.values)
+
+
+def cwnd_growth(samples: CwndTrace | Sequence[tuple[int, int]],
+                ca_since: int | None, decreases: list[int], rtt_us: int,
+                start_us: int, end_us: int) -> tuple[float, int]:
     """Mean cwnd increase per rtt over CA-phase windows in [start, end).
 
+    Samples are a CwndTrace, searched in place, or (time, cwnd) pairs.
     Windows containing a multiplicative decrease are excluded. Returns
     (mean, window_count); raises InsufficientSamplesError below the minimum.
     """
     if ca_since is None:
         raise InsufficientSamplesError("path never reached congestion avoidance")
     t0 = max(start_us, ca_since)
-    times = [t for t, _ in samples]
-    values = [v for _, v in samples]
+    if isinstance(samples, CwndTrace):
+        times, values = samples.times, samples.values
+    else:
+        times = [t for t, _ in samples]
+        values = [v for _, v in samples]
 
     def cwnd_at(t: int) -> int:
         idx = bisect_right(times, t)
@@ -155,13 +179,12 @@ class MetricsCollector:
             [] if record_delivery_trace else None)
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
-        self.cwnd_samples: dict[int, list[tuple[int, int]]] = {}
+        self.cwnd_samples: dict[int, CwndTrace] = {}
         self.ca_since: dict[int, int] = {}
         self.decreases: dict[int, list[int]] = {}
-        self.counters: dict[str, int] = {}
 
     def register_path(self, path_id: int, initial_cwnd: int) -> None:
-        self.cwnd_samples[path_id] = [(0, initial_cwnd)]
+        self.cwnd_samples[path_id] = CwndTrace(0, initial_cwnd)
         self.decreases[path_id] = []
 
     def on_delivery(self, when: int, path_id: int, size: int, priority: bool,
@@ -177,23 +200,20 @@ class MetricsCollector:
         if priority:
             b.priority_bytes += size
 
-    def on_cwnd(self, path_id: int, when: int, cwnd: int,
-                force: bool = False) -> None:
-        samples = self.cwnd_samples[path_id]
-        last_t = samples[-1][0]
-        if when == last_t:
-            samples[-1] = (when, cwnd)
-        elif force or when - last_t >= CWND_SAMPLE_INTERVAL_US:
-            samples.append((when, cwnd))
+    def on_cwnd(self, path_id: int, when: int, cwnd: int) -> None:
+        # a later sample at the same instant replaces the earlier one
+        trace = self.cwnd_samples[path_id]
+        if when == trace.times[-1]:
+            trace.values[-1] = cwnd
+        else:
+            trace.times.append(when)
+            trace.values.append(cwnd)
 
     def on_ca_entered(self, path_id: int, when: int) -> None:
         self.ca_since.setdefault(path_id, when)
 
     def on_decrease(self, path_id: int, when: int) -> None:
         self.decreases[path_id].append(when)
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     def throughput(self) -> list[ThroughputBin]:
         return self._bins

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from functools import partial
+from collections import defaultdict
 from pathlib import Path
 from typing import Callable
 
@@ -18,6 +18,56 @@ from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, APP_ACK_BYTES, CONGESTION_AVOIDANCE,
                         Frame, HEADER_BYTES, MAX_PACKET_BYTES, Packet,
                         PathSendState, StreamReassembly, packetize)
+
+
+class ReceivedOffsets:
+    """The offsets of one background stream that have arrived.
+
+    Background frames cut the stream at fixed offsets, so an offset has
+    arrived exactly when it lies below `floor`, the end of the contiguous
+    prefix received, or is a key of `above`, which maps each segment
+    received past the first gap to its end. Filling a gap moves the floor
+    up through `above`, so the table holds only what reordering and loss
+    leave out of order.
+    """
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: dict[int, int] = {}
+
+    def add(self, offset: int, length: int) -> int:
+        """Record a received segment; returns its new bytes, 0 for a repeat."""
+        if offset < self.floor or offset in self.above:
+            return 0
+        if offset != self.floor:
+            self.above[offset] = offset + length
+            return length
+        floor = offset + length
+        above = self.above
+        while floor in above:
+            floor = above.pop(floor)
+        self.floor = floor
+        return length
+
+
+# Duplicate-frame tables map a stream id to (epoch, offsets) for its newest
+# epoch only. Frames are sent only for a stream's current epoch, and every
+# question about an older epoch is settled by the epoch check beside it.
+
+def _note_offset(table: dict[int, tuple[int, set[int]]], frame: Frame) -> None:
+    held = table.get(frame.stream_id)
+    if held is None or held[0] < frame.epoch:
+        table[frame.stream_id] = (frame.epoch, {frame.offset})
+    elif held[0] == frame.epoch:
+        held[1].add(frame.offset)
+
+
+def _has_offset(table: dict[int, tuple[int, set[int]]], frame: Frame) -> bool:
+    held = table.get(frame.stream_id)
+    return held is not None and held[0] == frame.epoch \
+        and frame.offset in held[1]
 
 
 class Node:
@@ -62,9 +112,11 @@ class Node:
         self.streams: dict[int, SendStream] = {}
         self._bg_stream: SendStream | None = None
         self.reassembly: dict[int, StreamReassembly] = {}
-        self._bg_seen: dict[int, set[int]] = {}
-        self._dup_keys: set[tuple[int, int, int]] = set()
-        self._delivered_dup: set[tuple[int, int, int]] = set()
+        self._bg_seen: defaultdict[int, ReceivedOffsets] = defaultdict(
+            ReceivedOffsets)
+        # frames sent on several paths, and those of them acked on one
+        self._dup_keys: dict[int, tuple[int, set[int]]] = {}
+        self._delivered_dup: dict[int, tuple[int, set[int]]] = {}
         self._ca_noted: set[int] = set()
         self.blocked_count = 0
         self.verify_admissions = False
@@ -131,7 +183,7 @@ class Node:
                 while stream.rtx:
                     _t, head, pin = stream.rtx[0]
                     if (head.epoch < stream.epoch
-                            or head.key() in self._delivered_dup):
+                            or _has_offset(self._delivered_dup, head)):
                         stream.rtx.popleft()
                         continue
                     frame = head
@@ -207,9 +259,9 @@ class Node:
             if arrival is not None:
                 engine.schedule(
                     arrival,
-                    partial(receive, entry.number, path_id, stream_id,
-                            frame.offset, entry.size),
-                    "packet_arrival")
+                    receive, "packet_arrival",
+                    args=(entry.number, path_id, stream_id, frame.offset,
+                          entry.size))
             if first:
                 # within the batch deadlines are nondecreasing
                 if ps.alarm_entry is None or entry.deadline < ps.alarm_time:
@@ -250,7 +302,7 @@ class Node:
                     targets: tuple[PathSendState, ...], is_rtx: bool,
                     now: int) -> None:
         if len(targets) > 1:
-            self._dup_keys.add(frame.key())
+            _note_offset(self._dup_keys, frame)
             if not frame.app_ack and self.on_duplicated is not None:
                 self.on_duplicated(frame.message_id)
         engine = self.engine
@@ -274,8 +326,9 @@ class Node:
                 pkt = Packet(entry.number, ps.path_id, frame, entry.size, now,
                              i > 0, is_rtx)
                 engine.schedule(
-                    arrival, partial(self._peer_receive, pkt),
-                    "app_ack_arrival" if frame.app_ack else "packet_arrival")
+                    arrival, self._peer_receive,
+                    "app_ack_arrival" if frame.app_ack else "packet_arrival",
+                    args=(pkt,))
             if ps.alarm_entry is None or entry.deadline < ps.alarm_time:
                 self._ensure_alarm(ps, entry.deadline)
             if self.send_log is not None:
@@ -295,8 +348,8 @@ class Node:
         entry, gaps = ps.ack_packet(number, now)
         if entry is not None:
             frame = entry.frame
-            if self._dup_keys and frame.key() in self._dup_keys:
-                self._delivered_dup.add(frame.key())
+            if self._dup_keys and _has_offset(self._dup_keys, frame):
+                _note_offset(self._delivered_dup, frame)
             if frame.app_ack:
                 stream = self.streams.get(frame.stream_id)
                 if stream is not None and stream.message_id == frame.message_id \
@@ -304,7 +357,7 @@ class Node:
                     stream.message_done()
             if self.record_cwnd and now >= self._next_cwnd_sample[path_id]:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
-                self.metrics.on_cwnd(path_id, now, ps.cwnd, force=True)
+                self.metrics.on_cwnd(path_id, now, ps.cwnd)
                 if ps.phase == CONGESTION_AVOIDANCE \
                         and path_id not in self._ca_noted:
                     self._ca_noted.add(path_id)
@@ -339,20 +392,18 @@ class Node:
         entry, decreased = ps.declare_lost(number, now)
         if entry is None:
             return
-        if self.metrics is not None:
-            self.metrics.bump(f"losses_declared_path_{ps.path_id}")
-            if self.record_cwnd:
-                if decreased:
-                    self.metrics.on_decrease(ps.path_id, now)
-                self.metrics.on_cwnd(ps.path_id, now, ps.cwnd, force=True)
-                if ps.path_id not in self._ca_noted:
-                    self._ca_noted.add(ps.path_id)
-                    self.metrics.on_ca_entered(ps.path_id, now)
+        if self.record_cwnd:
+            if decreased:
+                self.metrics.on_decrease(ps.path_id, now)
+            self.metrics.on_cwnd(ps.path_id, now, ps.cwnd)
+            if ps.path_id not in self._ca_noted:
+                self._ca_noted.add(ps.path_id)
+                self.metrics.on_ca_entered(ps.path_id, now)
         self.path_sched.on_path_loss(ps.path_id)
         frame = entry.frame
         if self.on_frame_lost is not None:
             self.on_frame_lost(frame.message_id)
-        if frame.key() in self._delivered_dup:
+        if _has_offset(self._delivered_dup, frame):
             return
         stream = self.streams.get(frame.stream_id)
         if stream is not None and frame.epoch == stream.epoch:
@@ -361,28 +412,18 @@ class Node:
     def _ensure_alarm(self, ps: PathSendState, deadline: int) -> None:
         if ps.alarm_entry is None:
             ps.alarm_entry = self.engine.schedule(
-                deadline, partial(self._on_alarm, ps), "loss_alarm")
+                deadline, self._on_alarm, "loss_alarm", args=(ps,))
             ps.alarm_time = deadline
         elif deadline < ps.alarm_time:
             self.engine.cancel(ps.alarm_entry)
             ps.alarm_entry = self.engine.schedule(
-                deadline, partial(self._on_alarm, ps), "loss_alarm")
+                deadline, self._on_alarm, "loss_alarm", args=(ps,))
             ps.alarm_time = deadline
 
     def _on_alarm(self, ps: PathSendState) -> None:
         now = self.engine.now
         ps.alarm_entry = None
-        expired = None
-        nxt = None
-        for num, e in ps.ledger.items():
-            d = e.deadline
-            if d <= now:
-                if expired is None:
-                    expired = [num]
-                else:
-                    expired.append(num)
-            elif nxt is None or d < nxt:
-                nxt = d
+        expired, nxt = ps.alarm_scan(now)
         if expired:
             for number in expired:
                 self._declare_loss(ps, number, now)
@@ -393,7 +434,7 @@ class Node:
                 nxt = None
         if nxt is not None:
             ps.alarm_entry = self.engine.schedule(
-                nxt, partial(self._on_alarm, ps), "loss_alarm")
+                nxt, self._on_alarm, "loss_alarm", args=(ps,))
             ps.alarm_time = nxt
         if expired:
             self.try_send(now)
@@ -404,21 +445,14 @@ class Node:
                            offset: int, size: int) -> None:
         """Hot path for background data: dedup for goodput, count, ack."""
         now = self.engine.now
-        seen = self._bg_seen.get(stream_id)
-        if seen is None:
-            seen = self._bg_seen[stream_id] = set()
-        if offset in seen:
-            new_bytes = 0
-        else:
-            seen.add(offset)
-            new_bytes = size - HEADER_BYTES
+        new_bytes = self._bg_seen[stream_id].add(offset, size - HEADER_BYTES)
         record = self._on_delivery
         if record is not None:
             record(now, path_id, size, False, False, new_bytes)
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
         if arrival is not None:
             self.engine.schedule(
-                arrival, partial(self._peer_ack, path_id, number), "ack_arrival")
+                arrival, self._peer_ack, "ack_arrival", args=(path_id, number))
 
     def receive_data(self, pkt: Packet) -> None:
         now = self.engine.now
@@ -426,13 +460,8 @@ class Node:
         path_id = pkt.path_id
         if frame.message_id is None and not frame.fin:
             # background frame: no completion, dedup only for the goodput count
-            seen = self._bg_seen.setdefault(frame.stream_id, set())
-            offset = frame.offset
-            if offset in seen:
-                new_bytes = 0
-            else:
-                seen.add(offset)
-                new_bytes = frame.length
+            new_bytes = self._bg_seen[frame.stream_id].add(frame.offset,
+                                                           frame.length)
             completed = False
         else:
             reasm = self.reassembly.get(frame.stream_id)
@@ -447,8 +476,8 @@ class Node:
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
         if arrival is not None:
             self.engine.schedule(
-                arrival, partial(self._peer_ack, path_id, pkt.number),
-                "ack_arrival")
+                arrival, self._peer_ack, "ack_arrival",
+                args=(path_id, pkt.number))
         if completed and self.on_message_complete is not None:
             self.on_message_complete(frame, now, path_id, pkt.is_duplicate)
 

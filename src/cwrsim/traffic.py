@@ -100,9 +100,8 @@ class TrafficManager:
         self.duration_us = duration_us
         self.background = background
         self.pool = StreamPool()
+        # a message's id is its index here
         self.messages: list[MessageRecord] = []
-        self.by_id: dict[int, MessageRecord] = {}
-        self._next_message_id = 0
 
     def start(self) -> None:
         if self.background:
@@ -122,11 +121,9 @@ class TrafficManager:
         now = self.engine.now
         if now >= self.duration_us:
             return
-        record = MessageRecord(self._next_message_id, src.source_id, now,
+        record = MessageRecord(len(self.messages), src.source_id, now,
                                src.message_size_bytes, src.priority)
-        self._next_message_id += 1
         self.messages.append(record)
-        self.by_id[record.message_id] = record
         stream_id = self.pool.acquire(record.message_id, src.priority)
         record.stream_id = stream_id
         stream = self.server.get_send_stream(stream_id, src.priority)
@@ -143,15 +140,12 @@ class TrafficManager:
         self.server.try_send(now)
 
     def on_frame_lost(self, message_id: int | None) -> None:
-        if message_id is None:
-            return
-        record = self.by_id.get(message_id)
-        if record is not None:
-            record.loss_involved = True
+        if message_id is not None:
+            self.messages[message_id].loss_involved = True
 
     def on_message_complete(self, message_id: int, now: int, path_id: int,
                             by_duplicate: bool) -> None:
-        record = self.by_id[message_id]
+        record = self.messages[message_id]
         if record.completed_at is not None:
             return
         record.completed_at = now
@@ -159,14 +153,11 @@ class TrafficManager:
         record.completed_by_duplicate = by_duplicate
 
     def on_duplicated(self, message_id: int | None) -> None:
-        if message_id is None:
-            return
-        record = self.by_id.get(message_id)
-        if record is not None:
-            record.duplicated = True
+        if message_id is not None:
+            self.messages[message_id].duplicated = True
 
     def on_app_ack(self, message_id: int, now: int) -> None:
-        record = self.by_id[message_id]
+        record = self.messages[message_id]
         if record.app_acked_at is not None:
             return
         record.app_acked_at = now

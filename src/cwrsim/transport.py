@@ -44,9 +44,6 @@ class Frame(NamedTuple):
     def packet_bytes(self) -> int:
         return self.length + HEADER_BYTES
 
-    def key(self) -> tuple[int, int, int]:
-        return (self.stream_id, self.epoch, self.offset)
-
 
 def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
               message_id: int | None = None, app_ack: bool = False) -> list[Frame]:
@@ -108,7 +105,8 @@ class PathSendState:
     __slots__ = (
         "path_id", "nominal_rtt", "cwnd", "ssthresh", "in_flight", "phase",
         "srtt", "growth_carry", "last_decrease", "ledger", "gap_counts",
-        "largest_acked", "next_number", "alarm_entry", "alarm_time",
+        "oldest", "next_number", "alarm_entry", "alarm_time",
+        "min_alarm_delay",
         "sent_packets", "lost_packets", "retransmissions", "srtt_sum",
         "srtt_samples",
     )
@@ -125,10 +123,14 @@ class PathSendState:
         self.last_decrease: int | None = None
         self.ledger: dict[int, SentEntry] = {}
         self.gap_counts: dict[int, int] = {}
-        self.largest_acked = -1
+        # no outstanding number is below this: numbers enter the ledger in
+        # increasing order and never return to it
+        self.oldest = 0
         self.next_number = 0
         self.alarm_entry: list | None = None
         self.alarm_time = 0
+        # no ledger entry's deadline is closer than this to its send time
+        self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN
         self.sent_packets = 0
         self.lost_packets = 0
         self.retransmissions = 0
@@ -155,8 +157,10 @@ class PathSendState:
         srtt = self.srtt
         if srtt is None:
             srtt = self.nominal_rtt
-        entry = SentEntry(number, size, frame,
-                          now, now + LOSS_ALARM_NUM * srtt // LOSS_ALARM_DEN,
+        delay = LOSS_ALARM_NUM * srtt // LOSS_ALARM_DEN
+        if delay < self.min_alarm_delay:
+            self.min_alarm_delay = delay
+        entry = SentEntry(number, size, frame, now, now + delay,
                           is_duplicate, is_retransmission)
         self.ledger[number] = entry
         self.in_flight += size
@@ -173,8 +177,6 @@ class PathSendState:
         if entry is None:
             return None, _NO_GAPS
         self.in_flight -= entry.size
-        if number > self.largest_acked:
-            self.largest_acked = number
         sample = now - entry.sent_time
         srtt = self.srtt
         self.srtt = sample if srtt is None else (7 * srtt + sample) // 8
@@ -184,7 +186,15 @@ class PathSendState:
         gap_counts = self.gap_counts
         if gap_counts:
             gap_counts.pop(number, None)
-        if ledger and next(iter(ledger)) < number:
+        if not ledger:
+            return entry, _NO_GAPS
+        # the smallest outstanding number, found by membership tests: asking
+        # the dict for its first key walks every slot freed at its front
+        oldest = self.oldest
+        while oldest not in ledger:
+            oldest += 1
+        self.oldest = oldest
+        if oldest < number:
             gap_lost = []
             for num in ledger:
                 if num >= number:
@@ -206,6 +216,28 @@ class PathSendState:
             total = MAX_PACKET_BYTES * acked_bytes + self.growth_carry
             inc, self.growth_carry = divmod(total, self.cwnd)
             self.cwnd += inc
+
+    def alarm_scan(self, now: int) -> tuple[list[int], int | None]:
+        """Numbers whose loss deadline is at or before now, in ledger order,
+        and the earliest deadline after now (None when there is none).
+
+        Send times rise through the ledger and every deadline is at least
+        min_alarm_delay after its send, so the scan stops at the first entry
+        whose earliest possible deadline is no earlier than the best found
+        (which is after now): no later entry can be expired or earlier.
+        """
+        expired = []
+        nxt = None
+        delay = self.min_alarm_delay
+        for num, entry in self.ledger.items():
+            if nxt is not None and entry.sent_time + delay >= nxt:
+                break
+            deadline = entry.deadline
+            if deadline <= now:
+                expired.append(num)
+            elif nxt is None or deadline < nxt:
+                nxt = deadline
+        return expired, nxt
 
     def declare_lost(self, number: int, now: int) -> tuple[SentEntry | None, bool]:
         """Remove a packet from the ledger as lost; returns (entry, decreased)."""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cwrsim.metrics import (InsufficientSamplesError, MetricsCollector,
-                            ccdf, ccdf_at, cwnd_growth, max_ccdf_gap,
-                            throughput_series, write_ccdf_csv,
+                            CwndTrace, ccdf, ccdf_at, cwnd_growth,
+                            max_ccdf_gap, throughput_series, write_ccdf_csv,
                             write_growth_csv, write_mct_csv,
                             write_throughput_csv, CwndGrowthRecord)
 from cwrsim.traffic import MessageRecord
@@ -112,6 +112,34 @@ def test_growth_requires_ca_phase_and_enough_windows():
     with pytest.raises(InsufficientSamplesError):
         cwnd_growth([(0, 1)], ca_since=0, decreases=[], rtt_us=50_000,
                     start_us=0, end_us=500_000)  # only 10 windows
+
+
+@pytest.mark.parametrize("samples, ca_since, decreases, rtt, start, end", [
+    ([(0, 100_000)], 0, [], 50_000, 1_000_000, 3_000_000),
+    (samples_linear(0, 3_000_000, 10_000, 0.027), 0, [], 50_000, 1_000_000,
+     3_000_000),
+    ([(0, 100_000)], 0, [1_200_000, 1_800_000], 50_000, 1_000_000, 3_000_000),
+    ([(0, 1)], None, [], 50_000, 0, 10_000_000),
+    ([(0, 1)], 0, [], 50_000, 0, 500_000),
+])
+def test_growth_on_compact_trace_equals_list_of_pairs(samples, ca_since,
+                                                       decreases, rtt, start,
+                                                       end):
+    collector = MetricsCollector(end)
+    collector.register_path(1, samples[0][1])
+    for t, cwnd in samples[1:]:
+        collector.on_cwnd(1, t, cwnd)
+    trace = collector.cwnd_samples[1]
+    assert isinstance(trace, CwndTrace)
+    assert len(trace) == len(samples) and list(trace) == samples
+
+    def outcome(s):
+        try:
+            return cwnd_growth(s, ca_since, decreases, rtt, start, end)
+        except InsufficientSamplesError as exc:
+            return str(exc)
+
+    assert outcome(trace) == outcome(samples)
 
 
 def test_collector_bins_match_pure_function():

@@ -1,11 +1,14 @@
 """End-to-end behavior of wired runs: determinism, loss recovery, redundancy."""
 from __future__ import annotations
 
+from hypothesis import given, strategies as st
+
 from cwrsim.link import PathConfig
 from cwrsim.metrics import post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
-from cwrsim.simulation import Simulation
+from cwrsim.simulation import ReceivedOffsets, Simulation
 from cwrsim.traffic import DataSourceConfig
+from cwrsim.transport import MAX_PAYLOAD_BYTES
 
 
 def two_paths(loss=0.0, owd=25_000, **kw):
@@ -265,3 +268,56 @@ def test_growth_records_and_outputs(tmp_path):
     warnings = res.write_outputs(tmp_path / "out")
     assert warnings == []
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+# each step is (segment index, copies): a copy past the first is a
+# retransmission or duplicate, and the list order is the arrival order
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                          st.integers(min_value=1, max_value=3)),
+                max_size=120),
+       st.randoms(use_true_random=False))
+def test_received_offsets_match_a_plain_set(steps, rnd):
+    arrivals = [i for i, copies in steps for _ in range(copies)]
+    rnd.shuffle(arrivals)
+    tracker = ReceivedOffsets()
+    seen: set[int] = set()  # reference: every offset ever received
+    for i in arrivals:
+        offset = i * MAX_PAYLOAD_BYTES
+        expected = 0 if offset in seen else MAX_PAYLOAD_BYTES
+        seen.add(offset)
+        assert tracker.add(offset, MAX_PAYLOAD_BYTES) == expected
+    prefix = 0
+    while prefix in seen:
+        prefix += MAX_PAYLOAD_BYTES
+    assert tracker.floor == prefix
+    assert set(tracker.above) == {o for o in seen if o > prefix}
+
+
+def test_per_run_tables_are_bounded_by_in_flight_state():
+    # background plus duplicated priority messages over lossy paths; the
+    # tables are sampled every 10 ms and must not grow with the horizon
+    frames_per_message = -(-10_000 // MAX_PAYLOAD_BYTES)
+    received = {}
+    for horizon in (2_000_000, 6_000_000):
+        cfg = config(paths=two_paths(loss=0.002), path_scheduler="cwr_red",
+                     sources=[DataSourceConfig(1, 100_000, 10_000)],
+                     duration_us=horizon)
+        sim = Simulation(cfg)
+        sim.traffic.start()
+        peak_above = peak_in_flight = 0
+        for t in range(10_000, horizon + 1, 10_000):
+            sim.engine.run_until(t)
+            peak_above = max(peak_above, len(sim.client._bg_seen[0].above))
+            peak_in_flight = max(peak_in_flight,
+                                 sum(len(ps.ledger)
+                                     for ps in sim.server.path_list))
+            for node in (sim.server, sim.client):
+                for table in (node._dup_keys, node._delivered_dup):
+                    assert len(table) <= len(node.streams)
+                    for _epoch, offsets in table.values():
+                        assert len(offsets) <= frames_per_message
+        # segments past a gap arrive within one loss recovery of it
+        assert peak_above <= 2 * peak_in_flight
+        received[horizon] = sim.client._bg_seen[0].floor // MAX_PAYLOAD_BYTES
+    # a table of every offset would be far past those bounds
+    assert received[6_000_000] > 2 * received[2_000_000] > 20 * peak_in_flight

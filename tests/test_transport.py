@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import InvariantError
-from cwrsim.transport import (CONGESTION_AVOIDANCE, Frame, MAX_PAYLOAD_BYTES,
-                              MIN_CWND, PathSendState, SLOW_START,
+from cwrsim.transport import (CONGESTION_AVOIDANCE, Frame, GAP_LOSS_THRESHOLD,
+                              MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState,
+                              SLOW_START,
                               StreamReassembly, packetize)
 
 
@@ -205,6 +206,96 @@ def test_gap_rule_declares_after_three_higher_acks():
         _, gaps = ps.ack_packet(e.number, 50_000)
         lost_after.append(list(gaps))
     assert lost_after == [[], [], [entries[0].number]]
+
+
+# A sequence of ledger operations: ("send", srtt or None, time step),
+# ("ack", pick), ("lose", pick); pick chooses among outstanding numbers.
+ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("send"),
+              st.one_of(st.none(), st.integers(min_value=30_000, max_value=70_000)),
+              st.integers(min_value=0, max_value=5_000)),
+    st.tuples(st.just("ack"), st.integers(min_value=0, max_value=1_000)),
+    st.tuples(st.just("lose"), st.integers(min_value=0, max_value=1_000)),
+), max_size=60)
+
+
+def _replay(ops):
+    """Run ops on a fresh path; returns it and the last send time."""
+    ps = fresh_path()
+    ps.cwnd = 10 ** 9
+    now = 0
+    for op in ops:
+        if op[0] == "send":
+            _, srtt, step = op
+            if srtt is not None:
+                ps.srtt = srtt
+            now += step
+            send_one(ps, now=now)
+        elif ps.ledger:
+            number = sorted(ps.ledger)[op[1] % len(ps.ledger)]
+            if op[0] == "ack":
+                ps.ack_packet(number, now)
+            else:
+                ps.declare_lost(number, now)
+    return ps, now
+
+
+@settings(max_examples=300)
+@given(ledger_ops, st.integers(min_value=0, max_value=1_000),
+       st.integers(min_value=-2, max_value=2))
+# a low srtt, since acked, sets the bound; then a later send's deadline
+# comes before an earlier one's, within 5 ms of the scan's stopping point
+@example([("send", 30_000, 0), ("send", 40_000, 0), ("send", 30_000, 8_000),
+          ("ack", 0)], 0, -3_250)
+def test_alarm_scan_matches_a_full_rescan(ops, pick, offset):
+    ps, now = _replay(ops)
+    deadlines = [(num, e.deadline) for num, e in ps.ledger.items()]
+    # ask at, or right next to, one of the deadlines
+    at = sorted(d for _, d in deadlines)[pick % len(deadlines)] + offset \
+        if deadlines else now
+    later = [d for _, d in deadlines if d > at]
+    assert ps.alarm_scan(at) == ([num for num, d in deadlines if d <= at],
+                                 min(later) if later else None)
+
+
+@settings(max_examples=300)
+@given(ledger_ops)
+def test_gap_rule_matches_a_reference_model(ops):
+    # reference: the gap rule over a plain set of outstanding numbers
+    outstanding: set[int] = set()
+    counts: dict[int, int] = {}
+    checked = []
+
+    def on_ack(ps, number, gaps):
+        outstanding.discard(number)
+        counts.pop(number, None)
+        expected = []
+        for num in sorted(n for n in outstanding if n < number):
+            seen = counts.get(num, 0) + 1
+            if seen >= GAP_LOSS_THRESHOLD:
+                expected.append(num)  # stays outstanding until declared
+            else:
+                counts[num] = seen
+        assert list(gaps) == expected
+        checked.append(number)
+
+    ps = fresh_path()
+    ps.cwnd = 10 ** 9
+    now = 0
+    for op in ops:
+        if op[0] == "send":
+            now += op[2]
+            outstanding.add(send_one(ps, now=now).number)
+        elif outstanding:
+            number = sorted(outstanding)[op[1] % len(outstanding)]
+            if op[0] == "ack":
+                _, gaps = ps.ack_packet(number, now)
+                on_ack(ps, number, gaps)
+            else:
+                ps.declare_lost(number, now)
+                outstanding.discard(number)
+                counts.pop(number, None)
+    assert set(ps.ledger) == outstanding
 
 
 def test_free_cwnd_trivials():
