@@ -25,6 +25,10 @@ def _run_dir(outdir: Path, rep: int) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        print(f"error: --reps must be at least 1, got {args.reps}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = parse_scenario(args.scenario)
     except (ScenarioError, OSError) as exc:

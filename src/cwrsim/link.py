@@ -63,7 +63,9 @@ class OneWayLink:
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
-        self._draw = rng._rng.random  # one draw per data packet, like bernoulli
+        # one draw per data packet, skipped on a lossless link: there no
+        # draw can drop a packet, and the stream feeds nothing else
+        self._draw = rng._rng.random
         self.rate_bps = cfg.rate_bps
         self.owd_us = cfg.owd_us
         self.loss_rate = cfg.loss_rate
@@ -82,7 +84,8 @@ class OneWayLink:
         if carries_data:
             index = self.data_sent
             self.data_sent = index + 1
-            if self._draw() < self.loss_rate or index in self._forced:
+            if (self.loss_rate and self._draw() < self.loss_rate) \
+                    or index in self._forced:
                 self.data_dropped += 1
                 return None
         elif self.cfg.ack_loss_enabled:

@@ -46,6 +46,12 @@ class ScenarioConfig:
             raise ScenarioError("at least one [path] section is required")
         if self.duration_us <= 0:
             raise ScenarioError("duration must be positive")
+        if not 0 <= self.warmup_us < self.duration_us:
+            raise ScenarioError(
+                f"warmup_us must be in [0, duration_us = {self.duration_us}), "
+                f"got {self.warmup_us}")
+        if self.bin_width_us <= 0:
+            raise ScenarioError("bin_width_us must be positive")
         if self.stream_scheduler not in STREAM_SCHEDULERS:
             raise ScenarioError(
                 f"stream_scheduler must be one of {STREAM_SCHEDULERS}")
@@ -187,7 +193,12 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         if "owd_us" in keys:
             owd = _parse_int(*keys["owd_us"])
         elif "rtt_us" in keys:
-            owd = _parse_int(*keys["rtt_us"]) // 2
+            raw, ln = keys["rtt_us"]
+            rtt = _parse_int(raw, ln)
+            if rtt % 2:
+                # forward and reverse one-way delays are equal whole us
+                raise ScenarioError(f"rtt_us must be even, got {rtt}", ln)
+            owd = rtt // 2
         else:
             raise ScenarioError("path needs owd_us or rtt_us", section_line)
         pcfg = PathConfig(path_id=len(config.paths) + 1, owd_us=owd)

@@ -52,15 +52,16 @@ class SendStream:
     def has_pending(self) -> bool:
         return self.background or bool(self.pending)
 
-    def has_rtx(self) -> bool:
-        return bool(self.rtx)
+    def _new_background_frame(self) -> Frame:
+        offset = self._bg_offset
+        self._bg_offset = offset + MAX_PAYLOAD_BYTES
+        # tuple.__new__ skips the NamedTuple's Python-level constructor
+        return tuple.__new__(Frame, (self.stream_id, 0, offset, MAX_PAYLOAD_BYTES,
+                                     False, False, None, False))
 
     def peek_pending(self) -> Frame:
         if self.background and not self.pending:
-            frame = Frame(self.stream_id, 0, self._bg_offset, MAX_PAYLOAD_BYTES,
-                          False, False)
-            self._bg_offset += MAX_PAYLOAD_BYTES
-            self.pending.append(frame)
+            self.pending.append(self._new_background_frame())
         return self.pending[0]
 
     def pop_pending(self) -> Frame:
@@ -69,10 +70,7 @@ class SendStream:
     def next_background_frame(self) -> Frame:
         if self.pending:
             return self.pending.popleft()
-        frame = Frame(self.stream_id, 0, self._bg_offset, MAX_PAYLOAD_BYTES,
-                      False, False)
-        self._bg_offset += MAX_PAYLOAD_BYTES
-        return frame
+        return self._new_background_frame()
 
     def message_done(self) -> None:
         # Any queued retransmissions belong to the acknowledged message and
@@ -82,9 +80,6 @@ class SendStream:
 
     def remaining_message_bytes(self) -> int:
         return sum(f.length + HEADER_BYTES for f in self.pending)
-
-    def rtx_head_time(self) -> int:
-        return self.rtx[0][0]
 
     def enqueue_rtx(self, frame: Frame, now: int, path_id: int) -> None:
         # a retransmission goes back out on the path that lost it
@@ -109,20 +104,23 @@ class RoundRobinStreams:
         self._last = stream.stream_id
 
 
+def _pfifo_key(s: SendStream) -> tuple[int, int, int]:
+    if s.rtx:
+        return 0, s.rtx[0][0], s.stream_id
+    return 1 if s.priority else 2, s.enqueue_time, s.stream_id
+
+
 class PriorityFifoStreams:
-    """Retransmissions first, then priority streams, then the rest; FIFO within class."""
+    """Retransmissions first, then priority streams, then the rest; FIFO within class.
+
+    Every stream passed in has retransmissions or pending data, so one sort
+    on (class, time, stream id) orders them all.
+    """
 
     name = "pfifo"
 
     def order(self, streams: list[SendStream], now: int) -> list[SendStream]:
-        rtx = sorted((s for s in streams if s.has_rtx()),
-                     key=lambda s: (s.rtx_head_time(), s.stream_id))
-        rest = [s for s in streams if not s.has_rtx() and s.has_pending()]
-        pri = sorted((s for s in rest if s.priority),
-                     key=lambda s: (s.enqueue_time, s.stream_id))
-        bg = sorted((s for s in rest if not s.priority),
-                    key=lambda s: (s.enqueue_time, s.stream_id))
-        return rtx + pri + bg
+        return sorted(streams, key=_pfifo_key)
 
     def note_sent(self, stream: SendStream) -> None:
         pass
@@ -175,14 +173,18 @@ class ReservationLedger:
         return res
 
     def retire_source(self, source_id: int) -> None:
-        """Drop a source's previous reservations everywhere (renewal or shutdown)."""
+        """Drop a source's previous reservations everywhere (renewal or shutdown).
+
+        Only active rows become REPLACED: a dropped row keeps its state,
+        whether or not a consume has already taken it off the path's rows.
+        """
         for pid, rows in self._by_path.items():
             kept = []
             for r in rows:
                 if r.source_id == source_id:
                     if r.state == ACTIVE:
                         self._active_bytes[pid] -= r.bytes_left
-                    r.state = REPLACED
+                        r.state = REPLACED
                 else:
                     kept.append(r)
             rows[:] = kept
@@ -200,10 +202,14 @@ class ReservationLedger:
 
     def consume(self, path_id: int, size: int, now: int) -> None:
         """A priority send claims reserved space that has come due, oldest first."""
+        due = [r for r in self._by_path[path_id]
+               if r.state == ACTIVE and r.due_time <= now]
+        if not due:
+            # rows already dropped wait for their source's retire_source;
+            # every reader skips them
+            return
+        due.sort(key=lambda r: r.due_time)
         remaining = size
-        due = sorted((r for r in self._by_path[path_id]
-                      if r.state == ACTIVE and r.due_time <= now),
-                     key=lambda r: r.due_time)
         for r in due:
             if remaining <= 0:
                 break
@@ -254,10 +260,6 @@ class ReservationLedger:
             if predicted < required:
                 return True
         return False
-
-    def snapshot(self) -> dict[int, list[tuple[int, int, int, str]]]:
-        return {pid: [(r.source_id, r.bytes_left, r.due_time, r.state) for r in rows]
-                for pid, rows in self._by_path.items()}
 
 
 def _paths_by_rtt(paths: list[PathSendState]) -> list[PathSendState]:

@@ -167,7 +167,8 @@ class Node:
         streams = self.streams
         sched = self.path_sched
         while True:
-            candidates = [s for s in streams.values() if s.rtx or s.has_pending()]
+            candidates = [s for s in streams.values()
+                          if s.rtx or s.pending or s.background]
             if not candidates:
                 return
             if len(candidates) == 1 and candidates[0].background \
@@ -308,8 +309,7 @@ class Node:
         engine = self.engine
         reserving = self.path_sched.reserving and frame.priority
         for i, ps in enumerate(targets):
-            entry = ps.register_sent(frame, now, is_duplicate=i > 0,
-                                     is_retransmission=is_rtx)
+            entry = ps.register_sent(frame, now, is_retransmission=is_rtx)
             if reserving:
                 self.path_sched.on_priority_sent(ps.path_id, entry.size, now)
             elif self.verify_admissions and not frame.priority \
@@ -323,8 +323,9 @@ class Node:
                         f"breaks a reservation prediction")
             arrival = self.links[ps.path_id].send(entry.size, True, now)
             if arrival is not None:
-                pkt = Packet(entry.number, ps.path_id, frame, entry.size, now,
-                             i > 0, is_rtx)
+                # tuple.__new__ skips the NamedTuple's Python-level constructor
+                pkt = tuple.__new__(Packet, (entry.number, ps.path_id, frame,
+                                             entry.size, now, i > 0, is_rtx))
                 engine.schedule(
                     arrival, self._peer_receive,
                     "app_ack_arrival" if frame.app_ack else "packet_arrival",
@@ -372,8 +373,11 @@ class Node:
             if self._wake_entry is not None:
                 return
             bg = self._bg_stream
-            if bg is not None and not bg.rtx and self.send_log is None \
-                    and self.decision_log is None:
+            if bg is None:
+                # no stream has rtx or pending data: try_send finds no
+                # candidate
+                return
+            if self.send_log is None and self.decision_log is None:
                 # only the acked path gained room; continue background there
                 return self._continue_background(ps, bg, now)
         self.try_send(now)

@@ -89,8 +89,6 @@ class SentEntry(NamedTuple):
     frame: Frame
     sent_time: int
     deadline: int  # loss alarm instant, fixed from srtt at send time
-    is_duplicate: bool
-    is_retransmission: bool
 
 
 class PathSendState:
@@ -144,7 +142,7 @@ class PathSendState:
         free = self.cwnd - self.in_flight
         return free if free > 0 else 0
 
-    def register_sent(self, frame: Frame, now: int, *, is_duplicate: bool = False,
+    def register_sent(self, frame: Frame, now: int, *,
                       is_retransmission: bool = False) -> SentEntry:
         size = frame.length + HEADER_BYTES
         if size > self.cwnd - self.in_flight:
@@ -160,8 +158,8 @@ class PathSendState:
         delay = LOSS_ALARM_NUM * srtt // LOSS_ALARM_DEN
         if delay < self.min_alarm_delay:
             self.min_alarm_delay = delay
-        entry = SentEntry(number, size, frame, now, now + delay,
-                          is_duplicate, is_retransmission)
+        # tuple.__new__ skips the NamedTuple's Python-level constructor
+        entry = tuple.__new__(SentEntry, (number, size, frame, now, now + delay))
         self.ledger[number] = entry
         self.in_flight += size
         self.sent_packets += 1
@@ -182,7 +180,14 @@ class PathSendState:
         self.srtt = sample if srtt is None else (7 * srtt + sample) // 8
         self.srtt_sum += sample
         self.srtt_samples += 1
-        self._grow(entry.size)
+        if self.phase == SLOW_START:
+            self.cwnd += entry.size
+            if self.cwnd >= self.ssthresh:
+                self.phase = CONGESTION_AVOIDANCE
+        else:
+            total = MAX_PACKET_BYTES * entry.size + self.growth_carry
+            inc, self.growth_carry = divmod(total, self.cwnd)
+            self.cwnd += inc
         gap_counts = self.gap_counts
         if gap_counts:
             gap_counts.pop(number, None)
@@ -206,16 +211,6 @@ class PathSendState:
                     gap_counts[num] = seen
             return entry, gap_lost
         return entry, _NO_GAPS
-
-    def _grow(self, acked_bytes: int) -> None:
-        if self.phase == SLOW_START:
-            self.cwnd += acked_bytes
-            if self.cwnd >= self.ssthresh:
-                self.phase = CONGESTION_AVOIDANCE
-        else:
-            total = MAX_PACKET_BYTES * acked_bytes + self.growth_carry
-            inc, self.growth_carry = divmod(total, self.cwnd)
-            self.cwnd += inc
 
     def alarm_scan(self, now: int) -> tuple[list[int], int | None]:
         """Numbers whose loss deadline is at or before now, in ledger order,

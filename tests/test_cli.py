@@ -95,3 +95,14 @@ def test_compare_reports_growth_ordering(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "lowrtt" in report and "cwr" in report
     assert "growth ordering" in report
+
+
+def test_simulate_rejects_fewer_than_one_repetition(tmp_path, capsys):
+    scn = write_scenario(tmp_path)
+    for reps in ("0", "-3"):
+        out = tmp_path / f"out_{reps}"
+        assert main(["simulate", str(scn), "--reps", reps,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--reps" in captured.err and "wrote" not in captured.out
+        assert not out.exists()

@@ -66,6 +66,14 @@ def test_forced_loss_still_consumes_a_draw():
     assert a[1:] == b[1:]
 
 
+@given(st.sets(st.integers(min_value=0, max_value=39)))
+def test_lossless_link_send_drops_exactly_the_forced_indices(forced):
+    link = make_link(forced_data_losses=tuple(sorted(forced)))
+    dropped = {i for i in range(40) if link.send(1350, True, 0) is None}
+    assert dropped == forced
+    assert link.data_dropped == len(forced)
+
+
 def test_acks_not_dropped_by_default():
     link = make_link(loss_rate=0.999999)
     assert not link.transmit(50, False, 0).dropped

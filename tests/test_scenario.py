@@ -44,6 +44,12 @@ def test_rtt_us_key_halves_into_owd(tmp_path):
     assert cfg.paths[0].owd_us == 50_000
 
 
+def test_odd_rtt_us_rejected_with_its_line(tmp_path):
+    with pytest.raises(ScenarioError, match="line 3: rtt_us must be even"):
+        parse_scenario(write(tmp_path, "[path]\nrate_bps = 1000000\n"
+                                       "rtt_us = 100001\n"))
+
+
 def test_scheduler_enum_mapping(tmp_path):
     cfg = parse_scenario(write(tmp_path,
                                "path_scheduler = cwr_red\n[path]\nowd_us = 10\n"))
@@ -107,6 +113,26 @@ def test_validate_catches_bad_programmatic_config():
     cfg = ScenarioConfig(paths=[PathConfig(1, 10)], seed=2 ** 70)
     cfg.validate()
     assert cfg.seed < 2 ** 64
+
+
+@pytest.mark.parametrize("bin_width_us", [0, -100_000])
+def test_validate_rejects_nonpositive_bin_width(bin_width_us):
+    cfg = ScenarioConfig(paths=[PathConfig(1, 10)], bin_width_us=bin_width_us)
+    with pytest.raises(ScenarioError, match="bin_width_us"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("warmup_us", [-1, 2_000_000, 3_000_000])
+def test_validate_rejects_warmup_outside_the_horizon(warmup_us):
+    cfg = ScenarioConfig(paths=[PathConfig(1, 10)], duration_us=2_000_000,
+                         warmup_us=warmup_us)
+    with pytest.raises(ScenarioError, match="warmup_us"):
+        cfg.validate()
+
+
+def test_short_scenario_file_inside_the_default_warmup_rejected(tmp_path):
+    with pytest.raises(ScenarioError, match="warmup_us"):
+        parse_scenario(write(tmp_path, "duration_s = 0.5\n[path]\nowd_us = 10\n"))
 
 
 def test_to_dict_round_trips_scenario_fields():

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cwrsim.scheduling import (LowRttScheduler, PriorityFifoStreams,
-                               RedundantScheduler, ReservationScheduler,
-                               ReservationLedger, RoundRobinStreams,
-                               SendStream, make_path_scheduler,
-                               make_stream_scheduler, reservation_bytes)
+from cwrsim.scheduling import (ACTIVE, CONSUMED, LowRttScheduler,
+                               PriorityFifoStreams, RedundantScheduler,
+                               ReservationScheduler, ReservationLedger,
+                               RoundRobinStreams, SendStream,
+                               make_path_scheduler, make_stream_scheduler,
+                               reservation_bytes)
 from cwrsim.transport import Frame, PathSendState, packetize
 
 
@@ -41,8 +43,8 @@ def drain(scheduler, stream, now=0):
         if not targets:
             break
         stream.pop_pending()
-        for i, ps in enumerate(targets):
-            ps.register_sent(frame, now, is_duplicate=i > 0)
+        for ps in targets:
+            ps.register_sent(frame, now)
             if frame.priority:
                 scheduler.on_priority_sent(ps.path_id, frame.packet_bytes, now)
         sent.append(tuple(p.path_id for p in targets))
@@ -105,6 +107,45 @@ def test_pfifo_background_fifo_among_themselves():
     assert [s.stream_id for s in pf.order([a, b], 10)] == [8, 3]
 
 
+def three_sort_order(streams):
+    """The pfifo order as three filtered sorts, the reference for the one-key sort."""
+    rtx = sorted((s for s in streams if s.rtx),
+                 key=lambda s: (s.rtx[0][0], s.stream_id))
+    rest = [s for s in streams if not s.rtx and s.has_pending()]
+    pri = sorted((s for s in rest if s.priority),
+                 key=lambda s: (s.enqueue_time, s.stream_id))
+    bg = sorted((s for s in rest if not s.priority),
+                key=lambda s: (s.enqueue_time, s.stream_id))
+    return rtx + pri + bg
+
+
+stream_specs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=30),        # stream id
+              st.sampled_from(["priority", "plain", "background"]),
+              st.integers(min_value=0, max_value=5),         # enqueue time
+              st.booleans(),                                 # pending data
+              st.lists(st.integers(min_value=0, max_value=5),  # rtx times
+                       max_size=3)),
+    max_size=8, unique_by=lambda spec: spec[0])
+
+
+@settings(max_examples=300)
+@given(stream_specs)
+def test_pfifo_one_key_sort_equals_three_sorts(specs):
+    # try_send passes only streams with retransmissions or pending data
+    streams = []
+    for stream_id, kind, enqueue_time, pending, rtx_times in specs:
+        s = SendStream(stream_id, kind == "priority", kind == "background")
+        s.enqueue_time = enqueue_time
+        if pending:
+            s.pending.append(pri_frame(stream=stream_id))
+        for t in rtx_times:
+            s.enqueue_rtx(pri_frame(stream=stream_id), t, 1)
+        if s.rtx or s.has_pending():
+            streams.append(s)
+    assert PriorityFifoStreams().order(streams, 0) == three_sort_order(streams)
+
+
 def test_make_stream_scheduler_names():
     assert make_stream_scheduler("rr").name == "rr"
     assert make_stream_scheduler("pfifo").name == "pfifo"
@@ -142,6 +183,66 @@ def test_consume_without_reservation_is_noop():
     ledger = ReservationLedger([1])
     ledger.consume(1, 1350, now=0)
     assert ledger.active_bytes(1) == 0
+
+
+class RebuildingLedger(ReservationLedger):
+    """The ledger with consume always sorting and rebuilding its rows, the
+    reference for consume's early return."""
+
+    def consume(self, path_id, size, now):
+        remaining = size
+        due = sorted((r for r in self._by_path[path_id]
+                      if r.state == ACTIVE and r.due_time <= now),
+                     key=lambda r: r.due_time)
+        for r in due:
+            if remaining <= 0:
+                break
+            take = min(r.bytes_left, remaining)
+            r.bytes_left -= take
+            self._active_bytes[path_id] -= take
+            remaining -= take
+            if r.bytes_left == 0:
+                r.state = CONSUMED
+        self._by_path[path_id] = [r for r in self._by_path[path_id]
+                                  if r.state == ACTIVE]
+
+
+times = st.integers(min_value=0, max_value=10)
+ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("install"), st.integers(1, 3), st.integers(1, 2),
+              st.integers(0, 12_000), times),
+    st.tuples(st.just("drop"), st.integers(1, 2)),
+    st.tuples(st.just("consume"), st.integers(1, 2),
+              st.integers(1, 5_000), times),
+    st.tuples(st.just("retire"), st.integers(1, 3)),
+), max_size=30)
+
+
+@settings(max_examples=300)
+@given(ledger_ops)
+# the second row is due while the first is not
+@example([("install", 1, 1, 1_000, 5), ("install", 2, 1, 1_000, 0),
+          ("consume", 1, 500, 1)])
+def test_consume_early_return_matches_always_rebuilding(ops):
+    ledgers = (ReservationLedger([1, 2]), RebuildingLedger([1, 2]))
+    paths = {1: path(1, cwnd=20_000), 2: path(2, cwnd=9_000)}
+    installed = ([], [])
+    for op in ops:
+        for ledger, rows in zip(ledgers, installed):
+            if op[0] == "install":
+                _, source, pid, size, due = op
+                rows.append(ledger.install(source, paths[pid], size, due))
+            elif op[0] == "drop":
+                ledger.drop_path(op[1])
+            elif op[0] == "consume":
+                ledger.consume(*op[1:])
+            else:
+                ledger.retire_source(op[1])
+        fast, rebuilt = ledgers
+        for pid in (1, 2):
+            assert fast.active_bytes(pid) == rebuilt.active_bytes(pid)
+            assert fast.active(pid) == rebuilt.active(pid)
+        assert installed[0] == installed[1]
 
 
 def test_clamp_when_window_cannot_hold_reservation():

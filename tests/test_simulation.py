@@ -70,7 +70,7 @@ def test_lost_priority_packet_is_recovered():
         paths=[PathConfig(1, 25_000, forced_data_losses=(0,)),
                PathConfig(2, 25_000)],
         sources=[DataSourceConfig(1, 200_000, 1_000, start_offset_us=0)],
-        background=False, duration_us=1_000_000)
+        background=False, duration_us=1_000_000, warmup_us=0)
     sim = Simulation(cfg)
     res = sim.run()
     first = res.messages[0]
@@ -124,7 +124,7 @@ def test_duplicate_loss_recovered_without_retransmission():
                PathConfig(2, 25_000)],
         path_scheduler="cwr_red",
         sources=[DataSourceConfig(1, 300_000, 1_000, start_offset_us=0)],
-        background=False, duration_us=1_000_000)
+        background=False, duration_us=1_000_000, warmup_us=0)
     sim = Simulation(cfg)
     res = sim.run()
     first = res.messages[0]
@@ -139,13 +139,15 @@ def test_message_isolation_under_forced_loss():
     # move message B's completion time (loss is silent at the sender)
     sources = [DataSourceConfig(1, 500_000, 2_600, start_offset_us=0),
                DataSourceConfig(2, 500_000, 2_600, start_offset_us=0)]
-    base_cfg = config(sources=sources, background=False, duration_us=900_000)
+    base_cfg = config(sources=sources, background=False, duration_us=900_000,
+                      warmup_us=0)
     baseline = Simulation(base_cfg).run()
 
     lossy_cfg = config(
         paths=[PathConfig(1, 25_000, forced_data_losses=(0, 1)),
                PathConfig(2, 25_000)],
-        sources=sources, background=False, duration_us=900_000)
+        sources=sources, background=False, duration_us=900_000,
+        warmup_us=0)
     lossy = Simulation(lossy_cfg).run()
 
     def completion(res, source_id):
@@ -233,7 +235,7 @@ def test_ack_record_entry_point():
     from cwrsim.transport import AckRecord
     cfg = config(sources=[DataSourceConfig(1, 200_000, 1_000,
                                            start_offset_us=0)],
-                 background=False, duration_us=400_000)
+                 background=False, duration_us=400_000, warmup_us=0)
     sim = Simulation(cfg)
     sim.traffic.start()
     sim.engine.run_until(10_000)  # the first packet is in flight, unacked

@@ -16,8 +16,9 @@ def two_paths(loss=0.0, owd=25_000):
 
 def run_sim(sources, duration_us, background=False, path_scheduler="cwr",
             seed=3, paths=None, **kw):
+    # every caller's horizon is at most 1 s, inside the default warm-up
     cfg = ScenarioConfig(paths=paths or two_paths(), sources=sources,
-                         duration_us=duration_us, seed=seed,
+                         duration_us=duration_us, warmup_us=0, seed=seed,
                          path_scheduler=path_scheduler, background=background)
     sim = Simulation(cfg, **kw)
     return sim, sim.run()
