@@ -23,8 +23,7 @@ class EventQueue:
     entry stays queued but is skipped when it surfaces.
     """
 
-    def __init__(self, record_dispatch: bool = False,
-                 checker: Callable[[], None] | None = None,
+    def __init__(self, checker: Callable[[], None] | None = None,
                  check_interval: int = 1024):
         self.now = 0
         self.dispatched = 0
@@ -32,9 +31,6 @@ class EventQueue:
         self._seq = 0
         self._checker = checker
         self._check_interval = max(1, check_interval)
-        self.dispatch_log: list[tuple[int, int, str]] | None = (
-            [] if record_dispatch else None
-        )
 
     def schedule(self, fire_time: int, fn: Callable[..., None],
                  label: str = "event", *, args: tuple = _NO_ARGS) -> list:
@@ -62,7 +58,6 @@ class EventQueue:
         time (unchanged if nothing ran).
         """
         heap = self._heap
-        log = self.dispatch_log
         checker = self._checker
         pop = heapq.heappop
         count = 0
@@ -72,8 +67,6 @@ class EventQueue:
             if not entry[4]:
                 continue
             self.now = entry[0]
-            if log is not None:
-                log.append((entry[0], entry[1], entry[3]))
             entry[2](*entry[5])
             count += 1
             if checker is not None:
@@ -90,20 +83,17 @@ class EventQueue:
 
 
 class RngStream:
-    """One deterministic draw stream; independent per (path, direction)."""
+    """One deterministic draw stream; independent per (path, direction).
 
-    __slots__ = ("stream_id", "_rng")
+    `random()` returns the stream's next uniform draw in [0, 1).
+    """
+
+    __slots__ = ("stream_id", "random")
 
     def __init__(self, seed: int, stream_id: int):
         self.stream_id = stream_id
         # Disjoint derived seeds as long as stream_id < 4096.
-        self._rng = random.Random((seed & SEED_MASK) * 4096 + stream_id)
-
-    def bernoulli(self, p: float) -> bool:
-        """True with probability p; always consumes exactly one draw."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability out of range: {p}")
-        return self._rng.random() < p
+        self.random = random.Random((seed & SEED_MASK) * 4096 + stream_id).random
 
 
 class RngStreams:

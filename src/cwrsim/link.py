@@ -42,14 +42,6 @@ def serialization_us(size_bytes: int, rate_bps: int) -> int:
     return -(-bits * MICROS_PER_SECOND // rate_bps)
 
 
-@dataclass(slots=True)
-class LinkTransmission:
-    send_start: int
-    send_end: int
-    arrival: int | None  # None when the packet was dropped
-    dropped: bool
-
-
 class OneWayLink:
     """One direction of a path: a FIFO serializer feeding a fixed delay.
 
@@ -62,10 +54,9 @@ class OneWayLink:
     def __init__(self, cfg: PathConfig, rng: RngStream):
         cfg.validate()
         self.cfg = cfg
-        self.rng = rng
         # one draw per data packet, skipped on a lossless link: there no
         # draw can drop a packet, and the stream feeds nothing else
-        self._draw = rng._rng.random
+        self._draw = rng.random
         self.rate_bps = cfg.rate_bps
         self.owd_us = cfg.owd_us
         self.loss_rate = cfg.loss_rate
@@ -92,11 +83,3 @@ class OneWayLink:
             if self._draw() < self.loss_rate:
                 return None
         return end + self.owd_us
-
-    def transmit(self, size_bytes: int, carries_data: bool, now: int) -> LinkTransmission:
-        if size_bytes <= 0:
-            raise ValueError("packet size must be positive")
-        before = self.busy_until if self.busy_until > now else now
-        arrival = self.send(size_bytes, carries_data, now)
-        end = self.busy_until
-        return LinkTransmission(before, end, arrival, arrival is None)

@@ -6,7 +6,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 DEFAULT_WARMUP_US = 1_000_000
 DEFAULT_BIN_WIDTH_US = 100_000
@@ -80,26 +80,6 @@ def max_ccdf_gap(a: list[tuple[int, float]], b: list[tuple[int, float]]) -> floa
     return gap
 
 
-def throughput_series(deliveries: Iterable[tuple[int, int, int, bool, bool]],
-                      horizon_us: int,
-                      bin_width_us: int = DEFAULT_BIN_WIDTH_US) -> list[ThroughputBin]:
-    """Bin delivered transport-layer bytes; duplicates count, priority tracked.
-
-    Each delivery is (time, path_id, size_bytes, priority, is_duplicate).
-    Every bin covering [0, horizon) is present even when empty.
-    """
-    n_bins = -(-horizon_us // bin_width_us) if horizon_us > 0 else 0
-    bins = [ThroughputBin(i * bin_width_us, bin_width_us) for i in range(n_bins)]
-    for when, _path, size, priority, _dup in deliveries:
-        if when >= horizon_us:
-            continue
-        b = bins[when // bin_width_us]
-        b.total_bytes += size
-        if priority:
-            b.priority_bytes += size
-    return bins
-
-
 class CwndTrace:
     """A path's (time, cwnd) samples, held as two integer arrays.
 
@@ -166,17 +146,13 @@ class MetricsCollector:
     """Run traces plus derived outputs; throughput is binned incrementally."""
 
     def __init__(self, horizon_us: int, warmup_us: int = DEFAULT_WARMUP_US,
-                 bin_width_us: int = DEFAULT_BIN_WIDTH_US,
-                 record_delivery_trace: bool = False):
+                 bin_width_us: int = DEFAULT_BIN_WIDTH_US):
         self.horizon_us = horizon_us
         self.warmup_us = warmup_us
         self.bin_width_us = bin_width_us
         n_bins = -(-horizon_us // bin_width_us) if horizon_us > 0 else 0
         self._bins = [ThroughputBin(i * bin_width_us, bin_width_us)
                       for i in range(n_bins)]
-        # optional raw (time, path_id, size, priority, is_duplicate) trace
-        self.deliveries: list[tuple[int, int, int, bool, bool]] | None = (
-            [] if record_delivery_trace else None)
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
         self.cwnd_samples: dict[int, CwndTrace] = {}
@@ -187,12 +163,10 @@ class MetricsCollector:
         self.cwnd_samples[path_id] = CwndTrace(0, initial_cwnd)
         self.decreases[path_id] = []
 
-    def on_delivery(self, when: int, path_id: int, size: int, priority: bool,
-                    is_duplicate: bool, new_bytes: int) -> None:
+    def on_delivery(self, when: int, size: int, priority: bool,
+                    new_bytes: int) -> None:
         self.goodput_unique_bytes += new_bytes
         self.delivered_bytes += size
-        if self.deliveries is not None:
-            self.deliveries.append((when, path_id, size, priority, is_duplicate))
         if when >= self.horizon_us:
             return
         b = self._bins[when // self.bin_width_us]

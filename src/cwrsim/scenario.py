@@ -4,11 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .engine import SEED_MASK
 from .link import PathConfig
 from .scheduling import PATH_SCHEDULERS, STREAM_SCHEDULERS
 from .traffic import DataSourceConfig
-
-SEED_MASK = (1 << 64) - 1
 
 _TOP_KEYS = {"duration_s", "duration_us", "seed", "stream_scheduler",
              "path_scheduler", "background"}
@@ -165,6 +164,12 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     if "duration_us" in top:
         raw, ln = top["duration_us"]
         config.duration_us = _parse_int(raw, ln)
+    if config.duration_us <= config.warmup_us:
+        # the default horizon is longer; only a duration line makes it shorter
+        key = "duration_s" if "duration_s" in top else "duration_us"
+        raise ScenarioError(
+            f"the run must be longer than the {config.warmup_us} us warm-up, "
+            f"got {config.duration_us} us", top[key][1])
     if "seed" in top:
         raw, ln = top["seed"]
         config.seed = _parse_int(raw, ln)

@@ -222,8 +222,7 @@ class ReservationLedger:
         self._by_path[path_id] = [r for r in self._by_path[path_id]
                                   if r.state == ACTIVE]
 
-    def at_risk(self, path: PathSendState, candidate_size: int, now: int,
-                use_fast_path: bool = True) -> bool:
+    def at_risk(self, path: PathSendState, candidate_size: int, now: int) -> bool:
         """Would sending candidate_size now break a reservation at its due time?
 
         Prediction holds cwnd constant and assumes a packet sent at s is acked
@@ -236,7 +235,7 @@ class ReservationLedger:
             return False
         # predicted_free(T) >= free_cwnd for any future T, so enough free
         # window right now settles every due time without a ledger scan
-        if use_fast_path and path.free_cwnd() - candidate_size >= total:
+        if path.free_cwnd() - candidate_size >= total:
             return False
         rows = self.active(path.path_id)
         srtt = path.effective_srtt()
@@ -262,15 +261,14 @@ class ReservationLedger:
         return False
 
 
+def _rtt_key(p: PathSendState) -> tuple[int, int]:
+    # effective_srtt() inlined: this runs on every priority admission
+    srtt = p.srtt
+    return (p.nominal_rtt if srtt is None else srtt), p.path_id
+
+
 def _paths_by_rtt(paths: list[PathSendState]) -> list[PathSendState]:
-    if len(paths) == 2:
-        a, b = paths
-        sa = a.srtt if a.srtt is not None else a.nominal_rtt
-        sb = b.srtt if b.srtt is not None else b.nominal_rtt
-        if (sa, a.path_id) <= (sb, b.path_id):
-            return [a, b]
-        return [b, a]
-    return sorted(paths, key=lambda p: (p.effective_srtt(), p.path_id))
+    return sorted(paths, key=_rtt_key)
 
 
 class LowRttScheduler:

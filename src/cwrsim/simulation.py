@@ -71,7 +71,13 @@ def _has_offset(table: dict[int, tuple[int, set[int]]], frame: Frame) -> bool:
 
 
 class Node:
-    """One connection endpoint: send streams, per-path congestion state, receiver."""
+    """One connection endpoint: send streams, per-path congestion state, receiver.
+
+    `trace`, when set, is called at every data packet sent,
+    trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx),
+    and at every blocked send decision (each one counted in blocked_count),
+    trace(node, "blocked", now, stream_id, is_rtx). It only observes.
+    """
 
     def __init__(self, name: str, engine: EventQueue,
                  path_states: list[PathSendState],
@@ -79,7 +85,8 @@ class Node:
                  stream_scheduler: str, path_scheduler: str,
                  metrics: MetricsCollector | None = None,
                  record_deliveries: bool = False,
-                 record_cwnd: bool = False):
+                 record_cwnd: bool = False,
+                 trace: Callable[..., None] | None = None):
         self.name = name
         self.engine = engine
         self.path_list = path_states
@@ -99,7 +106,6 @@ class Node:
         self._wake_time = 0
         self._wake_entry: list | None = None
         self.metrics = metrics
-        self.record_deliveries = record_deliveries
         self.record_cwnd = record_cwnd
         self._on_delivery = (metrics.on_delivery
                              if record_deliveries and metrics is not None
@@ -119,12 +125,10 @@ class Node:
         self._delivered_dup: dict[int, tuple[int, set[int]]] = {}
         self._ca_noted: set[int] = set()
         self.blocked_count = 0
-        self.verify_admissions = False
+        self.trace = trace
         self.on_message_complete: Callable[[Frame, int, int, bool], None] | None = None
         self.on_frame_lost: Callable[[int | None], None] | None = None
         self.on_duplicated: Callable[[int | None], None] | None = None
-        self.send_log: list[tuple] | None = None
-        self.decision_log: list[tuple] | None = None
 
     def set_peer(self, peer: "Node") -> None:
         self.peer = peer
@@ -172,8 +176,7 @@ class Node:
             if not candidates:
                 return
             if len(candidates) == 1 and candidates[0].background \
-                    and not candidates[0].rtx and self.send_log is None \
-                    and self.decision_log is None:
+                    and not candidates[0].rtx:
                 return self._drain_background(candidates[0], now)
             candidates = self.stream_sched.order(candidates, now)
             sent = False
@@ -197,13 +200,9 @@ class Node:
                     frame = stream.peek_pending()
                 targets = sched.admit(stream, frame, is_rtx, now, rtx_path)
                 if not targets:
-                    self.blocked_count += 1
+                    self._blocked(now, stream, is_rtx)
                     if sched.gated_wake is not None:
                         self._schedule_gate_wake(sched.gated_wake)
-                    if self.decision_log is not None:
-                        self.decision_log.append(
-                            ("blocked", now, stream.stream_id, frame.priority,
-                             is_rtx))
                     continue
                 if is_rtx:
                     stream.rtx.popleft()
@@ -225,7 +224,7 @@ class Node:
         sched = self.path_sched
         for ps, k in sched.background_plan(now):
             self._send_background_run(stream, ps, k, now)
-        self.blocked_count += 1
+        self._blocked(now, stream, False)
         if sched.gated_wake is not None:
             self._schedule_gate_wake(sched.gated_wake)
 
@@ -236,11 +235,11 @@ class Node:
         k = (ps.cwnd - ps.in_flight
              - sched.background_reserved(ps.path_id)) // MAX_PACKET_BYTES
         if k <= 0:
-            self.blocked_count += 1
+            self._blocked(now, stream, False)
             return
         room = self._gate_room(ps.path_id)
         if room <= 0:
-            self.blocked_count += 1
+            self._blocked(now, stream, False)
             self._schedule_gate_wake(self._link_ready(ps.path_id))
             return
         self._send_background_run(stream, ps, room if room < k else k, now)
@@ -252,6 +251,7 @@ class Node:
         link = self.links[ps.path_id]
         path_id = ps.path_id
         stream_id = stream.stream_id
+        trace = self.trace
         first = True
         for _ in range(k):
             frame = stream.next_background_frame()
@@ -263,11 +263,19 @@ class Node:
                     receive, "packet_arrival",
                     args=(entry.number, path_id, stream_id, frame.offset,
                           entry.size))
+            if trace is not None:
+                trace(self, "send", now, path_id, entry.number, frame, False,
+                      False)
             if first:
                 # within the batch deadlines are nondecreasing
                 if ps.alarm_entry is None or entry.deadline < ps.alarm_time:
                     self._ensure_alarm(ps, entry.deadline)
                 first = False
+
+    def _blocked(self, now: int, stream: SendStream, is_rtx: bool) -> None:
+        self.blocked_count += 1
+        if self.trace is not None:
+            self.trace(self, "blocked", now, stream.stream_id, is_rtx)
 
     def _link_ready(self, path_id: int) -> int | None:
         """None when the serializer can take a background frame, else retry time."""
@@ -309,36 +317,23 @@ class Node:
         engine = self.engine
         reserving = self.path_sched.reserving and frame.priority
         for i, ps in enumerate(targets):
-            entry = ps.register_sent(frame, now, is_retransmission=is_rtx)
+            entry = ps.register_sent(frame, now, is_rtx=is_rtx)
             if reserving:
                 self.path_sched.on_priority_sent(ps.path_id, entry.size, now)
-            elif self.verify_admissions and not frame.priority \
-                    and self.path_sched.reserving:
-                # admission invariant, evaluated on the full prediction
-                # formula with the packet now counted in flight
-                if self.path_sched.ledger.at_risk(ps, 0, now,
-                                                  use_fast_path=False):
-                    raise InvariantError(
-                        f"background send at {now} on path {ps.path_id} "
-                        f"breaks a reservation prediction")
             arrival = self.links[ps.path_id].send(entry.size, True, now)
             if arrival is not None:
                 # tuple.__new__ skips the NamedTuple's Python-level constructor
                 pkt = tuple.__new__(Packet, (entry.number, ps.path_id, frame,
-                                             entry.size, now, i > 0, is_rtx))
+                                             entry.size, now, i > 0))
                 engine.schedule(
                     arrival, self._peer_receive,
                     "app_ack_arrival" if frame.app_ack else "packet_arrival",
                     args=(pkt,))
             if ps.alarm_entry is None or entry.deadline < ps.alarm_time:
                 self._ensure_alarm(ps, entry.deadline)
-            if self.send_log is not None:
-                self.send_log.append((now, ps.path_id, entry.number,
-                                      frame.stream_id, frame.epoch, frame.offset,
-                                      frame.length, frame.priority, i > 0, is_rtx))
-            if self.decision_log is not None:
-                self.decision_log.append(("sent", now, stream.stream_id,
-                                          frame.priority, is_rtx, ps.path_id))
+            if self.trace is not None:
+                self.trace(self, "send", now, ps.path_id, entry.number, frame,
+                           i > 0, is_rtx)
 
     # -- acknowledgment and loss handling --------------------------------
 
@@ -373,18 +368,12 @@ class Node:
             if self._wake_entry is not None:
                 return
             bg = self._bg_stream
-            if bg is None:
-                # no stream has rtx or pending data: try_send finds no
-                # candidate
-                return
-            if self.send_log is None and self.decision_log is None:
+            if bg is not None:
                 # only the acked path gained room; continue background there
-                return self._continue_background(ps, bg, now)
+                self._continue_background(ps, bg, now)
+            # without background no stream has rtx or pending data
+            return
         self.try_send(now)
-
-    def handle_ack(self, path_id: int, numbers: tuple[int, ...]) -> None:
-        for number in numbers:
-            self.handle_ack_one(path_id, number)
 
     def _urgent_pending(self) -> bool:
         for s in self.streams.values():
@@ -452,7 +441,7 @@ class Node:
         new_bytes = self._bg_seen[stream_id].add(offset, size - HEADER_BYTES)
         record = self._on_delivery
         if record is not None:
-            record(now, path_id, size, False, False, new_bytes)
+            record(now, size, False, new_bytes)
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
         if arrival is not None:
             self.engine.schedule(
@@ -475,8 +464,7 @@ class Node:
             disposition, completed = reasm.accept(frame, path_id)
             new_bytes = frame.length if disposition == "new" else 0
         if self._on_delivery is not None:
-            self._on_delivery(now, path_id, pkt.size, frame.priority,
-                              pkt.is_duplicate, new_bytes)
+            self._on_delivery(now, pkt.size, frame.priority, new_bytes)
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
         if arrival is not None:
             self.engine.schedule(
@@ -489,19 +477,18 @@ class Node:
 class Simulation:
     """A fully wired single run: one server, one client, n paths, one seed."""
 
-    def __init__(self, config, *, record_send_log: bool = False,
-                 record_decisions: bool = False, record_dispatch: bool = False,
-                 record_delivery_trace: bool = False,
-                 verify_admissions: bool = False, check_interval: int = 1024):
+    def __init__(self, config, *, trace: Callable[..., None] | None = None,
+                 check_interval: int = 1024):
+        """`trace` observes both nodes' sends and blocked decisions (see
+        Node); `check_interval` is the number of events between invariant
+        checks. Neither changes what the run does."""
         config.validate()
         self.config = config
-        self.engine = EventQueue(record_dispatch=record_dispatch,
-                                 checker=self.verify_invariants,
+        self.engine = EventQueue(checker=self.verify_invariants,
                                  check_interval=check_interval)
         self.rngs = RngStreams(config.seed)
         self.metrics = MetricsCollector(config.duration_us, config.warmup_us,
-                                        config.bin_width_us,
-                                        record_delivery_trace=record_delivery_trace)
+                                        config.bin_width_us)
         fwd_links: dict[int, OneWayLink] = {}
         rev_links: dict[int, OneWayLink] = {}
         server_paths: list[PathSendState] = []
@@ -516,10 +503,11 @@ class Simulation:
             self.metrics.register_path(pcfg.path_id, server_paths[-1].cwnd)
         self.server = Node("server", self.engine, server_paths, fwd_links,
                            config.stream_scheduler, config.path_scheduler,
-                           metrics=self.metrics, record_cwnd=True)
+                           metrics=self.metrics, record_cwnd=True, trace=trace)
         self.client = Node("client", self.engine, client_paths, rev_links,
                            config.stream_scheduler, config.path_scheduler,
-                           metrics=self.metrics, record_deliveries=True)
+                           metrics=self.metrics, record_deliveries=True,
+                           trace=trace)
         self.server.set_peer(self.client)
         self.client.set_peer(self.server)
         self.traffic = TrafficManager(config.sources, self.server, self.engine,
@@ -528,15 +516,6 @@ class Simulation:
         self.server.on_duplicated = self.traffic.on_duplicated
         self.client.on_message_complete = self._on_data_complete
         self.server.on_message_complete = self._on_app_ack_received
-        if record_send_log:
-            self.server.send_log = []
-            self.client.send_log = []
-        if record_decisions:
-            self.server.decision_log = []
-            self.client.decision_log = []
-        if verify_admissions:
-            self.server.verify_admissions = True
-            self.client.verify_admissions = True
 
     def _on_data_complete(self, frame: Frame, now: int, path_id: int,
                           by_duplicate: bool) -> None:

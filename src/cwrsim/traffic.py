@@ -85,9 +85,6 @@ class StreamPool:
         del self._busy[stream_id]
         self._free[priority].append(stream_id)
 
-    def busy_message(self, stream_id: int) -> int | None:
-        return self._busy.get(stream_id)
-
 
 class TrafficManager:
     """Drives the sources: ticks messages onto streams and renews reservations."""

@@ -74,13 +74,6 @@ class Packet(NamedTuple):
     size: int
     sent_time: int
     is_duplicate: bool = False
-    is_retransmission: bool = False
-
-
-class AckRecord(NamedTuple):
-    path_id: int
-    numbers: tuple[int, ...]
-    receive_time: int
 
 
 class SentEntry(NamedTuple):
@@ -143,7 +136,7 @@ class PathSendState:
         return free if free > 0 else 0
 
     def register_sent(self, frame: Frame, now: int, *,
-                      is_retransmission: bool = False) -> SentEntry:
+                      is_rtx: bool = False) -> SentEntry:
         size = frame.length + HEADER_BYTES
         if size > self.cwnd - self.in_flight:
             raise InvariantError(
@@ -163,7 +156,7 @@ class PathSendState:
         self.ledger[number] = entry
         self.in_flight += size
         self.sent_packets += 1
-        if is_retransmission:
+        if is_rtx:
             self.retransmissions += 1
         return entry
 

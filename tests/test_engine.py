@@ -7,12 +7,6 @@ from hypothesis import given, strategies as st
 from cwrsim.engine import EventQueue, InvariantError, RngStream, RngStreams
 
 
-def collect(queue, t_end):
-    fired = []
-    queue.run_until(t_end)
-    return fired
-
-
 def test_events_fire_in_time_order():
     q = EventQueue()
     fired = []
@@ -83,49 +77,33 @@ def test_events_scheduled_during_dispatch_run_in_same_window():
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                 max_size=50))
 def test_dispatch_order_is_sorted_by_time_then_insertion(times):
-    q = EventQueue(record_dispatch=True)
-    for t in times:
-        q.schedule(t, lambda: None)
+    q = EventQueue()
+    log = []
+    for seq, t in enumerate(times):
+        q.schedule(t, lambda seq=seq: log.append((q.now, seq)))
     q.run_until(10_001)
-    log = [(t, seq) for t, seq, _ in q.dispatch_log]
     assert log == sorted(log)
-    assert sorted(t for t, _ in log) == sorted(times)
-
-
-def test_bernoulli_edge_probabilities():
-    s = RngStream(1, 0)
-    assert all(not s.bernoulli(0.0) for _ in range(100))
-    assert all(s.bernoulli(1.0) for _ in range(100))
-    with pytest.raises(ValueError):
-        s.bernoulli(1.5)
-    with pytest.raises(ValueError):
-        s.bernoulli(-0.1)
-
-
-def test_bernoulli_rate_matches_probability():
-    # binomial(1e6, 5e-4): mean 500, the interval is ~6.7 sigma wide
-    s = RngStream(12345, 0)
-    hits = sum(s.bernoulli(0.0005) for _ in range(1_000_000))
-    assert 350 <= hits <= 650
+    assert [t for t, _ in log] == sorted(times)
+    assert all(times[seq] == t for t, seq in log)
 
 
 def test_same_seed_same_draws():
-    a = [RngStream(99, 3).bernoulli(0.5) for _ in range(1000)]
-    b = [RngStream(99, 3).bernoulli(0.5) for _ in range(1000)]
-    assert a == b
+    a = RngStream(99, 3)
+    b = RngStream(99, 3)
+    assert [a.random() for _ in range(1000)] == [b.random() for _ in range(1000)]
 
 
 def test_streams_are_independent():
     # drawing from one stream must not shift another stream's sequence
     streams = RngStreams(7)
     reference = RngStream(7, 1)
-    baseline = [reference.bernoulli(0.5) for _ in range(100)]
+    baseline = [reference.random() for _ in range(100)]
     s0 = streams.stream(0)
     s1 = streams.stream(1)
     out = []
     for i in range(100):
-        s0.bernoulli(0.5)
+        s0.random()
         if i % 2 == 0:
-            s0.bernoulli(0.3)  # extra draws on stream 0
-        out.append(s1.bernoulli(0.5))
+            s0.random()  # extra draws on stream 0
+        out.append(s1.random())
     assert out == baseline

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cwrsim.engine import RngStream
-from cwrsim.link import (LinkTransmission, OneWayLink, PathConfig,
-                         nominal_rtt_us, serialization_us)
+from cwrsim.link import OneWayLink, PathConfig, nominal_rtt_us, serialization_us
 
 
 def make_link(owd_us=25_000, rate_bps=100_000_000, loss_rate=0.0, **kw):
@@ -17,17 +16,17 @@ def make_link(owd_us=25_000, rate_bps=100_000_000, loss_rate=0.0, **kw):
 def test_single_packet_timing():
     # 1350 B at 100 Mbit/s serializes in 108 us; arrival owd later
     link = make_link()
-    tx = link.transmit(1350, True, 0)
-    assert tx == LinkTransmission(0, 108, 25_108, False)
+    assert link.send(1350, True, 0) == 25_108
+    assert link.busy_until == 108
 
 
 def test_fifo_serialization_spacing():
     link = make_link()
-    first = link.transmit(1350, True, 0)
-    second = link.transmit(1350, True, 0)
-    assert first.arrival == 25_108
-    assert second.send_start == 108
-    assert second.arrival == 25_216
+    assert link.send(1350, True, 0) == 25_108
+    # the second packet starts when the first leaves the serializer
+    assert link.busy_until == 108
+    assert link.send(1350, True, 0) == 25_216
+    assert link.busy_until == 216
 
 
 def test_serialization_rounds_up():
@@ -45,23 +44,22 @@ def test_nominal_rtt_doubles_owd():
 
 def test_loss_is_silent():
     link = make_link(loss_rate=0.999999)
-    tx = link.transmit(1350, True, 0)
-    assert tx.dropped and tx.arrival is None
+    assert link.send(1350, True, 0) is None
     # the serializer was still occupied
     assert link.busy_until == 108
 
 
 def test_forced_loss_indices_drop_exactly_those_packets():
     link = make_link(forced_data_losses=(1, 3))
-    results = [link.transmit(1350, True, 0).dropped for _ in range(5)]
+    results = [link.send(1350, True, 0) is None for _ in range(5)]
     assert results == [False, True, False, True, False]
 
 
 def test_forced_loss_still_consumes_a_draw():
     plain = make_link(loss_rate=0.3)
     forced = make_link(loss_rate=0.3, forced_data_losses=(0,))
-    a = [plain.transmit(1350, True, 0).dropped for _ in range(50)]
-    b = [forced.transmit(1350, True, 0).dropped for _ in range(50)]
+    a = [plain.send(1350, True, 0) is None for _ in range(50)]
+    b = [forced.send(1350, True, 0) is None for _ in range(50)]
     assert b[0] is True
     assert a[1:] == b[1:]
 
@@ -74,14 +72,34 @@ def test_lossless_link_send_drops_exactly_the_forced_indices(forced):
     assert link.data_dropped == len(forced)
 
 
+def test_loss_draw_edge_rates():
+    # a drop is one draw of the link's stream against loss_rate
+    lossless = make_link(loss_rate=0.0)
+    assert all(lossless.send(1350, True, 0) is not None for _ in range(100))
+    lossy = make_link(loss_rate=0.999999)
+    assert all(lossy.send(1350, True, 0) is None for _ in range(100))
+    for rate in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError):
+            make_link(loss_rate=rate)
+
+
+def test_loss_rate_matches_probability():
+    # binomial(1e6, 5e-4): mean 500, the interval is ~6.7 sigma wide
+    link = OneWayLink(PathConfig(1, 25_000, loss_rate=0.0005),
+                      RngStream(12345, 0))
+    for _ in range(1_000_000):
+        link.send(1350, True, 0)
+    assert 350 <= link.data_dropped <= 650
+
+
 def test_acks_not_dropped_by_default():
     link = make_link(loss_rate=0.999999)
-    assert not link.transmit(50, False, 0).dropped
+    assert link.send(50, False, 0) is not None
 
 
 def test_ack_loss_enabled_applies_loss_to_acks():
     link = make_link(loss_rate=0.999999, ack_loss_enabled=True)
-    assert link.transmit(50, False, 0).dropped
+    assert link.send(50, False, 0) is None
 
 
 def test_config_validation():
@@ -92,7 +110,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PathConfig(1, 1000, loss_rate=1.0).validate()
     with pytest.raises(ValueError):
-        OneWayLink(PathConfig(1, 1000), RngStream(1, 0)).transmit(0, True, 0)
+        OneWayLink(PathConfig(1, 1000, loss_rate=-0.5), RngStream(1, 0))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=1350), min_size=1,
@@ -102,9 +120,9 @@ def test_zero_loss_delivers_in_order_at_most_line_rate(sizes, rate):
     link = make_link(rate_bps=rate)
     arrivals = []
     for size in sizes:
-        tx = link.transmit(size, True, 0)
-        assert not tx.dropped
-        arrivals.append((tx.arrival, size))
+        arrival = link.send(size, True, 0)
+        assert arrival is not None
+        arrivals.append((arrival, size))
     # in order, exactly once
     assert arrivals == sorted(arrivals, key=lambda a: a[0])
     assert len(arrivals) == len(sizes)

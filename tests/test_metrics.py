@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from cwrsim.metrics import (InsufficientSamplesError, MetricsCollector,
                             CwndTrace, ccdf, ccdf_at, cwnd_growth,
-                            max_ccdf_gap, throughput_series, write_ccdf_csv,
-                            write_growth_csv, write_mct_csv,
-                            write_throughput_csv, CwndGrowthRecord)
+                            max_ccdf_gap, write_ccdf_csv, write_growth_csv,
+                            write_mct_csv, write_throughput_csv,
+                            CwndGrowthRecord)
 from cwrsim.traffic import MessageRecord
 
 
@@ -54,18 +54,25 @@ def test_max_ccdf_gap():
 
 
 def test_throughput_bins_and_conservation():
-    deliveries = [(50_000, 1, 1350, True, False),
-                  (120_000, 2, 1350, False, False),
-                  (150_000, 1, 950, True, True)]
-    bins = throughput_series(deliveries, horizon_us=300_000)
+    # (time, size, priority, new bytes): the last one is a duplicate copy,
+    # counted in throughput but not in goodput
+    deliveries = [(50_000, 1350, True, 1300),
+                  (120_000, 1350, False, 1300),
+                  (150_000, 950, True, 0)]
+    collector = MetricsCollector(300_000)
+    for delivery in deliveries:
+        collector.on_delivery(*delivery)
+    bins = collector.throughput()
     assert len(bins) == 3
     assert [b.total_bytes for b in bins] == [1350, 2300, 0]
     assert [b.priority_bytes for b in bins] == [1350, 950, 0]
-    assert sum(b.total_bytes for b in bins) == sum(d[2] for d in deliveries)
+    assert sum(b.total_bytes for b in bins) == sum(d[1] for d in deliveries)
+    assert collector.delivered_bytes == 3650
+    assert collector.goodput_unique_bytes == 2600
 
 
 def test_throughput_empty_bins_are_zero():
-    bins = throughput_series([], horizon_us=1_000_000)
+    bins = MetricsCollector(1_000_000).throughput()
     assert len(bins) == 10
     assert all(b.total_bytes == 0 and b.priority_bytes == 0 for b in bins)
 
@@ -143,14 +150,19 @@ def test_growth_on_compact_trace_equals_list_of_pairs(samples, ca_since,
 
 
 def test_collector_bins_match_pure_function():
-    collector = MetricsCollector(500_000, record_delivery_trace=True)
+    deliveries = ((10_000, 1350, False), (250_000, 950, True),
+                  (499_999, 1350, False), (600_000, 1350, False))
+    collector = MetricsCollector(500_000)
     collector.register_path(1, 13_500)
-    for t, size, pri in ((10_000, 1350, False), (250_000, 950, True),
-                         (499_999, 1350, False), (600_000, 1350, False)):
-        collector.on_delivery(t, 1, size, pri, False, size)
-    direct = throughput_series(collector.deliveries, 500_000)
+    for t, size, pri in deliveries:
+        collector.on_delivery(t, size, pri, size)
+    # reference: bin each delivery before the horizon from scratch
+    direct = [(sum(size for t, size, _ in deliveries if lo <= t < lo + 100_000),
+               sum(size for t, size, pri in deliveries
+                   if pri and lo <= t < lo + 100_000))
+              for lo in range(0, 500_000, 100_000)]
     assert [(b.total_bytes, b.priority_bytes) for b in collector.throughput()] \
-        == [(b.total_bytes, b.priority_bytes) for b in direct]
+        == direct
 
 
 def test_csv_outputs_have_contract_columns(tmp_path):
@@ -160,7 +172,7 @@ def test_csv_outputs_have_contract_columns(tmp_path):
     write_mct_csv(tmp_path / "mct.csv", messages)
     write_ccdf_csv(tmp_path / "ccdf.csv", ccdf([25_900]))
     write_throughput_csv(tmp_path / "throughput.csv",
-                         throughput_series([], 200_000))
+                         MetricsCollector(200_000).throughput())
     write_growth_csv(tmp_path / "cwnd_growth.csv",
                      [CwndGrowthRecord(1, "cwr", 1264.0, 40, (0, 1))])
 

@@ -4,6 +4,9 @@ Each digest is the SHA-256 over the output files in name order, each file
 contributing its name and its bytes. A change meant to keep outputs
 byte-identical must leave every digest as it is; a change that alters
 outputs on purpose updates the digests and says so in CHANGES.md.
+
+Observation is also gated here: a run with a trace hook and per-event
+invariant checks writes the same bytes as a run with neither.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from cwrsim.link import PathConfig
 from cwrsim.scenario import ScenarioConfig, parse_scenario
 from cwrsim.simulation import Simulation
 from cwrsim.traffic import DataSourceConfig
+from test_properties import random_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -84,3 +88,22 @@ def outputs_digest(outdir: Path) -> str:
 def test_write_outputs_bytes_are_pinned(tmp_path, name, seed):
     Simulation(CONFIGS[name](seed)).run().write_outputs(tmp_path)
     assert outputs_digest(tmp_path) == DIGESTS[(name, seed)]
+
+
+OBSERVED_CONFIGS = (
+    [pytest.param(lambda i=i: random_config(i), id=f"random_config_{i}")
+     for i in range(8)]
+    + [pytest.param(lambda make=make: make(1), id=f"{name}_1")
+       for name, make in CONFIGS.items()])
+
+
+@pytest.mark.parametrize("make", OBSERVED_CONFIGS)
+def test_tracing_and_invariant_checks_leave_outputs_unchanged(tmp_path, make):
+    Simulation(make()).run().write_outputs(tmp_path / "plain")
+    records = []
+    observed = Simulation(make(), trace=lambda *rec: records.append(rec),
+                          check_interval=1)
+    observed.run().write_outputs(tmp_path / "observed")
+    assert any(rec[1] == "send" for rec in records)
+    assert outputs_digest(tmp_path / "observed") \
+        == outputs_digest(tmp_path / "plain")

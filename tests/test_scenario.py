@@ -131,8 +131,17 @@ def test_validate_rejects_warmup_outside_the_horizon(warmup_us):
 
 
 def test_short_scenario_file_inside_the_default_warmup_rejected(tmp_path):
-    with pytest.raises(ScenarioError, match="warmup_us"):
-        parse_scenario(write(tmp_path, "duration_s = 0.5\n[path]\nowd_us = 10\n"))
+    with pytest.raises(ScenarioError, match="warm-up") as info:
+        parse_scenario(write(tmp_path,
+                             "seed = 3\nduration_s = 0.5\n[path]\nowd_us = 10\n"))
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("line", ["duration_us = 1000000", "duration_us = -5"])
+def test_duration_us_inside_the_default_warmup_names_its_line(tmp_path, line):
+    with pytest.raises(ScenarioError, match="warm-up") as info:
+        parse_scenario(write(tmp_path, f"# horizon\n{line}\n[path]\nowd_us = 10\n"))
+    assert info.value.line == 2
 
 
 def test_to_dict_round_trips_scenario_fields():

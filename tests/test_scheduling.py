@@ -4,13 +4,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cwrsim.engine import EventQueue, RngStream
+from cwrsim.link import OneWayLink, PathConfig, serialization_us
 from cwrsim.scheduling import (ACTIVE, CONSUMED, LowRttScheduler,
                                PriorityFifoStreams, RedundantScheduler,
                                ReservationScheduler, ReservationLedger,
                                RoundRobinStreams, SendStream,
                                make_path_scheduler, make_stream_scheduler,
                                reservation_bytes)
-from cwrsim.transport import Frame, PathSendState, packetize
+from cwrsim.simulation import Node
+from cwrsim.transport import (Frame, MAX_PACKET_BYTES, MIN_CWND, PathSendState,
+                              packetize)
 
 
 def path(path_id=1, cwnd=13_500, srtt=None, rtt=50_000):
@@ -313,6 +317,105 @@ def test_at_risk_cumulative_requirement_over_pooled_reservations():
     ledger.install(2, p, 5_400, due_time=25_000)
     # 13 500 < 8 100 + 5 400 + candidate at the later due time
     assert ledger.at_risk(p, 1_350, now=0)
+
+
+def full_scan_at_risk(ledger, path, candidate_size, now):
+    """Reference for at_risk: every active reservation checked at its due
+    time, with no shortcut on the free window."""
+    rows = sorted(ledger.active(path.path_id), key=lambda r: r.due_time)
+    if sum(r.bytes_left for r in rows) == 0:
+        return False
+    srtt = path.effective_srtt()
+    required = 0
+    for res in rows:
+        required += res.bytes_left
+        if res.due_time >= now + srtt:
+            # everything in flight now, the candidate too, is acked by then
+            if path.cwnd < required:
+                return True
+            continue
+        cutoff = res.due_time - srtt
+        still_in_flight = sum(e.size for e in path.ledger.values()
+                              if e.sent_time > cutoff)
+        if path.cwnd - still_in_flight - candidate_size < required:
+            return True
+    return False
+
+
+NOW = 200_000
+
+
+@st.composite
+def ledger_states(draw):
+    """A path with packets in flight sent over the last 150 ms, a ledger of
+    pooled (possibly clamped, consumed or dropped) reservations, and a
+    candidate send size."""
+    p = path(cwnd=draw(st.integers(MIN_CWND, 40_000)),
+             srtt=draw(st.one_of(st.none(), st.integers(5_000, 120_000))))
+    sent = sorted(draw(st.lists(st.integers(NOW - 150_000, NOW), max_size=25)))
+    for i, t in enumerate(sent):
+        size = draw(st.integers(51, MAX_PACKET_BYTES))
+        if size > p.cwnd - p.in_flight:
+            break
+        p.register_sent(Frame(9, 0, i * 1300, size - 50, False, False), t)
+    ledger = ReservationLedger([1])
+    for source, size, due in draw(st.lists(st.tuples(
+            st.integers(1, 3), st.integers(0, 15_000),
+            st.integers(NOW - 60_000, NOW + 250_000)), max_size=4)):
+        ledger.install(source, p, size, due)
+    op = draw(st.sampled_from(["none", "consume", "drop"]))
+    if op == "consume":
+        ledger.consume(1, draw(st.integers(1, 5_000)), NOW)
+    elif op == "drop":
+        ledger.drop_path(1)
+    if draw(st.booleans()):
+        # a loss halved the window under what is in flight
+        p.cwnd = draw(st.integers(MIN_CWND, p.cwnd))
+    return ledger, p, draw(st.integers(0, MAX_PACKET_BYTES))
+
+
+@settings(max_examples=300)
+@given(ledger_states())
+def test_at_risk_equals_a_full_scan(state):
+    ledger, p, size = state
+    assert ledger.at_risk(p, size, NOW) == full_scan_at_risk(ledger, p, size,
+                                                             NOW)
+
+
+@settings(max_examples=300)
+@given(ledger_states(), st.integers(0, 5_000))
+def test_free_window_over_reserved_bytes_is_never_at_risk(state, extra):
+    # the claim background_plan and at_risk's shortcut rest on: a send that
+    # leaves the active reservations inside the free window breaks none of
+    # them at its due time
+    ledger, p, size = state
+    p.cwnd = p.in_flight + size + ledger.active_bytes(1) + extra
+    assert p.free_cwnd() - size >= ledger.active_bytes(1)
+    assert not full_scan_at_risk(ledger, p, size, NOW)
+
+
+# -- serializer gate -----------------------------------------------------------
+
+# backlog = slots serialization times of a max packet plus jitter us: the
+# gate's edge is at six slots
+@given(st.integers(1_000_000, 1_000_000_000), st.integers(-2, 14),
+       st.integers(-2, 2))
+@example(100_000_000, 6, -1)
+@example(100_000_000, 6, 0)
+def test_gate_room_counts_the_sends_the_gate_accepts(rate, slots, jitter):
+    engine = EventQueue()
+    engine.now = 1_000_000
+    link = OneWayLink(PathConfig(1, 25_000, rate_bps=rate), RngStream(1, 0))
+    node = Node("server", engine, [PathSendState(1, 50_000)], {1: link},
+                "pfifo", "lowrtt")
+    link.busy_until = engine.now + slots * serialization_us(MAX_PACKET_BYTES,
+                                                            rate) + jitter
+    room = node._gate_room(1)
+    accepted = 0
+    while node._link_ready(1) is None and accepted <= 7:
+        link.send(MAX_PACKET_BYTES, True, engine.now)
+        accepted += 1
+    assert room == accepted
 
 
 # -- path schedulers ---------------------------------------------------------

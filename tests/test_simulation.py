@@ -1,6 +1,8 @@
 """End-to-end behavior of wired runs: determinism, loss recovery, redundancy."""
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import given, strategies as st
 
 from cwrsim.link import PathConfig
@@ -23,14 +25,30 @@ def config(**kw):
     return ScenarioConfig(**defaults)
 
 
+def traced_run(cfg):
+    """Run cfg; returns the run and the server's send log, one
+    (time, path, number, stream, epoch, offset, length, priority,
+    duplicate, retransmission) tuple per data packet."""
+    send_log = []
+
+    def trace(node, kind, now, *fields):
+        if node.name == "server" and kind == "send":
+            path_id, number, frame, is_dup, is_rtx = fields
+            send_log.append((now, path_id, number, frame.stream_id,
+                             frame.epoch, frame.offset, frame.length,
+                             frame.priority, is_dup, is_rtx))
+
+    sim = Simulation(cfg, trace=trace)
+    return sim, sim.run(), send_log
+
+
 def test_deterministic_replay_same_seed():
     runs = []
     for _ in range(2):
         cfg = config(paths=two_paths(loss=0.0005),
                      sources=[DataSourceConfig(1, 100_000, 10_000)])
-        sim = Simulation(cfg, record_send_log=True)
-        res = sim.run()
-        runs.append((sim.engine.dispatched, sim.server.send_log,
+        sim, res, send_log = traced_run(cfg)
+        runs.append((sim.engine.dispatched, send_log,
                      [(m.message_id, m.completed_at) for m in res.messages]))
     assert runs[0] == runs[1]
 
@@ -89,25 +107,22 @@ def test_cwr_equals_lowrtt_without_priority_sources():
     for scheduler in ("cwr", "lowrtt"):
         cfg = config(paths=two_paths(loss=0.0005), path_scheduler=scheduler,
                      duration_us=1_500_000)
-        sim = Simulation(cfg, record_send_log=True)
-        sim.run()
-        logs.append(sim.server.send_log)
-    assert logs[0] == logs[1]
+        logs.append(traced_run(cfg)[2])
+    assert logs[0] and logs[0] == logs[1]
 
 
 def test_redundant_scheduler_duplicates_and_receiver_deduplicates():
     cfg = config(path_scheduler="cwr_red",
                  sources=[DataSourceConfig(1, 100_000, 10_000)],
                  duration_us=2_000_000)
-    sim = Simulation(cfg, record_send_log=True)
-    res = sim.run()
+    _sim, res, send_log = traced_run(cfg)
     done = [m for m in res.messages if m.completed_at is not None]
     assert done and all(m.duplicated for m in done)
     assert all(m.mct < 27_000 for m in done if m.generated_at >= 1_000_000)
     # every priority frame went out once per path, with matching offsets
     by_frame: dict[tuple, list] = {}
     for (t, path_id, _num, sid, epoch, offset, _ln, pri, dup,
-         rtx) in sim.server.send_log:
+         rtx) in send_log:
         if pri and not rtx:
             by_frame.setdefault((sid, epoch, offset), []).append((t, path_id, dup))
     for copies in by_frame.values():
@@ -225,14 +240,29 @@ def test_dispatch_log_replays_byte_identical():
         cfg = config(paths=two_paths(loss=0.002),
                      sources=[DataSourceConfig(1, 100_000, 10_000)],
                      duration_us=1_500_000)
-        sim = Simulation(cfg, record_dispatch=True)
+        sim = Simulation(cfg)
+        engine = sim.engine
+        schedule = engine.schedule
+        order = itertools.count()
+        log = []
+
+        def logged(fire_time, fn, label="event", *, args=()):
+            # each callback records (clock, schedule order, label) as it runs
+            seq = next(order)
+
+            def dispatch(*a):
+                log.append((engine.now, seq, label))
+                fn(*a)
+            return schedule(fire_time, dispatch, label, args=args)
+
+        engine.schedule = logged
         sim.run()
-        logs.append(bytes(str(sim.engine.dispatch_log), "ascii"))
+        assert len(log) == engine.dispatched
+        logs.append(bytes(str(log), "ascii"))
     assert logs[0] == logs[1]
 
 
-def test_ack_record_entry_point():
-    from cwrsim.transport import AckRecord
+def test_handle_ack_one_entry_point():
     cfg = config(sources=[DataSourceConfig(1, 200_000, 1_000,
                                            start_offset_us=0)],
                  background=False, duration_us=400_000, warmup_us=0)
@@ -242,7 +272,7 @@ def test_ack_record_entry_point():
     ps = sim.server.path_states[1]
     number = next(iter(ps.ledger))
     sim.engine.now = 51_000
-    sim.server.handle_ack(*AckRecord(1, (number,), 51_000)[:2])
+    sim.server.handle_ack_one(1, number)
     assert number not in ps.ledger
 
 
