@@ -10,11 +10,6 @@ from .transport import Frame, HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES,
 STREAM_SCHEDULERS = ("rr", "pfifo")
 PATH_SCHEDULERS = ("lowrtt", "cwr", "cwr_red")
 
-ACTIVE = "active"
-CONSUMED = "consumed"
-DROPPED = "dropped"
-REPLACED = "replaced"
-
 
 class SendStream:
     """Sender-side queue of one stream: current message frames plus retransmits.
@@ -134,27 +129,28 @@ def make_stream_scheduler(name: str):
     raise ValueError(f"unknown stream scheduler: {name}")
 
 
-@dataclass(slots=True)
+# rows compare by identity: two reservations with equal fields are still two
+@dataclass(slots=True, eq=False)
 class Reservation:
     source_id: int
     path_id: int
-    bytes_total: int
     bytes_left: int
     due_time: int
-    state: str = ACTIVE
 
 
 class ReservationLedger:
-    """Per-path pools of congestion-window space held free for upcoming messages."""
+    """Per-path pools of congestion-window space held free for upcoming messages.
+
+    A path's rows are its live reservations in install order: consume,
+    drop_path and retire_source remove the rows they end, so the rows' bytes
+    sum to active_bytes.
+    """
 
     def __init__(self, path_ids: list[int]):
         self._by_path: dict[int, list[Reservation]] = {pid: [] for pid in path_ids}
         self._active_bytes: dict[int, int] = {pid: 0 for pid in path_ids}
         self.clamped = 0
         self.drop_events = 0
-
-    def active(self, path_id: int) -> list[Reservation]:
-        return [r for r in self._by_path[path_id] if r.state == ACTIVE]
 
     def active_bytes(self, path_id: int) -> int:
         return self._active_bytes[path_id]
@@ -167,49 +163,43 @@ class ReservationLedger:
         if granted > room:
             granted = max(room, 0)
             self.clamped += 1
-        res = Reservation(source_id, path.path_id, granted, granted, due_time)
+        res = Reservation(source_id, path.path_id, granted, due_time)
         self._by_path[path.path_id].append(res)
         self._active_bytes[path.path_id] += granted
         return res
 
     def retire_source(self, source_id: int) -> None:
-        """Drop a source's previous reservations everywhere (renewal or shutdown).
-
-        Only active rows become REPLACED: a dropped row keeps its state,
-        whether or not a consume has already taken it off the path's rows.
-        """
+        """Drop a source's previous reservations everywhere (renewal or shutdown)."""
         for pid, rows in self._by_path.items():
             kept = []
             for r in rows:
                 if r.source_id == source_id:
-                    if r.state == ACTIVE:
-                        self._active_bytes[pid] -= r.bytes_left
-                        r.state = REPLACED
+                    self._active_bytes[pid] -= r.bytes_left
                 else:
                     kept.append(r)
             rows[:] = kept
 
     def drop_path(self, path_id: int) -> None:
-        """A loss on the path invalidates its reserved space until renewal."""
-        dropped_any = False
-        for r in self._by_path[path_id]:
-            if r.state == ACTIVE:
-                self._active_bytes[path_id] -= r.bytes_left
-                r.state = DROPPED
-                dropped_any = True
-        if dropped_any:
+        """A loss on the path invalidates its reserved space until renewal.
+
+        A row clamped to 0 bytes still counts as one dropped: it stays live
+        until a consume reaches it.
+        """
+        rows = self._by_path[path_id]
+        if rows:
+            rows.clear()
+            self._active_bytes[path_id] = 0
             self.drop_events += 1
 
     def consume(self, path_id: int, size: int, now: int) -> None:
         """A priority send claims reserved space that has come due, oldest first."""
-        due = [r for r in self._by_path[path_id]
-               if r.state == ACTIVE and r.due_time <= now]
+        rows = self._by_path[path_id]
+        due = [r for r in rows if r.due_time <= now]
         if not due:
-            # rows already dropped wait for their source's retire_source;
-            # every reader skips them
             return
         due.sort(key=lambda r: r.due_time)
         remaining = size
+        spent = []
         for r in due:
             if remaining <= 0:
                 break
@@ -218,47 +208,9 @@ class ReservationLedger:
             self._active_bytes[path_id] -= take
             remaining -= take
             if r.bytes_left == 0:
-                r.state = CONSUMED
-        self._by_path[path_id] = [r for r in self._by_path[path_id]
-                                  if r.state == ACTIVE]
-
-    def at_risk(self, path: PathSendState, candidate_size: int, now: int) -> bool:
-        """Would sending candidate_size now break a reservation at its due time?
-
-        Prediction holds cwnd constant and assumes a packet sent at s is acked
-        at s + srtt. With several reservations pooled on a path, the space
-        required at a due time T is the sum of active reservations due at or
-        before T.
-        """
-        total = self._active_bytes[path.path_id]
-        if total == 0:
-            return False
-        # predicted_free(T) >= free_cwnd for any future T, so enough free
-        # window right now settles every due time without a ledger scan
-        if path.free_cwnd() - candidate_size >= total:
-            return False
-        rows = self.active(path.path_id)
-        srtt = path.effective_srtt()
-        rows.sort(key=lambda r: r.due_time)
-        required = 0
-        for res in rows:
-            required += res.bytes_left
-            t_due = res.due_time
-            if t_due >= now + srtt:
-                # everything in flight now is acked by then; candidate too
-                if path.cwnd < required:
-                    return True
-                continue
-            cutoff = t_due - srtt
-            still_in_flight = 0
-            for entry in reversed(path.ledger.values()):
-                if entry.sent_time <= cutoff:
-                    break
-                still_in_flight += entry.size
-            predicted = path.cwnd - still_in_flight - candidate_size
-            if predicted < required:
-                return True
-        return False
+                spent.append(r)
+        if spent:
+            rows[:] = [r for r in rows if r not in spent]
 
 
 def _rtt_key(p: PathSendState) -> tuple[int, int]:
@@ -274,10 +226,15 @@ def _paths_by_rtt(paths: list[PathSendState]) -> list[PathSendState]:
 class LowRttScheduler:
     """Baseline: lowest-srtt path whose free window fits the packet.
 
+    Every path scheduler keeps a ReservationLedger on its
+    reservation_paths(), none here. A non-priority frame may use a path only
+    while cwnd - in_flight - reserved bytes still fits it; priority frames
+    use the raw free window, reserved space being there for them.
+
     Background frames additionally honor link_ready (the sender's serializer
     backpressure); when a path is held back only by that gate, gated_wake is
     left set so the caller can retry once the serializer drains. Priority
-    frames bypass the gate.
+    frames and retransmissions bypass the gate.
     """
 
     name = "lowrtt"
@@ -285,10 +242,20 @@ class LowRttScheduler:
 
     def __init__(self, paths: list[PathSendState]):
         self.paths = paths
+        self.ledger = ReservationLedger([p.path_id for p in paths])
         self.refrain_count = 0
         self.gated_wake: int | None = None
         self.link_ready = None  # set by the owning node; None means always ready
         self.gate_room = None  # node callback: packets the serializer can take
+
+    def reservation_paths(self) -> list[PathSendState]:
+        return []
+
+    def register_reservation(self, source_id: int, bytes_needed: int,
+                             due_time: int) -> list[Reservation]:
+        self.ledger.retire_source(source_id)
+        return [self.ledger.install(source_id, path, bytes_needed, due_time)
+                for path in self.reservation_paths()]
 
     def _gate(self, path: PathSendState, frame: Frame) -> bool:
         """True when the path may be used for this frame right now."""
@@ -303,113 +270,78 @@ class LowRttScheduler:
 
     def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
               now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
+        """The first path, lowest RTT first, that admits the frame; a
+        retransmission may use only rtx_path, the path that lost it."""
         size = frame.length + HEADER_BYTES
         self.gated_wake = None
-        if rtx_path is not None:
-            for path in self.paths:
-                if path.path_id == rtx_path:
-                    if path.cwnd - path.in_flight >= size:
-                        return (path,)
-                    return ()
-            return ()
+        reserved = None if frame.priority else self.ledger._active_bytes
         for path in _paths_by_rtt(self.paths):
-            if path.cwnd - path.in_flight >= size and self._gate(path, frame):
+            if rtx_path is not None and path.path_id != rtx_path:
+                continue
+            room = path.cwnd - path.in_flight
+            if reserved is not None:
+                room -= reserved[path.path_id]
+            if room >= size and (is_rtx or self._gate(path, frame)):
                 return (path,)
         return ()
 
-    def background_reserved(self, path_id: int) -> int:
-        return 0
+    def background_room(self, path: PathSendState) -> int:
+        """Full-size background packets the path admits back to back now.
+
+        The free window less the reserved bytes, in max packets, capped by
+        what the serializer gate accepts; when the gate alone holds the path
+        back, gated_wake is lowered to its retry time.
+        """
+        k = (path.cwnd - path.in_flight
+             - self.ledger._active_bytes[path.path_id]) // MAX_PACKET_BYTES
+        if k <= 0:
+            return 0
+        if self.link_ready is None:
+            return k
+        room = self.gate_room(path.path_id)
+        if room <= 0:
+            ready_at = self.link_ready(path.path_id)
+            if ready_at is not None and (self.gated_wake is None
+                                         or ready_at < self.gated_wake):
+                self.gated_wake = ready_at
+            return 0
+        return room if room < k else k
 
     def background_plan(self, now: int) -> list[tuple[PathSendState, int]]:
         """Per-path runs of full-size background packets admissible right now.
 
         Equivalent to repeated single-packet admission: each send shrinks one
-        path's free window by one packet and paths do not interact, so the
-        counts reproduce exactly the per-packet instantaneous guard, and
-        passing that guard implies the reservation prediction holds
-        (predicted free at any due time is at least the current free window).
+        path's free window by one packet and paths do not interact.
         """
         self.gated_wake = None
         plan = []
         for path in _paths_by_rtt(self.paths):
-            reserved = self.background_reserved(path.path_id)
-            k = (path.cwnd - path.in_flight - reserved) // MAX_PACKET_BYTES
-            if k <= 0:
-                continue
-            if self.link_ready is not None:
-                room = self.gate_room(path.path_id)
-                if room <= 0:
-                    ready_at = self.link_ready(path.path_id)
-                    if ready_at is not None and (self.gated_wake is None
-                                                 or ready_at < self.gated_wake):
-                        self.gated_wake = ready_at
-                    continue
-                if room < k:
-                    k = room
-            plan.append((path, k))
+            k = self.background_room(path)
+            if k > 0:
+                plan.append((path, k))
         return plan
-
-    def on_priority_sent(self, path_id: int, size: int, now: int) -> None:
-        pass
-
-    def on_path_loss(self, path_id: int) -> None:
-        pass
-
-
-class ReservationScheduler(LowRttScheduler):
-    """Keeps window space free for periodic priority messages on one path.
-
-    Priority traffic is admitted against the raw free window (reserved space
-    is there for it to use). Background traffic must leave the active
-    reservations untouched both instantaneously and at their due times.
-    """
-
-    name = "cwr"
-    reserving = True
-
-    def __init__(self, paths: list[PathSendState]):
-        super().__init__(paths)
-        self.ledger = ReservationLedger([p.path_id for p in paths])
-
-    def reservation_paths(self) -> list[PathSendState]:
-        return [_paths_by_rtt(self.paths)[0]]
-
-    def background_reserved(self, path_id: int) -> int:
-        return self.ledger._active_bytes[path_id]
-
-    def register_reservation(self, source_id: int, bytes_needed: int,
-                             due_time: int) -> list[Reservation]:
-        self.ledger.retire_source(source_id)
-        return [self.ledger.install(source_id, path, bytes_needed, due_time)
-                for path in self.reservation_paths()]
-
-    def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
-              now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
-        if frame.priority:
-            return LowRttScheduler.admit(self, stream, frame, is_rtx, now,
-                                         rtx_path)
-        size = frame.length + HEADER_BYTES
-        self.gated_wake = None
-        ledger = self.ledger
-        reserved_by_path = ledger._active_bytes
-        for path in _paths_by_rtt(self.paths):
-            if rtx_path is not None and path.path_id != rtx_path:
-                continue
-            reserved = reserved_by_path[path.path_id]
-            if path.cwnd - path.in_flight - reserved < size:
-                continue
-            if reserved and ledger.at_risk(path, size, now):
-                continue
-            if not is_rtx and not self._gate(path, frame):
-                continue
-            return (path,)
-        return ()
 
     def on_priority_sent(self, path_id: int, size: int, now: int) -> None:
         self.ledger.consume(path_id, size, now)
 
     def on_path_loss(self, path_id: int) -> None:
         self.ledger.drop_path(path_id)
+
+
+class ReservationScheduler(LowRttScheduler):
+    """Keeps window space free for periodic priority messages on one path.
+
+    Reservations sit on the lowest-RTT path and use the base admission rule:
+    other traffic leaves cwnd - in_flight covering the reserved bytes. The
+    property test_admitted_background_keeps_reservations_whole_when_due checks
+    that this keeps each reservation whole at its due time too.
+    """
+
+    name = "cwr"
+    reserving = True
+
+    def reservation_paths(self) -> list[PathSendState]:
+        return [_paths_by_rtt(self.paths)[0]]
 
 
 class RedundantScheduler(ReservationScheduler):
@@ -430,14 +362,10 @@ class RedundantScheduler(ReservationScheduler):
 
     def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
               now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
-        size = frame.packet_bytes
-        self.gated_wake = None
         if not frame.priority:
-            return ReservationScheduler.admit(self, stream, frame, is_rtx, now,
-                                              rtx_path)
+            return super().admit(stream, frame, is_rtx, now, rtx_path)
         if is_rtx:
-            targets = LowRttScheduler.admit(self, stream, frame, is_rtx, now,
-                                            rtx_path)
+            targets = super().admit(stream, frame, is_rtx, now, rtx_path)
             if targets:
                 self.refrain_count += 1
             return targets
@@ -448,6 +376,8 @@ class RedundantScheduler(ReservationScheduler):
                 p.free_cwnd() >= remaining for p in self.paths) else "off"
 
         if stream.dup_mode == "all":
+            size = frame.packet_bytes
+            self.gated_wake = None
             ordered = _paths_by_rtt(self.paths)
             if all(p.free_cwnd() >= size for p in ordered):
                 return tuple(ordered)
@@ -457,7 +387,7 @@ class RedundantScheduler(ReservationScheduler):
                     return (path,)
             return ()
 
-        targets = LowRttScheduler.admit(self, stream, frame, is_rtx, now)
+        targets = super().admit(stream, frame, is_rtx, now)
         if targets:
             self.refrain_count += 1
         return targets

@@ -73,7 +73,10 @@ def _has_offset(table: dict[int, tuple[int, set[int]]], frame: Frame) -> bool:
 class Node:
     """One connection endpoint: send streams, per-path congestion state, receiver.
 
-    `trace`, when set, is called at every data packet sent,
+    `metrics`, when set, receives this node's cwnd trace. `on_delivery`,
+    when set, is called at every data packet received,
+    on_delivery(now, size, priority, new_bytes). `trace`, when set, is
+    called at every data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx),
     and at every blocked send decision (each one counted in blocked_count),
     trace(node, "blocked", now, stream_id, is_rtx). It only observes.
@@ -84,8 +87,7 @@ class Node:
                  links: dict[int, OneWayLink],
                  stream_scheduler: str, path_scheduler: str,
                  metrics: MetricsCollector | None = None,
-                 record_deliveries: bool = False,
-                 record_cwnd: bool = False,
+                 on_delivery: Callable[[int, int, bool, int], None] | None = None,
                  trace: Callable[..., None] | None = None):
         self.name = name
         self.engine = engine
@@ -106,10 +108,7 @@ class Node:
         self._wake_time = 0
         self._wake_entry: list | None = None
         self.metrics = metrics
-        self.record_cwnd = record_cwnd
-        self._on_delivery = (metrics.on_delivery
-                             if record_deliveries and metrics is not None
-                             else None)
+        self._on_delivery = on_delivery
         self._next_cwnd_sample = {p.path_id: 0 for p in path_states}
         self.peer: Node | None = None
         self._peer_receive = None
@@ -232,17 +231,14 @@ class Node:
                              now: int) -> None:
         """Resume background on one path after its window freed some room."""
         sched = self.path_sched
-        k = (ps.cwnd - ps.in_flight
-             - sched.background_reserved(ps.path_id)) // MAX_PACKET_BYTES
+        sched.gated_wake = None
+        k = sched.background_room(ps)
         if k <= 0:
             self._blocked(now, stream, False)
+            if sched.gated_wake is not None:
+                self._schedule_gate_wake(sched.gated_wake)
             return
-        room = self._gate_room(ps.path_id)
-        if room <= 0:
-            self._blocked(now, stream, False)
-            self._schedule_gate_wake(self._link_ready(ps.path_id))
-            return
-        self._send_background_run(stream, ps, room if room < k else k, now)
+        self._send_background_run(stream, ps, k, now)
 
     def _send_background_run(self, stream: SendStream, ps: PathSendState,
                              k: int, now: int) -> None:
@@ -315,10 +311,9 @@ class Node:
             if not frame.app_ack and self.on_duplicated is not None:
                 self.on_duplicated(frame.message_id)
         engine = self.engine
-        reserving = self.path_sched.reserving and frame.priority
         for i, ps in enumerate(targets):
             entry = ps.register_sent(frame, now, is_rtx=is_rtx)
-            if reserving:
+            if frame.priority:
                 self.path_sched.on_priority_sent(ps.path_id, entry.size, now)
             arrival = self.links[ps.path_id].send(entry.size, True, now)
             if arrival is not None:
@@ -351,7 +346,8 @@ class Node:
                 if stream is not None and stream.message_id == frame.message_id \
                         and not stream.pending:
                     stream.message_done()
-            if self.record_cwnd and now >= self._next_cwnd_sample[path_id]:
+            if self.metrics is not None \
+                    and now >= self._next_cwnd_sample[path_id]:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
                 self.metrics.on_cwnd(path_id, now, ps.cwnd)
                 if ps.phase == CONGESTION_AVOIDANCE \
@@ -385,7 +381,7 @@ class Node:
         entry, decreased = ps.declare_lost(number, now)
         if entry is None:
             return
-        if self.record_cwnd:
+        if self.metrics is not None:
             if decreased:
                 self.metrics.on_decrease(ps.path_id, now)
             self.metrics.on_cwnd(ps.path_id, now, ps.cwnd)
@@ -461,7 +457,7 @@ class Node:
             if reasm is None:
                 reasm = StreamReassembly(frame.stream_id)
                 self.reassembly[frame.stream_id] = reasm
-            disposition, completed = reasm.accept(frame, path_id)
+            disposition, completed = reasm.accept(frame)
             new_bytes = frame.length if disposition == "new" else 0
         if self._on_delivery is not None:
             self._on_delivery(now, pkt.size, frame.priority, new_bytes)
@@ -503,11 +499,10 @@ class Simulation:
             self.metrics.register_path(pcfg.path_id, server_paths[-1].cwnd)
         self.server = Node("server", self.engine, server_paths, fwd_links,
                            config.stream_scheduler, config.path_scheduler,
-                           metrics=self.metrics, record_cwnd=True, trace=trace)
+                           metrics=self.metrics, trace=trace)
         self.client = Node("client", self.engine, client_paths, rev_links,
                            config.stream_scheduler, config.path_scheduler,
-                           metrics=self.metrics, record_deliveries=True,
-                           trace=trace)
+                           on_delivery=self.metrics.on_delivery, trace=trace)
         self.server.set_peer(self.client)
         self.client.set_peer(self.server)
         self.traffic = TrafficManager(config.sources, self.server, self.engine,
@@ -542,13 +537,11 @@ class Simulation:
                 if ps.in_flight < 0:
                     raise InvariantError(
                         f"{node.name} path {ps.path_id}: negative in_flight")
-            if node.path_sched.reserving:
-                for ps in node.path_list:
-                    active = node.path_sched.ledger.active_bytes(ps.path_id)
-                    if active > ps.cwnd:
-                        raise InvariantError(
-                            f"{node.name} path {ps.path_id}: reserved {active} "
-                            f"exceeds cwnd {ps.cwnd}")
+                active = node.path_sched.ledger.active_bytes(ps.path_id)
+                if active > ps.cwnd:
+                    raise InvariantError(
+                        f"{node.name} path {ps.path_id}: reserved {active} "
+                        f"exceeds cwnd {ps.cwnd}")
 
     def run(self) -> "RunResult":
         self.traffic.start()
@@ -600,12 +593,10 @@ class RunResult:
             }
         sched = sim.server.path_sched
         diagnostics = {
-            "refrain": getattr(sched, "refrain_count", 0),
+            "refrain": sched.refrain_count,
             "blocked_decisions": sim.server.blocked_count,
-            "reservations_dropped_events": (
-                sched.ledger.drop_events if sched.reserving else 0),
-            "reservations_clamped": (
-                sched.ledger.clamped if sched.reserving else 0),
+            "reservations_dropped_events": sched.ledger.drop_events,
+            "reservations_clamped": sched.ledger.clamped,
             "delivered_transport_bytes": sim.metrics.delivered_bytes,
             "goodput_unique_bytes": sim.metrics.goodput_unique_bytes,
         }

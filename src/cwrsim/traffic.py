@@ -105,7 +105,7 @@ class TrafficManager:
             self.server.ensure_background_stream(BACKGROUND_STREAM_ID)
         sched = self.server.path_sched
         for src in self.sources:
-            if src.priority and sched.reserving:
+            if src.priority:
                 sched.register_reservation(
                     src.source_id, reservation_bytes(src.message_size_bytes),
                     src.start_offset_us)
@@ -127,9 +127,8 @@ class TrafficManager:
         frames = packetize(stream_id, stream.epoch + 1, src.message_size_bytes,
                            src.priority, record.message_id)
         stream.load_message(frames, record.message_id, now)
-        sched = self.server.path_sched
-        if src.priority and sched.reserving:
-            sched.register_reservation(
+        if src.priority:
+            self.server.path_sched.register_reservation(
                 src.source_id, reservation_bytes(src.message_size_bytes),
                 now + src.inter_arrival_us)
         self.engine.schedule(now + src.inter_arrival_us,

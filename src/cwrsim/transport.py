@@ -252,10 +252,10 @@ class PathSendState:
 
 
 class StreamReassembly:
-    """Receiver-side state for one stream: dedup, completion, path bookkeeping."""
+    """Receiver-side state for one stream: dedup and completion."""
 
     __slots__ = ("stream_id", "epoch", "got", "got_bytes", "total",
-                 "completed", "paths_seen")
+                 "completed")
 
     def __init__(self, stream_id: int):
         self.stream_id = stream_id
@@ -264,9 +264,8 @@ class StreamReassembly:
         self.got_bytes = 0
         self.total: int | None = None
         self.completed = False
-        self.paths_seen: set[int] = set()
 
-    def accept(self, frame: Frame, path_id: int) -> tuple[str, bool]:
+    def accept(self, frame: Frame) -> tuple[str, bool]:
         """Place a frame; returns (disposition, completed_now).
 
         Disposition is 'new' for first-seen bytes, 'dup' for a second copy of
@@ -285,12 +284,10 @@ class StreamReassembly:
             self.got_bytes = 0
             self.total = None
             self.completed = False
-            self.paths_seen.clear()
         if frame.offset in self.got:
             return "dup", False
         self.got.add(frame.offset)
         self.got_bytes += frame.length
-        self.paths_seen.add(path_id)
         if frame.fin:
             self.total = frame.offset + frame.length
         if self.total is not None and self.got_bytes == self.total:

@@ -24,11 +24,14 @@ from test_properties import random_config
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def shipped(name: str, horizon_us: int):
+def shipped(name: str, horizon_us: int, **overrides):
+    """A shipped scenario cut to `horizon_us`, with fields overridden."""
     def make(seed: int) -> ScenarioConfig:
         cfg = parse_scenario(SCENARIOS / f"{name}.scn")
         cfg.duration_us = horizon_us
         cfg.seed = seed
+        for field, value in overrides.items():
+            setattr(cfg, field, value)
         return cfg
     return make
 
@@ -60,6 +63,10 @@ CONFIGS = {
     "three_sources": shipped("three_sources", 3_000_000),
     "priority_only": priority_only,
     "line_rate": line_rate,
+    "asymmetric_rtt_lowrtt": shipped("asymmetric_rtt", 3_000_000,
+                                     path_scheduler="lowrtt"),
+    "three_sources_rr": shipped("three_sources", 3_000_000,
+                                stream_scheduler="rr"),
 }
 
 DIGESTS = {
@@ -73,6 +80,10 @@ DIGESTS = {
     ("priority_only", 2): "0e7390e800bebe3ecc9dba8e395d53bcd715f2c3158af969213ce41ca7aa21dc",
     ("line_rate", 1): "47ce87cc7d9843d3e6c953b99b07f1076dd6aec5257e966bc5d1750f0e41649c",
     ("line_rate", 2): "66e942d01d1d07424cfdf42b3048ea61ae365c4cb624a6f266a0c4498f1b1d97",
+    ("asymmetric_rtt_lowrtt", 1): "dd3a8d197abe732243c86ec2147896944a6b1118895fc7b4cfa873978278b978",
+    ("asymmetric_rtt_lowrtt", 2): "8cc8b2fee2dc8d46f85a46e40897f273fac404681b3348f375d983329a0ef011",
+    ("three_sources_rr", 1): "6bbd6bc36b88f73073152114b3a5286d128a55cbb1dc31e5635788441e5bb23a",
+    ("three_sources_rr", 2): "469f27805de8aceb47928ca1cb1e31ecc26aadb25e08c679bcedb4f7de60518d",
 }
 
 

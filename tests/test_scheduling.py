@@ -1,20 +1,21 @@
 """Stream schedulers, reservation ledger, and path scheduler admission rules."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import EventQueue, RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
-from cwrsim.scheduling import (ACTIVE, CONSUMED, LowRttScheduler,
-                               PriorityFifoStreams, RedundantScheduler,
-                               ReservationScheduler, ReservationLedger,
-                               RoundRobinStreams, SendStream,
-                               make_path_scheduler, make_stream_scheduler,
-                               reservation_bytes)
+from cwrsim.scheduling import (LowRttScheduler, PriorityFifoStreams,
+                               RedundantScheduler, ReservationScheduler,
+                               ReservationLedger, RoundRobinStreams,
+                               SendStream, make_path_scheduler,
+                               make_stream_scheduler, reservation_bytes)
 from cwrsim.simulation import Node
-from cwrsim.transport import (Frame, MAX_PACKET_BYTES, MIN_CWND, PathSendState,
-                              packetize)
+from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES, MIN_CWND,
+                              PathSendState, packetize)
 
 
 def path(path_id=1, cwnd=13_500, srtt=None, rtt=50_000):
@@ -159,6 +160,11 @@ def test_make_stream_scheduler_names():
 
 # -- reservation ledger ------------------------------------------------------
 
+def live_rows(ledger, path_id):
+    return [(r.source_id, r.path_id, r.bytes_left, r.due_time)
+            for r in ledger._by_path[path_id]]
+
+
 def test_reservation_bytes_counts_full_packets():
     assert reservation_bytes(10_000) == 8 * 1350  # 10 800
     assert reservation_bytes(7_000) == 6 * 1350
@@ -189,26 +195,72 @@ def test_consume_without_reservation_is_noop():
     assert ledger.active_bytes(1) == 0
 
 
-class RebuildingLedger(ReservationLedger):
-    """The ledger with consume always sorting and rebuilding its rows, the
-    reference for consume's early return."""
+@dataclass
+class StateRow:
+    source_id: int
+    path_id: int
+    bytes_left: int
+    due_time: int
+    state: str = "active"
+
+
+class StateLedger:
+    """Reference ledger whose rows keep a state (active, consumed, dropped,
+    replaced) and whose consume always sorts and rebuilds a path's rows;
+    only active rows hold bytes."""
+
+    def __init__(self, path_ids):
+        self.rows = {pid: [] for pid in path_ids}
+        self.active_bytes = dict.fromkeys(path_ids, 0)
+        self.clamped = 0
+        self.drop_events = 0
+
+    def install(self, source_id, path, bytes_needed, due_time):
+        room = path.cwnd - self.active_bytes[path.path_id]
+        granted = bytes_needed
+        if granted > room:
+            granted = max(room, 0)
+            self.clamped += 1
+        self.rows[path.path_id].append(
+            StateRow(source_id, path.path_id, granted, due_time))
+        self.active_bytes[path.path_id] += granted
+
+    def retire_source(self, source_id):
+        for pid, rows in self.rows.items():
+            for r in rows:
+                if r.source_id == source_id and r.state == "active":
+                    self.active_bytes[pid] -= r.bytes_left
+                    r.state = "replaced"
+            rows[:] = [r for r in rows if r.source_id != source_id]
+
+    def drop_path(self, path_id):
+        active = [r for r in self.rows[path_id] if r.state == "active"]
+        for r in active:
+            self.active_bytes[path_id] -= r.bytes_left
+            r.state = "dropped"
+        if active:
+            self.drop_events += 1
 
     def consume(self, path_id, size, now):
         remaining = size
-        due = sorted((r for r in self._by_path[path_id]
-                      if r.state == ACTIVE and r.due_time <= now),
+        due = sorted((r for r in self.rows[path_id]
+                      if r.state == "active" and r.due_time <= now),
                      key=lambda r: r.due_time)
         for r in due:
             if remaining <= 0:
                 break
             take = min(r.bytes_left, remaining)
             r.bytes_left -= take
-            self._active_bytes[path_id] -= take
+            self.active_bytes[path_id] -= take
             remaining -= take
             if r.bytes_left == 0:
-                r.state = CONSUMED
-        self._by_path[path_id] = [r for r in self._by_path[path_id]
-                                  if r.state == ACTIVE]
+                r.state = "consumed"
+        self.rows[path_id] = [r for r in self.rows[path_id]
+                              if r.state == "active"]
+
+    def live_rows(self, path_id):
+        return [(r.source_id, r.path_id, r.bytes_left, r.due_time)
+                for r in self.rows[path_id] if r.state == "active"]
 
 
 times = st.integers(min_value=0, max_value=10)
@@ -227,26 +279,30 @@ ledger_ops = st.lists(st.one_of(
 # the second row is due while the first is not
 @example([("install", 1, 1, 1_000, 5), ("install", 2, 1, 1_000, 0),
           ("consume", 1, 500, 1)])
-def test_consume_early_return_matches_always_rebuilding(ops):
-    ledgers = (ReservationLedger([1, 2]), RebuildingLedger([1, 2]))
+# a row clamped to 0 bytes outlives the full row beside it and still counts
+# as a drop
+@example([("install", 1, 2, 9_000, 0), ("install", 2, 2, 500, 5),
+          ("consume", 2, 5_000, 1), ("consume", 2, 4_000, 1),
+          ("drop", 2)])
+def test_live_rows_match_a_ledger_of_state_labelled_rows(ops):
+    ledger, reference = ReservationLedger([1, 2]), StateLedger([1, 2])
     paths = {1: path(1, cwnd=20_000), 2: path(2, cwnd=9_000)}
-    installed = ([], [])
     for op in ops:
-        for ledger, rows in zip(ledgers, installed):
+        for led in (ledger, reference):
             if op[0] == "install":
                 _, source, pid, size, due = op
-                rows.append(ledger.install(source, paths[pid], size, due))
+                led.install(source, paths[pid], size, due)
             elif op[0] == "drop":
-                ledger.drop_path(op[1])
+                led.drop_path(op[1])
             elif op[0] == "consume":
-                ledger.consume(*op[1:])
+                led.consume(*op[1:])
             else:
-                ledger.retire_source(op[1])
-        fast, rebuilt = ledgers
+                led.retire_source(op[1])
         for pid in (1, 2):
-            assert fast.active_bytes(pid) == rebuilt.active_bytes(pid)
-            assert fast.active(pid) == rebuilt.active(pid)
-        assert installed[0] == installed[1]
+            assert ledger.active_bytes(pid) == reference.active_bytes[pid]
+            assert live_rows(ledger, pid) == reference.live_rows(pid)
+        assert ledger.drop_events == reference.drop_events
+        assert ledger.clamped == reference.clamped
 
 
 def test_clamp_when_window_cannot_hold_reservation():
@@ -254,17 +310,18 @@ def test_clamp_when_window_cannot_hold_reservation():
     p = path(cwnd=13_500)
     ledger.install(1, p, 10_800, due_time=50_000)
     res = ledger.install(2, p, 10_800, due_time=60_000)
-    assert res.bytes_total == 2_700  # clamped to remaining window
+    assert res.bytes_left == 2_700  # clamped to remaining window
     assert ledger.clamped == 1
 
 
-def test_drop_path_marks_active_dropped():
+def test_drop_path_releases_its_reservations():
     ledger = ReservationLedger([1, 2])
     ledger.install(1, path(1, cwnd=20_000), 10_800, 50_000)
     ledger.install(1, path(2, cwnd=20_000), 10_800, 50_000)
     ledger.drop_path(1)
     assert ledger.active_bytes(1) == 0
     assert ledger.active_bytes(2) == 10_800
+    assert live_rows(ledger, 1) == []
     assert ledger.drop_events == 1
 
 
@@ -273,8 +330,7 @@ def test_renewal_replaces_previous_reservation():
     sched = ReservationScheduler(paths)
     sched.register_reservation(1, 10_800, 100_000)
     sched.register_reservation(1, 10_800, 200_000)
-    active = sched.ledger.active(1)
-    assert len(active) == 1 and active[0].due_time == 200_000
+    assert live_rows(sched.ledger, 1) == [(1, 1, 10_800, 200_000)]
 
 
 def test_reservations_pool_across_sources():
@@ -287,44 +343,25 @@ def test_reservations_pool_across_sources():
     assert sched.ledger.active_bytes(1) == 5_400
 
 
-# -- at-risk prediction ------------------------------------------------------
-
-def test_not_at_risk_when_candidate_acked_before_due():
-    ledger = ReservationLedger([1])
-    p = path(cwnd=13_500, srtt=50_000)
-    ledger.install(1, p, 10_800, due_time=60_000)  # due in 60 ms
-    assert not ledger.at_risk(p, 1_350, now=0)
-
-
-def test_at_risk_when_send_would_still_occupy_window_at_due_time():
-    ledger = ReservationLedger([1])
-    p = path(cwnd=12_150, srtt=50_000)
-    ledger.install(1, p, 10_800, due_time=30_000)  # due in 30 ms
-    # one packet sent 10 ms ago is still unacked at the due time
-    p.register_sent(bg_frame(), now=-10_000)
-    assert ledger.at_risk(p, 1_350, now=0)
+def test_reservation_paths_per_scheduler():
+    p1, p2 = path(1, srtt=100_000), path(2, srtt=50_000)
+    assert LowRttScheduler([p1, p2]).reservation_paths() == []
+    assert ReservationScheduler([p1, p2]).reservation_paths() == [p2]
+    assert RedundantScheduler([p1, p2]).reservation_paths() == [p2, p1]
+    sched = LowRttScheduler([p1, p2])
+    assert sched.register_reservation(1, 10_800, 100_000) == []
+    assert sched.ledger.active_bytes(1) == sched.ledger.active_bytes(2) == 0
 
 
-def test_not_at_risk_without_reservations():
-    ledger = ReservationLedger([1])
-    assert not ledger.at_risk(path(), 1_350, now=0)
-
-
-def test_at_risk_cumulative_requirement_over_pooled_reservations():
-    ledger = ReservationLedger([1])
-    p = path(cwnd=13_500, srtt=50_000)
-    ledger.install(1, p, 8_100, due_time=20_000)
-    ledger.install(2, p, 5_400, due_time=25_000)
-    # 13 500 < 8 100 + 5 400 + candidate at the later due time
-    assert ledger.at_risk(p, 1_350, now=0)
-
+# -- reservations at their due times -------------------------------------------
 
 def full_scan_at_risk(ledger, path, candidate_size, now):
-    """Reference for at_risk: every active reservation checked at its due
-    time, with no shortcut on the free window."""
-    rows = sorted(ledger.active(path.path_id), key=lambda r: r.due_time)
-    if sum(r.bytes_left for r in rows) == 0:
-        return False
+    """The model's due-time prediction: with cwnd held constant and every
+    packet acked one srtt after it was sent, would sending candidate_size
+    now leave some live reservation short at its due time? With several
+    reservations pooled on a path, the space required at a due time T is
+    the sum of those due at or before T."""
+    rows = sorted(ledger._by_path[path.path_id], key=lambda r: r.due_time)
     srtt = path.effective_srtt()
     required = 0
     for res in rows:
@@ -342,14 +379,24 @@ def full_scan_at_risk(ledger, path, candidate_size, now):
     return False
 
 
+def test_the_prediction_flags_a_send_still_in_flight_at_the_due_time():
+    ledger = ReservationLedger([1])
+    p = path(cwnd=12_150, srtt=50_000)
+    ledger.install(1, p, 10_800, due_time=30_000)  # due in 30 ms
+    assert not full_scan_at_risk(ledger, p, 1_350, now=0)
+    # one packet sent 10 ms ago is still unacked at the due time
+    p.register_sent(bg_frame(), now=-10_000)
+    assert full_scan_at_risk(ledger, p, 1_350, now=0)
+
+
 NOW = 200_000
 
 
 @st.composite
 def ledger_states(draw):
-    """A path with packets in flight sent over the last 150 ms, a ledger of
-    pooled (possibly clamped, consumed or dropped) reservations, and a
-    candidate send size."""
+    """A cwr or cwr_red scheduler on one path with packets in flight sent
+    over the last 150 ms, pooled (possibly clamped) reservations after a
+    possible consume or drop, and a background frame to admit."""
     p = path(cwnd=draw(st.integers(MIN_CWND, 40_000)),
              srtt=draw(st.one_of(st.none(), st.integers(5_000, 120_000))))
     sent = sorted(draw(st.lists(st.integers(NOW - 150_000, NOW), max_size=25)))
@@ -358,7 +405,8 @@ def ledger_states(draw):
         if size > p.cwnd - p.in_flight:
             break
         p.register_sent(Frame(9, 0, i * 1300, size - 50, False, False), t)
-    ledger = ReservationLedger([1])
+    sched = make_path_scheduler(draw(st.sampled_from(["cwr", "cwr_red"])), [p])
+    ledger = sched.ledger
     for source, size, due in draw(st.lists(st.tuples(
             st.integers(1, 3), st.integers(0, 15_000),
             st.integers(NOW - 60_000, NOW + 250_000)), max_size=4)):
@@ -371,27 +419,42 @@ def ledger_states(draw):
     if draw(st.booleans()):
         # a loss halved the window under what is in flight
         p.cwnd = draw(st.integers(MIN_CWND, p.cwnd))
-    return ledger, p, draw(st.integers(0, MAX_PACKET_BYTES))
+    length = draw(st.integers(1, MAX_PACKET_BYTES - HEADER_BYTES))
+    return sched, p, Frame(0, 0, 0, length, False, False)
 
 
 @settings(max_examples=300)
 @given(ledger_states())
-def test_at_risk_equals_a_full_scan(state):
-    ledger, p, size = state
-    assert ledger.at_risk(p, size, NOW) == full_scan_at_risk(ledger, p, size,
-                                                             NOW)
+def test_admitted_background_keeps_reservations_whole_when_due(state):
+    sched, p, frame = state
+    bg = SendStream(0, False, background=True)
+    if sched.admit(bg, frame, False, NOW):
+        assert not full_scan_at_risk(sched.ledger, p, frame.packet_bytes, NOW)
+    k = sched.background_room(p)
+    if k > 0:
+        for i in range(k - 1):
+            p.register_sent(bg_frame(i * 1300), NOW)
+        assert not full_scan_at_risk(sched.ledger, p, MAX_PACKET_BYTES, NOW)
 
 
-@settings(max_examples=300)
-@given(ledger_states(), st.integers(0, 5_000))
-def test_free_window_over_reserved_bytes_is_never_at_risk(state, extra):
-    # the claim background_plan and at_risk's shortcut rest on: a send that
-    # leaves the active reservations inside the free window breaks none of
-    # them at its due time
-    ledger, p, size = state
-    p.cwnd = p.in_flight + size + ledger.active_bytes(1) + extra
-    assert p.free_cwnd() - size >= ledger.active_bytes(1)
-    assert not full_scan_at_risk(ledger, p, size, NOW)
+def test_background_room_leaves_reserved_bytes_and_follows_the_gate():
+    engine = EventQueue()
+    engine.now = 1_000_000
+    rate = 100_000_000
+    link = OneWayLink(PathConfig(1, 25_000, rate_bps=rate), RngStream(1, 0))
+    ps = PathSendState(1, 50_000)
+    node = Node("server", engine, [ps], {1: link}, "pfifo", "cwr")
+    sched = node.path_sched
+    ps.cwnd = 20 * MAX_PACKET_BYTES
+    sched.register_reservation(1, 15 * MAX_PACKET_BYTES, 2_000_000)
+    assert sched.background_room(ps) == 5
+    sched.register_reservation(1, 4 * MAX_PACKET_BYTES, 2_000_000)
+    assert sched.background_room(ps) == 6  # the gate takes six at most
+    link.busy_until = engine.now + 6 * serialization_us(MAX_PACKET_BYTES, rate)
+    sched.gated_wake = None
+    assert sched.background_room(ps) == 0
+    assert sched.gated_wake is not None
+    assert sched.gated_wake == node._link_ready(1)
 
 
 # -- serializer gate -----------------------------------------------------------

@@ -315,9 +315,9 @@ def test_reassembly_completes_on_last_offset():
     r = StreamReassembly(1)
     frames = packetize(1, 0, 10_000, True, message_id=7)
     for f in frames[:-1]:
-        disp, done = r.accept(f, 1)
+        disp, done = r.accept(f)
         assert disp == "new" and not done
-    disp, done = r.accept(frames[-1], 1)
+    disp, done = r.accept(frames[-1])
     assert disp == "new" and done
 
 
@@ -325,33 +325,33 @@ def test_reassembly_out_of_order_completes_at_gap_fill():
     r = StreamReassembly(1)
     frames = packetize(1, 0, 5_000, True)
     for f in (frames[0], frames[2], frames[3]):
-        _, done = r.accept(f, 1)
+        _, done = r.accept(f)
         assert not done
-    _, done = r.accept(frames[1], 2)
+    _, done = r.accept(frames[1])
     assert done
 
 
 def test_reassembly_discards_duplicate_offsets():
     r = StreamReassembly(1)
     frames = packetize(1, 0, 2_000, True)
-    assert r.accept(frames[0], 1) == ("new", False)
-    assert r.accept(frames[0], 2) == ("dup", False)
-    assert r.accept(frames[1], 2) == ("new", True)
+    assert r.accept(frames[0]) == ("new", False)
+    assert r.accept(frames[0]) == ("dup", False)
+    assert r.accept(frames[1]) == ("new", True)
     # second copy of the completing frame arrives after completion
-    assert r.accept(frames[1], 1) == ("stale", False)
+    assert r.accept(frames[1]) == ("stale", False)
 
 
 def test_reassembly_tracks_stream_reuse():
     r = StreamReassembly(1)
     first = packetize(1, 0, 1_000, True)
     again = packetize(1, 1, 1_000, True)
-    assert r.accept(first[0], 1) == ("new", True)
-    assert r.accept(again[0], 1) == ("new", True)
+    assert r.accept(first[0]) == ("new", True)
+    assert r.accept(again[0]) == ("new", True)
     # a late retransmission of the finished message is stale
-    assert r.accept(first[0], 1) == ("stale", False)
+    assert r.accept(first[0]) == ("stale", False)
 
 
 def test_reassembly_rejects_epoch_skip():
     r = StreamReassembly(1)
     with pytest.raises(InvariantError):
-        r.accept(packetize(1, 2, 100, True)[0], 1)
+        r.accept(packetize(1, 2, 100, True)[0])
