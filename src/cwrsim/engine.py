@@ -5,7 +5,6 @@ import heapq
 import random
 from typing import Callable
 
-_TIME, _SEQ, _FN, _LABEL, _ALIVE, _ARGS = range(6)
 _NO_ARGS = ()
 
 SEED_MASK = (1 << 64) - 1
@@ -19,8 +18,9 @@ class EventQueue:
     """Time-ordered event dispatcher with stable FIFO tie-breaking.
 
     Times are integer microseconds of virtual time. Events scheduled for the
-    same instant dispatch in insertion order. Cancellation is lazy: the heap
-    entry stays queued but is skipped when it surfaces.
+    same instant dispatch in insertion order. A queue entry is the list
+    [time, seq, fn, args]. Cancellation is lazy: it sets the entry's fn to
+    None, and the entry is skipped when it surfaces.
     """
 
     def __init__(self, checker: Callable[[], None] | None = None,
@@ -40,15 +40,13 @@ class EventQueue:
             raise InvariantError(
                 f"event {label!r} scheduled at {fire_time} behind clock {self.now}"
             )
-        entry = [fire_time, self._seq, fn, label, True, args]
+        entry = [fire_time, self._seq, fn, args]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         return entry
 
     def cancel(self, entry: list) -> None:
-        entry[_ALIVE] = False
-        entry[_FN] = None
-        entry[_ARGS] = _NO_ARGS
+        entry[2] = None
 
     def run_until(self, t_end: int) -> int:
         """Dispatch every live event with fire_time <= t_end, in order.
@@ -64,10 +62,11 @@ class EventQueue:
         countdown = self._check_interval
         while heap and heap[0][0] <= t_end:
             entry = pop(heap)
-            if not entry[4]:
+            fn = entry[2]
+            if fn is None:
                 continue
             self.now = entry[0]
-            entry[2](*entry[5])
+            fn(*entry[3])
             count += 1
             if checker is not None:
                 countdown -= 1
@@ -88,24 +87,9 @@ class RngStream:
     `random()` returns the stream's next uniform draw in [0, 1).
     """
 
-    __slots__ = ("stream_id", "random")
+    __slots__ = ("random",)
 
     def __init__(self, seed: int, stream_id: int):
-        self.stream_id = stream_id
         # Disjoint derived seeds as long as stream_id < 4096.
         self.random = random.Random((seed & SEED_MASK) * 4096 + stream_id).random
 
-
-class RngStreams:
-    """Family of independent streams derived from one 64-bit run seed."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & SEED_MASK
-        self._streams: dict[int, RngStream] = {}
-
-    def stream(self, stream_id: int) -> RngStream:
-        s = self._streams.get(stream_id)
-        if s is None:
-            s = RngStream(self.seed, stream_id)
-            self._streams[stream_id] = s
-        return s

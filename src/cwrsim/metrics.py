@@ -36,8 +36,6 @@ class CwndGrowthRecord:
     path_id: int
     scheduler: str
     mean_growth: float
-    windows: int
-    sample_window: tuple[int, int]
 
 
 def ccdf(samples: Sequence[int]) -> list[tuple[int, float]]:
@@ -194,24 +192,17 @@ class MetricsCollector:
 
     def growth_record(self, path_id: int, scheduler: str,
                       rtt_us: int) -> CwndGrowthRecord:
-        mean, windows = cwnd_growth(
+        mean, _windows = cwnd_growth(
             self.cwnd_samples[path_id], self.ca_since.get(path_id),
             self.decreases[path_id], rtt_us, self.warmup_us, self.horizon_us)
-        return CwndGrowthRecord(path_id, scheduler, mean, windows,
-                                (self.warmup_us, self.horizon_us))
+        return CwndGrowthRecord(path_id, scheduler, mean)
 
 
-def post_warmup_mcts(messages, warmup_us: int = DEFAULT_WARMUP_US,
-                     priority_only: bool = True) -> list[int]:
-    """Completion times of messages generated after warm-up."""
-    out = []
-    for m in messages:
-        if m.generated_at < warmup_us or m.completed_at is None:
-            continue
-        if priority_only and not m.priority:
-            continue
-        out.append(m.mct)
-    return out
+def post_warmup_mcts(messages, warmup_us: int = DEFAULT_WARMUP_US) -> list[int]:
+    """Completion times of priority messages generated after warm-up."""
+    return [m.mct for m in messages
+            if m.priority and m.generated_at >= warmup_us
+            and m.completed_at is not None]
 
 
 def write_mct_csv(path: Path, messages) -> None:

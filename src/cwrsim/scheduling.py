@@ -351,8 +351,10 @@ class RedundantScheduler(ReservationScheduler):
     scheduler: duplicate only if every path can hold the entire message right
     then. Otherwise the message is never duplicated and its packets fall back
     to per-packet lowest-RTT admission (single path when one fits everything,
-    a split across paths when only the combined free space suffices). A packet
-    sent without its copies never gains a duplicate later.
+    a split across paths when only the combined free space suffices). So do
+    a duplicated message's packets that find some path short, and
+    retransmissions. A packet sent without its copies never gains a duplicate
+    later; each priority packet sent on one path counts as a refrain.
     """
 
     name = "cwr_red"
@@ -362,33 +364,17 @@ class RedundantScheduler(ReservationScheduler):
 
     def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
               now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
-        if not frame.priority:
-            return super().admit(stream, frame, is_rtx, now, rtx_path)
-        if is_rtx:
-            targets = super().admit(stream, frame, is_rtx, now, rtx_path)
-            if targets:
-                self.refrain_count += 1
-            return targets
-
-        if stream.dup_mode is None:
-            remaining = stream.remaining_message_bytes()
-            stream.dup_mode = "all" if all(
-                p.free_cwnd() >= remaining for p in self.paths) else "off"
-
-        if stream.dup_mode == "all":
+        if frame.priority and not is_rtx:
+            if stream.dup_mode is None:
+                remaining = stream.remaining_message_bytes()
+                stream.dup_mode = "all" if all(
+                    p.free_cwnd() >= remaining for p in self.paths) else "off"
             size = frame.packet_bytes
-            self.gated_wake = None
-            ordered = _paths_by_rtt(self.paths)
-            if all(p.free_cwnd() >= size for p in ordered):
-                return tuple(ordered)
-            for path in ordered:
-                if path.free_cwnd() >= size:
-                    self.refrain_count += 1
-                    return (path,)
-            return ()
-
-        targets = super().admit(stream, frame, is_rtx, now)
-        if targets:
+            if stream.dup_mode == "all" and all(
+                    p.free_cwnd() >= size for p in self.paths):
+                return tuple(_paths_by_rtt(self.paths))
+        targets = super().admit(stream, frame, is_rtx, now, rtx_path)
+        if targets and frame.priority:
             self.refrain_count += 1
         return targets
 

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .engine import EventQueue, InvariantError, RngStreams
+from .engine import EventQueue, InvariantError, RngStream
 from .link import OneWayLink, nominal_rtt_us, serialization_us
 from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
                       InsufficientSamplesError, ccdf, post_warmup_mcts,
@@ -110,7 +110,6 @@ class Node:
         self.metrics = metrics
         self._on_delivery = on_delivery
         self._next_cwnd_sample = {p.path_id: 0 for p in path_states}
-        self.peer: Node | None = None
         self._peer_receive = None
         self._peer_receive_bg = None
         self._peer_ack = None
@@ -130,7 +129,6 @@ class Node:
         self.on_duplicated: Callable[[int | None], None] | None = None
 
     def set_peer(self, peer: "Node") -> None:
-        self.peer = peer
         self._peer_receive = peer.receive_data
         self._peer_receive_bg = peer.receive_background
         self._peer_ack = peer.handle_ack_one
@@ -316,10 +314,15 @@ class Node:
             if frame.priority:
                 self.path_sched.on_priority_sent(ps.path_id, entry.size, now)
             arrival = self.links[ps.path_id].send(entry.size, True, now)
-            if arrival is not None:
+            if arrival is not None and stream.background:
+                engine.schedule(
+                    arrival, self._peer_receive_bg, "packet_arrival",
+                    args=(entry.number, ps.path_id, frame.stream_id,
+                          frame.offset, entry.size))
+            elif arrival is not None:
                 # tuple.__new__ skips the NamedTuple's Python-level constructor
                 pkt = tuple.__new__(Packet, (entry.number, ps.path_id, frame,
-                                             entry.size, now, i > 0))
+                                             entry.size, i > 0))
                 engine.schedule(
                     arrival, self._peer_receive,
                     "app_ack_arrival" if frame.app_ack else "packet_arrival",
@@ -432,7 +435,7 @@ class Node:
 
     def receive_background(self, number: int, path_id: int, stream_id: int,
                            offset: int, size: int) -> None:
-        """Hot path for background data: dedup for goodput, count, ack."""
+        """Every background frame lands here: dedup for goodput, count, ack."""
         now = self.engine.now
         new_bytes = self._bg_seen[stream_id].add(offset, size - HEADER_BYTES)
         record = self._on_delivery
@@ -444,21 +447,16 @@ class Node:
                 arrival, self._peer_ack, "ack_arrival", args=(path_id, number))
 
     def receive_data(self, pkt: Packet) -> None:
+        """A message frame: reassemble, count, ack, report completion."""
         now = self.engine.now
         frame = pkt.frame
         path_id = pkt.path_id
-        if frame.message_id is None and not frame.fin:
-            # background frame: no completion, dedup only for the goodput count
-            new_bytes = self._bg_seen[frame.stream_id].add(frame.offset,
-                                                           frame.length)
-            completed = False
-        else:
-            reasm = self.reassembly.get(frame.stream_id)
-            if reasm is None:
-                reasm = StreamReassembly(frame.stream_id)
-                self.reassembly[frame.stream_id] = reasm
-            disposition, completed = reasm.accept(frame)
-            new_bytes = frame.length if disposition == "new" else 0
+        reasm = self.reassembly.get(frame.stream_id)
+        if reasm is None:
+            reasm = StreamReassembly(frame.stream_id)
+            self.reassembly[frame.stream_id] = reasm
+        disposition, completed = reasm.accept(frame)
+        new_bytes = frame.length if disposition == "new" else 0
         if self._on_delivery is not None:
             self._on_delivery(now, pkt.size, frame.priority, new_bytes)
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
@@ -482,7 +480,6 @@ class Simulation:
         self.config = config
         self.engine = EventQueue(checker=self.verify_invariants,
                                  check_interval=check_interval)
-        self.rngs = RngStreams(config.seed)
         self.metrics = MetricsCollector(config.duration_us, config.warmup_us,
                                         config.bin_width_us)
         fwd_links: dict[int, OneWayLink] = {}
@@ -492,8 +489,9 @@ class Simulation:
         for idx, pcfg in enumerate(config.paths):
             pcfg.validate()
             rtt = nominal_rtt_us(pcfg)
-            fwd_links[pcfg.path_id] = OneWayLink(pcfg, self.rngs.stream(2 * idx))
-            rev_links[pcfg.path_id] = OneWayLink(pcfg, self.rngs.stream(2 * idx + 1))
+            fwd_links[pcfg.path_id] = OneWayLink(pcfg, RngStream(config.seed, 2 * idx))
+            rev_links[pcfg.path_id] = OneWayLink(pcfg,
+                                                 RngStream(config.seed, 2 * idx + 1))
             server_paths.append(PathSendState(pcfg.path_id, rtt))
             client_paths.append(PathSendState(pcfg.path_id, rtt))
             self.metrics.register_path(pcfg.path_id, server_paths[-1].cwnd)

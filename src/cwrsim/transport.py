@@ -72,7 +72,6 @@ class Packet(NamedTuple):
     path_id: int
     frame: Frame
     size: int
-    sent_time: int
     is_duplicate: bool = False
 
 

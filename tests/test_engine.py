@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from cwrsim.engine import EventQueue, InvariantError, RngStream, RngStreams
+from cwrsim.engine import EventQueue, InvariantError, RngStream
 
 
 def test_events_fire_in_time_order():
@@ -95,11 +95,10 @@ def test_same_seed_same_draws():
 
 def test_streams_are_independent():
     # drawing from one stream must not shift another stream's sequence
-    streams = RngStreams(7)
     reference = RngStream(7, 1)
     baseline = [reference.random() for _ in range(100)]
-    s0 = streams.stream(0)
-    s1 = streams.stream(1)
+    s0 = RngStream(7, 0)
+    s1 = RngStream(7, 1)
     out = []
     for i in range(100):
         s0.random()

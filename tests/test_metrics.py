@@ -174,7 +174,7 @@ def test_csv_outputs_have_contract_columns(tmp_path):
     write_throughput_csv(tmp_path / "throughput.csv",
                          MetricsCollector(200_000).throughput())
     write_growth_csv(tmp_path / "cwnd_growth.csv",
-                     [CwndGrowthRecord(1, "cwr", 1264.0, 40, (0, 1))])
+                     [CwndGrowthRecord(1, "cwr", 1264.0)])
 
     with (tmp_path / "mct.csv").open() as fh:
         rows = list(csv.reader(fh))

@@ -611,6 +611,53 @@ def test_cwr_red_never_duplicates_retransmissions():
     assert sched.admit(msg, pri_frame(), True, 0) == (p1,)
 
 
+def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
+    # decided "all", then the lowest-RTT path fills up: the packet goes,
+    # alone, to the next-lowest-RTT path that still fits it
+    p1, p2, p3 = (path(1, srtt=50_000), path(2, srtt=100_000),
+                  path(3, srtt=150_000))
+    sched = RedundantScheduler([p1, p2, p3])
+    msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
+    assert sched.admit(msg, msg.pop_pending(), False, 0) == (p1, p2, p3)
+    assert msg.dup_mode == "all"
+    p1.in_flight = p1.cwnd
+    assert sched.admit(msg, msg.peek_pending(), False, 0) == (p2,)
+    assert sched.refrain_count == 1
+
+
+def test_cwr_red_short_packet_waits_when_no_path_fits():
+    p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
+    sched = RedundantScheduler([p1, p2])
+    msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
+    assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1, p2)
+    assert msg.dup_mode == "all"
+    p1.in_flight = p1.cwnd
+    p2.in_flight = p2.cwnd
+    assert sched.admit(msg, msg.peek_pending(), False, 0) == ()
+    assert sched.refrain_count == 0
+
+
+def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
+    # rr alternates two messages that each fit path 2 when first admitted;
+    # together they fill it, so A's last packet goes to path 1 alone
+    p1 = path(1, srtt=50_000, cwnd=27_000)
+    p2 = path(2, srtt=100_000, cwnd=4 * MAX_PACKET_BYTES)
+    sched = RedundantScheduler([p1, p2])
+    a = stream_with(packetize(1, 0, 3 * 1300, True, message_id=1), stream_id=1)
+    b = stream_with(packetize(2, 0, 2 * 1300, True, message_id=2), stream_id=2)
+    sent = []
+    for stream in (a, b, a, b, a):
+        frame = stream.peek_pending()
+        targets = sched.admit(stream, frame, False, 0)
+        stream.pop_pending()
+        for ps in targets:
+            ps.register_sent(frame, 0)
+        sent.append(tuple(p.path_id for p in targets))
+    assert a.dup_mode == b.dup_mode == "all"
+    assert sent == [(1, 2)] * 4 + [(1,)]
+    assert sched.refrain_count == 1
+
+
 def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = RedundantScheduler([p1, p2])

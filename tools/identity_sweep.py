@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Compare this working tree's run outputs with a git revision's, config by config.
+
+    python tools/identity_sweep.py [REF]      (REF defaults to HEAD)
+
+REF's src/, tests/ and scenarios/ are exported with `git archive` into a
+temporary directory. Both trees then run the same 107 configurations:
+
+- tests/test_properties.py's random_config(0..15) under each path scheduler
+  and each stream scheduler, at 4 s (96 runs);
+- the three shipped scenarios under each path scheduler, at 10 s (9 runs);
+- tests/test_output_identity.py's priority_only at 30 s and line_rate at 5 s.
+
+Each run records the SHA-256 of its `write_outputs` files (name and bytes, in
+name order) and of the repr of every trace-hook record, with the node given
+by its name. Configurations whose digests differ are printed; the exit
+status is 1 if any differ, else 0. Each tree runs in its own interpreter.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TREE_DIRS = ("src", "tests", "scenarios")
+PATH_SCHEDULERS = ("lowrtt", "cwr", "cwr_red")
+STREAM_SCHEDULERS = ("pfifo", "rr")
+SHIPPED = ("asymmetric_rtt", "one_source_cwr", "three_sources")
+
+
+def sweep_configs():
+    """(name, config) pairs; imports the tree on sys.path."""
+    from test_output_identity import line_rate, priority_only, shipped
+    from test_properties import random_config
+
+    def with_fields(cfg, **fields):
+        for name, value in fields.items():
+            setattr(cfg, name, value)
+        return cfg
+
+    for i in range(16):
+        for ps in PATH_SCHEDULERS:
+            for ss in STREAM_SCHEDULERS:
+                yield (f"random_config({i}) {ps} {ss}",
+                       with_fields(random_config(i), duration_us=4_000_000,
+                                   path_scheduler=ps, stream_scheduler=ss))
+    for name in SHIPPED:
+        for ps in PATH_SCHEDULERS:
+            yield (f"{name} {ps}",
+                   shipped(name, 10_000_000, path_scheduler=ps)(1))
+    yield "priority_only", with_fields(priority_only(1), duration_us=30_000_000)
+    yield "line_rate", with_fields(line_rate(1), duration_us=5_000_000)
+
+
+def outputs_digest(outdir: Path) -> str:
+    h = hashlib.sha256()
+    for f in sorted(outdir.iterdir()):
+        h.update(f.name.encode() + b"\0")
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+def run_tree() -> None:
+    """Worker: run every config of the tree on sys.path, one JSON line each."""
+    from cwrsim.simulation import Simulation
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (name, cfg) in enumerate(sweep_configs()):
+            trace = hashlib.sha256()
+
+            def hook(node, *rec, trace=trace):
+                trace.update(repr((node.name,) + rec).encode() + b"\n")
+
+            outdir = Path(tmp) / str(n)
+            Simulation(cfg, trace=hook).run().write_outputs(outdir)
+            print(json.dumps([name, outputs_digest(outdir), trace.hexdigest()]),
+                  flush=True)
+
+
+def start_tree(root: Path) -> subprocess.Popen:
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "tests")]))
+    return subprocess.Popen([sys.executable, __file__, "--run-tree"],
+                            cwd=root, env=env, stdout=subprocess.PIPE,
+                            text=True)
+
+
+def collect(proc: subprocess.Popen, label: str) -> dict[str, tuple[str, str]]:
+    out, _ = proc.communicate()
+    if proc.returncode != 0:
+        sys.exit(f"error: the {label} tree's runs exited {proc.returncode}")
+    rows = (json.loads(line) for line in out.splitlines())
+    return {name: (outputs, trace) for name, outputs, trace in rows}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", nargs="?", default="HEAD",
+                        help="git revision to compare against (default HEAD)")
+    parser.add_argument("--run-tree", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_tree:
+        run_tree()
+        return 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_root = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.ref, *TREE_DIRS],
+                                 cwd=REPO, capture_output=True)
+        if archive.returncode != 0:
+            sys.exit(f"error: git archive {args.ref}: "
+                     f"{archive.stderr.decode().strip()}")
+        subprocess.run(["tar", "-x", "-C", str(ref_root)],
+                       input=archive.stdout, check=True)
+        procs = {"ref": start_tree(ref_root), "work": start_tree(REPO)}
+        ref, work = (collect(procs[k], k) for k in ("ref", "work"))
+
+    differing = []
+    for name in sorted(ref.keys() | work.keys()):
+        a, b = ref.get(name), work.get(name)
+        if a == b:
+            continue
+        what = "missing" if a is None or b is None else " and ".join(
+            kind for kind, x, y in zip(("outputs", "trace"), a, b) if x != y)
+        differing.append(name)
+        print(f"differs ({what}): {name}")
+    print(f"{len(differing)} of {len(ref.keys() | work.keys())} configs differ "
+          f"from {args.ref}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
