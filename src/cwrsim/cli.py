@@ -11,13 +11,18 @@ from pathlib import Path
 from .engine import InvariantError
 from .metrics import ccdf, write_ccdf_csv
 from .scenario import ScenarioError, parse_scenario
+from .scheduling import PATH_SCHEDULERS
 from .simulation import Simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
-SCHEDULER_RANK = {"lowrtt": 0, "cwr": 1, "cwr_red": 2}
+SCHEDULER_RANK = {name: rank for rank, name in enumerate(PATH_SCHEDULERS)}
+
+
+class UnreadableOutput(ValueError):
+    """A file under a compare directory that is not what simulate writes."""
 
 
 def _run_dir(outdir: Path, rep: int) -> Path:
@@ -56,38 +61,57 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_growth(outdir: Path) -> list[tuple[int, str, float]]:
+def _load_growth(outdir: Path) -> list[tuple[int, float]]:
+    """(path id, mean growth) rows of every run's cwnd_growth.csv."""
     rows = []
     for run_dir in sorted(outdir.glob("run_*")):
         growth = run_dir / "cwnd_growth.csv"
         if not growth.exists():
             continue
-        with growth.open() as fh:
-            for row in csv.DictReader(fh):
-                rows.append((int(row["path_id"]), row["scheduler"],
-                             float(row["mean_growth_bytes_per_rtt"])))
+        with growth.open(encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            try:
+                for row in reader:
+                    rows.append((int(row["path_id"]),
+                                 float(row["mean_growth_bytes_per_rtt"])))
+            except (KeyError, TypeError, ValueError):
+                raise UnreadableOutput(
+                    f"{growth}: line {reader.line_num}: expected numeric "
+                    "path_id and mean_growth_bytes_per_rtt") from None
     return rows
 
 
-def _scheduler_of(outdir: Path) -> str | None:
+def _scheduler_of(outdir: Path) -> str:
     for run_dir in sorted(outdir.glob("run_*")):
         manifest = run_dir / "manifest.json"
         if manifest.exists():
-            with manifest.open() as fh:
-                return json.load(fh)["config"]["path_scheduler"]
-    return None
+            try:
+                with manifest.open(encoding="utf-8") as fh:
+                    scheduler = json.load(fh)["config"]["path_scheduler"]
+            except (KeyError, TypeError, ValueError):
+                scheduler = None
+            if not isinstance(scheduler, str):
+                raise UnreadableOutput(f"{manifest}: expected JSON with a "
+                                       "config.path_scheduler string")
+            return scheduler
+    raise UnreadableOutput(f"{outdir}: no manifest.json found")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     by_scheduler: dict[str, dict[int, list[float]]] = {}
     for raw in args.dirs:
         outdir = Path(raw)
-        scheduler = _scheduler_of(outdir)
-        if scheduler is None:
-            print(f"error: {outdir}: no manifest.json found", file=sys.stderr)
+        try:
+            scheduler = _scheduler_of(outdir)
+            rows = _load_growth(outdir)
+        except UnreadableOutput as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
         per_path = by_scheduler.setdefault(scheduler, {})
-        for path_id, _sched, growth in _load_growth(outdir):
+        for path_id, growth in rows:
             per_path.setdefault(path_id, []).append(growth)
 
     print("mean congestion-window growth per RTT (bytes)")
@@ -101,7 +125,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"  {scheduler:8s} path {path_id}: {mean:8.1f}  "
                   f"({len(values)} run(s))")
 
-    ranked = [s for s in ("lowrtt", "cwr", "cwr_red") if s in means]
+    ranked = [s for s in PATH_SCHEDULERS if s in means]
     if len(ranked) >= 2:
         holds = True
         path_ids = sorted(set.intersection(

@@ -1,6 +1,7 @@
 """Scenario configuration: flat key=value files with repeated [path]/[source] sections."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,14 +109,21 @@ def _parse_int(raw: str, line: int) -> int:
 
 def _parse_float(raw: str, line: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"expected a number, got {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got {raw!r}", line)
+    return value
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Read a scenario file; raises ScenarioError with a line number on defects."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
     top: dict[str, tuple[str, int]] = {}
     path_sections: list[tuple[int, dict[str, tuple[str, int]]]] = []
     source_sections: list[tuple[int, dict[str, tuple[str, int]]]] = []

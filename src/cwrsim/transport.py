@@ -66,7 +66,7 @@ def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
 
 
 class Packet(NamedTuple):
-    """A sent data packet as seen by the receiver."""
+    """A sent message packet as seen by the receiver."""
 
     number: int
     path_id: int

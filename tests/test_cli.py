@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from cwrsim.cli import main
 
 SCENARIO = """
@@ -106,3 +108,53 @@ def test_simulate_rejects_fewer_than_one_repetition(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "--reps" in captured.err and "wrote" not in captured.out
         assert not out.exists()
+
+
+def test_undecodable_scenario_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"# caf\xe9\n[path]\nowd_us = 25000\n")
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def fake_run_dir(tmp_path, manifest: str, growth: str | None = None) -> Path:
+    """A compare input dir holding one run's manifest and growth table."""
+    run_dir = tmp_path / "out" / "run_000"
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(manifest)
+    if growth is not None:
+        (run_dir / "cwnd_growth.csv").write_text(growth)
+    return run_dir
+
+
+GROWTH_HEADER = "path_id,scheduler,mean_growth_bytes_per_rtt\n"
+
+
+@pytest.mark.parametrize("manifest", [
+    '{"engine_version": "0.1.0"}',
+    '{"config": {"seed": 1}}',
+    '{"config": {"path_scheduler": 5}}',
+    '["config"]',
+    "{not json",
+])
+def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
+                                                          manifest):
+    run_dir = fake_run_dir(tmp_path, manifest)
+    assert main(["compare", str(run_dir.parent)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {run_dir / 'manifest.json'}: ")
+
+
+@pytest.mark.parametrize("growth", [
+    "path_id,scheduler\n1,cwr\n",
+    GROWTH_HEADER + "1,cwr,fast\n",
+    GROWTH_HEADER + "one,cwr,1264.0\n",
+    GROWTH_HEADER + "1,cwr\n",
+])
+def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
+    run_dir = fake_run_dir(tmp_path, '{"config": {"path_scheduler": "cwr"}}',
+                           growth)
+    assert main(["compare", str(run_dir.parent)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {run_dir / 'cwnd_growth.csv'}: line 2: ")
+

@@ -4,8 +4,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cwrsim.scenario import ScenarioConfig, ScenarioError, parse_scenario
+from cwrsim.scenario import (_PATH_KEYS, _SOURCE_KEYS, _TOP_KEYS,
+                             ScenarioConfig, ScenarioError, parse_scenario)
 from cwrsim.link import PathConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -149,3 +151,45 @@ def test_to_dict_round_trips_scenario_fields():
     d = cfg.to_dict()
     assert d["paths"][0]["owd_us"] == 25_000
     assert d["path_scheduler"] == "cwr"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_numbers_rejected_with_their_line(tmp_path, value):
+    with pytest.raises(ScenarioError, match="finite") as info:
+        parse_scenario(write(tmp_path, f"seed = 3\nduration_s = {value}\n"
+                                       "[path]\nowd_us = 25000\n"))
+    assert info.value.line == 2
+    with pytest.raises(ScenarioError, match="finite") as info:
+        parse_scenario(write(tmp_path, f"[path]\nowd_us = 25000\n"
+                                       f"loss_rate = {value}\n"))
+    assert info.value.line == 3
+
+
+VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "25000", "100000", "1e400", "inf",
+                     "-inf", "nan", "0.5", "1.5", "1e-9", "true", "off",
+                     "cwr", "cwr_red", "lowrtt", "rr", "pfifo", "", "x",
+                     "9" * 30, "0x10"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\r\n"),
+            max_size=12))
+LINES = st.one_of(
+    st.sampled_from(["[path]", "[source]", "[junk]", "# comment", "",
+                     "no equals sign"]),
+    st.builds("{} = {}".format,
+              st.sampled_from(sorted(_TOP_KEYS | _PATH_KEYS | _SOURCE_KEYS)
+                              + ["junk"]),
+              VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(LINES, max_size=14))
+def test_any_scenario_text_parses_or_raises_scenario_error(tmp_path_factory,
+                                                           lines):
+    p = tmp_path_factory.mktemp("fuzz") / "case.scn"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = parse_scenario(p)
+    except ScenarioError:
+        return
+    cfg.validate()
