@@ -42,9 +42,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config.seed = args.seed
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     pooled_mcts: list[int] = []
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         for rep in range(args.reps):
             rep_config = replace(config, seed=config.seed + rep,
                                  paths=list(config.paths),
@@ -53,10 +53,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for warning in result.write_outputs(_run_dir(outdir, rep)):
                 print(f"run {rep}: {warning}", file=sys.stderr)
             pooled_mcts.extend(result.priority_mcts())
+        write_ccdf_csv(outdir / "ccdf.csv", ccdf(pooled_mcts))
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    write_ccdf_csv(outdir / "ccdf.csv", ccdf(pooled_mcts))
+    except OSError as exc:
+        # --out is a file, or a file stands where an output must go
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {args.reps} run(s) under {outdir}")
     return EXIT_OK
 

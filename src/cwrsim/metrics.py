@@ -26,7 +26,6 @@ class InsufficientSamplesError(ValueError):
 @dataclass(slots=True)
 class ThroughputBin:
     bin_start: int
-    bin_width: int
     total_bytes: int = 0
     priority_bytes: int = 0
 
@@ -79,10 +78,8 @@ def max_ccdf_gap(a: list[tuple[int, float]], b: list[tuple[int, float]]) -> floa
 
 
 class CwndTrace:
-    """A path's (time, cwnd) samples, held as two integer arrays.
-
-    Iterates as (time, cwnd) pairs; times are nondecreasing.
-    """
+    """A path's (time, cwnd) samples, held as two integer arrays; times are
+    nondecreasing."""
 
     __slots__ = ("times", "values")
 
@@ -93,27 +90,19 @@ class CwndTrace:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __iter__(self):
-        return zip(self.times, self.values)
 
-
-def cwnd_growth(samples: CwndTrace | Sequence[tuple[int, int]],
-                ca_since: int | None, decreases: list[int], rtt_us: int,
-                start_us: int, end_us: int) -> tuple[float, int]:
+def cwnd_growth(samples: CwndTrace, ca_since: int | None,
+                decreases: list[int], rtt_us: int, start_us: int,
+                end_us: int) -> tuple[float, int]:
     """Mean cwnd increase per rtt over CA-phase windows in [start, end).
 
-    Samples are a CwndTrace, searched in place, or (time, cwnd) pairs.
     Windows containing a multiplicative decrease are excluded. Returns
     (mean, window_count); raises InsufficientSamplesError below the minimum.
     """
     if ca_since is None:
         raise InsufficientSamplesError("path never reached congestion avoidance")
     t0 = max(start_us, ca_since)
-    if isinstance(samples, CwndTrace):
-        times, values = samples.times, samples.values
-    else:
-        times = [t for t, _ in samples]
-        values = [v for _, v in samples]
+    times, values = samples.times, samples.values
 
     def cwnd_at(t: int) -> int:
         idx = bisect_right(times, t)
@@ -149,8 +138,7 @@ class MetricsCollector:
         self.warmup_us = warmup_us
         self.bin_width_us = bin_width_us
         n_bins = -(-horizon_us // bin_width_us) if horizon_us > 0 else 0
-        self._bins = [ThroughputBin(i * bin_width_us, bin_width_us)
-                      for i in range(n_bins)]
+        self._bins = [ThroughputBin(i * bin_width_us) for i in range(n_bins)]
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
         self.cwnd_samples: dict[int, CwndTrace] = {}

@@ -15,6 +15,9 @@ _TOP_KEYS = {"duration_s", "duration_us", "seed", "stream_scheduler",
 _PATH_KEYS = {"owd_us", "rtt_us", "rate_bps", "loss_rate", "ack_loss_enabled"}
 _SOURCE_KEYS = {"inter_arrival_us", "message_size_bytes", "priority",
                 "start_offset_us"}
+# the metrics allocate every throughput bin of the horizon before the run
+# starts; at the default 100 ms bin this allows 10,000 s
+MAX_THROUGHPUT_BINS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -25,6 +28,17 @@ class ScenarioError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _check_horizon(duration_us: int | float, bin_width_us: int,
+                   line: int | None = None) -> None:
+    """Reject a horizon of more than MAX_THROUGHPUT_BINS throughput bins."""
+    longest = MAX_THROUGHPUT_BINS * bin_width_us
+    if duration_us > longest:
+        raise ScenarioError(
+            f"the run may last at most {longest} us "
+            f"({MAX_THROUGHPUT_BINS} throughput bins of {bin_width_us} us)",
+            line)
 
 
 @dataclass
@@ -52,6 +66,7 @@ class ScenarioConfig:
                 f"got {self.warmup_us}")
         if self.bin_width_us <= 0:
             raise ScenarioError("bin_width_us must be positive")
+        _check_horizon(self.duration_us, self.bin_width_us)
         if self.stream_scheduler not in STREAM_SCHEDULERS:
             raise ScenarioError(
                 f"stream_scheduler must be one of {STREAM_SCHEDULERS}")
@@ -163,21 +178,24 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     if "duration_s" in top and "duration_us" in top:
         raise ScenarioError("give duration_s or duration_us, not both",
                             top["duration_us"][1])
-    if "duration_s" in top:
-        raw, ln = top["duration_s"]
-        seconds = _parse_float(raw, ln)
-        if seconds <= 0:
-            raise ScenarioError("duration_s must be positive", ln)
-        config.duration_us = int(round(seconds * 1_000_000))
-    if "duration_us" in top:
-        raw, ln = top["duration_us"]
-        config.duration_us = _parse_int(raw, ln)
-    if config.duration_us <= config.warmup_us:
-        # the default horizon is longer; only a duration line makes it shorter
+    if "duration_s" in top or "duration_us" in top:
+        # the default horizon is inside both bounds; only a duration line
+        # can leave them
         key = "duration_s" if "duration_s" in top else "duration_us"
-        raise ScenarioError(
-            f"the run must be longer than the {config.warmup_us} us warm-up, "
-            f"got {config.duration_us} us", top[key][1])
+        raw, ln = top[key]
+        if key == "duration_s":
+            seconds = _parse_float(raw, ln)
+            if seconds <= 0:
+                raise ScenarioError("duration_s must be positive", ln)
+            micros = seconds * 1_000_000  # inf past the float range
+        else:
+            micros = _parse_int(raw, ln)
+        _check_horizon(micros, config.bin_width_us, ln)
+        config.duration_us = int(round(micros))
+        if config.duration_us <= config.warmup_us:
+            raise ScenarioError(
+                f"the run must be longer than the {config.warmup_us} us "
+                f"warm-up, got {config.duration_us} us", ln)
     if "seed" in top:
         raw, ln = top["seed"]
         config.seed = _parse_int(raw, ln)

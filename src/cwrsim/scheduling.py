@@ -5,10 +5,17 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import InvariantError
+from .link import OneWayLink, serialization_us
 from .transport import Frame, HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES, PathSendState
 
 STREAM_SCHEDULERS = ("rr", "pfifo")
 PATH_SCHEDULERS = ("lowrtt", "cwr", "cwr_red")
+
+# Non-priority first transmissions only enter a serializer with a short
+# backlog (six max packets); the retry wake waits for it to nearly drain so
+# sends batch instead of waking per packet. Priority frames and
+# retransmissions bypass this.
+GATE_PACKETS = 6
 
 
 class SendStream:
@@ -231,22 +238,27 @@ class LowRttScheduler:
     while cwnd - in_flight - reserved bytes still fits it; priority frames
     use the raw free window, reserved space being there for them.
 
-    Background frames additionally honor link_ready (the sender's serializer
-    backpressure); when a path is held back only by that gate, gated_wake is
-    left set so the caller can retry once the serializer drains. Priority
-    frames and retransmissions bypass the gate.
+    Non-priority first transmissions (background frames, messages of
+    non-priority sources and their app acks) also pass the serializer gate
+    of the path's link, gate_room; when a path is held back only by that
+    gate, gated_wake is left set so the caller can retry once the serializer
+    drains. Priority frames and retransmissions bypass the gate.
     """
 
     name = "lowrtt"
     reserving = False
 
-    def __init__(self, paths: list[PathSendState]):
+    def __init__(self, paths: list[PathSendState],
+                 links: dict[int, OneWayLink]):
         self.paths = paths
         self.ledger = ReservationLedger([p.path_id for p in paths])
         self.refrain_count = 0
         self.gated_wake: int | None = None
-        self.link_ready = None  # set by the owning node; None means always ready
-        self.gate_room = None  # node callback: packets the serializer can take
+        self._links = links
+        # each path's drain time of one max packet
+        self._max_packet_us = {pid: serialization_us(MAX_PACKET_BYTES,
+                                                     link.rate_bps)
+                               for pid, link in links.items()}
 
     def reservation_paths(self) -> list[PathSendState]:
         return []
@@ -257,16 +269,24 @@ class LowRttScheduler:
         return [self.ledger.install(source_id, path, bytes_needed, due_time)
                 for path in self.reservation_paths()]
 
-    def _gate(self, path: PathSendState, frame: Frame) -> bool:
-        """True when the path may be used for this frame right now."""
-        if frame.priority or self.link_ready is None:
-            return True
-        ready_at = self.link_ready(path.path_id)
-        if ready_at is None:
-            return True
-        if self.gated_wake is None or ready_at < self.gated_wake:
-            self.gated_wake = ready_at
-        return False
+    def gate_room(self, path_id: int, now: int) -> int:
+        """Max packets the path's serializer gate accepts back to back now.
+
+        At 0, gated_wake is lowered to the time the serializer has nearly
+        drained, when the gate takes GATE_PACKETS again.
+        """
+        drain = self._max_packet_us[path_id]
+        busy_until = self._links[path_id].busy_until
+        backlog = busy_until - now
+        if backlog < 0:
+            backlog = 0
+        room = (GATE_PACKETS * drain - 1 - backlog) // drain + 1
+        if room > 0:
+            return room
+        wake = busy_until - drain + 1
+        if self.gated_wake is None or wake < self.gated_wake:
+            self.gated_wake = wake
+        return 0
 
     def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
               now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
@@ -281,30 +301,22 @@ class LowRttScheduler:
             room = path.cwnd - path.in_flight
             if reserved is not None:
                 room -= reserved[path.path_id]
-            if room >= size and (is_rtx or self._gate(path, frame)):
+            if room >= size and (frame.priority or is_rtx
+                                 or self.gate_room(path.path_id, now) > 0):
                 return (path,)
         return ()
 
-    def background_room(self, path: PathSendState) -> int:
+    def background_room(self, path: PathSendState, now: int) -> int:
         """Full-size background packets the path admits back to back now.
 
         The free window less the reserved bytes, in max packets, capped by
-        what the serializer gate accepts; when the gate alone holds the path
-        back, gated_wake is lowered to its retry time.
+        gate_room.
         """
         k = (path.cwnd - path.in_flight
              - self.ledger._active_bytes[path.path_id]) // MAX_PACKET_BYTES
         if k <= 0:
             return 0
-        if self.link_ready is None:
-            return k
-        room = self.gate_room(path.path_id)
-        if room <= 0:
-            ready_at = self.link_ready(path.path_id)
-            if ready_at is not None and (self.gated_wake is None
-                                         or ready_at < self.gated_wake):
-                self.gated_wake = ready_at
-            return 0
+        room = self.gate_room(path.path_id, now)
         return room if room < k else k
 
     def background_plan(self, now: int) -> list[tuple[PathSendState, int]]:
@@ -316,7 +328,7 @@ class LowRttScheduler:
         self.gated_wake = None
         plan = []
         for path in _paths_by_rtt(self.paths):
-            k = self.background_room(path)
+            k = self.background_room(path, now)
             if k > 0:
                 plan.append((path, k))
         return plan
@@ -379,13 +391,14 @@ class RedundantScheduler(ReservationScheduler):
         return targets
 
 
-def make_path_scheduler(name: str, paths: list[PathSendState]):
+def make_path_scheduler(name: str, paths: list[PathSendState],
+                        links: dict[int, OneWayLink]):
     if name == "lowrtt":
-        return LowRttScheduler(paths)
+        return LowRttScheduler(paths, links)
     if name == "cwr":
-        return ReservationScheduler(paths)
+        return ReservationScheduler(paths, links)
     if name == "cwr_red":
-        return RedundantScheduler(paths)
+        return RedundantScheduler(paths, links)
     raise ValueError(f"unknown path scheduler: {name}")
 
 

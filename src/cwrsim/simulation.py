@@ -8,7 +8,7 @@ from typing import Callable
 
 from . import __version__
 from .engine import EventQueue, InvariantError, RngStream
-from .link import OneWayLink, nominal_rtt_us, serialization_us
+from .link import OneWayLink, nominal_rtt_us
 from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
                       InsufficientSamplesError, ccdf, post_warmup_mcts,
                       write_ccdf_csv, write_growth_csv, write_mct_csv,
@@ -16,8 +16,8 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
 from .scheduling import SendStream, make_path_scheduler, make_stream_scheduler
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, APP_ACK_BYTES, CONGESTION_AVOIDANCE,
-                        Frame, HEADER_BYTES, MAX_PACKET_BYTES, Packet,
-                        PathSendState, StreamReassembly, packetize)
+                        Frame, HEADER_BYTES, Packet, PathSendState,
+                        StreamReassembly, packetize)
 
 
 class ReceivedOffsets:
@@ -95,16 +95,8 @@ class Node:
         self.path_states = {p.path_id: p for p in path_states}
         self.links = links
         self.stream_sched = make_stream_scheduler(stream_scheduler)
-        self.path_sched = make_path_scheduler(path_scheduler, path_states)
-        self.path_sched.link_ready = self._link_ready
-        self.path_sched.gate_room = self._gate_room
-        # background frames only enter a serializer with a short backlog
-        # (six max packets); the retry wake waits for it to nearly drain so
-        # sends batch instead of waking per packet. Priority bursts bypass this.
-        self._gate_us = {pid: 6 * serialization_us(MAX_PACKET_BYTES, link.cfg.rate_bps)
-                         for pid, link in links.items()}
-        self._drain_us = {pid: serialization_us(MAX_PACKET_BYTES, link.cfg.rate_bps)
-                          for pid, link in links.items()}
+        self.path_sched = make_path_scheduler(path_scheduler, path_states,
+                                              links)
         self._wake_time = 0
         self._wake_entry: list | None = None
         self.metrics = metrics
@@ -198,8 +190,6 @@ class Node:
                 targets = sched.admit(stream, frame, is_rtx, now, rtx_path)
                 if not targets:
                     self._blocked(now, stream, is_rtx)
-                    if sched.gated_wake is not None:
-                        self._schedule_gate_wake(sched.gated_wake)
                     continue
                 if is_rtx:
                     stream.rtx.popleft()
@@ -218,23 +208,18 @@ class Node:
         Admission is planned per path in one pass; the counts reproduce the
         per-packet guards exactly since nothing else runs between the sends.
         """
-        sched = self.path_sched
-        for ps, k in sched.background_plan(now):
+        for ps, k in self.path_sched.background_plan(now):
             self._send_background_run(stream, ps, k, now)
         self._blocked(now, stream, False)
-        if sched.gated_wake is not None:
-            self._schedule_gate_wake(sched.gated_wake)
 
     def _continue_background(self, ps: PathSendState, stream: SendStream,
                              now: int) -> None:
         """Resume background on one path after its window freed some room."""
         sched = self.path_sched
         sched.gated_wake = None
-        k = sched.background_room(ps)
+        k = sched.background_room(ps, now)
         if k <= 0:
             self._blocked(now, stream, False)
-            if sched.gated_wake is not None:
-                self._schedule_gate_wake(sched.gated_wake)
             return
         self._send_background_run(stream, ps, k, now)
 
@@ -262,30 +247,18 @@ class Node:
                       False)
             if first:
                 # within the batch deadlines are nondecreasing
-                if ps.alarm_entry is None or entry.deadline < ps.alarm_time:
-                    self._ensure_alarm(ps, entry.deadline)
+                self._arm_alarm(ps, entry.deadline)
                 first = False
 
     def _blocked(self, now: int, stream: SendStream, is_rtx: bool) -> None:
+        """A send decision found no path; retry when the gate that held one
+        back drains."""
         self.blocked_count += 1
         if self.trace is not None:
             self.trace(self, "blocked", now, stream.stream_id, is_rtx)
-
-    def _link_ready(self, path_id: int) -> int | None:
-        """None when the serializer can take a background frame, else retry time."""
-        link = self.links[path_id]
-        now = self.engine.now
-        if link.busy_until - now < self._gate_us[path_id]:
-            return None
-        return link.busy_until - self._drain_us[path_id] + 1
-
-    def _gate_room(self, path_id: int) -> int:
-        """Background packets the serializer gate will accept back to back."""
-        backlog = self.links[path_id].busy_until - self.engine.now
-        if backlog < 0:
-            backlog = 0
-        room = (self._gate_us[path_id] - 1 - backlog) // self._drain_us[path_id] + 1
-        return room if room > 0 else 0
+        wake = self.path_sched.gated_wake
+        if wake is not None:
+            self._schedule_gate_wake(wake)
 
     def _schedule_gate_wake(self, ready_at: int) -> None:
         # exactly one live wake per node; replace only with an earlier one
@@ -327,8 +300,7 @@ class Node:
                     arrival, self._peer_receive,
                     "app_ack_arrival" if frame.app_ack else "packet_arrival",
                     args=(pkt,))
-            if ps.alarm_entry is None or entry.deadline < ps.alarm_time:
-                self._ensure_alarm(ps, entry.deadline)
+            self._arm_alarm(ps, entry.deadline)
             if self.trace is not None:
                 self.trace(self, "send", now, ps.path_id, entry.number, frame,
                            i > 0, is_rtx)
@@ -401,16 +373,15 @@ class Node:
         if stream is not None and frame.epoch == stream.epoch:
             stream.enqueue_rtx(frame, now, ps.path_id)
 
-    def _ensure_alarm(self, ps: PathSendState, deadline: int) -> None:
-        if ps.alarm_entry is None:
-            ps.alarm_entry = self.engine.schedule(
-                deadline, self._on_alarm, "loss_alarm", args=(ps,))
-            ps.alarm_time = deadline
-        elif deadline < ps.alarm_time:
+    def _arm_alarm(self, ps: PathSendState, deadline: int) -> None:
+        """Keep the path's one loss alarm at its earliest deadline."""
+        if ps.alarm_entry is not None:
+            if ps.alarm_time <= deadline:
+                return
             self.engine.cancel(ps.alarm_entry)
-            ps.alarm_entry = self.engine.schedule(
-                deadline, self._on_alarm, "loss_alarm", args=(ps,))
-            ps.alarm_time = deadline
+        ps.alarm_entry = self.engine.schedule(
+            deadline, self._on_alarm, "loss_alarm", args=(ps,))
+        ps.alarm_time = deadline
 
     def _on_alarm(self, ps: PathSendState) -> None:
         now = self.engine.now
@@ -425,9 +396,7 @@ class Node:
             else:
                 nxt = None
         if nxt is not None:
-            ps.alarm_entry = self.engine.schedule(
-                nxt, self._on_alarm, "loss_alarm", args=(ps,))
-            ps.alarm_time = nxt
+            self._arm_alarm(ps, nxt)
         if expired:
             self.try_send(now)
 
@@ -487,7 +456,6 @@ class Simulation:
         server_paths: list[PathSendState] = []
         client_paths: list[PathSendState] = []
         for idx, pcfg in enumerate(config.paths):
-            pcfg.validate()
             rtt = nominal_rtt_us(pcfg)
             fwd_links[pcfg.path_id] = OneWayLink(pcfg, RngStream(config.seed, 2 * idx))
             rev_links[pcfg.path_id] = OneWayLink(pcfg,

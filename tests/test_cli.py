@@ -110,6 +110,21 @@ def test_simulate_rejects_fewer_than_one_repetition(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("out, afile", [("afile", "afile"),
+                                       ("out", "out/run_000")])
+def test_out_naming_a_file_exit_code(tmp_path, capsys, out, afile):
+    # --out names a file, or holds a file where a run directory goes
+    scn = write_scenario(tmp_path)
+    afile = tmp_path / afile
+    afile.parent.mkdir(exist_ok=True)
+    afile.write_text("kept\n")
+    assert main(["simulate", str(scn), "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {afile}: ")
+    assert "wrote" not in captured.out
+    assert afile.read_text() == "kept\n"
+
+
 def test_undecodable_scenario_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "latin1.scn"
     bad.write_bytes(b"# caf\xe9\n[path]\nowd_us = 25000\n")

@@ -77,6 +77,15 @@ def test_throughput_empty_bins_are_zero():
     assert all(b.total_bytes == 0 and b.priority_bytes == 0 for b in bins)
 
 
+def trace_of(samples):
+    """The CwndTrace a collector records from (time, cwnd) samples from 0 on."""
+    collector = MetricsCollector(10_000_000)
+    collector.register_path(1, samples[0][1])
+    for t, cwnd in samples[1:]:
+        collector.on_cwnd(1, t, cwnd)
+    return collector.cwnd_samples[1]
+
+
 def samples_linear(start_t, end_t, start_v, slope_per_us, step=1_000):
     out = []
     t = start_t
@@ -87,7 +96,7 @@ def samples_linear(start_t, end_t, start_v, slope_per_us, step=1_000):
 
 
 def test_growth_constant_window_is_zero():
-    samples = [(0, 100_000)]
+    samples = trace_of([(0, 100_000)])
     mean, windows = cwnd_growth(samples, ca_since=0, decreases=[],
                                 rtt_us=50_000, start_us=1_000_000,
                                 end_us=3_000_000)
@@ -96,14 +105,14 @@ def test_growth_constant_window_is_zero():
 
 def test_growth_linear_increase_measures_slope():
     # 27 bytes per ms is 1350 per 50 ms window
-    samples = samples_linear(0, 3_000_000, 10_000, 0.027)
+    samples = trace_of(samples_linear(0, 3_000_000, 10_000, 0.027))
     mean, _ = cwnd_growth(samples, ca_since=0, decreases=[], rtt_us=50_000,
                           start_us=1_000_000, end_us=3_000_000)
     assert abs(mean - 1350) < 30
 
 
 def test_growth_excludes_windows_containing_decreases():
-    flat = [(0, 100_000)]
+    flat = trace_of([(0, 100_000)])
     # decreases sprinkled in [1.0 s, 2.0 s): those windows are dropped
     decreases = [1_200_000, 1_800_000]
     mean, windows = cwnd_growth(flat, ca_since=0, decreases=decreases,
@@ -114,39 +123,18 @@ def test_growth_excludes_windows_containing_decreases():
 
 def test_growth_requires_ca_phase_and_enough_windows():
     with pytest.raises(InsufficientSamplesError):
-        cwnd_growth([(0, 1)], ca_since=None, decreases=[], rtt_us=50_000,
+        cwnd_growth(trace_of([(0, 1)]), ca_since=None, decreases=[], rtt_us=50_000,
                     start_us=0, end_us=10_000_000)
     with pytest.raises(InsufficientSamplesError):
-        cwnd_growth([(0, 1)], ca_since=0, decreases=[], rtt_us=50_000,
+        cwnd_growth(trace_of([(0, 1)]), ca_since=0, decreases=[], rtt_us=50_000,
                     start_us=0, end_us=500_000)  # only 10 windows
 
 
-@pytest.mark.parametrize("samples, ca_since, decreases, rtt, start, end", [
-    ([(0, 100_000)], 0, [], 50_000, 1_000_000, 3_000_000),
-    (samples_linear(0, 3_000_000, 10_000, 0.027), 0, [], 50_000, 1_000_000,
-     3_000_000),
-    ([(0, 100_000)], 0, [1_200_000, 1_800_000], 50_000, 1_000_000, 3_000_000),
-    ([(0, 1)], None, [], 50_000, 0, 10_000_000),
-    ([(0, 1)], 0, [], 50_000, 0, 500_000),
-])
-def test_growth_on_compact_trace_equals_list_of_pairs(samples, ca_since,
-                                                       decreases, rtt, start,
-                                                       end):
-    collector = MetricsCollector(end)
-    collector.register_path(1, samples[0][1])
-    for t, cwnd in samples[1:]:
-        collector.on_cwnd(1, t, cwnd)
-    trace = collector.cwnd_samples[1]
-    assert isinstance(trace, CwndTrace)
-    assert len(trace) == len(samples) and list(trace) == samples
-
-    def outcome(s):
-        try:
-            return cwnd_growth(s, ca_since, decreases, rtt, start, end)
-        except InsufficientSamplesError as exc:
-            return str(exc)
-
-    assert outcome(trace) == outcome(samples)
+def test_collector_trace_keeps_the_last_sample_of_an_instant():
+    trace = trace_of([(0, 13_500), (250, 14_850), (250, 16_200), (500, 6_750)])
+    assert isinstance(trace, CwndTrace) and len(trace) == 3
+    assert list(trace.times) == [0, 250, 500]
+    assert list(trace.values) == [13_500, 16_200, 6_750]
 
 
 def test_collector_bins_match_pure_function():

@@ -146,6 +146,33 @@ def test_duration_us_inside_the_default_warmup_names_its_line(tmp_path, line):
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("line", ["duration_s = 1e300", "duration_s = 1e303",
+                                  f"duration_us = {10 ** 30}",
+                                  "duration_us = 10000000001"])
+def test_horizon_past_the_throughput_bins_names_its_line(tmp_path, line):
+    with pytest.raises(ScenarioError, match="throughput bins") as info:
+        parse_scenario(write(tmp_path,
+                             f"# horizon\n{line}\n[path]\nowd_us = 25000\n"))
+    assert info.value.line == 2
+    cfg = parse_scenario(write(tmp_path, "duration_s = 10000\n"
+                                         "[path]\nowd_us = 25000\n"))
+    assert cfg.duration_us == 10_000_000_000  # 100,000 bins of 100 ms
+
+
+@pytest.mark.parametrize("duration_us, bin_width_us, accepted", [
+    (2_000_000, 20, True), (2_000_001, 20, False), (2_000_000, 1, False)])
+def test_validate_bounds_the_horizon_in_throughput_bins(duration_us,
+                                                        bin_width_us,
+                                                        accepted):
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)],
+                         duration_us=duration_us, bin_width_us=bin_width_us)
+    if accepted:
+        cfg.validate()
+    else:
+        with pytest.raises(ScenarioError, match="throughput bins"):
+            cfg.validate()
+
+
 def test_to_dict_round_trips_scenario_fields():
     cfg = ScenarioConfig(paths=[PathConfig(1, 25_000, loss_rate=0.0005)])
     d = cfg.to_dict()
@@ -166,7 +193,8 @@ def test_non_finite_numbers_rejected_with_their_line(tmp_path, value):
 
 
 VALUES = st.one_of(
-    st.sampled_from(["0", "1", "-1", "2", "25000", "100000", "1e400", "inf",
+    st.sampled_from(["0", "1", "-1", "2", "25000", "100000", "1e400", "1e303",
+                     "inf",
                      "-inf", "nan", "0.5", "1.5", "1e-9", "true", "off",
                      "cwr", "cwr_red", "lowrtt", "rr", "pfifo", "", "x",
                      "9" * 30, "0x10"]),

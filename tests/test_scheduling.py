@@ -6,14 +6,12 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cwrsim.engine import EventQueue, RngStream
+from cwrsim.engine import RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
-from cwrsim.scheduling import (LowRttScheduler, PriorityFifoStreams,
-                               RedundantScheduler, ReservationScheduler,
+from cwrsim.scheduling import (GATE_PACKETS, PriorityFifoStreams,
                                ReservationLedger, RoundRobinStreams,
                                SendStream, make_path_scheduler,
                                make_stream_scheduler, reservation_bytes)
-from cwrsim.simulation import Node
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES, MIN_CWND,
                               PathSendState, packetize)
 
@@ -23,6 +21,14 @@ def path(path_id=1, cwnd=13_500, srtt=None, rtt=50_000):
     ps.cwnd = cwnd
     ps.srtt = srtt
     return ps
+
+
+def scheduler(name, paths):
+    """A path scheduler over idle 100 Mbit/s links: the serializer gate is
+    open at any time from 0 on."""
+    links = {p.path_id: OneWayLink(PathConfig(p.path_id, 25_000),
+                                   RngStream(1, p.path_id)) for p in paths}
+    return make_path_scheduler(name, paths, links)
 
 
 def stream_with(frames, stream_id=1, priority=True, now=0):
@@ -327,7 +333,7 @@ def test_drop_path_releases_its_reservations():
 
 def test_renewal_replaces_previous_reservation():
     paths = [path(1, cwnd=50_000)]
-    sched = ReservationScheduler(paths)
+    sched = scheduler("cwr", paths)
     sched.register_reservation(1, 10_800, 100_000)
     sched.register_reservation(1, 10_800, 200_000)
     assert live_rows(sched.ledger, 1) == [(1, 1, 10_800, 200_000)]
@@ -335,7 +341,7 @@ def test_renewal_replaces_previous_reservation():
 
 def test_reservations_pool_across_sources():
     paths = [path(1, cwnd=50_000)]
-    sched = ReservationScheduler(paths)
+    sched = scheduler("cwr", paths)
     sched.register_reservation(1, 10_800, 100_000)
     sched.register_reservation(2, 8_100, 100_000)
     # either source's priority packets may consume the pooled space
@@ -345,10 +351,10 @@ def test_reservations_pool_across_sources():
 
 def test_reservation_paths_per_scheduler():
     p1, p2 = path(1, srtt=100_000), path(2, srtt=50_000)
-    assert LowRttScheduler([p1, p2]).reservation_paths() == []
-    assert ReservationScheduler([p1, p2]).reservation_paths() == [p2]
-    assert RedundantScheduler([p1, p2]).reservation_paths() == [p2, p1]
-    sched = LowRttScheduler([p1, p2])
+    assert scheduler("lowrtt", [p1, p2]).reservation_paths() == []
+    assert scheduler("cwr", [p1, p2]).reservation_paths() == [p2]
+    assert scheduler("cwr_red", [p1, p2]).reservation_paths() == [p2, p1]
+    sched = scheduler("lowrtt", [p1, p2])
     assert sched.register_reservation(1, 10_800, 100_000) == []
     assert sched.ledger.active_bytes(1) == sched.ledger.active_bytes(2) == 0
 
@@ -405,7 +411,7 @@ def ledger_states(draw):
         if size > p.cwnd - p.in_flight:
             break
         p.register_sent(Frame(9, 0, i * 1300, size - 50, False, False), t)
-    sched = make_path_scheduler(draw(st.sampled_from(["cwr", "cwr_red"])), [p])
+    sched = scheduler(draw(st.sampled_from(["cwr", "cwr_red"])), [p])
     ledger = sched.ledger
     for source, size, due in draw(st.lists(st.tuples(
             st.integers(1, 3), st.integers(0, 15_000),
@@ -430,31 +436,57 @@ def test_admitted_background_keeps_reservations_whole_when_due(state):
     bg = SendStream(0, False, background=True)
     if sched.admit(bg, frame, False, NOW):
         assert not full_scan_at_risk(sched.ledger, p, frame.packet_bytes, NOW)
-    k = sched.background_room(p)
+    k = sched.background_room(p, NOW)
     if k > 0:
         for i in range(k - 1):
             p.register_sent(bg_frame(i * 1300), NOW)
         assert not full_scan_at_risk(sched.ledger, p, MAX_PACKET_BYTES, NOW)
 
 
-def test_background_room_leaves_reserved_bytes_and_follows_the_gate():
-    engine = EventQueue()
-    engine.now = 1_000_000
-    rate = 100_000_000
-    link = OneWayLink(PathConfig(1, 25_000, rate_bps=rate), RngStream(1, 0))
+def gated_path(rate=100_000_000):
+    """A cwr scheduler on one path, and that path's link for the test to load."""
     ps = PathSendState(1, 50_000)
-    node = Node("server", engine, [ps], {1: link}, "pfifo", "cwr")
-    sched = node.path_sched
+    link = OneWayLink(PathConfig(1, 25_000, rate_bps=rate), RngStream(1, 0))
+    return make_path_scheduler("cwr", [ps], {1: link}), ps, link
+
+
+def test_background_room_leaves_reserved_bytes_and_follows_the_gate():
+    now = 1_000_000
+    sched, ps, link = gated_path()
     ps.cwnd = 20 * MAX_PACKET_BYTES
     sched.register_reservation(1, 15 * MAX_PACKET_BYTES, 2_000_000)
-    assert sched.background_room(ps) == 5
+    assert sched.background_room(ps, now) == 5
     sched.register_reservation(1, 4 * MAX_PACKET_BYTES, 2_000_000)
-    assert sched.background_room(ps) == 6  # the gate takes six at most
-    link.busy_until = engine.now + 6 * serialization_us(MAX_PACKET_BYTES, rate)
+    assert sched.background_room(ps, now) == GATE_PACKETS  # window fits 16
+    drain = serialization_us(MAX_PACKET_BYTES, link.rate_bps)
+    link.busy_until = now + GATE_PACKETS * drain
     sched.gated_wake = None
-    assert sched.background_room(ps) == 0
-    assert sched.gated_wake is not None
-    assert sched.gated_wake == node._link_ready(1)
+    assert sched.background_room(ps, now) == 0
+    assert sched.gated_wake == link.busy_until - drain + 1
+    # a full window holds the path back, not the gate: no wake is set
+    sched.register_reservation(1, 20 * MAX_PACKET_BYTES, 2_000_000)
+    sched.gated_wake = None
+    assert sched.background_room(ps, now) == 0
+    assert sched.gated_wake is None
+
+
+def test_admit_gates_every_non_priority_first_transmission():
+    now = 1_000_000
+    sched, ps, link = gated_path()
+    drain = serialization_us(MAX_PACKET_BYTES, link.rate_bps)
+    link.busy_until = now + GATE_PACKETS * drain
+    message = stream_with([Frame(2, 0, 0, 1300, True, False, message_id=4)],
+                          stream_id=2, priority=False)
+    app_ack = stream_with(packetize(3, 0, 1, False, 5, app_ack=True),
+                          stream_id=3, priority=False)
+    background = SendStream(0, False, background=True)
+    for stream in (message, app_ack, background):
+        assert sched.admit(stream, stream.peek_pending(), False, now) == ()
+        assert sched.gated_wake == link.busy_until - drain + 1
+    urgent = stream_with([pri_frame()])
+    assert sched.admit(urgent, urgent.peek_pending(), False, now) == (ps,)
+    assert sched.admit(message, message.peek_pending(), True, now,
+                       rtx_path=1) == (ps,)
 
 
 # -- serializer gate -----------------------------------------------------------
@@ -466,46 +498,51 @@ def test_background_room_leaves_reserved_bytes_and_follows_the_gate():
 @example(100_000_000, 6, -1)
 @example(100_000_000, 6, 0)
 def test_gate_room_counts_the_sends_the_gate_accepts(rate, slots, jitter):
-    engine = EventQueue()
-    engine.now = 1_000_000
-    link = OneWayLink(PathConfig(1, 25_000, rate_bps=rate), RngStream(1, 0))
-    node = Node("server", engine, [PathSendState(1, 50_000)], {1: link},
-                "pfifo", "lowrtt")
-    link.busy_until = engine.now + slots * serialization_us(MAX_PACKET_BYTES,
-                                                            rate) + jitter
-    room = node._gate_room(1)
+    now = 1_000_000
+    sched, _ps, link = gated_path(rate)
+    drain = serialization_us(MAX_PACKET_BYTES, rate)
+    link.busy_until = now + slots * drain + jitter
+    room = sched.gate_room(1, now)
+    # reference: a send enters while the backlog is under GATE_PACKETS
+    # serialization times of a max packet
     accepted = 0
-    while node._link_ready(1) is None and accepted <= 7:
-        link.send(MAX_PACKET_BYTES, True, engine.now)
+    while link.busy_until - now < GATE_PACKETS * drain \
+            and accepted <= GATE_PACKETS + 1:
+        link.send(MAX_PACKET_BYTES, True, now)
         accepted += 1
     assert room == accepted
+    # once closed, the gate wakes its caller when it takes a full batch again
+    sched.gated_wake = None
+    assert sched.gate_room(1, now) == 0
+    assert sched.gated_wake > now
+    assert sched.gate_room(1, sched.gated_wake) == GATE_PACKETS
 
 
 # -- path schedulers ---------------------------------------------------------
 
 def test_lowrtt_picks_lowest_srtt():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
-    sched = LowRttScheduler([p1, p2])
+    sched = scheduler("lowrtt", [p1, p2])
     assert sched.admit(None, bg_frame(), False, 0) == (p1,)
 
 
 def test_lowrtt_falls_back_when_best_is_full():
     p1, p2 = path(1, srtt=50_000, cwnd=2_700), path(2, srtt=100_000)
     p1.in_flight = 2_700
-    sched = LowRttScheduler([p1, p2])
+    sched = scheduler("lowrtt", [p1, p2])
     assert sched.admit(None, bg_frame(), False, 0) == (p2,)
 
 
 def test_lowrtt_blocked_when_all_full():
     p1, p2 = path(1, cwnd=2_700), path(2, cwnd=2_700)
     p1.in_flight = p2.in_flight = 2_700
-    sched = LowRttScheduler([p1, p2])
+    sched = scheduler("lowrtt", [p1, p2])
     assert sched.admit(None, bg_frame(), False, 0) == ()
 
 
 def test_lowrtt_tie_breaks_by_path_id():
     p2, p1 = path(2, srtt=50_000), path(1, srtt=50_000)
-    sched = LowRttScheduler([p2, p1])
+    sched = scheduler("lowrtt", [p2, p1])
     assert sched.admit(None, bg_frame(), False, 0) == (p1,)
 
 
@@ -515,7 +552,7 @@ def test_cwr_window_reservation_walkthrough():
     # rest of the window stays reserved, and the message sends immediately
     # when it arrives
     p1 = path(1, cwnd=4 * 1350, srtt=50_000)
-    sched = ReservationScheduler([p1])
+    sched = scheduler("cwr", [p1])
     sched.register_reservation(1, 3 * 1350, due_time=30_000)
 
     background = SendStream(0, False, background=True)
@@ -536,7 +573,7 @@ def test_cwr_window_reservation_walkthrough():
 
 def test_cwr_priority_uses_raw_free_window():
     p1 = path(1, cwnd=11_000, srtt=50_000)
-    sched = ReservationScheduler([p1])
+    sched = scheduler("cwr", [p1])
     sched.register_reservation(1, 10_800, due_time=50_000)
     # 11 000 - 10 800 = 200 blocks background; priority checks raw free window
     assert sched.admit(SendStream(0, False, True), bg_frame(), False, 0) == ()
@@ -546,21 +583,21 @@ def test_cwr_priority_uses_raw_free_window():
 
 def test_cwr_without_reservations_behaves_like_lowrtt():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
-    sched = ReservationScheduler([p1, p2])
+    sched = scheduler("cwr", [p1, p2])
     assert sched.admit(SendStream(0, False, True), bg_frame(), False, 0) == (p1,)
 
 
 def test_cwr_priority_falls_back_across_paths():
     p1, p2 = path(1, srtt=50_000, cwnd=2_700), path(2, srtt=100_000)
     p1.in_flight = 2_700
-    sched = ReservationScheduler([p1, p2])
+    sched = scheduler("cwr", [p1, p2])
     msg = stream_with([pri_frame()])
     assert sched.admit(msg, msg.peek_pending(), False, 0) == (p2,)
 
 
 def test_cwr_red_duplicates_on_all_paths_when_room_everywhere():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=27_000)
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
     assert drain(sched, msg) == [(1, 2), (1, 2)]
     assert msg.dup_mode == "all"
@@ -569,7 +606,7 @@ def test_cwr_red_duplicates_on_all_paths_when_room_everywhere():
 def test_cwr_red_refrains_when_one_path_cannot_hold_whole_message():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=2_700)
     p2.in_flight = 2_000
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
     assert drain(sched, msg) == [(1,), (1,)]
     assert msg.dup_mode == "off"
@@ -580,7 +617,7 @@ def test_cwr_red_splits_across_paths_when_sum_suffices():
     # 8 packets, path 1 fits 5, path 2 fits 3: split, no duplicates
     p1 = path(1, srtt=50_000, cwnd=5 * 1350)
     p2 = path(2, srtt=100_000, cwnd=3 * 1350)
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(packetize(1, 0, 10_000, True, message_id=3))
     plan = drain(sched, msg)
     assert plan == [(1,)] * 5 + [(2,)] * 3
@@ -593,7 +630,7 @@ def test_cwr_red_sends_partially_when_sum_insufficient():
     p1 = path(1, srtt=50_000, cwnd=2_700)
     p2 = path(2, srtt=100_000, cwnd=2_700)
     p1.in_flight = p2.in_flight = 1_350
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(packetize(1, 0, 10_000, True, message_id=3))
     assert drain(sched, msg) == [(1,), (2,)]
     assert msg.dup_mode == "off"
@@ -606,7 +643,7 @@ def test_cwr_red_sends_partially_when_sum_insufficient():
 
 def test_cwr_red_never_duplicates_retransmissions():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=27_000)
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with([pri_frame()])
     assert sched.admit(msg, pri_frame(), True, 0) == (p1,)
 
@@ -616,7 +653,7 @@ def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
     # alone, to the next-lowest-RTT path that still fits it
     p1, p2, p3 = (path(1, srtt=50_000), path(2, srtt=100_000),
                   path(3, srtt=150_000))
-    sched = RedundantScheduler([p1, p2, p3])
+    sched = scheduler("cwr_red", [p1, p2, p3])
     msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
     assert sched.admit(msg, msg.pop_pending(), False, 0) == (p1, p2, p3)
     assert msg.dup_mode == "all"
@@ -627,7 +664,7 @@ def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
 
 def test_cwr_red_short_packet_waits_when_no_path_fits():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
     assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1, p2)
     assert msg.dup_mode == "all"
@@ -642,7 +679,7 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
     # together they fill it, so A's last packet goes to path 1 alone
     p1 = path(1, srtt=50_000, cwnd=27_000)
     p2 = path(2, srtt=100_000, cwnd=4 * MAX_PACKET_BYTES)
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     a = stream_with(packetize(1, 0, 3 * 1300, True, message_id=1), stream_id=1)
     b = stream_with(packetize(2, 0, 2 * 1300, True, message_id=2), stream_id=2)
     sent = []
@@ -660,7 +697,7 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
 
 def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
-    sched = RedundantScheduler([p1, p2])
+    sched = scheduler("cwr_red", [p1, p2])
     rows = sched.register_reservation(1, 10_800, 50_000)
     assert {r.path_id for r in rows} == {1, 2}
     bg = SendStream(0, False, True)
@@ -670,8 +707,8 @@ def test_cwr_red_background_follows_reservation_rules_on_all_paths():
 
 def test_make_path_scheduler_names():
     paths = [path(1)]
-    assert make_path_scheduler("lowrtt", paths).name == "lowrtt"
-    assert make_path_scheduler("cwr", paths).name == "cwr"
-    assert make_path_scheduler("cwr_red", paths).name == "cwr_red"
+    assert scheduler("lowrtt", paths).name == "lowrtt"
+    assert scheduler("cwr", paths).name == "cwr"
+    assert scheduler("cwr_red", paths).name == "cwr_red"
     with pytest.raises(ValueError):
-        make_path_scheduler("rtt", paths)
+        scheduler("rtt", paths)

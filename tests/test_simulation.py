@@ -218,8 +218,7 @@ def test_ca_growth_bounds_per_window_at_full_load():
     m = res.metrics
     for path_id in (1, 2):
         samples = m.cwnd_samples[path_id]
-        times = [t for t, _ in samples]
-        values = [v for _, v in samples]
+        times, values = samples.times, samples.values
         from bisect import bisect_right
 
         def cwnd_at(t):
