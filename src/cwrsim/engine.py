@@ -20,11 +20,11 @@ class EventQueue:
     Times are integer microseconds of virtual time. Events scheduled for the
     same instant dispatch in insertion order. A queue entry is the list
     [time, seq, fn, args]. Cancellation is lazy: it sets the entry's fn to
-    None, and the entry is skipped when it surfaces.
+    None, and the entry is skipped when it surfaces. `checker` runs every
+    `check_interval` dispatched events and when `run_until` returns.
     """
 
-    def __init__(self, checker: Callable[[], None] | None = None,
-                 check_interval: int = 1024):
+    def __init__(self, checker: Callable[[], None], check_interval: int = 1024):
         self.now = 0
         self.dispatched = 0
         self._heap: list[list] = []
@@ -68,16 +68,14 @@ class EventQueue:
             self.now = entry[0]
             fn(*entry[3])
             count += 1
-            if checker is not None:
-                countdown -= 1
-                if countdown == 0:
-                    countdown = self._check_interval
-                    checker()
+            countdown -= 1
+            if countdown == 0:
+                countdown = self._check_interval
+                checker()
         self.dispatched += count
         if heap:
             self.now = t_end
-        if checker is not None:
-            checker()
+        checker()
         return count
 
 

@@ -2,43 +2,51 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .engine import SEED_MASK
-from .link import PathConfig
-from .scheduling import PATH_SCHEDULERS, STREAM_SCHEDULERS
+from .link import PathConfig, nominal_rtt_us, serialization_us
+from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from .traffic import DataSourceConfig
+from .transport import MAX_PACKET_BYTES
 
-_TOP_KEYS = {"duration_s", "duration_us", "seed", "stream_scheduler",
-             "path_scheduler", "background"}
-_PATH_KEYS = {"owd_us", "rtt_us", "rate_bps", "loss_rate", "ack_loss_enabled"}
-_SOURCE_KEYS = {"inter_arrival_us", "message_size_bytes", "priority",
-                "start_offset_us"}
 # the metrics allocate every throughput bin of the horizon before the run
 # starts; at the default 100 ms bin this allows 10,000 s
 MAX_THROUGHPUT_BINS = 100_000
 
 
 class ScenarioError(ValueError):
-    """Parse or validation failure, with the offending line when known."""
+    """Parse or validation failure, with the offending line when known.
 
-    def __init__(self, message: str, line: int | None = None):
+    `key` names what validate rejected: a field such as "duration_us", or
+    ("path", i) / ("source", i) for the i-th section. `reason` has no line."""
+
+    def __init__(self, message: str, line: int | None = None, key=None):
         self.line = line
+        self.key = key
+        self.reason = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
 
 
-def _check_horizon(duration_us: int | float, bin_width_us: int,
-                   line: int | None = None) -> None:
-    """Reject a horizon of more than MAX_THROUGHPUT_BINS throughput bins."""
-    longest = MAX_THROUGHPUT_BINS * bin_width_us
-    if duration_us > longest:
-        raise ScenarioError(
-            f"the run may last at most {longest} us "
-            f"({MAX_THROUGHPUT_BINS} throughput bins of {bin_width_us} us)",
-            line)
+def _require(obj, names: tuple[str, ...], kind, what: str, key=None) -> None:
+    """Reject a field of obj that is not a `kind` (a bool never counts)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ScenarioError(f"{name} must be {what}, got {value!r}",
+                                key=key or name)
+
+
+def _check_section(obj, ints: tuple[str, ...], key: tuple[str, int]) -> None:
+    """Type-check a path or source config, then apply its own range rules."""
+    _require(obj, ints, int, "an integer", key)
+    try:
+        obj.validate()
+    except ValueError as exc:
+        raise ScenarioError(str(exc), key=key) from None
 
 
 @dataclass
@@ -56,54 +64,74 @@ class ScenarioConfig:
     bin_width_us: int = 100_000
 
     def validate(self) -> None:
+        """Reject what the model cannot represent; every rule lives here."""
         if not self.paths:
             raise ScenarioError("at least one [path] section is required")
-        if self.duration_us <= 0:
-            raise ScenarioError("duration must be positive")
+        _require(self, ("bin_width_us", "warmup_us", "seed"), int,
+                 "an integer")
+        if self.bin_width_us <= 0:
+            raise ScenarioError("bin_width_us must be positive",
+                                key="bin_width_us")
+        longest = MAX_THROUGHPUT_BINS * self.bin_width_us
+        # held to the horizon before its type: a file's duration_s = 1e303
+        # arrives as an infinite float
+        if isinstance(self.duration_us, (int, float)) \
+                and self.duration_us > longest:
+            raise ScenarioError(
+                f"the run may last at most {longest} us "
+                f"({MAX_THROUGHPUT_BINS} throughput bins of "
+                f"{self.bin_width_us} us)", key="duration_us")
+        _require(self, ("duration_us",), int, "an integer")
         if not 0 <= self.warmup_us < self.duration_us:
             raise ScenarioError(
-                f"warmup_us must be in [0, duration_us = {self.duration_us}), "
-                f"got {self.warmup_us}")
-        if self.bin_width_us <= 0:
-            raise ScenarioError("bin_width_us must be positive")
-        _check_horizon(self.duration_us, self.bin_width_us)
+                f"the run must be longer than its warm-up: need 0 <= "
+                f"warmup_us < duration_us, got warmup_us = {self.warmup_us}, "
+                f"duration_us = {self.duration_us}", key="duration_us")
         if self.stream_scheduler not in STREAM_SCHEDULERS:
             raise ScenarioError(
-                f"stream_scheduler must be one of {STREAM_SCHEDULERS}")
+                f"stream_scheduler must be one of {STREAM_SCHEDULERS}, "
+                f"got {self.stream_scheduler!r}", key="stream_scheduler")
         if self.path_scheduler not in PATH_SCHEDULERS:
             raise ScenarioError(
-                f"path_scheduler must be one of {PATH_SCHEDULERS}")
-        seen = set()
-        for p in self.paths:
-            p.validate()
-            if p.path_id in seen:
-                raise ScenarioError(f"duplicate path_id {p.path_id}")
-            seen.add(p.path_id)
-        for s in self.sources:
-            s.validate()
+                f"path_scheduler must be one of {PATH_SCHEDULERS}, "
+                f"got {self.path_scheduler!r}", key="path_scheduler")
+        path_ids = set()
+        for i, p in enumerate(self.paths):
+            key = ("path", i)
+            _require(p, ("loss_rate",), (int, float), "a number", key)
+            _check_section(p, ("path_id", "owd_us", "rate_bps"), key)
+            if p.path_id in path_ids:
+                raise ScenarioError(f"duplicate path_id {p.path_id}", key=key)
+            path_ids.add(p.path_id)
+            # a packet is declared lost 9/8 of an RTT after its send; the
+            # serializer backlog it may queue behind (GATE_PACKETS max
+            # packets) must fit in that 1/8 margin, or queueing alone
+            # fires the loss alarm
+            backlog_us = GATE_PACKETS * serialization_us(MAX_PACKET_BYTES,
+                                                         p.rate_bps)
+            if 8 * backlog_us >= nominal_rtt_us(p):
+                raise ScenarioError(
+                    f"path {p.path_id}: outside the validity envelope: "
+                    f"{GATE_PACKETS} serializations of a {MAX_PACKET_BYTES} B "
+                    f"packet take {backlog_us} us, which must be under an "
+                    f"eighth of the {nominal_rtt_us(p)} us RTT", key=key)
+        source_ids = set()
+        for i, s in enumerate(self.sources):
+            key = ("source", i)
+            _check_section(s, ("source_id", "inter_arrival_us",
+                               "message_size_bytes", "start_offset_us"), key)
+            if s.source_id in source_ids:
+                raise ScenarioError(f"duplicate source_id {s.source_id}",
+                                    key=key)
+            source_ids.add(s.source_id)
         self.seed &= SEED_MASK
 
     def to_dict(self) -> dict:
-        return {
-            "duration_us": self.duration_us,
-            "seed": self.seed,
-            "stream_scheduler": self.stream_scheduler,
-            "path_scheduler": self.path_scheduler,
-            "background": self.background,
-            "warmup_us": self.warmup_us,
-            "bin_width_us": self.bin_width_us,
-            "paths": [{
-                "path_id": p.path_id, "owd_us": p.owd_us, "rate_bps": p.rate_bps,
-                "loss_rate": p.loss_rate, "ack_loss_enabled": p.ack_loss_enabled,
-            } for p in self.paths],
-            "sources": [{
-                "source_id": s.source_id,
-                "inter_arrival_us": s.inter_arrival_us,
-                "message_size_bytes": s.message_size_bytes,
-                "priority": s.priority,
-                "start_offset_us": s.start_offset_us,
-            } for s in self.sources],
-        }
+        """The config as plain data, minus the paths' forced-loss test hook."""
+        config = asdict(self)
+        for p in config["paths"]:
+            del p["forced_data_losses"]
+        return config
 
 
 def _parse_bool(raw: str, line: int) -> bool:
@@ -132,18 +160,40 @@ def _parse_float(raw: str, line: int) -> float:
     return value
 
 
+def _parse_text(raw: str, line: int) -> str:
+    return raw
+
+
+# each section's vocabulary: key -> parser of its value
+_TOP_KEYS = {"duration_s": _parse_float, "duration_us": _parse_int,
+             "seed": _parse_int, "stream_scheduler": _parse_text,
+             "path_scheduler": _parse_text, "background": _parse_bool}
+_PATH_KEYS = {"owd_us": _parse_int, "rtt_us": _parse_int,
+              "rate_bps": _parse_int, "loss_rate": _parse_float,
+              "ack_loss_enabled": _parse_bool}
+_SOURCE_KEYS = {"inter_arrival_us": _parse_int,
+                "message_size_bytes": _parse_int, "priority": _parse_bool,
+                "start_offset_us": _parse_int}
+_SECTION_KEYS = {"path": _PATH_KEYS, "source": _SOURCE_KEYS}
+
+
 def parse_scenario(path: str | Path) -> ScenarioConfig:
-    """Read a scenario file; raises ScenarioError with a line number on defects."""
+    """Read a scenario file into a validated ScenarioConfig.
+
+    Parsing owns only the file's vocabulary: sections, keys, value syntax,
+    the key pairs that exclude each other and the required keys.
+    ScenarioConfig.validate owns every range and consistency rule; its
+    ScenarioError is raised again naming the line that set the rejected
+    field, or the rejected section's header line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(
             f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
-    top: dict[str, tuple[str, int]] = {}
-    path_sections: list[tuple[int, dict[str, tuple[str, int]]]] = []
-    source_sections: list[tuple[int, dict[str, tuple[str, int]]]] = []
-    current: dict[str, tuple[str, int]] | None = top
-    current_keys = _TOP_KEYS
+    top = {}  # key -> (parsed value, line)
+    sections = {"path": [], "source": []}
+    current, vocabulary = top, _TOP_KEYS
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,121 +201,60 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section == "path":
-                current = {}
-                current_keys = _PATH_KEYS
-                path_sections.append((lineno, current))
-            elif section == "source":
-                current = {}
-                current_keys = _SOURCE_KEYS
-                source_sections.append((lineno, current))
-            else:
+            if section not in _SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{section}]", lineno)
+            current, vocabulary = {}, _SECTION_KEYS[section]
+            sections[section].append((lineno, current))
             continue
         if "=" not in line:
             raise ScenarioError(f"expected key = value, got {line!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if key not in current_keys:
+        if key not in vocabulary:
             raise ScenarioError(f"unknown key {key!r}", lineno)
         if key in current:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
-        current[key] = (value, lineno)
+        current[key] = (vocabulary[key](value.strip(), lineno), lineno)
 
+    if "duration_s" in top:
+        if "duration_us" in top:
+            raise ScenarioError("give duration_s or duration_us, not both",
+                                top["duration_us"][1])
+        seconds, ln = top.pop("duration_s")
+        micros = seconds * 1_000_000  # inf past the float range
+        top["duration_us"] = (round(micros) if math.isfinite(micros)
+                              else micros, ln)
     config = ScenarioConfig(paths=[])
+    lines: dict[str | tuple[str, int], int] = {}
+    for key, (value, ln) in top.items():
+        setattr(config, key, value)
+        lines[key] = ln
 
-    if "duration_s" in top and "duration_us" in top:
-        raise ScenarioError("give duration_s or duration_us, not both",
-                            top["duration_us"][1])
-    if "duration_s" in top or "duration_us" in top:
-        # the default horizon is inside both bounds; only a duration line
-        # can leave them
-        key = "duration_s" if "duration_s" in top else "duration_us"
-        raw, ln = top[key]
-        if key == "duration_s":
-            seconds = _parse_float(raw, ln)
-            if seconds <= 0:
-                raise ScenarioError("duration_s must be positive", ln)
-            micros = seconds * 1_000_000  # inf past the float range
-        else:
-            micros = _parse_int(raw, ln)
-        _check_horizon(micros, config.bin_width_us, ln)
-        config.duration_us = int(round(micros))
-        if config.duration_us <= config.warmup_us:
-            raise ScenarioError(
-                f"the run must be longer than the {config.warmup_us} us "
-                f"warm-up, got {config.duration_us} us", ln)
-    if "seed" in top:
-        raw, ln = top["seed"]
-        config.seed = _parse_int(raw, ln)
-    if "stream_scheduler" in top:
-        raw, ln = top["stream_scheduler"]
-        if raw not in STREAM_SCHEDULERS:
-            raise ScenarioError(
-                f"stream_scheduler must be one of {STREAM_SCHEDULERS}, "
-                f"got {raw!r}", ln)
-        config.stream_scheduler = raw
-    if "path_scheduler" in top:
-        raw, ln = top["path_scheduler"]
-        if raw not in PATH_SCHEDULERS:
-            raise ScenarioError(
-                f"path_scheduler must be one of {PATH_SCHEDULERS}, got {raw!r}",
-                ln)
-        config.path_scheduler = raw
-    if "background" in top:
-        raw, ln = top["background"]
-        config.background = _parse_bool(raw, ln)
-
-    for section_line, keys in path_sections:
-        if "owd_us" in keys and "rtt_us" in keys:
-            raise ScenarioError("give owd_us or rtt_us, not both",
-                                keys["rtt_us"][1])
-        if "owd_us" in keys:
-            owd = _parse_int(*keys["owd_us"])
-        elif "rtt_us" in keys:
-            raw, ln = keys["rtt_us"]
-            rtt = _parse_int(raw, ln)
+    for i, (section_line, keys) in enumerate(sections["path"]):
+        if "rtt_us" in keys:
+            rtt, ln = keys.pop("rtt_us")
+            if "owd_us" in keys:
+                raise ScenarioError("give owd_us or rtt_us, not both", ln)
             if rtt % 2:
                 # forward and reverse one-way delays are equal whole us
                 raise ScenarioError(f"rtt_us must be even, got {rtt}", ln)
-            owd = rtt // 2
-        else:
+            keys["owd_us"] = (rtt // 2, ln)
+        if "owd_us" not in keys:
             raise ScenarioError("path needs owd_us or rtt_us", section_line)
-        pcfg = PathConfig(path_id=len(config.paths) + 1, owd_us=owd)
-        if "rate_bps" in keys:
-            pcfg.rate_bps = _parse_int(*keys["rate_bps"])
-        if "loss_rate" in keys:
-            raw, ln = keys["loss_rate"]
-            pcfg.loss_rate = _parse_float(raw, ln)
-            if not 0.0 <= pcfg.loss_rate < 1.0:
-                raise ScenarioError("loss_rate must be in [0, 1)", ln)
-        if "ack_loss_enabled" in keys:
-            pcfg.ack_loss_enabled = _parse_bool(*keys["ack_loss_enabled"])
-        try:
-            pcfg.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc), section_line) from None
-        config.paths.append(pcfg)
+        config.paths.append(PathConfig(
+            path_id=i + 1, **{k: v for k, (v, _) in keys.items()}))
+        lines["path", i] = section_line
 
-    for section_line, keys in source_sections:
+    for i, (section_line, keys) in enumerate(sections["source"]):
         for required in ("inter_arrival_us", "message_size_bytes"):
             if required not in keys:
                 raise ScenarioError(f"source needs {required}", section_line)
-        scfg = DataSourceConfig(
-            source_id=len(config.sources) + 1,
-            inter_arrival_us=_parse_int(*keys["inter_arrival_us"]),
-            message_size_bytes=_parse_int(*keys["message_size_bytes"]),
-        )
-        if "priority" in keys:
-            scfg.priority = _parse_bool(*keys["priority"])
-        if "start_offset_us" in keys:
-            scfg.start_offset_us = _parse_int(*keys["start_offset_us"])
-        try:
-            scfg.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc), section_line) from None
-        config.sources.append(scfg)
+        config.sources.append(DataSourceConfig(
+            source_id=i + 1, **{k: v for k, (v, _) in keys.items()}))
+        lines["source", i] = section_line
 
-    config.validate()
+    try:
+        config.validate()
+    except ScenarioError as exc:
+        raise ScenarioError(exc.reason, lines.get(exc.key), exc.key) from None
     return config

@@ -5,8 +5,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwrsim.cli import main
+from cwrsim.link import serialization_us
+from cwrsim.scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
+from cwrsim.transport import MAX_PACKET_BYTES
 
 SCENARIO = """
 duration_s = 2
@@ -77,6 +81,53 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("[path]\nloss_rate = 2.0\nowd_us = 10\n")
     assert main(["simulate", str(bad)]) == 1
     assert "line" in capsys.readouterr().err
+
+
+def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
+    # 2 Mbit/s: one 1350 B packet serializes in 5.4 ms, more than the RTT
+    slow = tmp_path / "slow.scn"
+    slow.write_text("duration_s = 3\n\n[path]\nrtt_us = 5000\n"
+                    "rate_bps = 2000000\n")
+    assert main(["simulate", str(slow), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {slow}: line 3: path 1: outside the validity envelope")
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def envelope_scenarios(draw) -> str:
+    """Small scenario files inside the validity envelope, just over the
+    1 s warm-up."""
+    lines = [f"duration_us = {draw(st.integers(1_000_001, 1_200_000))}",
+             f"seed = {draw(st.integers(0, 2 ** 32))}",
+             f"path_scheduler = {draw(st.sampled_from(PATH_SCHEDULERS))}",
+             f"stream_scheduler = {draw(st.sampled_from(STREAM_SCHEDULERS))}",
+             f"background = {draw(st.booleans())}"]
+    for _ in range(draw(st.integers(1, 2))):
+        rate = draw(st.sampled_from([10_000_000, 20_000_000, 100_000_000]))
+        # the RTT, twice owd_us, must exceed 8 * GATE_PACKETS serializations
+        low = 4 * GATE_PACKETS * serialization_us(MAX_PACKET_BYTES, rate) + 1
+        lines += ["[path]", f"owd_us = {draw(st.integers(low, 100_000))}",
+                  f"rate_bps = {rate}",
+                  f"loss_rate = {draw(st.sampled_from([0, 0.0005, 0.02]))}"]
+    for _ in range(draw(st.integers(0, 3))):
+        lines += [
+            "[source]",
+            f"inter_arrival_us = {draw(st.integers(20_000, 200_000))}",
+            f"message_size_bytes = {draw(st.integers(100, 20_000))}",
+            f"priority = {draw(st.booleans())}",
+            f"start_offset_us = {draw(st.integers(0, 300_000))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=envelope_scenarios())
+def test_any_envelope_scenario_runs_or_reports_an_invariant(tmp_path_factory,
+                                                            text):
+    tmp = tmp_path_factory.mktemp("run")
+    scn = tmp / "case.scn"
+    scn.write_text(text)
+    assert main(["simulate", str(scn), "--out", str(tmp / "out")]) in (0, 2)
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -7,8 +7,12 @@ from hypothesis import given, strategies as st
 from cwrsim.engine import EventQueue, InvariantError, RngStream
 
 
+def no_check() -> None:
+    """Invariant checker for queues that carry no simulation."""
+
+
 def test_events_fire_in_time_order():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     fired = []
     q.schedule(25_108, lambda: fired.append("late"))
     q.schedule(10, lambda: fired.append("early"))
@@ -18,7 +22,7 @@ def test_events_fire_in_time_order():
 
 
 def test_same_time_events_fire_in_insertion_order():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     fired = []
     for tag in ("a", "b", "c"):
         q.schedule(42, lambda t=tag: fired.append(t))
@@ -27,7 +31,7 @@ def test_same_time_events_fire_in_insertion_order():
 
 
 def test_cancel_prevents_dispatch():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     fired = []
     handle = q.schedule(10, lambda: fired.append("nope"))
     q.schedule(20, lambda: fired.append("yes"))
@@ -37,7 +41,7 @@ def test_cancel_prevents_dispatch():
 
 
 def test_scheduling_in_the_past_is_fatal():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     q.schedule(10, lambda: None)
     q.run_until(10)
     with pytest.raises(InvariantError):
@@ -45,13 +49,13 @@ def test_scheduling_in_the_past_is_fatal():
 
 
 def test_run_until_empty_queue():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     assert q.run_until(10_000_000) == 0
     assert q.now == 0
 
 
 def test_run_until_boundary_inclusive_and_count():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     for t in (1_000_000, 2_000_000, 3_000_000):
         q.schedule(t, lambda: None)
     assert q.run_until(2_000_000) == 2
@@ -59,14 +63,14 @@ def test_run_until_boundary_inclusive_and_count():
 
 
 def test_clock_stays_at_last_event_when_queue_drains():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     q.schedule(1_500, lambda: None)
     q.run_until(9_999)
     assert q.now == 1_500
 
 
 def test_events_scheduled_during_dispatch_run_in_same_window():
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     fired = []
     q.schedule(10, lambda: (fired.append("first"),
                             q.schedule(20, lambda: fired.append("child"))))
@@ -77,7 +81,7 @@ def test_events_scheduled_during_dispatch_run_in_same_window():
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                 max_size=50))
 def test_dispatch_order_is_sorted_by_time_then_insertion(times):
-    q = EventQueue()
+    q = EventQueue(checker=no_check)
     log = []
     for seq, t in enumerate(times):
         q.schedule(t, lambda seq=seq: log.append((q.now, seq)))

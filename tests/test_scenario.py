@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cwrsim.scenario import (_PATH_KEYS, _SOURCE_KEYS, _TOP_KEYS,
                              ScenarioConfig, ScenarioError, parse_scenario)
 from cwrsim.link import PathConfig
+from cwrsim.simulation import Simulation
+from cwrsim.traffic import DataSourceConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,41 +56,42 @@ def test_odd_rtt_us_rejected_with_its_line(tmp_path):
 
 def test_scheduler_enum_mapping(tmp_path):
     cfg = parse_scenario(write(tmp_path,
-                               "path_scheduler = cwr_red\n[path]\nowd_us = 10\n"))
+                               "path_scheduler = cwr_red\n[path]\nowd_us = 25000\n"))
     assert cfg.path_scheduler == "cwr_red"
 
 
 def test_unknown_key_reports_line_number(tmp_path):
     with pytest.raises(ScenarioError, match="line 3"):
-        parse_scenario(write(tmp_path, "seed = 1\n\nowd = 5\n[path]\nowd_us = 1\n"))
+        parse_scenario(write(tmp_path, "seed = 1\n\nowd = 5\n[path]\nowd_us = 25000\n"))
 
 
 def test_invalid_loss_rate_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="loss_rate"):
-        parse_scenario(write(tmp_path, "[path]\nowd_us = 10\nloss_rate = 1.5\n"))
+        parse_scenario(write(tmp_path, "[path]\nowd_us = 25000\nloss_rate = 1.5\n"))
 
 
 def test_missing_required_keys(tmp_path):
     with pytest.raises(ScenarioError, match="owd_us or rtt_us"):
         parse_scenario(write(tmp_path, "[path]\nrate_bps = 1000\n"))
     with pytest.raises(ScenarioError, match="inter_arrival_us"):
-        parse_scenario(write(tmp_path,
-                             "[path]\nowd_us = 10\n[source]\nmessage_size_bytes = 5\n"))
+        parse_scenario(write(tmp_path, "[path]\nowd_us = 25000\n"
+                                       "[source]\nmessage_size_bytes = 5\n"))
 
 
 def test_bad_enum_rejected_with_line(tmp_path):
     with pytest.raises(ScenarioError, match="line 1"):
-        parse_scenario(write(tmp_path, "path_scheduler = fastest\n[path]\nowd_us = 1\n"))
+        parse_scenario(write(tmp_path, "path_scheduler = fastest\n"
+                                       "[path]\nowd_us = 25000\n"))
 
 
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="unknown section"):
-        parse_scenario(write(tmp_path, "[link]\nowd_us = 1\n"))
+        parse_scenario(write(tmp_path, "[link]\nowd_us = 25000\n"))
 
 
 def test_duplicate_key_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="duplicate key"):
-        parse_scenario(write(tmp_path, "seed = 1\nseed = 2\n[path]\nowd_us = 1\n"))
+        parse_scenario(write(tmp_path, "seed = 1\nseed = 2\n[path]\nowd_us = 25000\n"))
 
 
 def test_no_paths_rejected(tmp_path):
@@ -102,7 +105,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
         seed = 9   # trailing comment
 
         [path]
-        owd_us = 100
+        owd_us = 25000
     """))
     assert cfg.seed == 9
 
@@ -111,22 +114,23 @@ def test_validate_catches_bad_programmatic_config():
     with pytest.raises(ScenarioError):
         ScenarioConfig(paths=[]).validate()
     with pytest.raises(ScenarioError):
-        ScenarioConfig(paths=[PathConfig(1, 10)], stream_scheduler="lifo").validate()
-    cfg = ScenarioConfig(paths=[PathConfig(1, 10)], seed=2 ** 70)
+        ScenarioConfig(paths=[PathConfig(1, 25_000)],
+                       stream_scheduler="lifo").validate()
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], seed=2 ** 70)
     cfg.validate()
     assert cfg.seed < 2 ** 64
 
 
 @pytest.mark.parametrize("bin_width_us", [0, -100_000])
 def test_validate_rejects_nonpositive_bin_width(bin_width_us):
-    cfg = ScenarioConfig(paths=[PathConfig(1, 10)], bin_width_us=bin_width_us)
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], bin_width_us=bin_width_us)
     with pytest.raises(ScenarioError, match="bin_width_us"):
         cfg.validate()
 
 
 @pytest.mark.parametrize("warmup_us", [-1, 2_000_000, 3_000_000])
 def test_validate_rejects_warmup_outside_the_horizon(warmup_us):
-    cfg = ScenarioConfig(paths=[PathConfig(1, 10)], duration_us=2_000_000,
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], duration_us=2_000_000,
                          warmup_us=warmup_us)
     with pytest.raises(ScenarioError, match="warmup_us"):
         cfg.validate()
@@ -135,14 +139,14 @@ def test_validate_rejects_warmup_outside_the_horizon(warmup_us):
 def test_short_scenario_file_inside_the_default_warmup_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="warm-up") as info:
         parse_scenario(write(tmp_path,
-                             "seed = 3\nduration_s = 0.5\n[path]\nowd_us = 10\n"))
+                             "seed = 3\nduration_s = 0.5\n[path]\nowd_us = 25000\n"))
     assert info.value.line == 2
 
 
 @pytest.mark.parametrize("line", ["duration_us = 1000000", "duration_us = -5"])
 def test_duration_us_inside_the_default_warmup_names_its_line(tmp_path, line):
     with pytest.raises(ScenarioError, match="warm-up") as info:
-        parse_scenario(write(tmp_path, f"# horizon\n{line}\n[path]\nowd_us = 10\n"))
+        parse_scenario(write(tmp_path, f"# horizon\n{line}\n[path]\nowd_us = 25000\n"))
     assert info.value.line == 2
 
 
@@ -178,6 +182,60 @@ def test_to_dict_round_trips_scenario_fields():
     d = cfg.to_dict()
     assert d["paths"][0]["owd_us"] == 25_000
     assert d["path_scheduler"] == "cwr"
+
+
+@pytest.mark.parametrize("owd_us, accepted", [(2_592, False), (2_593, True)])
+def test_validity_envelope_boundary_names_the_path_line(tmp_path, owd_us,
+                                                        accepted):
+    # at 100 Mbit/s six 1350 B serializations take 648 us, and the RTT must
+    # exceed eight times that: 5184 us
+    p = write(tmp_path, f"[path]\nowd_us = 25000\n[path]\nowd_us = {owd_us}\n")
+    if accepted:
+        assert parse_scenario(p).paths[1].owd_us == owd_us
+    else:
+        with pytest.raises(ScenarioError, match="validity envelope") as info:
+            parse_scenario(p)
+        assert info.value.line == 3
+
+
+def test_programmatic_path_outside_the_envelope_rejected():
+    cfg = ScenarioConfig(paths=[PathConfig(1, 100)])  # 200 us RTT
+    with pytest.raises(ScenarioError, match="path 1: outside the validity"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("[path]\nowd_us = 25000\nloss_rate = 1.5\n", 2),
+    ("[path]\nowd_us = 25000\n[source]\ninter_arrival_us = 0\n"
+     "message_size_bytes = 100\n", 4)])
+def test_section_range_error_names_the_section_line(tmp_path, section, line):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(write(tmp_path, f"seed = 1\n{section}"))
+    assert info.value.line == line
+
+
+def _config(**fields):
+    return ScenarioConfig(**{"paths": [PathConfig(1, 25_000)],
+                             "duration_us": 2_000_000, **fields})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _config(duration_us=2.5e6),
+    lambda: _config(seed=1.0),
+    lambda: _config(sources=[DataSourceConfig(1, 1e5, 1000)]),
+    lambda: _config(paths=[PathConfig(1, 25000.5)]),
+    lambda: _config(paths=[PathConfig(1, 25_000, rate_bps=True)]),
+    lambda: _config(paths=[PathConfig(1, 25_000, loss_rate=2)]),
+    lambda: _config(paths=[PathConfig(1, 25_000, loss_rate="0.1")]),
+    lambda: _config(sources=[DataSourceConfig(1, 100_000, 1000),
+                             DataSourceConfig(1, 70_000, 1000)]),
+], ids=["float duration", "float seed", "float inter-arrival", "float owd",
+        "bool rate", "loss_rate 2", "str loss_rate", "duplicate source_id"])
+def test_bad_programmatic_field_is_a_scenario_error(make):
+    with pytest.raises(ScenarioError):
+        make().validate()
+    with pytest.raises(ScenarioError):
+        Simulation(make())
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
