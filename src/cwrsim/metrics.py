@@ -193,36 +193,31 @@ def post_warmup_mcts(messages, warmup_us: int = DEFAULT_WARMUP_US) -> list[int]:
             and m.completed_at is not None]
 
 
-def write_mct_csv(path: Path, messages) -> None:
+def _write_csv(path: Path, columns: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(MCT_COLUMNS)
-        for m in messages:
-            if m.completed_at is None:
-                continue
-            w.writerow([m.source_id, m.message_id, m.generated_at, m.mct,
-                        int(m.loss_involved), int(m.duplicated)])
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_mct_csv(path: Path, messages) -> None:
+    _write_csv(path, MCT_COLUMNS,
+               ([m.source_id, m.message_id, m.generated_at, m.mct,
+                 int(m.loss_involved), int(m.duplicated)]
+                for m in messages if m.completed_at is not None))
 
 
 def write_ccdf_csv(path: Path, curve: list[tuple[int, float]]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CCDF_COLUMNS)
-        for value, frac in curve:
-            w.writerow([value, f"{frac:.9f}"])
+    _write_csv(path, CCDF_COLUMNS,
+               ([value, f"{frac:.9f}"] for value, frac in curve))
 
 
 def write_throughput_csv(path: Path, bins: list[ThroughputBin]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(THROUGHPUT_COLUMNS)
-        for b in bins:
-            w.writerow([b.bin_start, b.total_bytes, b.priority_bytes])
+    _write_csv(path, THROUGHPUT_COLUMNS,
+               ([b.bin_start, b.total_bytes, b.priority_bytes] for b in bins))
 
 
 def write_growth_csv(path: Path, records: list[CwndGrowthRecord]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(GROWTH_COLUMNS)
-        for r in records:
-            w.writerow([r.path_id, r.scheduler, f"{r.mean_growth:.3f}"])
+    _write_csv(path, GROWTH_COLUMNS,
+               ([r.path_id, r.scheduler, f"{r.mean_growth:.3f}"]
+                for r in records))

@@ -32,10 +32,12 @@ class ScenarioError(ValueError):
 
 
 def _require(obj, names: tuple[str, ...], kind, what: str, key=None) -> None:
-    """Reject a field of obj that is not a `kind` (a bool never counts)."""
+    """Reject a field of obj that is not a `kind`; a bool counts only as a
+    bool."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if not isinstance(value, kind) \
+                or isinstance(value, bool) != (kind is bool):
             raise ScenarioError(f"{name} must be {what}, got {value!r}",
                                 key=key or name)
 
@@ -69,6 +71,7 @@ class ScenarioConfig:
             raise ScenarioError("at least one [path] section is required")
         _require(self, ("bin_width_us", "warmup_us", "seed"), int,
                  "an integer")
+        _require(self, ("background",), bool, "a boolean")
         if self.bin_width_us <= 0:
             raise ScenarioError("bin_width_us must be positive",
                                 key="bin_width_us")
@@ -99,6 +102,7 @@ class ScenarioConfig:
         for i, p in enumerate(self.paths):
             key = ("path", i)
             _require(p, ("loss_rate",), (int, float), "a number", key)
+            _require(p, ("ack_loss_enabled",), bool, "a boolean", key)
             _check_section(p, ("path_id", "owd_us", "rate_bps"), key)
             if p.path_id in path_ids:
                 raise ScenarioError(f"duplicate path_id {p.path_id}", key=key)
@@ -118,6 +122,7 @@ class ScenarioConfig:
         source_ids = set()
         for i, s in enumerate(self.sources):
             key = ("source", i)
+            _require(s, ("priority",), bool, "a boolean", key)
             _check_section(s, ("source_id", "inter_arrival_us",
                                "message_size_bytes", "start_offset_us"), key)
             if s.source_id in source_ids:

@@ -91,8 +91,6 @@ class SendStream:
 class RoundRobinStreams:
     """Cyclic service over all streams with sendable data; priority ignored."""
 
-    name = "rr"
-
     def __init__(self) -> None:
         self._last = -1
 
@@ -118,8 +116,6 @@ class PriorityFifoStreams:
     Every stream passed in has retransmissions or pending data, so one sort
     on (class, time, stream id) orders them all.
     """
-
-    name = "pfifo"
 
     def order(self, streams: list[SendStream], now: int) -> list[SendStream]:
         return sorted(streams, key=_pfifo_key)
@@ -245,7 +241,6 @@ class LowRttScheduler:
     drains. Priority frames and retransmissions bypass the gate.
     """
 
-    name = "lowrtt"
     reserving = False
 
     def __init__(self, paths: list[PathSendState],
@@ -349,7 +344,6 @@ class ReservationScheduler(LowRttScheduler):
     that this keeps each reservation whole at its due time too.
     """
 
-    name = "cwr"
     reserving = True
 
     def reservation_paths(self) -> list[PathSendState]:
@@ -368,8 +362,6 @@ class RedundantScheduler(ReservationScheduler):
     retransmissions. A packet sent without its copies never gains a duplicate
     later; each priority packet sent on one path counts as a refrain.
     """
-
-    name = "cwr_red"
 
     def reservation_paths(self) -> list[PathSendState]:
         return _paths_by_rtt(self.paths)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from pathlib import Path
 from typing import Callable
 
@@ -16,40 +15,8 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
 from .scheduling import SendStream, make_path_scheduler, make_stream_scheduler
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, APP_ACK_BYTES, CONGESTION_AVOIDANCE,
-                        Frame, HEADER_BYTES, Packet, PathSendState,
+                        Frame, HEADER_BYTES, PathSendState, ReceivedOffsets,
                         StreamReassembly, packetize)
-
-
-class ReceivedOffsets:
-    """The offsets of one background stream that have arrived.
-
-    Background frames cut the stream at fixed offsets, so an offset has
-    arrived exactly when it lies below `floor`, the end of the contiguous
-    prefix received, or is a key of `above`, which maps each segment
-    received past the first gap to its end. Filling a gap moves the floor
-    up through `above`, so the table holds only what reordering and loss
-    leave out of order.
-    """
-
-    __slots__ = ("floor", "above")
-
-    def __init__(self) -> None:
-        self.floor = 0
-        self.above: dict[int, int] = {}
-
-    def add(self, offset: int, length: int) -> int:
-        """Record a received segment; returns its new bytes, 0 for a repeat."""
-        if offset < self.floor or offset in self.above:
-            return 0
-        if offset != self.floor:
-            self.above[offset] = offset + length
-            return length
-        floor = offset + length
-        above = self.above
-        while floor in above:
-            floor = above.pop(floor)
-        self.floor = floor
-        return length
 
 
 # Duplicate-frame tables map a stream id to (epoch, offsets) for its newest
@@ -108,8 +75,8 @@ class Node:
         self.streams: dict[int, SendStream] = {}
         self._bg_stream: SendStream | None = None
         self.reassembly: dict[int, StreamReassembly] = {}
-        self._bg_seen: defaultdict[int, ReceivedOffsets] = defaultdict(
-            ReceivedOffsets)
+        # a node has at most one background stream
+        self._bg_seen = ReceivedOffsets()
         # frames sent on several paths, and those of them acked on one
         self._dup_keys: dict[int, tuple[int, set[int]]] = {}
         self._delivered_dup: dict[int, tuple[int, set[int]]] = {}
@@ -229,7 +196,6 @@ class Node:
         receive = self._peer_receive_bg
         link = self.links[ps.path_id]
         path_id = ps.path_id
-        stream_id = stream.stream_id
         trace = self.trace
         first = True
         for _ in range(k):
@@ -240,8 +206,7 @@ class Node:
                 engine.schedule(
                     arrival,
                     receive, "packet_arrival",
-                    args=(entry.number, path_id, stream_id, frame.offset,
-                          entry.size))
+                    args=(entry.number, path_id, frame.offset, entry.size))
             if trace is not None:
                 trace(self, "send", now, path_id, entry.number, frame, False,
                       False)
@@ -290,16 +255,12 @@ class Node:
             if arrival is not None and stream.background:
                 engine.schedule(
                     arrival, self._peer_receive_bg, "packet_arrival",
-                    args=(entry.number, ps.path_id, frame.stream_id,
-                          frame.offset, entry.size))
+                    args=(entry.number, ps.path_id, frame.offset, entry.size))
             elif arrival is not None:
-                # tuple.__new__ skips the NamedTuple's Python-level constructor
-                pkt = tuple.__new__(Packet, (entry.number, ps.path_id, frame,
-                                             entry.size, i > 0))
                 engine.schedule(
                     arrival, self._peer_receive,
                     "app_ack_arrival" if frame.app_ack else "packet_arrival",
-                    args=(pkt,))
+                    args=(entry.number, ps.path_id, frame, entry.size, i > 0))
             self._arm_alarm(ps, entry.deadline)
             if self.trace is not None:
                 self.trace(self, "send", now, ps.path_id, entry.number, frame,
@@ -387,14 +348,8 @@ class Node:
         now = self.engine.now
         ps.alarm_entry = None
         expired, nxt = ps.alarm_scan(now)
-        if expired:
-            for number in expired:
-                self._declare_loss(ps, number, now)
-            # losses may have repopulated or drained the ledger
-            if ps.ledger:
-                nxt = min(e.deadline for e in ps.ledger.values())
-            else:
-                nxt = None
+        for number in expired:
+            self._declare_loss(ps, number, now)
         if nxt is not None:
             self._arm_alarm(ps, nxt)
         if expired:
@@ -402,11 +357,11 @@ class Node:
 
     # -- receiver side ---------------------------------------------------
 
-    def receive_background(self, number: int, path_id: int, stream_id: int,
-                           offset: int, size: int) -> None:
+    def receive_background(self, number: int, path_id: int, offset: int,
+                           size: int) -> None:
         """Every background frame lands here: dedup for goodput, count, ack."""
         now = self.engine.now
-        new_bytes = self._bg_seen[stream_id].add(offset, size - HEADER_BYTES)
+        new_bytes = self._bg_seen.add(offset, size - HEADER_BYTES)
         record = self._on_delivery
         if record is not None:
             record(now, size, False, new_bytes)
@@ -415,26 +370,23 @@ class Node:
             self.engine.schedule(
                 arrival, self._peer_ack, "ack_arrival", args=(path_id, number))
 
-    def receive_data(self, pkt: Packet) -> None:
+    def receive_data(self, number: int, path_id: int, frame: Frame, size: int,
+                     is_duplicate: bool) -> None:
         """A message frame: reassemble, count, ack, report completion."""
         now = self.engine.now
-        frame = pkt.frame
-        path_id = pkt.path_id
         reasm = self.reassembly.get(frame.stream_id)
         if reasm is None:
             reasm = StreamReassembly(frame.stream_id)
             self.reassembly[frame.stream_id] = reasm
-        disposition, completed = reasm.accept(frame)
-        new_bytes = frame.length if disposition == "new" else 0
+        new_bytes, completed = reasm.accept(frame)
         if self._on_delivery is not None:
-            self._on_delivery(now, pkt.size, frame.priority, new_bytes)
+            self._on_delivery(now, size, frame.priority, new_bytes)
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
         if arrival is not None:
             self.engine.schedule(
-                arrival, self._peer_ack, "ack_arrival",
-                args=(path_id, pkt.number))
+                arrival, self._peer_ack, "ack_arrival", args=(path_id, number))
         if completed and self.on_message_complete is not None:
-            self.on_message_complete(frame, now, path_id, pkt.is_duplicate)
+            self.on_message_complete(frame, now, path_id, is_duplicate)
 
 
 class Simulation:

@@ -63,10 +63,10 @@ class StreamPool:
     stream keeps its class for its whole life.
     """
 
-    def __init__(self, first_id: int = FIRST_MESSAGE_STREAM_ID):
+    def __init__(self):
         self._free: dict[bool, list[int]] = {True: [], False: []}
         self._busy: dict[int, int] = {}
-        self._next = first_id
+        self._next = FIRST_MESSAGE_STREAM_ID
 
     def acquire(self, message_id: int, priority: bool) -> int:
         free = self._free[priority]
@@ -109,8 +109,8 @@ class TrafficManager:
                 sched.register_reservation(
                     src.source_id, reservation_bytes(src.message_size_bytes),
                     src.start_offset_us)
-            self.engine.schedule(src.start_offset_us,
-                                 lambda s=src: self.tick(s), "source_tick")
+            self.engine.schedule(src.start_offset_us, self.tick,
+                                 "source_tick", args=(src,))
         if self.background:
             self.server.try_send(0)
 
@@ -131,8 +131,8 @@ class TrafficManager:
             self.server.path_sched.register_reservation(
                 src.source_id, reservation_bytes(src.message_size_bytes),
                 now + src.inter_arrival_us)
-        self.engine.schedule(now + src.inter_arrival_us,
-                             lambda s=src: self.tick(s), "source_tick")
+        self.engine.schedule(now + src.inter_arrival_us, self.tick,
+                             "source_tick", args=(src,))
         self.server.try_send(now)
 
     def on_frame_lost(self, message_id: int | None) -> None:

@@ -65,16 +65,6 @@ def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
     return frames
 
 
-class Packet(NamedTuple):
-    """A sent message packet as seen by the receiver."""
-
-    number: int
-    path_id: int
-    frame: Frame
-    size: int
-    is_duplicate: bool = False
-
-
 class SentEntry(NamedTuple):
     number: int
     size: int
@@ -250,28 +240,58 @@ class PathSendState:
         return self.srtt_sum // self.srtt_samples
 
 
-class StreamReassembly:
-    """Receiver-side state for one stream: dedup and completion."""
+class ReceivedOffsets:
+    """The offsets of one stream that have arrived.
 
-    __slots__ = ("stream_id", "epoch", "got", "got_bytes", "total",
-                 "completed")
+    Frames cut a stream at fixed offsets, so an offset has arrived exactly
+    when it lies below `floor`, the end of the contiguous prefix received,
+    or is a key of `above`, which maps each segment received past the first
+    gap to its end. Filling a gap moves the floor up through `above`, so the
+    table holds only what reordering and loss leave out of order.
+    """
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.above: dict[int, int] = {}
+
+    def add(self, offset: int, length: int) -> int:
+        """Record a received segment; returns its new bytes, 0 for a repeat."""
+        if offset < self.floor or offset in self.above:
+            return 0
+        if offset != self.floor:
+            self.above[offset] = offset + length
+            return length
+        floor = offset + length
+        above = self.above
+        while floor in above:
+            floor = above.pop(floor)
+        self.floor = floor
+        return length
+
+
+class StreamReassembly:
+    """Receiver-side state for one message stream: its current message's
+    received offsets and completion."""
+
+    __slots__ = ("stream_id", "epoch", "received", "total", "completed")
 
     def __init__(self, stream_id: int):
         self.stream_id = stream_id
         self.epoch = 0
-        self.got: set[int] = set()
-        self.got_bytes = 0
+        self.received = ReceivedOffsets()
         self.total: int | None = None
         self.completed = False
 
-    def accept(self, frame: Frame) -> tuple[str, bool]:
-        """Place a frame; returns (disposition, completed_now).
+    def accept(self, frame: Frame) -> tuple[int, bool]:
+        """Place a frame; returns (new_bytes, completed_now).
 
-        Disposition is 'new' for first-seen bytes, 'dup' for a second copy of
-        an offset, 'stale' for frames of an already finished message.
+        new_bytes is 0 for a second copy of an offset and for any frame of
+        an already finished message.
         """
         if frame.epoch < self.epoch or (frame.epoch == self.epoch and self.completed):
-            return "stale", False
+            return 0, False
         if frame.epoch > self.epoch:
             if frame.epoch != self.epoch + 1 or not self.completed:
                 raise InvariantError(
@@ -279,17 +299,11 @@ class StreamReassembly:
                     f"while message {self.epoch} is incomplete"
                 )
             self.epoch = frame.epoch
-            self.got.clear()
-            self.got_bytes = 0
+            self.received = ReceivedOffsets()
             self.total = None
             self.completed = False
-        if frame.offset in self.got:
-            return "dup", False
-        self.got.add(frame.offset)
-        self.got_bytes += frame.length
+        new_bytes = self.received.add(frame.offset, frame.length)
         if frame.fin:
             self.total = frame.offset + frame.length
-        if self.total is not None and self.got_bytes == self.total:
-            self.completed = True
-            return "new", True
-        return "new", False
+        self.completed = self.received.floor == self.total
+        return new_bytes, self.completed

@@ -229,8 +229,13 @@ def _config(**fields):
     lambda: _config(paths=[PathConfig(1, 25_000, loss_rate="0.1")]),
     lambda: _config(sources=[DataSourceConfig(1, 100_000, 1000),
                              DataSourceConfig(1, 70_000, 1000)]),
+    lambda: _config(background="off"),
+    lambda: _config(paths=[PathConfig(1, 25_000, ack_loss_enabled=1)]),
+    lambda: _config(sources=[DataSourceConfig(1, 100_000, 1000,
+                                              priority="no")]),
 ], ids=["float duration", "float seed", "float inter-arrival", "float owd",
-        "bool rate", "loss_rate 2", "str loss_rate", "duplicate source_id"])
+        "bool rate", "loss_rate 2", "str loss_rate", "duplicate source_id",
+        "str background", "int ack_loss_enabled", "str priority"])
 def test_bad_programmatic_field_is_a_scenario_error(make):
     with pytest.raises(ScenarioError):
         make().validate()

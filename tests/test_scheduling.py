@@ -8,10 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
-from cwrsim.scheduling import (GATE_PACKETS, PriorityFifoStreams,
-                               ReservationLedger, RoundRobinStreams,
-                               SendStream, make_path_scheduler,
-                               make_stream_scheduler, reservation_bytes)
+from cwrsim.scheduling import (GATE_PACKETS, LowRttScheduler,
+                               PriorityFifoStreams, RedundantScheduler,
+                               ReservationLedger, ReservationScheduler,
+                               RoundRobinStreams, SendStream,
+                               make_path_scheduler, make_stream_scheduler,
+                               reservation_bytes)
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES, MIN_CWND,
                               PathSendState, packetize)
 
@@ -158,8 +160,8 @@ def test_pfifo_one_key_sort_equals_three_sorts(specs):
 
 
 def test_make_stream_scheduler_names():
-    assert make_stream_scheduler("rr").name == "rr"
-    assert make_stream_scheduler("pfifo").name == "pfifo"
+    assert type(make_stream_scheduler("rr")) is RoundRobinStreams
+    assert type(make_stream_scheduler("pfifo")) is PriorityFifoStreams
     with pytest.raises(ValueError):
         make_stream_scheduler("fifo")
 
@@ -707,8 +709,8 @@ def test_cwr_red_background_follows_reservation_rules_on_all_paths():
 
 def test_make_path_scheduler_names():
     paths = [path(1)]
-    assert scheduler("lowrtt", paths).name == "lowrtt"
-    assert scheduler("cwr", paths).name == "cwr"
-    assert scheduler("cwr_red", paths).name == "cwr_red"
+    assert type(scheduler("lowrtt", paths)) is LowRttScheduler
+    assert type(scheduler("cwr", paths)) is ReservationScheduler
+    assert type(scheduler("cwr_red", paths)) is RedundantScheduler
     with pytest.raises(ValueError):
         scheduler("rtt", paths)

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from cwrsim.link import PathConfig
 from cwrsim.metrics import post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
-from cwrsim.simulation import ReceivedOffsets, Simulation
+from cwrsim.simulation import Simulation
 from cwrsim.traffic import DataSourceConfig
-from cwrsim.transport import MAX_PAYLOAD_BYTES
+from cwrsim.transport import MAX_PAYLOAD_BYTES, ReceivedOffsets
 
 
 def two_paths(loss=0.0, owd=25_000, **kw):
@@ -338,7 +338,7 @@ def test_per_run_tables_are_bounded_by_in_flight_state():
         peak_above = peak_in_flight = 0
         for t in range(10_000, horizon + 1, 10_000):
             sim.engine.run_until(t)
-            peak_above = max(peak_above, len(sim.client._bg_seen[0].above))
+            peak_above = max(peak_above, len(sim.client._bg_seen.above))
             peak_in_flight = max(peak_in_flight,
                                  sum(len(ps.ledger)
                                      for ps in sim.server.path_list))
@@ -349,6 +349,6 @@ def test_per_run_tables_are_bounded_by_in_flight_state():
                         assert len(offsets) <= frames_per_message
         # segments past a gap arrive within one loss recovery of it
         assert peak_above <= 2 * peak_in_flight
-        received[horizon] = sim.client._bg_seen[0].floor // MAX_PAYLOAD_BYTES
+        received[horizon] = sim.client._bg_seen.floor // MAX_PAYLOAD_BYTES
     # a table of every offset would be far past those bounds
     assert received[6_000_000] > 2 * received[2_000_000] > 20 * peak_in_flight

@@ -315,10 +315,8 @@ def test_reassembly_completes_on_last_offset():
     r = StreamReassembly(1)
     frames = packetize(1, 0, 10_000, True, message_id=7)
     for f in frames[:-1]:
-        disp, done = r.accept(f)
-        assert disp == "new" and not done
-    disp, done = r.accept(frames[-1])
-    assert disp == "new" and done
+        assert r.accept(f) == (f.length, False)
+    assert r.accept(frames[-1]) == (frames[-1].length, True)
 
 
 def test_reassembly_out_of_order_completes_at_gap_fill():
@@ -334,24 +332,85 @@ def test_reassembly_out_of_order_completes_at_gap_fill():
 def test_reassembly_discards_duplicate_offsets():
     r = StreamReassembly(1)
     frames = packetize(1, 0, 2_000, True)
-    assert r.accept(frames[0]) == ("new", False)
-    assert r.accept(frames[0]) == ("dup", False)
-    assert r.accept(frames[1]) == ("new", True)
+    assert r.accept(frames[0]) == (1_300, False)
+    assert r.accept(frames[0]) == (0, False)
+    assert r.accept(frames[1]) == (700, True)
     # second copy of the completing frame arrives after completion
-    assert r.accept(frames[1]) == ("stale", False)
+    assert r.accept(frames[1]) == (0, False)
 
 
 def test_reassembly_tracks_stream_reuse():
     r = StreamReassembly(1)
     first = packetize(1, 0, 1_000, True)
     again = packetize(1, 1, 1_000, True)
-    assert r.accept(first[0]) == ("new", True)
-    assert r.accept(again[0]) == ("new", True)
+    assert r.accept(first[0]) == (1_000, True)
+    assert r.accept(again[0]) == (1_000, True)
     # a late retransmission of the finished message is stale
-    assert r.accept(first[0]) == ("stale", False)
+    assert r.accept(first[0]) == (0, False)
 
 
 def test_reassembly_rejects_epoch_skip():
     r = StreamReassembly(1)
     with pytest.raises(InvariantError):
         r.accept(packetize(1, 2, 100, True)[0])
+
+
+class PlainSetReassembly:
+    """Reference for StreamReassembly.accept: the set of every offset of the
+    current message received, and their byte count."""
+
+    def __init__(self):
+        self.epoch = 0
+        self.got: set[int] = set()
+        self.got_bytes = 0
+        self.total = None
+        self.completed = False
+
+    def accept(self, frame):
+        if frame.epoch < self.epoch or (frame.epoch == self.epoch
+                                        and self.completed):
+            return 0, False
+        if frame.epoch > self.epoch:
+            self.epoch = frame.epoch
+            self.got, self.got_bytes = set(), 0
+            self.total, self.completed = None, False
+        if frame.offset in self.got:
+            return 0, False
+        self.got.add(frame.offset)
+        self.got_bytes += frame.length
+        if frame.fin:
+            self.total = frame.offset + frame.length
+        self.completed = self.got_bytes == self.total
+        return frame.length, self.completed
+
+
+# each message is (size, copies of each frame); its copies arrive shuffled,
+# and one late copy of each frame of the message before arrives among them
+@given(st.lists(st.tuples(st.integers(min_value=1,
+                                      max_value=5 * MAX_PAYLOAD_BYTES),
+                          st.lists(st.integers(min_value=1, max_value=3),
+                                   min_size=5, max_size=5)),
+                min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_accept_matches_a_plain_set(messages, rnd):
+    r = StreamReassembly(1)
+    ref = PlainSetReassembly()
+    previous = []
+    for epoch, (size, copies) in enumerate(messages):
+        frames = packetize(1, epoch, size, True)
+        arrivals = [f for f, n in zip(frames, copies) for _ in range(n)]
+        arrivals += previous
+        rnd.shuffle(arrivals)
+        new_bytes = completions = 0
+        for f in arrivals:
+            got = r.accept(f)
+            assert got == ref.accept(f)
+            if f.epoch == epoch:
+                new_bytes += got[0]
+                completions += got[1]
+        assert new_bytes == size and completions == 1
+        for f in frames:
+            assert r.accept(f) == (0, False)
+        previous = frames
+    with pytest.raises(InvariantError):
+        r.accept(packetize(1, len(messages) + 1, 100, True)[0])
