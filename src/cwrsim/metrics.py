@@ -160,7 +160,10 @@ class MetricsCollector:
         if priority:
             b.priority_bytes += size
 
-    def on_cwnd(self, path_id: int, when: int, cwnd: int) -> None:
+    def on_cwnd(self, path_id: int, when: int, cwnd: int,
+                in_ca: bool) -> None:
+        """Record a cwnd sample; the first one taken in congestion
+        avoidance sets the path's ca_since."""
         # a later sample at the same instant replaces the earlier one
         trace = self.cwnd_samples[path_id]
         if when == trace.times[-1]:
@@ -168,9 +171,8 @@ class MetricsCollector:
         else:
             trace.times.append(when)
             trace.values.append(cwnd)
-
-    def on_ca_entered(self, path_id: int, when: int) -> None:
-        self.ca_since.setdefault(path_id, when)
+        if in_ca and path_id not in self.ca_since:
+            self.ca_since[path_id] = when
 
     def on_decrease(self, path_id: int, when: int) -> None:
         self.decreases[path_id].append(when)

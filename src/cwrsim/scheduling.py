@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 from .engine import InvariantError
 from .link import OneWayLink, serialization_us
-from .transport import Frame, HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES, PathSendState
+from .transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
+                        MAX_PAYLOAD_BYTES, PathSendState, packetize)
 
 STREAM_SCHEDULERS = ("rr", "pfifo")
 PATH_SCHEDULERS = ("lowrtt", "cwr", "cwr_red")
@@ -19,14 +20,19 @@ GATE_PACKETS = 6
 
 
 class SendStream:
-    """Sender-side queue of one stream: current message frames plus retransmits.
+    """Sender-side queue of one stream: its current message's frames, and the
+    retransmissions it still owes.
 
     A stream holds at most one in-flight message; the background stream is the
-    exception and fabricates an endless sequence of full-size frames.
+    exception and fabricates an endless sequence of full-size frames. A lost
+    copy of a frame is owed again only while its message is the stream's
+    current one (its epoch) and no copy of its offset has been acked, which
+    is what `delivered` records for the current message.
     """
 
     __slots__ = ("stream_id", "priority", "background", "epoch", "enqueue_time",
-                 "pending", "rtx", "message_id", "dup_mode", "_bg_offset")
+                 "pending", "rtx", "message_id", "dup_mode", "delivered",
+                 "_bg_offset")
 
     def __init__(self, stream_id: int, priority: bool, background: bool = False):
         self.stream_id = stream_id
@@ -38,18 +44,23 @@ class SendStream:
         self.rtx: deque[tuple[int, Frame, int]] = deque()  # (time, frame, path)
         self.message_id: int | None = None
         self.dup_mode: str | None = None  # None undecided, 'all', 'off'
+        self.delivered: set[int] = set()
         self._bg_offset = 0
 
-    def load_message(self, frames: list[Frame], message_id: int | None, now: int) -> None:
+    def load_message(self, size: int, message_id: int | None, now: int,
+                     app_ack: bool = False) -> None:
+        """Packetize the stream's next message at its next epoch."""
         if self.pending or self.message_id is not None:
             raise InvariantError(
                 f"stream {self.stream_id} already carries message {self.message_id}"
             )
         self.epoch += 1
-        self.pending.extend(frames)
+        self.pending.extend(packetize(self.stream_id, self.epoch, size,
+                                      self.priority, message_id, app_ack))
         self.message_id = message_id
         self.enqueue_time = now
         self.dup_mode = None
+        self.delivered.clear()
 
     def has_pending(self) -> bool:
         return self.background or bool(self.pending)
@@ -83,9 +94,34 @@ class SendStream:
     def remaining_message_bytes(self) -> int:
         return sum(f.length + HEADER_BYTES for f in self.pending)
 
-    def enqueue_rtx(self, frame: Frame, now: int, path_id: int) -> None:
-        # a retransmission goes back out on the path that lost it
-        self.rtx.append((now, frame, path_id))
+    def _owes(self, frame: Frame) -> bool:
+        return frame.epoch == self.epoch and frame.offset not in self.delivered
+
+    def on_acked(self, frame: Frame) -> None:
+        """A copy of one of this stream's message frames was acked."""
+        if frame.epoch != self.epoch:
+            return
+        self.delivered.add(frame.offset)
+        if frame.app_ack:
+            # a completion response is one frame: its ack finishes it
+            self.message_done()
+
+    def on_lost(self, frame: Frame, now: int, path_id: int) -> None:
+        """A copy was declared lost on path_id; queue it again for that
+        path if it is still owed."""
+        if self._owes(frame):
+            self.rtx.append((now, frame, path_id))
+
+    def next_rtx(self) -> tuple[Frame, int] | None:
+        """The oldest retransmission still owed and its path, after dropping
+        the queued ones no longer owed; it stays queued until sent."""
+        rtx = self.rtx
+        while rtx:
+            _t, frame, path_id = rtx[0]
+            if self._owes(frame):
+                return frame, path_id
+            rtx.popleft()
+        return None
 
 
 class RoundRobinStreams:
@@ -327,12 +363,6 @@ class LowRttScheduler:
             if k > 0:
                 plan.append((path, k))
         return plan
-
-    def on_priority_sent(self, path_id: int, size: int, now: int) -> None:
-        self.ledger.consume(path_id, size, now)
-
-    def on_path_loss(self, path_id: int) -> None:
-        self.ledger.drop_path(path_id)
 
 
 class ReservationScheduler(LowRttScheduler):

@@ -16,25 +16,7 @@ from .scheduling import SendStream, make_path_scheduler, make_stream_scheduler
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, APP_ACK_BYTES, CONGESTION_AVOIDANCE,
                         Frame, HEADER_BYTES, PathSendState, ReceivedOffsets,
-                        StreamReassembly, packetize)
-
-
-# Duplicate-frame tables map a stream id to (epoch, offsets) for its newest
-# epoch only. Frames are sent only for a stream's current epoch, and every
-# question about an older epoch is settled by the epoch check beside it.
-
-def _note_offset(table: dict[int, tuple[int, set[int]]], frame: Frame) -> None:
-    held = table.get(frame.stream_id)
-    if held is None or held[0] < frame.epoch:
-        table[frame.stream_id] = (frame.epoch, {frame.offset})
-    elif held[0] == frame.epoch:
-        held[1].add(frame.offset)
-
-
-def _has_offset(table: dict[int, tuple[int, set[int]]], frame: Frame) -> bool:
-    held = table.get(frame.stream_id)
-    return held is not None and held[0] == frame.epoch \
-        and frame.offset in held[1]
+                        StreamReassembly)
 
 
 class Node:
@@ -77,10 +59,6 @@ class Node:
         self.reassembly: dict[int, StreamReassembly] = {}
         # a node has at most one background stream
         self._bg_seen = ReceivedOffsets()
-        # frames sent on several paths, and those of them acked on one
-        self._dup_keys: dict[int, tuple[int, set[int]]] = {}
-        self._delivered_dup: dict[int, tuple[int, set[int]]] = {}
-        self._ca_noted: set[int] = set()
         self.blocked_count = 0
         self.trace = trace
         self.on_message_complete: Callable[[Frame, int, int, bool], None] | None = None
@@ -117,9 +95,7 @@ class Node:
         if stream.message_id is not None and not stream.pending:
             # previous response fully sent; app-level reuse is gated upstream
             stream.message_done()
-        frames = packetize(stream_id, stream.epoch + 1, APP_ACK_BYTES, priority,
-                           message_id, app_ack=True)
-        stream.load_message(frames, message_id, now)
+        stream.load_message(APP_ACK_BYTES, message_id, now, app_ack=True)
         self.try_send(now)
 
     def try_send(self, now: int) -> None:
@@ -137,23 +113,16 @@ class Node:
             candidates = self.stream_sched.order(candidates, now)
             sent = False
             for stream in candidates:
-                frame = None
-                is_rtx = False
-                rtx_path = None
-                while stream.rtx:
-                    _t, head, pin = stream.rtx[0]
-                    if (head.epoch < stream.epoch
-                            or _has_offset(self._delivered_dup, head)):
-                        stream.rtx.popleft()
-                        continue
-                    frame = head
+                owed = stream.next_rtx()
+                if owed is not None:
+                    frame, rtx_path = owed
                     is_rtx = True
-                    rtx_path = pin
-                    break
-                if frame is None:
-                    if not stream.has_pending():
-                        continue
+                elif stream.has_pending():
                     frame = stream.peek_pending()
+                    is_rtx = False
+                    rtx_path = None
+                else:
+                    continue
                 targets = sched.admit(stream, frame, is_rtx, now, rtx_path)
                 if not targets:
                     self._blocked(now, stream, is_rtx)
@@ -242,15 +211,14 @@ class Node:
     def _send_frame(self, stream: SendStream, frame: Frame,
                     targets: tuple[PathSendState, ...], is_rtx: bool,
                     now: int) -> None:
-        if len(targets) > 1:
-            _note_offset(self._dup_keys, frame)
-            if not frame.app_ack and self.on_duplicated is not None:
-                self.on_duplicated(frame.message_id)
+        if len(targets) > 1 and not frame.app_ack \
+                and self.on_duplicated is not None:
+            self.on_duplicated(frame.message_id)
         engine = self.engine
         for i, ps in enumerate(targets):
             entry = ps.register_sent(frame, now, is_rtx=is_rtx)
             if frame.priority:
-                self.path_sched.on_priority_sent(ps.path_id, entry.size, now)
+                self.path_sched.ledger.consume(ps.path_id, entry.size, now)
             arrival = self.links[ps.path_id].send(entry.size, True, now)
             if arrival is not None and stream.background:
                 engine.schedule(
@@ -275,21 +243,13 @@ class Node:
         entry, gaps = ps.ack_packet(number, now)
         if entry is not None:
             frame = entry.frame
-            if self._dup_keys and _has_offset(self._dup_keys, frame):
-                _note_offset(self._delivered_dup, frame)
-            if frame.app_ack:
-                stream = self.streams.get(frame.stream_id)
-                if stream is not None and stream.message_id == frame.message_id \
-                        and not stream.pending:
-                    stream.message_done()
+            if frame.message_id is not None:
+                self.streams[frame.stream_id].on_acked(frame)
             if self.metrics is not None \
                     and now >= self._next_cwnd_sample[path_id]:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
-                self.metrics.on_cwnd(path_id, now, ps.cwnd)
-                if ps.phase == CONGESTION_AVOIDANCE \
-                        and path_id not in self._ca_noted:
-                    self._ca_noted.add(path_id)
-                    self.metrics.on_ca_entered(path_id, now)
+                self.metrics.on_cwnd(path_id, now, ps.cwnd,
+                                     ps.phase == CONGESTION_AVOIDANCE)
         if gaps:
             for num in gaps:
                 self._declare_loss(ps, num, now)
@@ -320,19 +280,13 @@ class Node:
         if self.metrics is not None:
             if decreased:
                 self.metrics.on_decrease(ps.path_id, now)
-            self.metrics.on_cwnd(ps.path_id, now, ps.cwnd)
-            if ps.path_id not in self._ca_noted:
-                self._ca_noted.add(ps.path_id)
-                self.metrics.on_ca_entered(ps.path_id, now)
-        self.path_sched.on_path_loss(ps.path_id)
+            self.metrics.on_cwnd(ps.path_id, now, ps.cwnd,
+                                 ps.phase == CONGESTION_AVOIDANCE)
+        self.path_sched.ledger.drop_path(ps.path_id)
         frame = entry.frame
         if self.on_frame_lost is not None:
             self.on_frame_lost(frame.message_id)
-        if _has_offset(self._delivered_dup, frame):
-            return
-        stream = self.streams.get(frame.stream_id)
-        if stream is not None and frame.epoch == stream.epoch:
-            stream.enqueue_rtx(frame, now, ps.path_id)
+        self.streams[frame.stream_id].on_lost(frame, now, ps.path_id)
 
     def _arm_alarm(self, ps: PathSendState, deadline: int) -> None:
         """Keep the path's one loss alarm at its earliest deadline."""

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 from .engine import InvariantError
 from .scheduling import reservation_bytes
-from .transport import packetize
 
 BACKGROUND_STREAM_ID = 0
 FIRST_MESSAGE_STREAM_ID = 1
@@ -124,9 +123,7 @@ class TrafficManager:
         stream_id = self.pool.acquire(record.message_id, src.priority)
         record.stream_id = stream_id
         stream = self.server.get_send_stream(stream_id, src.priority)
-        frames = packetize(stream_id, stream.epoch + 1, src.message_size_bytes,
-                           src.priority, record.message_id)
-        stream.load_message(frames, record.message_id, now)
+        stream.load_message(src.message_size_bytes, record.message_id, now)
         if src.priority:
             self.server.path_sched.register_reservation(
                 src.source_id, reservation_bytes(src.message_size_bytes),

@@ -82,7 +82,7 @@ def trace_of(samples):
     collector = MetricsCollector(10_000_000)
     collector.register_path(1, samples[0][1])
     for t, cwnd in samples[1:]:
-        collector.on_cwnd(1, t, cwnd)
+        collector.on_cwnd(1, t, cwnd, False)
     return collector.cwnd_samples[1]
 
 
@@ -135,6 +135,16 @@ def test_collector_trace_keeps_the_last_sample_of_an_instant():
     assert isinstance(trace, CwndTrace) and len(trace) == 3
     assert list(trace.times) == [0, 250, 500]
     assert list(trace.values) == [13_500, 16_200, 6_750]
+
+
+def test_collector_notes_the_first_congestion_avoidance_sample():
+    collector = MetricsCollector(10_000_000)
+    collector.register_path(1, 13_500)
+    collector.on_cwnd(1, 250, 14_850, False)
+    assert 1 not in collector.ca_since
+    collector.on_cwnd(1, 500, 6_750, True)
+    collector.on_cwnd(1, 750, 8_100, True)
+    assert collector.ca_since == {1: 500}
 
 
 def test_collector_bins_match_pure_function():

@@ -1,6 +1,7 @@
 """Stream schedulers, reservation ledger, and path scheduler admission rules."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
@@ -14,8 +15,8 @@ from cwrsim.scheduling import (GATE_PACKETS, LowRttScheduler,
                                RoundRobinStreams, SendStream,
                                make_path_scheduler, make_stream_scheduler,
                                reservation_bytes)
-from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES, MIN_CWND,
-                              PathSendState, packetize)
+from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
+                              MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState)
 
 
 def path(path_id=1, cwnd=13_500, srtt=None, rtt=50_000):
@@ -33,9 +34,10 @@ def scheduler(name, paths):
     return make_path_scheduler(name, paths, links)
 
 
-def stream_with(frames, stream_id=1, priority=True, now=0):
+def stream_with(size, stream_id=1, priority=True, now=0, message_id=1,
+                app_ack=False):
     s = SendStream(stream_id, priority)
-    s.load_message(frames, frames[0].message_id, now)
+    s.load_message(size, message_id, now, app_ack)
     return s
 
 
@@ -59,7 +61,7 @@ def drain(scheduler, stream, now=0):
         for ps in targets:
             ps.register_sent(frame, now)
             if frame.priority:
-                scheduler.on_priority_sent(ps.path_id, frame.packet_bytes, now)
+                scheduler.ledger.consume(ps.path_id, frame.packet_bytes, now)
         sent.append(tuple(p.path_id for p in targets))
     return sent
 
@@ -68,9 +70,10 @@ def drain(scheduler, stream, now=0):
 
 def new_stream(stream_id, priority, enqueue_time=0, rtx_time=None):
     s = SendStream(stream_id, priority)
-    s.load_message(packetize(stream_id, 0, 2_600, priority), None, enqueue_time)
+    s.load_message(2_600, None, enqueue_time)
     if rtx_time is not None:
-        s.enqueue_rtx(Frame(stream_id, 0, 0, 1300, False, priority), rtx_time, 1)
+        # its first frame was sent on path 1 and lost there
+        s.on_lost(s.pop_pending(), rtx_time, 1)
     return s
 
 
@@ -149,11 +152,12 @@ def test_pfifo_one_key_sort_equals_three_sorts(specs):
     streams = []
     for stream_id, kind, enqueue_time, pending, rtx_times in specs:
         s = SendStream(stream_id, kind == "priority", kind == "background")
+        s.epoch = 0
         s.enqueue_time = enqueue_time
         if pending:
             s.pending.append(pri_frame(stream=stream_id))
         for t in rtx_times:
-            s.enqueue_rtx(pri_frame(stream=stream_id), t, 1)
+            s.on_lost(pri_frame(stream=stream_id), t, 1)
         if s.rtx or s.has_pending():
             streams.append(s)
     assert PriorityFifoStreams().order(streams, 0) == three_sort_order(streams)
@@ -164,6 +168,118 @@ def test_make_stream_scheduler_names():
     assert type(make_stream_scheduler("pfifo")) is PriorityFifoStreams
     with pytest.raises(ValueError):
         make_stream_scheduler("fifo")
+
+
+# -- owed retransmissions ----------------------------------------------------
+
+class DupTables:
+    """Reference for which lost copies a stream still owes: the per-node
+    tables SendStream.delivered replaced.
+
+    Each table maps a stream id to (epoch, offsets) for the newest epoch
+    noted: `dup_keys` holds the frames sent on several paths, `delivered`
+    those of them acked. A lost copy is owed while its epoch is the
+    stream's and no duplicate of it was acked.
+    """
+
+    def __init__(self):
+        self.dup_keys = {}
+        self.delivered = {}
+
+    @staticmethod
+    def _note(table, frame):
+        held = table.get(frame.stream_id)
+        if held is None or held[0] < frame.epoch:
+            table[frame.stream_id] = (frame.epoch, {frame.offset})
+        elif held[0] == frame.epoch:
+            held[1].add(frame.offset)
+
+    @staticmethod
+    def _has(table, frame):
+        held = table.get(frame.stream_id)
+        return held is not None and held[0] == frame.epoch \
+            and frame.offset in held[1]
+
+    def sent(self, frame, copies):
+        if copies > 1:
+            self._note(self.dup_keys, frame)
+
+    def acked(self, frame):
+        if self._has(self.dup_keys, frame):
+            self._note(self.delivered, frame)
+
+    def owes(self, frame, epoch):
+        return frame.epoch == epoch and not self._has(self.delivered, frame)
+
+
+# a step loads a message (packets, app ack), sends one unit (on both paths),
+# or acks or loses one copy in flight (index taken modulo their number)
+stream_steps = st.lists(st.one_of(
+    st.tuples(st.just("load"), st.integers(1, 4), st.booleans()),
+    st.tuples(st.just("send"), st.booleans()),
+    st.tuples(st.sampled_from(["ack", "lose"]), st.integers(0, 50))),
+    max_size=60)
+
+
+@settings(max_examples=400)
+@given(stream_steps)
+def test_owed_retransmissions_match_the_per_node_tables(steps):
+    stream = SendStream(1, True)
+    ref = DupTables()
+    ref_rtx = deque()  # (frame, path)
+    epoch = -1
+    message_id = 0
+    in_flight = []  # (frame, path) copies neither acked nor lost
+    for now, step in enumerate(steps):
+        kind = step[0]
+        if kind == "load":
+            if stream.pending:
+                continue
+            # the previous message, if any, was app-acked
+            stream.message_done()
+            ref_rtx.clear()
+            epoch += 1
+            message_id += 1
+            app_ack = step[2]
+            size = 1 if app_ack else step[1] * MAX_PAYLOAD_BYTES
+            stream.load_message(size, message_id, now, app_ack)
+            assert {f.epoch for f in stream.pending} == {epoch}
+        elif kind == "send":
+            owed = stream.next_rtx()
+            while ref_rtx and not ref.owes(ref_rtx[0][0], epoch):
+                ref_rtx.popleft()
+            assert owed == (ref_rtx[0] if ref_rtx else None)
+            if owed is not None:
+                stream.rtx.popleft()
+                ref_rtx.popleft()
+                frame, path_id = owed
+                paths = (path_id,)  # a retransmission is never duplicated
+            elif stream.pending:
+                frame = stream.pop_pending()
+                paths = (1, 2) if step[1] else (1,)
+            else:
+                continue
+            ref.sent(frame, len(paths))
+            in_flight.extend((frame, p) for p in paths)
+        elif in_flight:
+            frame, path_id = in_flight.pop(step[1] % len(in_flight))
+            if kind == "ack":
+                held = stream.message_id
+                finishes = (frame.app_ack and frame.message_id == held
+                            and not stream.pending)
+                ref.acked(frame)
+                stream.on_acked(frame)
+                assert stream.message_id == (None if finishes else held)
+                if finishes:
+                    ref_rtx.clear()
+            else:
+                if ref.owes(frame, epoch):
+                    ref_rtx.append((frame, path_id))
+                stream.on_lost(frame, now, path_id)
+        assert [(f, p) for _t, f, p in stream.rtx] == list(ref_rtx)
+        held = ref.delivered.get(stream.stream_id)
+        if held is not None and held[0] == epoch:
+            assert held[1] <= stream.delivered
 
 
 # -- reservation ledger ------------------------------------------------------
@@ -347,7 +463,7 @@ def test_reservations_pool_across_sources():
     sched.register_reservation(1, 10_800, 100_000)
     sched.register_reservation(2, 8_100, 100_000)
     # either source's priority packets may consume the pooled space
-    sched.on_priority_sent(1, 13_500, now=100_000)
+    sched.ledger.consume(1, 13_500, now=100_000)
     assert sched.ledger.active_bytes(1) == 5_400
 
 
@@ -477,15 +593,14 @@ def test_admit_gates_every_non_priority_first_transmission():
     sched, ps, link = gated_path()
     drain = serialization_us(MAX_PACKET_BYTES, link.rate_bps)
     link.busy_until = now + GATE_PACKETS * drain
-    message = stream_with([Frame(2, 0, 0, 1300, True, False, message_id=4)],
-                          stream_id=2, priority=False)
-    app_ack = stream_with(packetize(3, 0, 1, False, 5, app_ack=True),
-                          stream_id=3, priority=False)
+    message = stream_with(1300, stream_id=2, priority=False, message_id=4)
+    app_ack = stream_with(1, stream_id=3, priority=False, message_id=5,
+                          app_ack=True)
     background = SendStream(0, False, background=True)
     for stream in (message, app_ack, background):
         assert sched.admit(stream, stream.peek_pending(), False, now) == ()
         assert sched.gated_wake == link.busy_until - drain + 1
-    urgent = stream_with([pri_frame()])
+    urgent = stream_with(1300)
     assert sched.admit(urgent, urgent.peek_pending(), False, now) == (ps,)
     assert sched.admit(message, message.peek_pending(), True, now,
                        rtx_path=1) == (ps,)
@@ -569,7 +684,7 @@ def test_cwr_window_reservation_walkthrough():
         sent += 1
     assert sent == 1  # 5400 - 4050 reserved leaves room for exactly one
 
-    msg = stream_with(packetize(2, 0, 3 * 1300, True, message_id=9), stream_id=2)
+    msg = stream_with(3 * 1300, stream_id=2, message_id=9)
     assert drain(sched, msg, now=30_000) == [(1,), (1,), (1,)]
 
 
@@ -579,7 +694,7 @@ def test_cwr_priority_uses_raw_free_window():
     sched.register_reservation(1, 10_800, due_time=50_000)
     # 11 000 - 10 800 = 200 blocks background; priority checks raw free window
     assert sched.admit(SendStream(0, False, True), bg_frame(), False, 0) == ()
-    msg = stream_with([pri_frame()])
+    msg = stream_with(1300)
     assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1,)
 
 
@@ -593,14 +708,14 @@ def test_cwr_priority_falls_back_across_paths():
     p1, p2 = path(1, srtt=50_000, cwnd=2_700), path(2, srtt=100_000)
     p1.in_flight = 2_700
     sched = scheduler("cwr", [p1, p2])
-    msg = stream_with([pri_frame()])
+    msg = stream_with(1300)
     assert sched.admit(msg, msg.peek_pending(), False, 0) == (p2,)
 
 
 def test_cwr_red_duplicates_on_all_paths_when_room_everywhere():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=27_000)
     sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
+    msg = stream_with(2_600, message_id=3)
     assert drain(sched, msg) == [(1, 2), (1, 2)]
     assert msg.dup_mode == "all"
 
@@ -609,7 +724,7 @@ def test_cwr_red_refrains_when_one_path_cannot_hold_whole_message():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=2_700)
     p2.in_flight = 2_000
     sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
+    msg = stream_with(2_600, message_id=3)
     assert drain(sched, msg) == [(1,), (1,)]
     assert msg.dup_mode == "off"
     assert sched.refrain_count == 2
@@ -620,7 +735,7 @@ def test_cwr_red_splits_across_paths_when_sum_suffices():
     p1 = path(1, srtt=50_000, cwnd=5 * 1350)
     p2 = path(2, srtt=100_000, cwnd=3 * 1350)
     sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with(packetize(1, 0, 10_000, True, message_id=3))
+    msg = stream_with(10_000, message_id=3)
     plan = drain(sched, msg)
     assert plan == [(1,)] * 5 + [(2,)] * 3
     assert sched.refrain_count == 8
@@ -633,7 +748,7 @@ def test_cwr_red_sends_partially_when_sum_insufficient():
     p2 = path(2, srtt=100_000, cwnd=2_700)
     p1.in_flight = p2.in_flight = 1_350
     sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with(packetize(1, 0, 10_000, True, message_id=3))
+    msg = stream_with(10_000, message_id=3)
     assert drain(sched, msg) == [(1,), (2,)]
     assert msg.dup_mode == "off"
     p1.in_flight = p2.in_flight = 0
@@ -646,7 +761,7 @@ def test_cwr_red_sends_partially_when_sum_insufficient():
 def test_cwr_red_never_duplicates_retransmissions():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=27_000)
     sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with([pri_frame()])
+    msg = stream_with(1300)
     assert sched.admit(msg, pri_frame(), True, 0) == (p1,)
 
 
@@ -656,7 +771,7 @@ def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
     p1, p2, p3 = (path(1, srtt=50_000), path(2, srtt=100_000),
                   path(3, srtt=150_000))
     sched = scheduler("cwr_red", [p1, p2, p3])
-    msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
+    msg = stream_with(2_600, message_id=3)
     assert sched.admit(msg, msg.pop_pending(), False, 0) == (p1, p2, p3)
     assert msg.dup_mode == "all"
     p1.in_flight = p1.cwnd
@@ -667,7 +782,7 @@ def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
 def test_cwr_red_short_packet_waits_when_no_path_fits():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with(packetize(1, 0, 2_600, True, message_id=3))
+    msg = stream_with(2_600, message_id=3)
     assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1, p2)
     assert msg.dup_mode == "all"
     p1.in_flight = p1.cwnd
@@ -682,8 +797,8 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
     p1 = path(1, srtt=50_000, cwnd=27_000)
     p2 = path(2, srtt=100_000, cwnd=4 * MAX_PACKET_BYTES)
     sched = scheduler("cwr_red", [p1, p2])
-    a = stream_with(packetize(1, 0, 3 * 1300, True, message_id=1), stream_id=1)
-    b = stream_with(packetize(2, 0, 2 * 1300, True, message_id=2), stream_id=2)
+    a = stream_with(3 * 1300, stream_id=1, message_id=1)
+    b = stream_with(2 * 1300, stream_id=2, message_id=2)
     sent = []
     for stream in (a, b, a, b, a):
         frame = stream.peek_pending()

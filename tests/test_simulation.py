@@ -343,10 +343,8 @@ def test_per_run_tables_are_bounded_by_in_flight_state():
                                  sum(len(ps.ledger)
                                      for ps in sim.server.path_list))
             for node in (sim.server, sim.client):
-                for table in (node._dup_keys, node._delivered_dup):
-                    assert len(table) <= len(node.streams)
-                    for _epoch, offsets in table.values():
-                        assert len(offsets) <= frames_per_message
+                for stream in node.streams.values():
+                    assert len(stream.delivered) <= frames_per_message
         # segments past a gap arrive within one loss recovery of it
         assert peak_above <= 2 * peak_in_flight
         received[horizon] = sim.client._bg_seen.floor // MAX_PAYLOAD_BYTES

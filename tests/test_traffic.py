@@ -126,8 +126,7 @@ def test_stream_pool_release_guard():
 
 def test_double_message_on_stream_is_fatal():
     from cwrsim.scheduling import SendStream
-    from cwrsim.transport import packetize
     s = SendStream(1, True)
-    s.load_message(packetize(1, 0, 100, True), 1, 0)
+    s.load_message(100, 1, 0)
     with pytest.raises(InvariantError):
-        s.load_message(packetize(1, 1, 100, True), 2, 0)
+        s.load_message(100, 2, 0)
