@@ -5,12 +5,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import InvariantError
 from .metrics import ccdf, write_ccdf_csv
-from .scenario import ScenarioError, parse_scenario
+from .scenario import ScenarioConfig, ScenarioError, parse_scenario
 from .scheduling import PATH_SCHEDULERS
 from .simulation import Simulation
 
@@ -42,13 +41,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config.seed = args.seed
     outdir = Path(args.out)
+    fields = {name: getattr(config, name) for name in ScenarioConfig.__slots__}
     pooled_mcts: list[int] = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         for rep in range(args.reps):
-            rep_config = replace(config, seed=config.seed + rep,
-                                 paths=list(config.paths),
-                                 sources=list(config.sources))
+            rep_config = ScenarioConfig(**dict(
+                fields, seed=config.seed + rep, paths=list(config.paths),
+                sources=list(config.sources)))
             result = Simulation(rep_config).run()
             for warning in result.write_outputs(_run_dir(outdir, rep)):
                 print(f"run {rep}: {warning}", file=sys.stderr)
@@ -143,8 +143,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a usage error: argparse's own 2 means an
+    invariant breach here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cwrsim",
         description="Deterministic two-path transport simulator")
     sub = parser.add_subparsers(dest="command", required=True)

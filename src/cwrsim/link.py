@@ -1,26 +1,30 @@
 """Per-path link emulation: line-rate serialization, fixed one-way delay, random drop."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import RngStream
 
 MICROS_PER_SECOND = 1_000_000
 
 
-@dataclass(slots=True)
 class PathConfig:
     """Static description of one bidirectional path."""
 
-    path_id: int
-    owd_us: int
-    rate_bps: int = 100_000_000
-    loss_rate: float = 0.0
-    ack_loss_enabled: bool = False
-    # Test hook: indices of data transmissions (per direction, 0-based) that
-    # are dropped regardless of the random draw. The draw is still consumed
-    # so matched-seed comparisons stay aligned.
-    forced_data_losses: tuple[int, ...] = field(default=())
+    __slots__ = ("path_id", "owd_us", "rate_bps", "loss_rate",
+                 "ack_loss_enabled", "forced_data_losses")
+
+    def __init__(self, path_id: int, owd_us: int,
+                 rate_bps: int = 100_000_000, loss_rate: float = 0.0,
+                 ack_loss_enabled: bool = False,
+                 forced_data_losses: tuple[int, ...] = ()):
+        self.path_id = path_id
+        self.owd_us = owd_us
+        self.rate_bps = rate_bps
+        self.loss_rate = loss_rate
+        self.ack_loss_enabled = ack_loss_enabled
+        # Test hook: indices of data transmissions (per direction, 0-based)
+        # that are dropped regardless of the random draw. The draw is still
+        # consumed so matched-seed comparisons stay aligned.
+        self.forced_data_losses = forced_data_losses
 
     def validate(self) -> None:
         if self.owd_us <= 0:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -23,18 +22,23 @@ class InsufficientSamplesError(ValueError):
     """Raised instead of reporting a growth figure from too little data."""
 
 
-@dataclass(slots=True)
 class ThroughputBin:
-    bin_start: int
-    total_bytes: int = 0
-    priority_bytes: int = 0
+    __slots__ = ("bin_start", "total_bytes", "priority_bytes")
+
+    def __init__(self, bin_start: int, total_bytes: int = 0,
+                 priority_bytes: int = 0):
+        self.bin_start = bin_start
+        self.total_bytes = total_bytes
+        self.priority_bytes = priority_bytes
 
 
-@dataclass(slots=True)
 class CwndGrowthRecord:
-    path_id: int
-    scheduler: str
-    mean_growth: float
+    __slots__ = ("path_id", "scheduler", "mean_growth")
+
+    def __init__(self, path_id: int, scheduler: str, mean_growth: float):
+        self.path_id = path_id
+        self.scheduler = scheduler
+        self.mean_growth = mean_growth
 
 
 def ccdf(samples: Sequence[int]) -> list[tuple[int, float]]:

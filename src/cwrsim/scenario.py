@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .engine import SEED_MASK
@@ -51,19 +50,28 @@ def _check_section(obj, ints: tuple[str, ...], key: tuple[str, int]) -> None:
         raise ScenarioError(str(exc), key=key) from None
 
 
-@dataclass
 class ScenarioConfig:
     """Everything one run needs: paths, sources, schedulers, seed, horizon."""
 
-    paths: list[PathConfig]
-    sources: list[DataSourceConfig] = field(default_factory=list)
-    duration_us: int = 30_000_000
-    seed: int = 1
-    stream_scheduler: str = "pfifo"
-    path_scheduler: str = "cwr"
-    background: bool = True
-    warmup_us: int = 1_000_000
-    bin_width_us: int = 100_000
+    __slots__ = ("paths", "sources", "duration_us", "seed",
+                 "stream_scheduler", "path_scheduler", "background",
+                 "warmup_us", "bin_width_us")
+
+    def __init__(self, paths: list[PathConfig],
+                 sources: list[DataSourceConfig] | None = None,
+                 duration_us: int = 30_000_000, seed: int = 1,
+                 stream_scheduler: str = "pfifo", path_scheduler: str = "cwr",
+                 background: bool = True, warmup_us: int = 1_000_000,
+                 bin_width_us: int = 100_000):
+        self.paths = paths
+        self.sources = [] if sources is None else sources
+        self.duration_us = duration_us
+        self.seed = seed
+        self.stream_scheduler = stream_scheduler
+        self.path_scheduler = path_scheduler
+        self.background = background
+        self.warmup_us = warmup_us
+        self.bin_width_us = bin_width_us
 
     def validate(self) -> None:
         """Reject what the model cannot represent; every rule lives here."""
@@ -133,9 +141,13 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """The config as plain data, minus the paths' forced-loss test hook."""
-        config = asdict(self)
-        for p in config["paths"]:
-            del p["forced_data_losses"]
+        config = {name: getattr(self, name) for name in self.__slots__}
+        config["paths"] = [
+            {name: getattr(p, name) for name in PathConfig.__slots__
+             if name != "forced_data_losses"} for p in self.paths]
+        config["sources"] = [
+            {name: getattr(s, name) for name in DataSourceConfig.__slots__}
+            for s in self.sources]
         return config
 
 

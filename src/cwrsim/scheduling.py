@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .engine import InvariantError
 from .link import OneWayLink, serialization_us
@@ -169,12 +168,15 @@ def make_stream_scheduler(name: str):
 
 
 # rows compare by identity: two reservations with equal fields are still two
-@dataclass(slots=True, eq=False)
 class Reservation:
-    source_id: int
-    path_id: int
-    bytes_left: int
-    due_time: int
+    __slots__ = ("source_id", "path_id", "bytes_left", "due_time")
+
+    def __init__(self, source_id: int, path_id: int, bytes_left: int,
+                 due_time: int):
+        self.source_id = source_id
+        self.path_id = path_id
+        self.bytes_left = bytes_left
+        self.due_time = due_time
 
 
 class ReservationLedger:

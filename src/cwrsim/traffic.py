@@ -1,8 +1,6 @@
 """Periodic message sources, the stream pool, and application-level completion acks."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import InvariantError
 from .scheduling import reservation_bytes
 
@@ -12,15 +10,20 @@ FIRST_MESSAGE_STREAM_ID = 1
 DEFAULT_START_OFFSET_US = 200_000
 
 
-@dataclass(slots=True)
 class DataSourceConfig:
     """A periodic source emitting fixed-size messages at fixed intervals."""
 
-    source_id: int
-    inter_arrival_us: int
-    message_size_bytes: int
-    priority: bool = True
-    start_offset_us: int = DEFAULT_START_OFFSET_US
+    __slots__ = ("source_id", "inter_arrival_us", "message_size_bytes",
+                 "priority", "start_offset_us")
+
+    def __init__(self, source_id: int, inter_arrival_us: int,
+                 message_size_bytes: int, priority: bool = True,
+                 start_offset_us: int = DEFAULT_START_OFFSET_US):
+        self.source_id = source_id
+        self.inter_arrival_us = inter_arrival_us
+        self.message_size_bytes = message_size_bytes
+        self.priority = priority
+        self.start_offset_us = start_offset_us
 
     def validate(self) -> None:
         if self.inter_arrival_us <= 0:
@@ -31,22 +34,32 @@ class DataSourceConfig:
             raise ValueError(f"source {self.source_id}: start_offset_us must be >= 0")
 
 
-@dataclass(slots=True)
 class MessageRecord:
     """Lifecycle of one generated message, from tick to completion."""
 
-    message_id: int
-    source_id: int
-    generated_at: int
-    size: int
-    priority: bool
-    stream_id: int | None = None
-    completed_at: int | None = None
-    loss_involved: bool = False
-    duplicated: bool = False
-    completing_path: int | None = None
-    completed_by_duplicate: bool = False
-    app_acked_at: int | None = None
+    __slots__ = ("message_id", "source_id", "generated_at", "size",
+                 "priority", "stream_id", "completed_at", "loss_involved",
+                 "duplicated", "completing_path", "completed_by_duplicate",
+                 "app_acked_at")
+
+    def __init__(self, message_id: int, source_id: int, generated_at: int,
+                 size: int, priority: bool, stream_id: int | None = None,
+                 completed_at: int | None = None, loss_involved: bool = False,
+                 duplicated: bool = False, completing_path: int | None = None,
+                 completed_by_duplicate: bool = False,
+                 app_acked_at: int | None = None):
+        self.message_id = message_id
+        self.source_id = source_id
+        self.generated_at = generated_at
+        self.size = size
+        self.priority = priority
+        self.stream_id = stream_id
+        self.completed_at = completed_at
+        self.loss_involved = loss_involved
+        self.duplicated = duplicated
+        self.completing_path = completing_path
+        self.completed_by_duplicate = completed_by_duplicate
+        self.app_acked_at = app_acked_at
 
     @property
     def mct(self) -> int | None:

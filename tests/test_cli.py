@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,6 +131,34 @@ def test_any_envelope_scenario_runs_or_reports_an_invariant(tmp_path_factory,
     scn = tmp / "case.scn"
     scn.write_text(text)
     assert main(["simulate", str(scn), "--out", str(tmp / "out")]) in (0, 2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "{scn}", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["compare"], "required: dirs"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    # 2 is the invariant-breach code, not argparse's usage code
+    scn = write_scenario(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(scn=scn) for arg in argv])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cwrsim") and message in err
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    # each pulls in further modules (ast, dis, tokenize) that every CLI run
+    # would pay for at start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; before = set(sys.modules); import cwrsim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "[]\n"
 
 
 def test_missing_file_exit_code(tmp_path):

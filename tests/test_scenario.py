@@ -178,10 +178,34 @@ def test_validate_bounds_the_horizon_in_throughput_bins(duration_us,
 
 
 def test_to_dict_round_trips_scenario_fields():
-    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000, loss_rate=0.0005)])
-    d = cfg.to_dict()
-    assert d["paths"][0]["owd_us"] == 25_000
-    assert d["path_scheduler"] == "cwr"
+    # every field off its default; the forced-loss test hook is not echoed
+    cfg = ScenarioConfig(
+        paths=[PathConfig(3, 12_000, rate_bps=50_000_000, loss_rate=0.25,
+                          ack_loss_enabled=True, forced_data_losses=(3,))],
+        sources=[DataSourceConfig(2, 40_000, 1_500, priority=False,
+                                  start_offset_us=5)],
+        duration_us=4_000_000, seed=9, stream_scheduler="rr",
+        path_scheduler="cwr_red", background=False, warmup_us=500_000,
+        bin_width_us=50_000)
+    expected = {
+        "paths": [{"path_id": 3, "owd_us": 12_000, "rate_bps": 50_000_000,
+                   "loss_rate": 0.25, "ack_loss_enabled": True}],
+        "sources": [{"source_id": 2, "inter_arrival_us": 40_000,
+                     "message_size_bytes": 1_500, "priority": False,
+                     "start_offset_us": 5}],
+        "duration_us": 4_000_000, "seed": 9, "stream_scheduler": "rr",
+        "path_scheduler": "cwr_red", "background": False,
+        "warmup_us": 500_000, "bin_width_us": 50_000,
+    }
+    # repr also tells True from 1 and keeps the field order
+    assert repr(cfg.to_dict()) == repr(expected)
+
+
+def test_configs_built_without_sources_do_not_share_a_list():
+    a = ScenarioConfig(paths=[PathConfig(1, 25_000)])
+    b = ScenarioConfig(paths=[PathConfig(1, 25_000)])
+    a.sources.append(DataSourceConfig(1, 100_000, 10_000))
+    assert b.sources == []
 
 
 @pytest.mark.parametrize("owd_us, accepted", [(2_592, False), (2_593, True)])
