@@ -22,10 +22,11 @@ from .transport import (ACK_PACKET_BYTES, APP_ACK_BYTES, CONGESTION_AVOIDANCE,
 class Node:
     """One connection endpoint: send streams, per-path congestion state, receiver.
 
-    `metrics`, when set, receives this node's cwnd trace. `on_delivery`,
-    when set, is called at every data packet received,
+    Every data packet leaves through `_transmit` and every ack through
+    `_send_ack`. `metrics`, when set, receives this node's cwnd trace.
+    `on_delivery`, when set, is called at every data packet received,
     on_delivery(now, size, priority, new_bytes). `trace`, when set, is
-    called at every data packet sent,
+    called in `_transmit`, so once per data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx),
     and at every blocked send decision (each one counted in blocked_count),
     trace(node, "blocked", now, stream_id, is_rtx). It only observes.
@@ -63,7 +64,7 @@ class Node:
         self.trace = trace
         self.on_message_complete: Callable[[Frame, int, int, bool], None] | None = None
         self.on_frame_lost: Callable[[int | None], None] | None = None
-        self.on_duplicated: Callable[[int | None], None] | None = None
+        self.on_duplicated: Callable[[int], None] | None = None
 
     def set_peer(self, peer: "Node") -> None:
         self._peer_receive = peer.receive_data
@@ -131,7 +132,10 @@ class Node:
                     stream.rtx.popleft()
                 else:
                     stream.pop_pending()
-                self._send_frame(stream, frame, targets, is_rtx, now)
+                if len(targets) > 1 and not frame.app_ack:
+                    self.on_duplicated(frame.message_id)
+                for i, ps in enumerate(targets):
+                    self._transmit(ps, frame, now, is_rtx, i > 0)
                 self.stream_sched.note_sent(stream)
                 sent = True
                 break
@@ -161,28 +165,9 @@ class Node:
 
     def _send_background_run(self, stream: SendStream, ps: PathSendState,
                              k: int, now: int) -> None:
-        engine = self.engine
-        receive = self._peer_receive_bg
-        link = self.links[ps.path_id]
-        path_id = ps.path_id
-        trace = self.trace
-        first = True
         for _ in range(k):
-            frame = stream.next_background_frame()
-            entry = ps.register_sent(frame, now)
-            arrival = link.send(entry.size, True, now)
-            if arrival is not None:
-                engine.schedule(
-                    arrival,
-                    receive, "packet_arrival",
-                    args=(entry.number, path_id, frame.offset, entry.size))
-            if trace is not None:
-                trace(self, "send", now, path_id, entry.number, frame, False,
-                      False)
-            if first:
-                # within the batch deadlines are nondecreasing
-                self._arm_alarm(ps, entry.deadline)
-                first = False
+            self._transmit(ps, stream.next_background_frame(), now, False,
+                           False)
 
     def _blocked(self, now: int, stream: SendStream, is_rtx: bool) -> None:
         """A send decision found no path; retry when the gate that held one
@@ -208,31 +193,30 @@ class Node:
         self._wake_entry = None
         self.try_send(self.engine.now)
 
-    def _send_frame(self, stream: SendStream, frame: Frame,
-                    targets: tuple[PathSendState, ...], is_rtx: bool,
-                    now: int) -> None:
-        if len(targets) > 1 and not frame.app_ack \
-                and self.on_duplicated is not None:
-            self.on_duplicated(frame.message_id)
-        engine = self.engine
-        for i, ps in enumerate(targets):
-            entry = ps.register_sent(frame, now, is_rtx=is_rtx)
-            if frame.priority:
-                self.path_sched.ledger.consume(ps.path_id, entry.size, now)
-            arrival = self.links[ps.path_id].send(entry.size, True, now)
-            if arrival is not None and stream.background:
-                engine.schedule(
-                    arrival, self._peer_receive_bg, "packet_arrival",
-                    args=(entry.number, ps.path_id, frame.offset, entry.size))
-            elif arrival is not None:
-                engine.schedule(
-                    arrival, self._peer_receive,
-                    "app_ack_arrival" if frame.app_ack else "packet_arrival",
-                    args=(entry.number, ps.path_id, frame, entry.size, i > 0))
-            self._arm_alarm(ps, entry.deadline)
-            if self.trace is not None:
-                self.trace(self, "send", now, ps.path_id, entry.number, frame,
-                           i > 0, is_rtx)
+    def _transmit(self, ps: PathSendState, frame: Frame, now: int,
+                  is_rtx: bool, is_dup: bool) -> None:
+        """Send one data packet carrying `frame` on path `ps`."""
+        entry = ps.register_sent(frame, now, is_rtx=is_rtx)
+        path_id = ps.path_id
+        size = entry.size
+        if frame.priority:
+            self.path_sched.ledger.consume(path_id, size, now)
+        arrival = self.links[path_id].send(size, True, now)
+        if arrival is not None:
+            if frame.message_id is None:  # a background frame
+                receive = self._peer_receive_bg
+                args = (entry.number, path_id, frame.offset, size)
+            else:
+                receive = self._peer_receive
+                args = (entry.number, path_id, frame, size, is_dup)
+            self.engine.schedule(
+                arrival, receive,
+                "app_ack_arrival" if frame.app_ack else "packet_arrival",
+                args=args)
+        self._arm_alarm(ps, entry.deadline)
+        if self.trace is not None:
+            self.trace(self, "send", now, path_id, entry.number, frame,
+                       is_dup, is_rtx)
 
     # -- acknowledgment and loss handling --------------------------------
 
@@ -319,10 +303,7 @@ class Node:
         record = self._on_delivery
         if record is not None:
             record(now, size, False, new_bytes)
-        arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
-        if arrival is not None:
-            self.engine.schedule(
-                arrival, self._peer_ack, "ack_arrival", args=(path_id, number))
+        self._send_ack(path_id, number, now)
 
     def receive_data(self, number: int, path_id: int, frame: Frame, size: int,
                      is_duplicate: bool) -> None:
@@ -335,12 +316,16 @@ class Node:
         new_bytes, completed = reasm.accept(frame)
         if self._on_delivery is not None:
             self._on_delivery(now, size, frame.priority, new_bytes)
+        self._send_ack(path_id, number, now)
+        if completed:
+            self.on_message_complete(frame, now, path_id, is_duplicate)
+
+    def _send_ack(self, path_id: int, number: int, now: int) -> None:
+        """Acknowledge data packet `number` back over path `path_id`."""
         arrival = self.links[path_id].send(ACK_PACKET_BYTES, False, now)
         if arrival is not None:
             self.engine.schedule(
                 arrival, self._peer_ack, "ack_arrival", args=(path_id, number))
-        if completed and self.on_message_complete is not None:
-            self.on_message_complete(frame, now, path_id, is_duplicate)
 
 
 class Simulation:

@@ -158,9 +158,8 @@ class TrafficManager:
         record.completing_path = path_id
         record.completed_by_duplicate = by_duplicate
 
-    def on_duplicated(self, message_id: int | None) -> None:
-        if message_id is not None:
-            self.messages[message_id].duplicated = True
+    def on_duplicated(self, message_id: int) -> None:
+        self.messages[message_id].duplicated = True
 
     def on_app_ack(self, message_id: int, now: int) -> None:
         record = self.messages[message_id]

@@ -58,10 +58,16 @@ class Observer:
         self.fresh_background_sends = 0
         self.unblocked_priority: list[tuple[int, int]] = []
         self.reservation_breaches: list[tuple[str, int, int]] = []
+        # (node name, path id) -> [send records, of which retransmissions]
+        self.sends: dict[tuple[str, int], list[int]] = {}
 
     def __call__(self, node, kind, now, *fields) -> None:
         if kind == "send":
             self._check_reservations(node, now, *fields)
+            path_id, _number, _frame, _is_dup, is_rtx = fields
+            counts = self.sends.setdefault((node.name, path_id), [0, 0])
+            counts[0] += 1
+            counts[1] += is_rtx
         if node.name != "server":
             return
         if kind == "blocked":
@@ -115,6 +121,16 @@ def test_conservation_held_every_event(run):
 def test_blocked_trace_records_match_blocked_count(run):
     _cfg, sim, _res, obs = run
     assert obs.blocked == sim.server.blocked_count
+
+
+def test_send_trace_records_match_packets_sent(run):
+    # every data packet leaves a node through one place, which traces it
+    _cfg, sim, _res, obs = run
+    for node in (sim.server, sim.client):
+        for ps in node.path_list:
+            sent, rtx = obs.sends.get((node.name, ps.path_id), (0, 0))
+            assert sent == ps.sent_packets == node.links[ps.path_id].data_sent
+            assert rtx == ps.retransmissions
 
 
 def test_one_message_per_stream(run):

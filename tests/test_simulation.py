@@ -9,7 +9,7 @@ from cwrsim.link import PathConfig
 from cwrsim.metrics import post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
 from cwrsim.simulation import Simulation
-from cwrsim.traffic import DataSourceConfig
+from cwrsim.traffic import BACKGROUND_STREAM_ID, DataSourceConfig
 from cwrsim.transport import MAX_PAYLOAD_BYTES, ReceivedOffsets
 
 
@@ -103,12 +103,19 @@ def test_lost_priority_packet_is_recovered():
 
 
 def test_cwr_equals_lowrtt_without_priority_sources():
-    logs = []
-    for scheduler in ("cwr", "lowrtt"):
-        cfg = config(paths=two_paths(loss=0.0005), path_scheduler=scheduler,
-                     duration_us=1_500_000)
-        logs.append(traced_run(cfg)[2])
-    assert logs[0] and logs[0] == logs[1]
+    # with nothing to reserve for or duplicate, the three path schedulers
+    # send the same packets at the same instants and block alike
+    for sources in ([], [DataSourceConfig(1, 100_000, 10_000, priority=False)]):
+        runs = []
+        for scheduler in ("lowrtt", "cwr", "cwr_red"):
+            cfg = config(paths=two_paths(loss=0.0005), sources=sources,
+                         path_scheduler=scheduler, duration_us=1_500_000)
+            sim, _res, send_log = traced_run(cfg)
+            runs.append((send_log, sim.server.blocked_count,
+                         sim.client.blocked_count))
+        assert runs[0][0] and runs[0] == runs[1] == runs[2]
+        if sources:
+            assert any(rec[3] != BACKGROUND_STREAM_ID for rec in runs[0][0])
 
 
 def test_redundant_scheduler_duplicates_and_receiver_deduplicates():
