@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .engine import InvariantError
 from .metrics import ccdf, write_ccdf_csv
-from .scenario import ScenarioConfig, ScenarioError, parse_scenario
+from .scenario import ScenarioError, parse_scenario
 from .scheduling import PATH_SCHEDULERS
 from .simulation import Simulation
 
@@ -38,18 +38,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        config.seed = args.seed
+    base_seed = config.seed if args.seed is None else args.seed
     outdir = Path(args.out)
-    fields = {name: getattr(config, name) for name in ScenarioConfig.__slots__}
     pooled_mcts: list[int] = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         for rep in range(args.reps):
-            rep_config = ScenarioConfig(**dict(
-                fields, seed=config.seed + rep, paths=list(config.paths),
-                sources=list(config.sources)))
-            result = Simulation(rep_config).run()
+            config.seed = base_seed + rep
+            result = Simulation(config).run()
             for warning in result.write_outputs(_run_dir(outdir, rep)):
                 print(f"run {rep}: {warning}", file=sys.stderr)
             pooled_mcts.extend(result.priority_mcts())

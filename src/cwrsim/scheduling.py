@@ -37,7 +37,9 @@ class SendStream:
         self.stream_id = stream_id
         self.priority = priority
         self.background = background
-        self.epoch = -1
+        # a message stream's first message is epoch 0; background is one
+        # endless message from the start
+        self.epoch = 0 if background else -1
         self.enqueue_time = 0
         self.pending: deque[Frame] = deque()
         self.rtx: deque[tuple[int, Frame, int]] = deque()  # (time, frame, path)

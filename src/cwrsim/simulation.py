@@ -14,17 +14,21 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
                       write_throughput_csv)
 from .scheduling import SendStream, make_path_scheduler, make_stream_scheduler
 from .traffic import TrafficManager
-from .transport import (ACK_PACKET_BYTES, APP_ACK_BYTES, CONGESTION_AVOIDANCE,
-                        Frame, HEADER_BYTES, PathSendState, ReceivedOffsets,
+from .transport import (ACK_PACKET_BYTES, CONGESTION_AVOIDANCE, Frame,
+                        HEADER_BYTES, PathSendState, ReceivedOffsets,
                         StreamReassembly)
 
 
 class Node:
     """One connection endpoint: send streams, per-path congestion state, receiver.
 
-    Every data packet leaves through `_transmit` and every ack through
-    `_send_ack`. `metrics`, when set, receives this node's cwnd trace.
-    `on_delivery`, when set, is called at every data packet received,
+    A node only carries the messages loaded onto its streams; which stream
+    a message takes, and the completion response, belong to the traffic
+    manager, which `on_message_complete(frame, now, path_id, by_duplicate)`
+    calls once per message this node receives whole. Every data packet
+    leaves through `_transmit` and every ack through `_send_ack`.
+    `metrics`, when set, receives this node's cwnd trace. `on_delivery`,
+    when set, is called at every data packet received,
     on_delivery(now, size, priority, new_bytes). `trace`, when set, is
     called in `_transmit`, so once per data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx),
@@ -84,20 +88,9 @@ class Node:
         stream = self.streams.get(stream_id)
         if stream is None:
             stream = SendStream(stream_id, priority=False, background=True)
-            stream.epoch = 0
             self.streams[stream_id] = stream
             self._bg_stream = stream
         return stream
-
-    def enqueue_app_ack(self, stream_id: int, priority: bool, message_id: int,
-                        now: int) -> None:
-        """Queue the one-byte completion response on the same stream."""
-        stream = self.get_send_stream(stream_id, priority)
-        if stream.message_id is not None and not stream.pending:
-            # previous response fully sent; app-level reuse is gated upstream
-            stream.message_done()
-        stream.load_message(APP_ACK_BYTES, message_id, now, app_ack=True)
-        self.try_send(now)
 
     def try_send(self, now: int) -> None:
         """Send as long as the stream scheduler offers a unit some path admits."""
@@ -362,25 +355,13 @@ class Simulation:
                            on_delivery=self.metrics.on_delivery, trace=trace)
         self.server.set_peer(self.client)
         self.client.set_peer(self.server)
-        self.traffic = TrafficManager(config.sources, self.server, self.engine,
-                                      config.duration_us, config.background)
+        self.traffic = TrafficManager(config.sources, self.server, self.client,
+                                      self.engine, config.duration_us,
+                                      config.background)
         self.server.on_frame_lost = self.traffic.on_frame_lost
         self.server.on_duplicated = self.traffic.on_duplicated
-        self.client.on_message_complete = self._on_data_complete
-        self.server.on_message_complete = self._on_app_ack_received
-
-    def _on_data_complete(self, frame: Frame, now: int, path_id: int,
-                          by_duplicate: bool) -> None:
-        self.traffic.on_message_complete(frame.message_id, now, path_id,
-                                         by_duplicate)
-        self.client.enqueue_app_ack(frame.stream_id, frame.priority,
-                                    frame.message_id, now)
-
-    def _on_app_ack_received(self, frame: Frame, now: int, path_id: int,
-                             by_duplicate: bool) -> None:
-        if not frame.app_ack:
-            raise InvariantError("server received a non-ack stream message")
-        self.traffic.on_app_ack(frame.message_id, now)
+        self.client.on_message_complete = self.traffic.on_message_complete
+        self.server.on_message_complete = self.traffic.on_app_ack
 
     def verify_invariants(self) -> None:
         """Byte conservation and reservation bounds for both endpoints."""

@@ -1,8 +1,15 @@
-"""Periodic message sources, the stream pool, and application-level completion acks."""
+"""Periodic message sources, the stream each message takes, and the
+application-level completion response that frees it.
+
+A message holds its server stream from its tick until the client's one-byte
+completion response for it arrives; a server stream is idle exactly when its
+`SendStream.message_id` is None.
+"""
 from __future__ import annotations
 
 from .engine import InvariantError
-from .scheduling import reservation_bytes
+from .scheduling import SendStream, reservation_bytes
+from .transport import APP_ACK_BYTES, Frame
 
 BACKGROUND_STREAM_ID = 0
 FIRST_MESSAGE_STREAM_ID = 1
@@ -68,47 +75,18 @@ class MessageRecord:
         return self.completed_at - self.generated_at
 
 
-class StreamPool:
-    """Reusable stream ids for messages; a busy stream never takes a second one.
-
-    Priority and non-priority messages draw from separate free lists, so a
-    stream keeps its class for its whole life.
-    """
-
-    def __init__(self):
-        self._free: dict[bool, list[int]] = {True: [], False: []}
-        self._busy: dict[int, int] = {}
-        self._next = FIRST_MESSAGE_STREAM_ID
-
-    def acquire(self, message_id: int, priority: bool) -> int:
-        free = self._free[priority]
-        if free:
-            free.sort()
-            stream_id = free.pop(0)
-        else:
-            stream_id = self._next
-            self._next += 1
-        self._busy[stream_id] = message_id
-        return stream_id
-
-    def release(self, stream_id: int, priority: bool) -> None:
-        if stream_id not in self._busy:
-            raise InvariantError(f"stream {stream_id} released while not busy")
-        del self._busy[stream_id]
-        self._free[priority].append(stream_id)
-
-
 class TrafficManager:
-    """Drives the sources: ticks messages onto streams and renews reservations."""
+    """Drives the sources: ticks messages onto idle server streams, renews
+    reservations, and runs the completion response on both nodes."""
 
-    def __init__(self, sources: list[DataSourceConfig], server, engine,
+    def __init__(self, sources: list[DataSourceConfig], server, client, engine,
                  duration_us: int, background: bool):
         self.sources = sources
         self.server = server
+        self.client = client
         self.engine = engine
         self.duration_us = duration_us
         self.background = background
-        self.pool = StreamPool()
         # a message's id is its index here
         self.messages: list[MessageRecord] = []
 
@@ -133,9 +111,8 @@ class TrafficManager:
         record = MessageRecord(len(self.messages), src.source_id, now,
                                src.message_size_bytes, src.priority)
         self.messages.append(record)
-        stream_id = self.pool.acquire(record.message_id, src.priority)
-        record.stream_id = stream_id
-        stream = self.server.get_send_stream(stream_id, src.priority)
+        stream = self._idle_stream(src.priority)
+        record.stream_id = stream.stream_id
         stream.load_message(src.message_size_bytes, record.message_id, now)
         if src.priority:
             self.server.path_sched.register_reservation(
@@ -145,28 +122,53 @@ class TrafficManager:
                              "source_tick", args=(src,))
         self.server.try_send(now)
 
+    def _idle_stream(self, priority: bool) -> SendStream:
+        """The lowest-id idle server stream of the class, else the next id.
+
+        Message streams are numbered contiguously from FIRST_MESSAGE_STREAM_ID
+        and keep their class for life.
+        """
+        streams = self.server.streams
+        stream_id = FIRST_MESSAGE_STREAM_ID
+        while stream_id in streams:
+            stream = streams[stream_id]
+            if stream.message_id is None and stream.priority == priority:
+                return stream
+            stream_id += 1
+        return self.server.get_send_stream(stream_id, priority)
+
     def on_frame_lost(self, message_id: int | None) -> None:
         if message_id is not None:
             self.messages[message_id].loss_involved = True
 
-    def on_message_complete(self, message_id: int, now: int, path_id: int,
-                            by_duplicate: bool) -> None:
-        record = self.messages[message_id]
-        if record.completed_at is not None:
-            return
-        record.completed_at = now
-        record.completing_path = path_id
-        record.completed_by_duplicate = by_duplicate
-
     def on_duplicated(self, message_id: int) -> None:
         self.messages[message_id].duplicated = True
 
-    def on_app_ack(self, message_id: int, now: int) -> None:
-        record = self.messages[message_id]
+    def on_message_complete(self, frame: Frame, now: int, path_id: int,
+                            by_duplicate: bool) -> None:
+        """The client holds a whole message: record its first completion and
+        queue the one-byte response on the same stream."""
+        record = self.messages[frame.message_id]
+        if record.completed_at is None:
+            record.completed_at = now
+            record.completing_path = path_id
+            record.completed_by_duplicate = by_duplicate
+        client = self.client
+        stream = client.get_send_stream(frame.stream_id, frame.priority)
+        if stream.message_id is not None and not stream.pending:
+            # the previous response is fully sent; the server frees the
+            # stream only once it arrives, so the next message follows it
+            stream.message_done()
+        stream.load_message(APP_ACK_BYTES, frame.message_id, now, app_ack=True)
+        client.try_send(now)
+
+    def on_app_ack(self, frame: Frame, now: int, path_id: int,
+                   by_duplicate: bool) -> None:
+        """The server holds a completion response: its stream is idle again."""
+        if not frame.app_ack:
+            raise InvariantError("server received a non-ack stream message")
+        record = self.messages[frame.message_id]
         if record.app_acked_at is not None:
             return
         record.app_acked_at = now
-        self.pool.release(record.stream_id, record.priority)
-        stream = self.server.streams.get(record.stream_id)
-        if stream is not None:
-            stream.message_done()
+        self.server.streams[record.stream_id].message_done()

@@ -67,6 +67,20 @@ def test_simulate_repetitions_vary_seed(tmp_path):
     assert seeds == [5, 6]
 
 
+def test_second_repetition_equals_a_run_at_its_seed(tmp_path):
+    # the scenario's seed is 5: repetition 1 runs seed 6
+    scn = write_scenario(tmp_path)
+    reps, single = tmp_path / "reps", tmp_path / "single"
+    assert main(["simulate", str(scn), "--reps", "2", "--out", str(reps)]) == 0
+    assert main(["simulate", str(scn), "--seed", "6", "--out",
+                 str(single)]) == 0
+    names = sorted(f.name for f in (single / "run_000").iterdir())
+    assert names == sorted(f.name for f in (reps / "run_001").iterdir())
+    for name in names:
+        assert (reps / "run_001" / name).read_bytes() \
+            == (single / "run_000" / name).read_bytes(), name
+
+
 def test_same_config_and_seed_yield_byte_identical_outputs(tmp_path):
     scn = write_scenario(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,4 @@
-"""Source ticks, stream pool reuse, app-level completion acks."""
+"""Source ticks, the stream each message takes, app-level completion responses."""
 from __future__ import annotations
 
 import pytest
@@ -7,7 +7,8 @@ from cwrsim.engine import InvariantError
 from cwrsim.link import PathConfig
 from cwrsim.scenario import ScenarioConfig
 from cwrsim.simulation import Simulation
-from cwrsim.traffic import DataSourceConfig, StreamPool
+from cwrsim.traffic import FIRST_MESSAGE_STREAM_ID, DataSourceConfig
+from cwrsim.transport import Frame
 
 
 def two_paths(loss=0.0, owd=25_000):
@@ -105,23 +106,47 @@ def test_non_priority_source_messages_are_not_priority():
     assert all(m.completed_at is not None for m in res.messages)
 
 
-def test_stream_pool_reuses_lowest_free_of_matching_class():
-    pool = StreamPool()
-    a = pool.acquire(1, True)
-    b = pool.acquire(2, True)
-    c = pool.acquire(3, False)
-    assert (a, b, c) == (1, 2, 3)
-    pool.release(a, True)
-    pool.release(c, False)
-    assert pool.acquire(4, True) == 1     # reuse, same class
-    assert pool.acquire(5, False) == 3    # class kept separate
-    assert pool.acquire(6, True) == 4     # fresh when none free
+def test_message_takes_lowest_idle_stream_of_its_class():
+    # both classes overlap their own earlier messages, so streams of each
+    # class are busy, idle and reused throughout the run
+    sources = [DataSourceConfig(1, 15_000, 3_000, start_offset_us=0),
+               DataSourceConfig(2, 12_000, 5_000, priority=False,
+                                start_offset_us=0)]
+    _, res = run_sim(sources, 600_000)
+    messages = res.messages
+    ticks = {m.generated_at for m in messages}
+    assert not ticks & {m.app_acked_at for m in messages}
+    # replay the rule over the run: an app ack frees its stream, a tick takes
+    # the lowest freed id of its class, else the next id
+    events = sorted([(m.generated_at, 1, m.message_id) for m in messages]
+                    + [(m.app_acked_at, 0, m.message_id) for m in messages
+                       if m.app_acked_at is not None])
+    free = {True: set(), False: set()}
+    next_id = FIRST_MESSAGE_STREAM_ID
+    expected = {}
+    for _, is_tick, message_id in events:
+        m = messages[message_id]
+        if not is_tick:
+            free[m.priority].add(expected[message_id])
+        elif free[m.priority]:
+            expected[message_id] = min(free[m.priority])
+            free[m.priority].remove(expected[message_id])
+        else:
+            expected[message_id] = next_id
+            next_id += 1
+    assert [m.stream_id for m in messages] == [
+        expected[m.message_id] for m in messages]
+    # most messages reuse a stream
+    assert next_id - FIRST_MESSAGE_STREAM_ID < len(messages) // 2
 
 
-def test_stream_pool_release_guard():
-    pool = StreamPool()
+def test_app_ack_of_a_data_frame_is_fatal():
+    sim = Simulation(ScenarioConfig(
+        paths=two_paths(), sources=[DataSourceConfig(1, 50_000, 2_000)],
+        duration_us=100_000, warmup_us=0))
+    frame = Frame(FIRST_MESSAGE_STREAM_ID, 0, 0, 2_000, True, True, 0)
     with pytest.raises(InvariantError):
-        pool.release(1, True)
+        sim.traffic.on_app_ack(frame, 0, 1, False)
 
 
 def test_double_message_on_stream_is_fatal():

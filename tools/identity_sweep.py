@@ -4,12 +4,17 @@
     python tools/identity_sweep.py [REF]      (REF defaults to HEAD)
 
 REF's src/, tests/ and scenarios/ are exported with `git archive` into a
-temporary directory. Both trees then run the same 107 configurations:
+temporary directory. Both trees then run the same 114 configurations:
 
 - tests/test_properties.py's random_config(0..15) under each path scheduler
   and each stream scheduler, at 4 s (96 runs);
 - the three shipped scenarios under each path scheduler, at 10 s (9 runs);
-- tests/test_output_identity.py's priority_only at 30 s and line_rate at 5 s.
+- tests/test_output_identity.py's priority_only at 30 s and line_rate at 5 s;
+- mixed_config(), defined here, under each path scheduler and each stream
+  scheduler, at 2 s (6 runs), and its paths with background alone (1 run).
+  random_config draws priority sources only; mixed_config's priority and
+  non-priority messages overlap on lossy paths that also lose acks, so
+  streams of both classes are reused and completion responses are lost.
 
 Each run records the SHA-256 of its `write_outputs` files (name and bytes, in
 name order) and of the repr of every trace-hook record, with the node given
@@ -34,6 +39,26 @@ STREAM_SCHEDULERS = ("pfifo", "rr")
 SHIPPED = ("asymmetric_rtt", "one_source_cwr", "three_sources")
 
 
+def mixed_config(sources=True):
+    """Background beside overlapping priority and non-priority messages on
+    two lossy paths that also lose acks; imports the tree on sys.path."""
+    from cwrsim.link import PathConfig
+    from cwrsim.scenario import ScenarioConfig
+    from cwrsim.traffic import DataSourceConfig
+
+    paths = [PathConfig(1, 10_000, loss_rate=0.004, ack_loss_enabled=True),
+             PathConfig(2, 30_000, loss_rate=0.004, ack_loss_enabled=True)]
+    return ScenarioConfig(
+        paths=paths, duration_us=2_000_000, seed=5, background=True,
+        sources=[
+            DataSourceConfig(1, 15_000, 3_000),
+            DataSourceConfig(2, 12_000, 5_000, priority=False,
+                             start_offset_us=0),
+            DataSourceConfig(3, 40_000, 1_000, priority=False),
+            DataSourceConfig(4, 25_000, 9_000),
+        ] if sources else [])
+
+
 def sweep_configs():
     """(name, config) pairs; imports the tree on sys.path."""
     from test_output_identity import line_rate, priority_only, shipped
@@ -56,6 +81,12 @@ def sweep_configs():
                    shipped(name, 10_000_000, path_scheduler=ps)(1))
     yield "priority_only", with_fields(priority_only(1), duration_us=30_000_000)
     yield "line_rate", with_fields(line_rate(1), duration_us=5_000_000)
+    for ps in PATH_SCHEDULERS:
+        for ss in STREAM_SCHEDULERS:
+            yield (f"mixed_config() {ps} {ss}",
+                   with_fields(mixed_config(), path_scheduler=ps,
+                               stream_scheduler=ss))
+    yield "mixed_config(sources=False)", mixed_config(sources=False)
 
 
 def outputs_digest(outdir: Path) -> str:
