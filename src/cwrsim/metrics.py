@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Sequence
@@ -81,60 +80,91 @@ def max_ccdf_gap(a: list[tuple[int, float]], b: list[tuple[int, float]]) -> floa
     return gap
 
 
-class CwndTrace:
-    """A path's (time, cwnd) samples, held as two integer arrays; times are
-    nondecreasing."""
+class GrowthWindows:
+    """One path's cwnd growth per RTT window, measured as its samples arrive.
 
-    __slots__ = ("times", "values")
+    Windows run from t0 = max(start, ca_since), where ca_since is the first
+    sample taken in congestion avoidance, while t + rtt <= end. The cwnd at
+    a window boundary is the last sample at or before it, and a later sample
+    at the same instant replaces the earlier one, so a boundary is resolved
+    only when a strictly later sample arrives (or, for the rest, when the
+    growths are read). A window holding a decrease in [t, t + rtt) is
+    skipped. Only the last sample, the cwnd at the last resolved boundary,
+    the decrease times and one growth per usable window are kept; len() is
+    the number of distinct sample instants.
+    """
 
-    def __init__(self, when: int, cwnd: int):
-        self.times = array("q", (when,))
-        self.values = array("q", (cwnd,))
+    __slots__ = ("rtt", "start", "end", "ca_since", "decreases", "growths",
+                 "samples", "last_time", "last_cwnd", "boundary", "base")
+
+    def __init__(self, cwnd: int, rtt_us: int, start_us: int, end_us: int):
+        self.rtt = rtt_us
+        self.start = start_us
+        self.end = end_us
+        self.ca_since: int | None = None
+        self.decreases: list[int] = []
+        self.growths: list[int] = []
+        self.samples = 1
+        self.last_time = 0
+        self.last_cwnd = cwnd
+        # the next boundary to resolve; past the end until ca_since is known
+        self.boundary = end_us + 1
+        self.base: int | None = None  # cwnd at the boundary before it
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self.samples
 
+    def sample(self, when: int, cwnd: int, in_ca: bool) -> None:
+        if when != self.last_time:
+            if self.boundary < when:
+                self.boundary, self.base = self._resolve(when, self.growths)
+            self.samples += 1
+            self.last_time = when
+        self.last_cwnd = cwnd
+        if in_ca and self.ca_since is None:
+            self.ca_since = when
+            self.boundary = max(self.start, when)
 
-def cwnd_growth(samples: CwndTrace, ca_since: int | None,
-                decreases: list[int], rtt_us: int, start_us: int,
-                end_us: int) -> tuple[float, int]:
-    """Mean cwnd increase per rtt over CA-phase windows in [start, end).
+    def _resolve(self, until: int, out: list[int]) -> tuple[int, int | None]:
+        """Resolve the boundaries before `until` at the last sample, adding
+        each usable window's growth to out; returns the next boundary and
+        the cwnd at the last one resolved."""
+        b, base, cwnd, rtt = self.boundary, self.base, self.last_cwnd, self.rtt
+        decreases = self.decreases
+        while b < until and b <= self.end:
+            if base is not None and bisect_left(decreases, b - rtt) \
+                    == bisect_left(decreases, b):
+                out.append(cwnd - base)
+            base = cwnd
+            b += rtt
+        return b, base
 
-    Windows containing a multiplicative decrease are excluded. Returns
-    (mean, window_count); raises InsufficientSamplesError below the minimum.
-    """
-    if ca_since is None:
-        raise InsufficientSamplesError("path never reached congestion avoidance")
-    t0 = max(start_us, ca_since)
-    times, values = samples.times, samples.values
+    def window_growths(self) -> list[int]:
+        """Every usable window's growth, the ones still open resolved at
+        the last sample."""
+        out = list(self.growths)
+        self._resolve(self.end + 1, out)
+        return out
 
-    def cwnd_at(t: int) -> int:
-        idx = bisect_right(times, t)
-        if idx == 0:
-            raise InsufficientSamplesError("no cwnd samples before window start")
-        return values[idx - 1]
-
-    growths = []
-    t = t0
-    while t + rtt_us <= end_us:
-        # decreases in the half-open window [t, t+rtt) disqualify it
-        lo = bisect_left(decreases, t)
-        hi = bisect_left(decreases, t + rtt_us)
-        if lo == hi:
-            growths.append(cwnd_at(t + rtt_us) - cwnd_at(t))
-        t += rtt_us
-    if len(growths) < MIN_GROWTH_WINDOWS:
-        raise InsufficientSamplesError(
-            f"only {len(growths)} usable CA windows, need {MIN_GROWTH_WINDOWS}"
-        )
-    return sum(growths) / len(growths), len(growths)
+    def mean(self) -> float:
+        """Mean growth per window; raises InsufficientSamplesError below
+        the minimum."""
+        if self.ca_since is None:
+            raise InsufficientSamplesError("path never reached congestion avoidance")
+        growths = self.window_growths()
+        if len(growths) < MIN_GROWTH_WINDOWS:
+            raise InsufficientSamplesError(
+                f"only {len(growths)} usable CA windows, need {MIN_GROWTH_WINDOWS}"
+            )
+        return sum(growths) / len(growths)
 
 
 CWND_SAMPLE_INTERVAL_US = 250
 
 
 class MetricsCollector:
-    """Run traces plus derived outputs; throughput is binned incrementally."""
+    """Run traces plus derived outputs; throughput is binned and window
+    growth measured as the run goes."""
 
     def __init__(self, horizon_us: int, warmup_us: int = DEFAULT_WARMUP_US,
                  bin_width_us: int = DEFAULT_BIN_WIDTH_US):
@@ -145,13 +175,12 @@ class MetricsCollector:
         self._bins = [ThroughputBin(i * bin_width_us) for i in range(n_bins)]
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
-        self.cwnd_samples: dict[int, CwndTrace] = {}
-        self.ca_since: dict[int, int] = {}
-        self.decreases: dict[int, list[int]] = {}
+        self.cwnd_samples: dict[int, GrowthWindows] = {}
 
-    def register_path(self, path_id: int, initial_cwnd: int) -> None:
-        self.cwnd_samples[path_id] = CwndTrace(0, initial_cwnd)
-        self.decreases[path_id] = []
+    def register_path(self, path_id: int, initial_cwnd: int,
+                      rtt_us: int) -> None:
+        self.cwnd_samples[path_id] = GrowthWindows(
+            initial_cwnd, rtt_us, self.warmup_us, self.horizon_us)
 
     def on_delivery(self, when: int, size: int, priority: bool,
                     new_bytes: int) -> None:
@@ -166,30 +195,17 @@ class MetricsCollector:
 
     def on_cwnd(self, path_id: int, when: int, cwnd: int,
                 in_ca: bool) -> None:
-        """Record a cwnd sample; the first one taken in congestion
-        avoidance sets the path's ca_since."""
-        # a later sample at the same instant replaces the earlier one
-        trace = self.cwnd_samples[path_id]
-        if when == trace.times[-1]:
-            trace.values[-1] = cwnd
-        else:
-            trace.times.append(when)
-            trace.values.append(cwnd)
-        if in_ca and path_id not in self.ca_since:
-            self.ca_since[path_id] = when
+        self.cwnd_samples[path_id].sample(when, cwnd, in_ca)
 
     def on_decrease(self, path_id: int, when: int) -> None:
-        self.decreases[path_id].append(when)
+        self.cwnd_samples[path_id].decreases.append(when)
 
     def throughput(self) -> list[ThroughputBin]:
         return self._bins
 
-    def growth_record(self, path_id: int, scheduler: str,
-                      rtt_us: int) -> CwndGrowthRecord:
-        mean, _windows = cwnd_growth(
-            self.cwnd_samples[path_id], self.ca_since.get(path_id),
-            self.decreases[path_id], rtt_us, self.warmup_us, self.horizon_us)
-        return CwndGrowthRecord(path_id, scheduler, mean)
+    def growth_record(self, path_id: int, scheduler: str) -> CwndGrowthRecord:
+        return CwndGrowthRecord(path_id, scheduler,
+                                self.cwnd_samples[path_id].mean())
 
 
 def post_warmup_mcts(messages, warmup_us: int = DEFAULT_WARMUP_US) -> list[int]:

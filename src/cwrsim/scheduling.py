@@ -31,9 +31,10 @@ class SendStream:
 
     __slots__ = ("stream_id", "priority", "background", "epoch", "enqueue_time",
                  "pending", "rtx", "message_id", "dup_mode", "delivered",
-                 "_bg_offset")
+                 "urgent", "_bg_offset")
 
-    def __init__(self, stream_id: int, priority: bool, background: bool = False):
+    def __init__(self, stream_id: int, priority: bool, background: bool = False,
+                 *, urgent: set[SendStream]):
         self.stream_id = stream_id
         self.priority = priority
         self.background = background
@@ -46,7 +47,13 @@ class SendStream:
         self.message_id: int | None = None
         self.dup_mode: str | None = None  # None undecided, 'all', 'off'
         self.delivered: set[int] = set()
+        # the node's streams with rtx, or pending data and not background
+        self.urgent = urgent
         self._bg_offset = 0
+
+    def _settle(self) -> None:
+        urgent = self.rtx or (self.pending and not self.background)
+        (self.urgent.add if urgent else self.urgent.discard)(self)
 
     def load_message(self, size: int, message_id: int | None, now: int,
                      app_ack: bool = False) -> None:
@@ -62,35 +69,34 @@ class SendStream:
         self.enqueue_time = now
         self.dup_mode = None
         self.delivered.clear()
+        self._settle()
 
-    def has_pending(self) -> bool:
-        return self.background or bool(self.pending)
+    def peek_pending(self) -> Frame:
+        if self.background and not self.pending:
+            self.pending.append(self.next_background_frame())
+        return self.pending[0]
 
-    def _new_background_frame(self) -> Frame:
+    def pop_pending(self) -> Frame:
+        frame = self.pending.popleft()
+        if not self.pending:
+            self._settle()
+        return frame
+
+    def next_background_frame(self) -> Frame:
+        if self.pending:
+            return self.pending.popleft()
         offset = self._bg_offset
         self._bg_offset = offset + MAX_PAYLOAD_BYTES
         # tuple.__new__ skips the NamedTuple's Python-level constructor
         return tuple.__new__(Frame, (self.stream_id, 0, offset, MAX_PAYLOAD_BYTES,
                                      False, False, None, False))
 
-    def peek_pending(self) -> Frame:
-        if self.background and not self.pending:
-            self.pending.append(self._new_background_frame())
-        return self.pending[0]
-
-    def pop_pending(self) -> Frame:
-        return self.pending.popleft()
-
-    def next_background_frame(self) -> Frame:
-        if self.pending:
-            return self.pending.popleft()
-        return self._new_background_frame()
-
     def message_done(self) -> None:
         # Any queued retransmissions belong to the acknowledged message and
         # would be discarded as stale at the receiver; drop them.
         self.message_id = None
         self.rtx.clear()
+        self._settle()
 
     def remaining_message_bytes(self) -> int:
         return sum(f.length + HEADER_BYTES for f in self.pending)
@@ -112,17 +118,24 @@ class SendStream:
         path if it is still owed."""
         if self._owes(frame):
             self.rtx.append((now, frame, path_id))
+            self.urgent.add(self)
 
     def next_rtx(self) -> tuple[Frame, int] | None:
         """The oldest retransmission still owed and its path, after dropping
-        the queued ones no longer owed; it stays queued until sent."""
+        the queued ones no longer owed; it stays queued until pop_rtx."""
         rtx = self.rtx
         while rtx:
             _t, frame, path_id = rtx[0]
             if self._owes(frame):
                 return frame, path_id
             rtx.popleft()
+            if not rtx:
+                self._settle()
         return None
+
+    def pop_rtx(self) -> None:
+        self.rtx.popleft()
+        self._settle()
 
 
 class RoundRobinStreams:

@@ -60,6 +60,7 @@ class Node:
         self._peer_receive_bg = None
         self._peer_ack = None
         self.streams: dict[int, SendStream] = {}
+        self.urgent: set[SendStream] = set()  # kept by the streams
         self._bg_stream: SendStream | None = None
         self.reassembly: dict[int, StreamReassembly] = {}
         # a node has at most one background stream
@@ -80,14 +81,14 @@ class Node:
     def get_send_stream(self, stream_id: int, priority: bool) -> SendStream:
         stream = self.streams.get(stream_id)
         if stream is None:
-            stream = SendStream(stream_id, priority)
+            stream = SendStream(stream_id, priority, urgent=self.urgent)
             self.streams[stream_id] = stream
         return stream
 
     def ensure_background_stream(self, stream_id: int) -> SendStream:
         stream = self.streams.get(stream_id)
         if stream is None:
-            stream = SendStream(stream_id, priority=False, background=True)
+            stream = SendStream(stream_id, False, True, urgent=self.urgent)
             self.streams[stream_id] = stream
             self._bg_stream = stream
         return stream
@@ -111,7 +112,7 @@ class Node:
                 if owed is not None:
                     frame, rtx_path = owed
                     is_rtx = True
-                elif stream.has_pending():
+                elif stream.background or stream.pending:
                     frame = stream.peek_pending()
                     is_rtx = False
                     rtx_path = None
@@ -122,7 +123,7 @@ class Node:
                     self._blocked(now, stream, is_rtx)
                     continue
                 if is_rtx:
-                    stream.rtx.popleft()
+                    stream.pop_rtx()
                 else:
                     stream.pop_pending()
                 if len(targets) > 1 and not frame.app_ack:
@@ -144,17 +145,6 @@ class Node:
         for ps, k in self.path_sched.background_plan(now):
             self._send_background_run(stream, ps, k, now)
         self._blocked(now, stream, False)
-
-    def _continue_background(self, ps: PathSendState, stream: SendStream,
-                             now: int) -> None:
-        """Resume background on one path after its window freed some room."""
-        sched = self.path_sched
-        sched.gated_wake = None
-        k = sched.background_room(ps, now)
-        if k <= 0:
-            self._blocked(now, stream, False)
-            return
-        self._send_background_run(stream, ps, k, now)
 
     def _send_background_run(self, stream: SendStream, ps: PathSendState,
                              k: int, now: int) -> None:
@@ -189,7 +179,7 @@ class Node:
     def _transmit(self, ps: PathSendState, frame: Frame, now: int,
                   is_rtx: bool, is_dup: bool) -> None:
         """Send one data packet carrying `frame` on path `ps`."""
-        entry = ps.register_sent(frame, now, is_rtx=is_rtx)
+        entry = ps.register_sent(frame, now, is_rtx)
         path_id = ps.path_id
         size = entry.size
         if frame.priority:
@@ -227,28 +217,22 @@ class Node:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
                 self.metrics.on_cwnd(path_id, now, ps.cwnd,
                                      ps.phase == CONGESTION_AVOIDANCE)
-        if gaps:
-            for num in gaps:
-                self._declare_loss(ps, num, now)
+        for num in gaps:
+            self._declare_loss(ps, num, now)
+        if gaps or self.urgent:
             return self.try_send(now)
-        if not self._urgent_pending():
-            # freed window cannot help while sends are only waiting on a
-            # serializer drain; the pending wake will retry
-            if self._wake_entry is not None:
-                return
-            bg = self._bg_stream
-            if bg is not None:
-                # only the acked path gained room; continue background there
-                self._continue_background(ps, bg, now)
-            # without background no stream has rtx or pending data
+        # else only background can send, on the acked path; not while it
+        # waits on a serializer drain, which the pending wake retries
+        bg = self._bg_stream
+        if bg is None or self._wake_entry is not None:
             return
-        self.try_send(now)
-
-    def _urgent_pending(self) -> bool:
-        for s in self.streams.values():
-            if s.rtx or (s.pending and not s.background):
-                return True
-        return False
+        sched = self.path_sched
+        sched.gated_wake = None
+        k = sched.background_room(ps, now)
+        if k > 0:
+            self._send_background_run(bg, ps, k, now)
+        else:
+            self._blocked(now, bg, False)
 
     def _declare_loss(self, ps: PathSendState, number: int, now: int) -> None:
         entry, decreased = ps.declare_lost(number, now)
@@ -346,7 +330,8 @@ class Simulation:
                                                  RngStream(config.seed, 2 * idx + 1))
             server_paths.append(PathSendState(pcfg.path_id, rtt))
             client_paths.append(PathSendState(pcfg.path_id, rtt))
-            self.metrics.register_path(pcfg.path_id, server_paths[-1].cwnd)
+            self.metrics.register_path(pcfg.path_id, server_paths[-1].cwnd,
+                                       rtt)
         self.server = Node("server", self.engine, server_paths, fwd_links,
                            config.stream_scheduler, config.path_scheduler,
                            metrics=self.metrics, trace=trace)
@@ -364,8 +349,11 @@ class Simulation:
         self.server.on_message_complete = self.traffic.on_app_ack
 
     def verify_invariants(self) -> None:
-        """Byte conservation and reservation bounds for both endpoints."""
+        """Byte conservation, reservation bounds and urgent streams."""
         for node in (self.server, self.client):
+            if node.urgent != {s for s in node.streams.values()
+                               if s.rtx or (s.pending and not s.background)}:
+                raise InvariantError(f"{node.name}: urgent set out of date")
             for ps in node.path_list:
                 total = sum(e.size for e in ps.ledger.values())
                 if total != ps.in_flight:
@@ -409,8 +397,7 @@ class RunResult:
         for pcfg in self.config.paths:
             try:
                 records.append(self.metrics.growth_record(
-                    pcfg.path_id, self.config.path_scheduler,
-                    nominal_rtt_us(pcfg)))
+                    pcfg.path_id, self.config.path_scheduler))
             except InsufficientSamplesError as exc:
                 skipped.append(f"path {pcfg.path_id}: {exc}")
         return records, skipped

@@ -124,7 +124,7 @@ class PathSendState:
         free = self.cwnd - self.in_flight
         return free if free > 0 else 0
 
-    def register_sent(self, frame: Frame, now: int, *,
+    def register_sent(self, frame: Frame, now: int,
                       is_rtx: bool = False) -> SentEntry:
         size = frame.length + HEADER_BYTES
         if size > self.cwnd - self.in_flight:

@@ -1,16 +1,17 @@
-"""CCDF, throughput binning, window-growth computation, CSV formats."""
+"""CCDF, throughput binning, window-growth recording, CSV formats."""
 from __future__ import annotations
 
 import csv
+from array import array
+from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cwrsim.metrics import (InsufficientSamplesError, MetricsCollector,
-                            CwndTrace, ccdf, ccdf_at, cwnd_growth,
-                            max_ccdf_gap, write_ccdf_csv, write_growth_csv,
-                            write_mct_csv, write_throughput_csv,
-                            CwndGrowthRecord)
+from cwrsim.metrics import (MIN_GROWTH_WINDOWS, InsufficientSamplesError,
+                            MetricsCollector, ccdf, ccdf_at, max_ccdf_gap,
+                            write_ccdf_csv, write_growth_csv, write_mct_csv,
+                            write_throughput_csv, CwndGrowthRecord)
 from cwrsim.traffic import MessageRecord
 
 
@@ -77,12 +78,17 @@ def test_throughput_empty_bins_are_zero():
     assert all(b.total_bytes == 0 and b.priority_bytes == 0 for b in bins)
 
 
-def trace_of(samples):
-    """The CwndTrace a collector records from (time, cwnd) samples from 0 on."""
-    collector = MetricsCollector(10_000_000)
-    collector.register_path(1, samples[0][1])
-    for t, cwnd in samples[1:]:
-        collector.on_cwnd(1, t, cwnd, False)
+def recorder_of(samples, ca_since=0, decreases=(), rtt_us=50_000,
+                start_us=1_000_000, end_us=3_000_000):
+    """A path's growth recorder fed (time, cwnd) samples from 0 on, in
+    congestion avoidance from the sample at ca_since (None: never), with
+    each decrease reported just before the sample at its instant."""
+    collector = MetricsCollector(end_us, warmup_us=start_us)
+    collector.register_path(1, samples[0][1], rtt_us)
+    for t, cwnd in samples:
+        if t in decreases:
+            collector.on_decrease(1, t)
+        collector.on_cwnd(1, t, cwnd, ca_since is not None and t >= ca_since)
     return collector.cwnd_samples[1]
 
 
@@ -96,62 +102,165 @@ def samples_linear(start_t, end_t, start_v, slope_per_us, step=1_000):
 
 
 def test_growth_constant_window_is_zero():
-    samples = trace_of([(0, 100_000)])
-    mean, windows = cwnd_growth(samples, ca_since=0, decreases=[],
-                                rtt_us=50_000, start_us=1_000_000,
-                                end_us=3_000_000)
-    assert mean == 0.0 and windows == 40
+    recorder = recorder_of([(0, 100_000)])
+    assert recorder.mean() == 0.0 and len(recorder.window_growths()) == 40
 
 
 def test_growth_linear_increase_measures_slope():
     # 27 bytes per ms is 1350 per 50 ms window
-    samples = trace_of(samples_linear(0, 3_000_000, 10_000, 0.027))
-    mean, _ = cwnd_growth(samples, ca_since=0, decreases=[], rtt_us=50_000,
-                          start_us=1_000_000, end_us=3_000_000)
-    assert abs(mean - 1350) < 30
+    recorder = recorder_of(samples_linear(0, 3_000_000, 10_000, 0.027))
+    assert abs(recorder.mean() - 1350) < 30
 
 
 def test_growth_excludes_windows_containing_decreases():
-    flat = trace_of([(0, 100_000)])
     # decreases sprinkled in [1.0 s, 2.0 s): those windows are dropped
-    decreases = [1_200_000, 1_800_000]
-    mean, windows = cwnd_growth(flat, ca_since=0, decreases=decreases,
-                                rtt_us=50_000, start_us=1_000_000,
-                                end_us=3_000_000)
-    assert windows == 38
+    recorder = recorder_of([(0, 100_000), (1_200_000, 100_000),
+                            (1_800_000, 100_000)],
+                           decreases=(1_200_000, 1_800_000))
+    assert len(recorder.window_growths()) == 38
 
 
 def test_growth_requires_ca_phase_and_enough_windows():
-    with pytest.raises(InsufficientSamplesError):
-        cwnd_growth(trace_of([(0, 1)]), ca_since=None, decreases=[], rtt_us=50_000,
-                    start_us=0, end_us=10_000_000)
-    with pytest.raises(InsufficientSamplesError):
-        cwnd_growth(trace_of([(0, 1)]), ca_since=0, decreases=[], rtt_us=50_000,
-                    start_us=0, end_us=500_000)  # only 10 windows
+    with pytest.raises(InsufficientSamplesError,
+                       match="^path never reached congestion avoidance$"):
+        recorder_of([(0, 1)], ca_since=None, start_us=0,
+                    end_us=10_000_000).mean()
+    with pytest.raises(InsufficientSamplesError,
+                       match="^only 10 usable CA windows, need 20$"):
+        recorder_of([(0, 1)], start_us=0, end_us=500_000).mean()
 
 
-def test_collector_trace_keeps_the_last_sample_of_an_instant():
-    trace = trace_of([(0, 13_500), (250, 14_850), (250, 16_200), (500, 6_750)])
-    assert isinstance(trace, CwndTrace) and len(trace) == 3
-    assert list(trace.times) == [0, 250, 500]
-    assert list(trace.values) == [13_500, 16_200, 6_750]
+def test_collector_keeps_the_last_sample_of_an_instant():
+    recorder = recorder_of([(0, 13_500), (250, 14_850), (250, 16_200),
+                            (500, 6_750)], rtt_us=250, start_us=0,
+                           end_us=1_000)
+    assert len(recorder) == 3
+    # the window boundary at 250 takes the later of its two samples
+    assert recorder.window_growths() == [2_700, -9_450, 0, 0]
 
 
 def test_collector_notes_the_first_congestion_avoidance_sample():
     collector = MetricsCollector(10_000_000)
-    collector.register_path(1, 13_500)
+    collector.register_path(1, 13_500, 50_000)
+    recorder = collector.cwnd_samples[1]
     collector.on_cwnd(1, 250, 14_850, False)
-    assert 1 not in collector.ca_since
+    assert recorder.ca_since is None
     collector.on_cwnd(1, 500, 6_750, True)
     collector.on_cwnd(1, 750, 8_100, True)
-    assert collector.ca_since == {1: 500}
+    assert recorder.ca_since == 500
+
+
+# -- the recorder against the offline computation it replaced ------------------
+
+class ReferenceTrace:
+    """Every (time, cwnd) sample of a path; times are nondecreasing."""
+
+    def __init__(self, when: int, cwnd: int):
+        self.times = array("q", (when,))
+        self.values = array("q", (cwnd,))
+
+    def add(self, when: int, cwnd: int) -> None:
+        # a later sample at the same instant replaces the earlier one
+        if when == self.times[-1]:
+            self.values[-1] = cwnd
+        else:
+            self.times.append(when)
+            self.values.append(cwnd)
+
+
+def reference_growth(samples, ca_since, decreases, rtt_us, start_us, end_us):
+    """Mean cwnd increase per rtt over CA-phase windows in [start, end),
+    computed after the run from every sample; returns (mean, windows)."""
+    if ca_since is None:
+        raise InsufficientSamplesError("path never reached congestion avoidance")
+    t0 = max(start_us, ca_since)
+    times, values = samples.times, samples.values
+
+    def cwnd_at(t):
+        idx = bisect_right(times, t)
+        if idx == 0:
+            raise InsufficientSamplesError("no cwnd samples before window start")
+        return values[idx - 1]
+
+    growths = []
+    t = t0
+    while t + rtt_us <= end_us:
+        # decreases in the half-open window [t, t+rtt) disqualify it
+        lo = bisect_left(decreases, t)
+        hi = bisect_left(decreases, t + rtt_us)
+        if lo == hi:
+            growths.append(cwnd_at(t + rtt_us) - cwnd_at(t))
+        t += rtt_us
+    if len(growths) < MIN_GROWTH_WINDOWS:
+        raise InsufficientSamplesError(
+            f"only {len(growths)} usable CA windows, need {MIN_GROWTH_WINDOWS}"
+        )
+    return sum(growths) / len(growths), len(growths)
+
+
+# a step is (time since the last sample, cwnd, in CA, decrease first): a 0
+# gap repeats an instant, and a decrease is reported just before the sample
+# of its instant, as a declared loss reports both
+growth_steps = st.lists(st.tuples(st.integers(0, 60),
+                                  st.integers(0, 1_000_000),
+                                  st.booleans(), st.booleans()),
+                        max_size=150)
+
+
+@given(rtt_us=st.integers(5, 40), start_us=st.integers(0, 400),
+       span_us=st.integers(0, 1_500), cwnd0=st.integers(0, 1_000_000),
+       steps=growth_steps)
+# a sample exactly on a boundary, then replaced at the same instant
+@example(rtt_us=10, start_us=0, span_us=300, cwnd0=100,
+         steps=[(0, 100, True, False), (10, 200, True, False),
+                (0, 300, True, False), (5, 400, True, False)])
+# a decrease exactly on a boundary belongs to the later window
+@example(rtt_us=10, start_us=0, span_us=300, cwnd0=100,
+         steps=[(0, 100, True, False), (20, 50, True, True)])
+# a sample exactly at the horizon
+@example(rtt_us=10, start_us=0, span_us=300, cwnd0=100,
+         steps=[(0, 100, True, False), (300, 500, True, False)])
+# 19 usable windows: one too few
+@example(rtt_us=10, start_us=0, span_us=190, cwnd0=100,
+         steps=[(0, 100, True, False), (50, 150, True, False)])
+def test_recorder_matches_the_offline_computation(rtt_us, start_us, span_us,
+                                                  cwnd0, steps):
+    end_us = start_us + span_us
+    collector = MetricsCollector(end_us, warmup_us=start_us)
+    collector.register_path(1, cwnd0, rtt_us)
+    trace = ReferenceTrace(0, cwnd0)
+    ca_since = None
+    decreases = []
+    t = 0
+    for gap, cwnd, in_ca, decrease in steps:
+        t += gap
+        if decrease:
+            collector.on_decrease(1, t)
+            decreases.append(t)
+        collector.on_cwnd(1, t, cwnd, in_ca)
+        trace.add(t, cwnd)
+        if in_ca and ca_since is None:
+            ca_since = t
+    recorder = collector.cwnd_samples[1]
+    assert len(recorder) == len(trace.times)
+    try:
+        expected = reference_growth(trace, ca_since, decreases, rtt_us,
+                                    start_us, end_us)
+    except InsufficientSamplesError as exc:
+        with pytest.raises(InsufficientSamplesError) as got:
+            recorder.mean()
+        assert str(got.value) == str(exc)
+    else:
+        assert (recorder.mean(), len(recorder.window_growths())) == expected
+        record = collector.growth_record(1, "cwr")
+        assert record.mean_growth == expected[0]
 
 
 def test_collector_bins_match_pure_function():
     deliveries = ((10_000, 1350, False), (250_000, 950, True),
                   (499_999, 1350, False), (600_000, 1350, False))
     collector = MetricsCollector(500_000)
-    collector.register_path(1, 13_500)
+    collector.register_path(1, 13_500, 50_000)
     for t, size, pri in deliveries:
         collector.on_delivery(t, size, pri, size)
     # reference: bin each delivery before the horizon from scratch

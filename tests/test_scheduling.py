@@ -36,7 +36,7 @@ def scheduler(name, paths):
 
 def stream_with(size, stream_id=1, priority=True, now=0, message_id=1,
                 app_ack=False):
-    s = SendStream(stream_id, priority)
+    s = SendStream(stream_id, priority, urgent=set())
     s.load_message(size, message_id, now, app_ack)
     return s
 
@@ -52,7 +52,7 @@ def pri_frame(offset=0, stream=1, epoch=0, length=1300):
 def drain(scheduler, stream, now=0):
     """Admit and mark sent until blocked; returns path ids per packet."""
     sent = []
-    while stream.has_pending():
+    while stream.pending:
         frame = stream.peek_pending()
         targets = scheduler.admit(stream, frame, False, now)
         if not targets:
@@ -69,7 +69,7 @@ def drain(scheduler, stream, now=0):
 # -- stream schedulers -------------------------------------------------------
 
 def new_stream(stream_id, priority, enqueue_time=0, rtx_time=None):
-    s = SendStream(stream_id, priority)
+    s = SendStream(stream_id, priority, urgent=set())
     s.load_message(2_600, None, enqueue_time)
     if rtx_time is not None:
         # its first frame was sent on path 1 and lost there
@@ -127,7 +127,8 @@ def three_sort_order(streams):
     """The pfifo order as three filtered sorts, the reference for the one-key sort."""
     rtx = sorted((s for s in streams if s.rtx),
                  key=lambda s: (s.rtx[0][0], s.stream_id))
-    rest = [s for s in streams if not s.rtx and s.has_pending()]
+    rest = [s for s in streams
+            if not s.rtx and (s.background or s.pending)]
     pri = sorted((s for s in rest if s.priority),
                  key=lambda s: (s.enqueue_time, s.stream_id))
     bg = sorted((s for s in rest if not s.priority),
@@ -151,14 +152,15 @@ def test_pfifo_one_key_sort_equals_three_sorts(specs):
     # try_send passes only streams with retransmissions or pending data
     streams = []
     for stream_id, kind, enqueue_time, pending, rtx_times in specs:
-        s = SendStream(stream_id, kind == "priority", kind == "background")
+        s = SendStream(stream_id, kind == "priority", kind == "background",
+                       urgent=set())
         s.epoch = 0
         s.enqueue_time = enqueue_time
         if pending:
             s.pending.append(pri_frame(stream=stream_id))
         for t in rtx_times:
             s.on_lost(pri_frame(stream=stream_id), t, 1)
-        if s.rtx or s.has_pending():
+        if s.rtx or s.background or s.pending:
             streams.append(s)
     assert PriorityFifoStreams().order(streams, 0) == three_sort_order(streams)
 
@@ -224,7 +226,8 @@ stream_steps = st.lists(st.one_of(
 @settings(max_examples=400)
 @given(stream_steps)
 def test_owed_retransmissions_match_the_per_node_tables(steps):
-    stream = SendStream(1, True)
+    urgent = set()
+    stream = SendStream(1, True, urgent=urgent)
     ref = DupTables()
     ref_rtx = deque()  # (frame, path)
     epoch = -1
@@ -250,7 +253,7 @@ def test_owed_retransmissions_match_the_per_node_tables(steps):
                 ref_rtx.popleft()
             assert owed == (ref_rtx[0] if ref_rtx else None)
             if owed is not None:
-                stream.rtx.popleft()
+                stream.pop_rtx()
                 ref_rtx.popleft()
                 frame, path_id = owed
                 paths = (path_id,)  # a retransmission is never duplicated
@@ -277,6 +280,8 @@ def test_owed_retransmissions_match_the_per_node_tables(steps):
                     ref_rtx.append((frame, path_id))
                 stream.on_lost(frame, now, path_id)
         assert [(f, p) for _t, f, p in stream.rtx] == list(ref_rtx)
+        # the stream's own methods keep its membership of the urgent set
+        assert (stream in urgent) == bool(stream.rtx or stream.pending)
         held = ref.delivered.get(stream.stream_id)
         if held is not None and held[0] == epoch:
             assert held[1] <= stream.delivered
@@ -551,7 +556,7 @@ def ledger_states(draw):
 @given(ledger_states())
 def test_admitted_background_keeps_reservations_whole_when_due(state):
     sched, p, frame = state
-    bg = SendStream(0, False, background=True)
+    bg = SendStream(0, False, background=True, urgent=set())
     if sched.admit(bg, frame, False, NOW):
         assert not full_scan_at_risk(sched.ledger, p, frame.packet_bytes, NOW)
     k = sched.background_room(p, NOW)
@@ -596,7 +601,7 @@ def test_admit_gates_every_non_priority_first_transmission():
     message = stream_with(1300, stream_id=2, priority=False, message_id=4)
     app_ack = stream_with(1, stream_id=3, priority=False, message_id=5,
                           app_ack=True)
-    background = SendStream(0, False, background=True)
+    background = SendStream(0, False, background=True, urgent=set())
     for stream in (message, app_ack, background):
         assert sched.admit(stream, stream.peek_pending(), False, now) == ()
         assert sched.gated_wake == link.busy_until - drain + 1
@@ -672,7 +677,7 @@ def test_cwr_window_reservation_walkthrough():
     sched = scheduler("cwr", [p1])
     sched.register_reservation(1, 3 * 1350, due_time=30_000)
 
-    background = SendStream(0, False, background=True)
+    background = SendStream(0, False, background=True, urgent=set())
     background.epoch = 0
     sent = 0
     while True:
@@ -693,7 +698,8 @@ def test_cwr_priority_uses_raw_free_window():
     sched = scheduler("cwr", [p1])
     sched.register_reservation(1, 10_800, due_time=50_000)
     # 11 000 - 10 800 = 200 blocks background; priority checks raw free window
-    assert sched.admit(SendStream(0, False, True), bg_frame(), False, 0) == ()
+    bg = SendStream(0, False, True, urgent=set())
+    assert sched.admit(bg, bg_frame(), False, 0) == ()
     msg = stream_with(1300)
     assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1,)
 
@@ -701,7 +707,8 @@ def test_cwr_priority_uses_raw_free_window():
 def test_cwr_without_reservations_behaves_like_lowrtt():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("cwr", [p1, p2])
-    assert sched.admit(SendStream(0, False, True), bg_frame(), False, 0) == (p1,)
+    bg = SendStream(0, False, True, urgent=set())
+    assert sched.admit(bg, bg_frame(), False, 0) == (p1,)
 
 
 def test_cwr_priority_falls_back_across_paths():
@@ -817,7 +824,7 @@ def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     sched = scheduler("cwr_red", [p1, p2])
     rows = sched.register_reservation(1, 10_800, 50_000)
     assert {r.path_id for r in rows} == {1, 2}
-    bg = SendStream(0, False, True)
+    bg = SendStream(0, False, True, urgent=set())
     # 13 500 - 10 800 = 2 700 leaves room for 2 background packets per path
     assert sched.admit(bg, bg_frame(), False, 0) == (p1,)
 

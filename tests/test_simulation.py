@@ -222,20 +222,10 @@ def test_ca_growth_bounds_per_window_at_full_load():
     # within the quantization of acks landing on window boundaries
     cfg = config(path_scheduler="lowrtt", duration_us=6_000_000)
     res = Simulation(cfg).run()
-    m = res.metrics
     for path_id in (1, 2):
-        samples = m.cwnd_samples[path_id]
-        times, values = samples.times, samples.values
-        from bisect import bisect_right
-
-        def cwnd_at(t):
-            return values[bisect_right(times, t) - 1]
-
-        t = max(1_000_000, m.ca_since[path_id])
-        windows = []
-        while t + 50_000 <= 6_000_000:
-            windows.append(cwnd_at(t + 50_000) - cwnd_at(t))
-            t += 50_000
+        recorder = res.metrics.cwnd_samples[path_id]
+        assert recorder.ca_since is not None and not recorder.decreases
+        windows = recorder.window_growths()
         assert len(windows) >= 20
         assert all(1_215 <= w <= 1_385 for w in windows), windows
 
@@ -333,7 +323,8 @@ def test_received_offsets_match_a_plain_set(steps, rnd):
 
 def test_per_run_tables_are_bounded_by_in_flight_state():
     # background plus duplicated priority messages over lossy paths; the
-    # tables are sampled every 10 ms and must not grow with the horizon
+    # tables are sampled every 10 ms and must not grow with the horizon,
+    # nor the growth recorder's windows with the number of cwnd samples
     frames_per_message = -(-10_000 // MAX_PAYLOAD_BYTES)
     received = {}
     for horizon in (2_000_000, 6_000_000):
@@ -352,8 +343,14 @@ def test_per_run_tables_are_bounded_by_in_flight_state():
             for node in (sim.server, sim.client):
                 for stream in node.streams.values():
                     assert len(stream.delivered) <= frames_per_message
+            for recorder in sim.metrics.cwnd_samples.values():
+                assert len(recorder.growths) <= t // recorder.rtt + 1
         # segments past a gap arrive within one loss recovery of it
         assert peak_above <= 2 * peak_in_flight
+        for ps in sim.server.path_list:
+            recorder = sim.metrics.cwnd_samples[ps.path_id]
+            assert len(recorder) >= 10 * (horizon // recorder.rtt + 1)
+            assert len(recorder.decreases) <= ps.lost_packets
         received[horizon] = sim.client._bg_seen.floor // MAX_PAYLOAD_BYTES
     # a table of every offset would be far past those bounds
     assert received[6_000_000] > 2 * received[2_000_000] > 20 * peak_in_flight

@@ -151,7 +151,7 @@ def test_app_ack_of_a_data_frame_is_fatal():
 
 def test_double_message_on_stream_is_fatal():
     from cwrsim.scheduling import SendStream
-    s = SendStream(1, True)
+    s = SendStream(1, True, urgent=set())
     s.load_message(100, 1, 0)
     with pytest.raises(InvariantError):
         s.load_message(100, 2, 0)

@@ -17,8 +17,9 @@ temporary directory. Both trees then run the same 114 configurations:
   streams of both classes are reused and completion responses are lost.
 
 Each run records the SHA-256 of its `write_outputs` files (name and bytes, in
-name order) and of the repr of every trace-hook record, with the node given
-by its name. Configurations whose digests differ are printed; the exit
+name order) together with the warnings `write_outputs` returns, and the
+SHA-256 of the repr of every trace-hook record, with the node given by its
+name. Configurations whose digests differ are printed; the exit
 status is 1 if any differ, else 0. Each tree runs in its own interpreter.
 """
 from __future__ import annotations
@@ -89,11 +90,14 @@ def sweep_configs():
     yield "mixed_config(sources=False)", mixed_config(sources=False)
 
 
-def outputs_digest(outdir: Path) -> str:
+def outputs_digest(outdir: Path, warnings: list[str]) -> str:
     h = hashlib.sha256()
     for f in sorted(outdir.iterdir()):
         h.update(f.name.encode() + b"\0")
         h.update(f.read_bytes())
+    # a warning's text is output too: an omitted cwnd_growth row says why
+    for w in warnings:
+        h.update(b"\0" + w.encode())
     return h.hexdigest()
 
 
@@ -109,9 +113,9 @@ def run_tree() -> None:
                 trace.update(repr((node.name,) + rec).encode() + b"\n")
 
             outdir = Path(tmp) / str(n)
-            Simulation(cfg, trace=hook).run().write_outputs(outdir)
-            print(json.dumps([name, outputs_digest(outdir), trace.hexdigest()]),
-                  flush=True)
+            warnings = Simulation(cfg, trace=hook).run().write_outputs(outdir)
+            print(json.dumps([name, outputs_digest(outdir, warnings),
+                              trace.hexdigest()]), flush=True)
 
 
 def start_tree(root: Path) -> subprocess.Popen:
