@@ -1,8 +1,8 @@
 """Deterministic discrete-event core: virtual clock, event queue, seeded RNG streams."""
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Callable
 
 _NO_ARGS = ()
@@ -19,7 +19,8 @@ class EventQueue:
 
     Times are integer microseconds of virtual time. Events scheduled for the
     same instant dispatch in insertion order. A queue entry is the list
-    [time, seq, fn, args]. Cancellation is lazy: it sets the entry's fn to
+    [time, seq, fn, args], kept in a binary heap; `schedule` returns it as
+    the handle for `cancel`. Cancellation is lazy: it sets the entry's fn to
     None, and the entry is skipped when it surfaces. `checker` runs every
     `check_interval` dispatched events and when `run_until` returns.
     """
@@ -40,9 +41,10 @@ class EventQueue:
             raise InvariantError(
                 f"event {label!r} scheduled at {fire_time} behind clock {self.now}"
             )
-        entry = [fire_time, self._seq, fn, args]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [fire_time, seq, fn, args]
+        heappush(self._heap, entry)
         return entry
 
     def cancel(self, entry: list) -> None:
@@ -57,16 +59,15 @@ class EventQueue:
         """
         heap = self._heap
         checker = self._checker
-        pop = heapq.heappop
+        pop = heappop
         count = 0
         countdown = self._check_interval
         while heap and heap[0][0] <= t_end:
-            entry = pop(heap)
-            fn = entry[2]
+            now, _seq, fn, args = pop(heap)
             if fn is None:
                 continue
-            self.now = entry[0]
-            fn(*entry[3])
+            self.now = now
+            fn(*args)
             count += 1
             countdown -= 1
             if countdown == 0:

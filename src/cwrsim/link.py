@@ -53,6 +53,8 @@ class OneWayLink:
     max(now, previous transmission end). Drops apply to packets that carry
     stream data; pure acknowledgment packets are exempt unless the path is
     configured with ack_loss_enabled. A drop is silent (no arrival).
+    Each packet size's serialization time is computed once, at its first
+    send, and kept in `_serialization`.
     """
 
     def __init__(self, cfg: PathConfig, rng: RngStream):
@@ -64,6 +66,7 @@ class OneWayLink:
         self.rate_bps = cfg.rate_bps
         self.owd_us = cfg.owd_us
         self.loss_rate = cfg.loss_rate
+        self._serialization: dict[int, int] = {}
         self.busy_until = 0
         self.data_sent = 0
         self.data_dropped = 0
@@ -73,8 +76,11 @@ class OneWayLink:
         """Serialize a packet; returns its arrival time, or None when dropped."""
         busy = self.busy_until
         start = busy if busy > now else now
-        bits = size_bytes * 8
-        end = start + (-(-bits * MICROS_PER_SECOND // self.rate_bps))
+        wire = self._serialization.get(size_bytes)
+        if wire is None:
+            wire = serialization_us(size_bytes, self.rate_bps)
+            self._serialization[size_bytes] = wire
+        end = start + wire
         self.busy_until = end
         if carries_data:
             index = self.data_sent

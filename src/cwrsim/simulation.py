@@ -179,26 +179,25 @@ class Node:
     def _transmit(self, ps: PathSendState, frame: Frame, now: int,
                   is_rtx: bool, is_dup: bool) -> None:
         """Send one data packet carrying `frame` on path `ps`."""
-        entry = ps.register_sent(frame, now, is_rtx)
+        number, size, _, _, deadline = ps.register_sent(frame, now, is_rtx)
         path_id = ps.path_id
-        size = entry.size
         if frame.priority:
             self.path_sched.ledger.consume(path_id, size, now)
         arrival = self.links[path_id].send(size, True, now)
         if arrival is not None:
             if frame.message_id is None:  # a background frame
                 receive = self._peer_receive_bg
-                args = (entry.number, path_id, frame.offset, size)
+                args = (number, path_id, frame.offset, size)
             else:
                 receive = self._peer_receive
-                args = (entry.number, path_id, frame, size, is_dup)
+                args = (number, path_id, frame, size, is_dup)
             self.engine.schedule(
                 arrival, receive,
                 "app_ack_arrival" if frame.app_ack else "packet_arrival",
                 args=args)
-        self._arm_alarm(ps, entry.deadline)
+        self._arm_alarm(ps, deadline)
         if self.trace is not None:
-            self.trace(self, "send", now, path_id, entry.number, frame,
+            self.trace(self, "send", now, path_id, number, frame,
                        is_dup, is_rtx)
 
     # -- acknowledgment and loss handling --------------------------------
@@ -209,7 +208,7 @@ class Node:
         ps = self.path_states[path_id]
         entry, gaps = ps.ack_packet(number, now)
         if entry is not None:
-            frame = entry.frame
+            _, _, frame, _, _ = entry
             if frame.message_id is not None:
                 self.streams[frame.stream_id].on_acked(frame)
             if self.metrics is not None \
@@ -244,7 +243,7 @@ class Node:
             self.metrics.on_cwnd(ps.path_id, now, ps.cwnd,
                                  ps.phase == CONGESTION_AVOIDANCE)
         self.path_sched.ledger.drop_path(ps.path_id)
-        frame = entry.frame
+        _, _, frame, _, _ = entry
         if self.on_frame_lost is not None:
             self.on_frame_lost(frame.message_id)
         self.streams[frame.stream_id].on_lost(frame, now, ps.path_id)
@@ -355,7 +354,7 @@ class Simulation:
                                if s.rtx or (s.pending and not s.background)}:
                 raise InvariantError(f"{node.name}: urgent set out of date")
             for ps in node.path_list:
-                total = sum(e.size for e in ps.ledger.values())
+                total = sum(size for _, size, _, _, _ in ps.ledger.values())
                 if total != ps.in_flight:
                     raise InvariantError(
                         f"{node.name} path {ps.path_id}: in_flight "

@@ -65,14 +65,6 @@ def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
     return frames
 
 
-class SentEntry(NamedTuple):
-    number: int
-    size: int
-    frame: Frame
-    sent_time: int
-    deadline: int  # loss alarm instant, fixed from srtt at send time
-
-
 class PathSendState:
     """Per-path congestion control and sent-packet ledger for one sender.
 
@@ -101,7 +93,7 @@ class PathSendState:
         self.srtt: int | None = None
         self.growth_carry = 0
         self.last_decrease: int | None = None
-        self.ledger: dict[int, SentEntry] = {}
+        self.ledger: dict[int, tuple] = {}
         self.gap_counts: dict[int, int] = {}
         # no outstanding number is below this: numbers enter the ledger in
         # increasing order and never return to it
@@ -125,7 +117,7 @@ class PathSendState:
         return free if free > 0 else 0
 
     def register_sent(self, frame: Frame, now: int,
-                      is_rtx: bool = False) -> SentEntry:
+                      is_rtx: bool = False) -> tuple:
         size = frame.length + HEADER_BYTES
         if size > self.cwnd - self.in_flight:
             raise InvariantError(
@@ -140,8 +132,7 @@ class PathSendState:
         delay = LOSS_ALARM_NUM * srtt // LOSS_ALARM_DEN
         if delay < self.min_alarm_delay:
             self.min_alarm_delay = delay
-        # tuple.__new__ skips the NamedTuple's Python-level constructor
-        entry = tuple.__new__(SentEntry, (number, size, frame, now, now + delay))
+        entry = (number, size, frame, now, now + delay)
         self.ledger[number] = entry
         self.in_flight += size
         self.sent_packets += 1
@@ -149,25 +140,26 @@ class PathSendState:
             self.retransmissions += 1
         return entry
 
-    def ack_packet(self, number: int, now: int) -> tuple[SentEntry | None, list[int]]:
+    def ack_packet(self, number: int, now: int) -> tuple[tuple | None, list[int]]:
         """Process one acked number; returns its entry (None if unknown or
         already settled) and any packets the gap rule now declares lost."""
         ledger = self.ledger
         entry = ledger.pop(number, None)
         if entry is None:
             return None, _NO_GAPS
-        self.in_flight -= entry.size
-        sample = now - entry.sent_time
+        _, size, _, sent_time, _ = entry
+        self.in_flight -= size
+        sample = now - sent_time
         srtt = self.srtt
         self.srtt = sample if srtt is None else (7 * srtt + sample) // 8
         self.srtt_sum += sample
         self.srtt_samples += 1
         if self.phase == SLOW_START:
-            self.cwnd += entry.size
+            self.cwnd += size
             if self.cwnd >= self.ssthresh:
                 self.phase = CONGESTION_AVOIDANCE
         else:
-            total = MAX_PACKET_BYTES * entry.size + self.growth_carry
+            total = MAX_PACKET_BYTES * size + self.growth_carry
             inc, self.growth_carry = divmod(total, self.cwnd)
             self.cwnd += inc
         gap_counts = self.gap_counts
@@ -206,23 +198,23 @@ class PathSendState:
         expired = []
         nxt = None
         delay = self.min_alarm_delay
-        for num, entry in self.ledger.items():
-            if nxt is not None and entry.sent_time + delay >= nxt:
+        for num, _, _, sent_time, deadline in self.ledger.values():
+            if nxt is not None and sent_time + delay >= nxt:
                 break
-            deadline = entry.deadline
             if deadline <= now:
                 expired.append(num)
             elif nxt is None or deadline < nxt:
                 nxt = deadline
         return expired, nxt
 
-    def declare_lost(self, number: int, now: int) -> tuple[SentEntry | None, bool]:
+    def declare_lost(self, number: int, now: int) -> tuple[tuple | None, bool]:
         """Remove a packet from the ledger as lost; returns (entry, decreased)."""
         entry = self.ledger.pop(number, None)
         if entry is None:
             return None, False
         self.gap_counts.pop(number, None)
-        self.in_flight -= entry.size
+        _, size, _, _, _ = entry
+        self.in_flight -= size
         self.lost_packets += 1
         decreased = False
         if (self.last_decrease is None

@@ -78,17 +78,49 @@ def test_events_scheduled_during_dispatch_run_in_same_window():
     assert fired == ["first", "child"]
 
 
-@given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
-                max_size=50))
-def test_dispatch_order_is_sorted_by_time_then_insertion(times):
+# One initially scheduled event: its fire time, whether it is cancelled
+# before the run, how many events it schedules at its own instant when it
+# fires, and which earlier schedule call (by index) it then cancels, if any.
+initial_events = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=10_000), st.booleans(),
+    st.integers(min_value=0, max_value=2),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=200))),
+    min_size=1, max_size=50)
+
+
+@given(initial_events)
+def test_dispatch_order_is_sorted_by_time_then_insertion(events):
     q = EventQueue(checker=no_check)
+    # per schedule call: [fire time, schedule index, live]; an entry stops
+    # being live when it is cancelled before it dispatches
+    scheduled: list[list] = []
+    handles = []
     log = []
-    for seq, t in enumerate(times):
-        q.schedule(t, lambda seq=seq: log.append((q.now, seq)))
+    fired = set()
+
+    def add(t, children, target):
+        index = len(scheduled)
+        scheduled.append([t, index, True])
+        handles.append(q.schedule(t, fire, args=(index, children, target)))
+
+    def fire(index, children, target):
+        log.append((q.now, index))
+        fired.add(index)
+        for _ in range(children):
+            add(q.now, 0, None)
+        if target is not None and target < len(scheduled) \
+                and target not in fired:
+            q.cancel(handles[target])
+            scheduled[target][2] = False
+
+    for t, _, children, target in events:
+        add(t, children, target)
+    for (_, cancelled, _, _), row, handle in zip(events, scheduled, handles):
+        if cancelled:
+            q.cancel(handle)
+            row[2] = False
     q.run_until(10_001)
-    assert log == sorted(log)
-    assert [t for t, _ in log] == sorted(times)
-    assert all(times[seq] == t for t, seq in log)
+    assert log == sorted((t, index) for t, index, live in scheduled if live)
 
 
 def test_same_seed_same_draws():

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cwrsim.engine import RngStream
 from cwrsim.link import OneWayLink, PathConfig, nominal_rtt_us, serialization_us
@@ -134,3 +134,33 @@ def test_zero_loss_delivers_in_order_at_most_line_rate(sizes, rate):
     for start in times:
         got = sum(s for a, s in arrivals if start <= a < start + window)
         assert got * 8 * 1_000_000 <= rate * window + 1350 * 8 * 1_000_000
+
+
+# Sends interleaved over two links: (which link, packet size, carries data,
+# microseconds since the previous send).
+link_sends = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=1),
+    st.one_of(st.integers(min_value=1, max_value=1350),
+              st.sampled_from((50, 51))),
+    st.booleans(), st.integers(min_value=0, max_value=20_000)),
+    min_size=1, max_size=80)
+link_rates = st.integers(min_value=1_000_000, max_value=1_000_000_000)
+
+
+@given(link_sends, link_rates, link_rates)
+# the same sizes on links 100x apart in rate: a serialization time kept per
+# size for both links would give one of them the other's
+@example([(0, 1350, True, 0), (1, 1350, True, 0), (1, 50, False, 0),
+          (0, 50, False, 0)], 1_000_000, 100_000_000)
+def test_arrival_is_start_plus_serialization_plus_delay(sends, rate_a, rate_b):
+    links = [make_link(owd_us=25_000, rate_bps=rate_a),
+             make_link(owd_us=7_000, rate_bps=rate_b)]
+    busy = [0, 0]
+    now = 0
+    for which, size, carries_data, step in sends:
+        now += step
+        link = links[which]
+        start = max(now, busy[which])
+        busy[which] = start + serialization_us(size, link.rate_bps)
+        assert link.send(size, carries_data, now) == busy[which] + link.owd_us
+        assert link.busy_until == busy[which]

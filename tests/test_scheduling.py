@@ -501,8 +501,8 @@ def full_scan_at_risk(ledger, path, candidate_size, now):
                 return True
             continue
         cutoff = res.due_time - srtt
-        still_in_flight = sum(e.size for e in path.ledger.values()
-                              if e.sent_time > cutoff)
+        still_in_flight = sum(size for _, size, _, sent_time, _
+                              in path.ledger.values() if sent_time > cutoff)
         if path.cwnd - still_in_flight - candidate_size < required:
             return True
     return False

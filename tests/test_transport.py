@@ -20,6 +20,7 @@ def frame_of(length=1300, offset=0, priority=False, stream=1, epoch=0):
 
 
 def send_one(ps, now=0, length=1300):
+    """The ledger entry (number, size, frame, sent_time, deadline)."""
     return ps.register_sent(frame_of(length=length), now)
 
 
@@ -91,8 +92,8 @@ def test_burst_of_8_packets_in_flight():
 def test_slow_start_grows_by_acked_bytes():
     ps = fresh_path()
     ps.cwnd, ps.ssthresh = 2_700, 64_000
-    entry = send_one(ps)
-    ps.ack_packet(entry.number, 50_000)
+    number, *_ = send_one(ps)
+    ps.ack_packet(number, 50_000)
     assert ps.cwnd == 4_050
     assert ps.phase == SLOW_START
 
@@ -100,16 +101,16 @@ def test_slow_start_grows_by_acked_bytes():
 def test_slow_start_exits_at_ssthresh():
     ps = fresh_path()
     ps.cwnd, ps.ssthresh = 13_000, 13_500
-    entry = send_one(ps)
-    ps.ack_packet(entry.number, 50_000)
+    number, *_ = send_one(ps)
+    ps.ack_packet(number, 50_000)
     assert ps.phase == CONGESTION_AVOIDANCE
 
 
 def test_ca_growth_exact_example():
     ps = fresh_path()
     ps.cwnd, ps.phase = 13_500, CONGESTION_AVOIDANCE
-    entry = send_one(ps, length=1300)
-    ps.ack_packet(entry.number, 50_000)
+    number, *_ = send_one(ps, length=1300)
+    ps.ack_packet(number, 50_000)
     # 1350 * 1350 / 13500 = 135 exactly, no remainder
     assert ps.cwnd == 13_635
     assert ps.growth_carry == 0
@@ -118,11 +119,11 @@ def test_ca_growth_exact_example():
 def test_ca_growth_carries_remainder_exactly():
     ps = fresh_path()
     ps.cwnd, ps.phase = 13_500, CONGESTION_AVOIDANCE
-    e1 = send_one(ps)
-    e2 = send_one(ps)
-    ps.ack_packet(e1.number, 50_000)
+    n1, *_ = send_one(ps)
+    n2, *_ = send_one(ps)
+    ps.ack_packet(n1, 50_000)
     assert ps.cwnd == 13_635
-    ps.ack_packet(e2.number, 50_200)
+    ps.ack_packet(n2, 50_200)
     # (1350*1350 + 0) // 13635 = 133 remainder 9045
     assert ps.cwnd == 13_635 + 133
     assert ps.growth_carry == 9_045
@@ -137,8 +138,8 @@ def test_ca_growth_full_load_approaches_one_packet_per_window():
     start = ps.cwnd
     acked = 0
     while acked < start:
-        e = send_one(ps)
-        ps.ack_packet(e.number, 50_000)
+        number, *_ = send_one(ps)
+        ps.ack_packet(number, 50_000)
         acked += 1350
     growth = ps.cwnd - start
     assert 1350 * start // ps.cwnd - 1 <= growth <= 1350
@@ -146,20 +147,20 @@ def test_ca_growth_full_load_approaches_one_packet_per_window():
 
 def test_srtt_ewma():
     ps = fresh_path()
-    e1 = send_one(ps, now=0)
-    ps.ack_packet(e1.number, 50_216)
+    n1, *_ = send_one(ps, now=0)
+    ps.ack_packet(n1, 50_216)
     assert ps.srtt == 50_216  # first sample initializes
-    e2 = send_one(ps, now=60_000)
-    ps.ack_packet(e2.number, 60_000 + 51_016)
+    n2, *_ = send_one(ps, now=60_000)
+    ps.ack_packet(n2, 60_000 + 51_016)
     assert ps.srtt == (7 * 50_216 + 51_016) // 8
 
 
 def test_duplicate_ack_ignored():
     ps = fresh_path()
-    e = send_one(ps)
-    ps.ack_packet(e.number, 50_000)
+    number, *_ = send_one(ps)
+    ps.ack_packet(number, 50_000)
     before = (ps.cwnd, ps.in_flight)
-    entry, gaps = ps.ack_packet(e.number, 50_001)
+    entry, gaps = ps.ack_packet(number, 50_001)
     assert entry is None and not gaps
     assert (ps.cwnd, ps.in_flight) == before
 
@@ -167,45 +168,45 @@ def test_duplicate_ack_ignored():
 def test_loss_halves_cwnd_with_floor():
     ps = fresh_path()
     ps.cwnd, ps.phase = 20_000, CONGESTION_AVOIDANCE
-    e = send_one(ps)
-    _, decreased = ps.declare_lost(e.number, 100_000)
+    number, *_ = send_one(ps)
+    _, decreased = ps.declare_lost(number, 100_000)
     assert decreased and ps.cwnd == 10_000 and ps.ssthresh == 10_000
 
     ps2 = fresh_path()
     ps2.cwnd = 2_700
-    e2 = send_one(ps2)
-    _, dec2 = ps2.declare_lost(e2.number, 100_000)
+    n2, *_ = send_one(ps2)
+    _, dec2 = ps2.declare_lost(n2, 100_000)
     assert dec2 and ps2.cwnd == MIN_CWND
 
 
 def test_single_decrease_per_rtt_round():
     ps = fresh_path()
     ps.cwnd, ps.phase, ps.srtt = 40_000, CONGESTION_AVOIDANCE, 50_000
-    e1, e2 = send_one(ps), send_one(ps)
-    ps.declare_lost(e1.number, 100_000)
+    (n1, *_), (n2, *_) = send_one(ps), send_one(ps)
+    ps.declare_lost(n1, 100_000)
     assert ps.cwnd == 20_000
-    _, dec = ps.declare_lost(e2.number, 110_000)  # 10 ms later, same round
+    _, dec = ps.declare_lost(n2, 110_000)  # 10 ms later, same round
     assert not dec and ps.cwnd == 20_000
-    e3 = send_one(ps, now=120_000)
-    _, dec3 = ps.declare_lost(e3.number, 170_000)  # next round
+    n3, *_ = send_one(ps, now=120_000)
+    _, dec3 = ps.declare_lost(n3, 170_000)  # next round
     assert dec3 and ps.cwnd == 10_000
 
 
 def test_loss_alarm_deadline_constant():
     ps = fresh_path()
     ps.srtt = 50_000
-    e = send_one(ps, now=0)
-    assert e.deadline == 56_250  # 9/8 * 50 ms
+    *_, deadline = send_one(ps, now=0)
+    assert deadline == 56_250  # 9/8 * 50 ms
 
 
 def test_gap_rule_declares_after_three_higher_acks():
     ps = fresh_path()
-    entries = [send_one(ps) for _ in range(5)]
+    numbers = [send_one(ps)[0] for _ in range(5)]
     lost_after = []
-    for e in entries[1:4]:
-        _, gaps = ps.ack_packet(e.number, 50_000)
+    for number in numbers[1:4]:
+        _, gaps = ps.ack_packet(number, 50_000)
         lost_after.append(list(gaps))
-    assert lost_after == [[], [], [entries[0].number]]
+    assert lost_after == [[], [], [numbers[0]]]
 
 
 # A sequence of ledger operations: ("send", srtt or None, time step),
@@ -249,7 +250,8 @@ def _replay(ops):
           ("ack", 0)], 0, -3_250)
 def test_alarm_scan_matches_a_full_rescan(ops, pick, offset):
     ps, now = _replay(ops)
-    deadlines = [(num, e.deadline) for num, e in ps.ledger.items()]
+    deadlines = [(num, deadline)
+                 for num, _, _, _, deadline in ps.ledger.values()]
     # ask at, or right next to, one of the deadlines
     at = sorted(d for _, d in deadlines)[pick % len(deadlines)] + offset \
         if deadlines else now
@@ -285,7 +287,7 @@ def test_gap_rule_matches_a_reference_model(ops):
     for op in ops:
         if op[0] == "send":
             now += op[2]
-            outstanding.add(send_one(ps, now=now).number)
+            outstanding.add(send_one(ps, now=now)[0])
         elif outstanding:
             number = sorted(outstanding)[op[1] % len(outstanding)]
             if op[0] == "ack":
