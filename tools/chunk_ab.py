@@ -9,17 +9,21 @@ and the working tree's as `cwrsim_work`. Each builds the same configuration:
 W is `line_rate` or `priority_only` (bench/workloads.py's, default
 `line_rate`) or the stem of a file in scenarios/; --seconds (default: the
 configuration's own horizon) sets its horizon and --seed (default 1) its
-seed. The two runs then advance in alternating chunks of 1 s of simulated
-time, the first tree to run a chunk alternating too, and the CPU time of
-every chunk is taken per tree. Both trees must dispatch the same number of
-events in every chunk and end with equal manifests, or the tool exits 1.
+seed. The two runs then advance in alternating chunks of 0.2 s of
+simulated time, the first tree to run a chunk alternating too, and the CPU
+time of every chunk is taken per tree. Both trees must dispatch the same
+number of events in every chunk and end with equal manifests, or the tool
+exits 1.
 
 Printed: the per-chunk ratio REF CPU / work CPU (above 1 means the working
 tree is faster), its median and quartiles, and the number of chunks the
-working tree won. The first two chunks run but are not counted: in them the
-windows are still opening and the interpreter's caches filling. Because the
-two trees share one process, host noise lands on both sides of a chunk
-alike, so the spread is much narrower than between fresh processes.
+working tree won. The chunks of the first 2 s run but are not counted: in
+them the windows are still opening and the interpreter's caches filling.
+Because the two trees share one process, host noise lands on both sides of
+a chunk alike, so the spread is much narrower than between fresh processes;
+short chunks give many of them, so the median is steady even where single
+chunks spread by several percent. Two copies of one tree read 1.003 and
+1.008 on 30 s of `line_rate`.
 """
 from __future__ import annotations
 
@@ -38,8 +42,8 @@ SCENARIOS = REPO / "scenarios"
 WORKLOADS = REPO / "bench" / "workloads.py"
 BENCH_CONFIGS = {"line_rate": "line_rate_config",
                  "priority_only": "priority_only_config"}
-CHUNK_US = 1_000_000
-UNCOUNTED_CHUNKS = 2
+CHUNK_US = 200_000
+UNCOUNTED_US = 2_000_000
 MODULES = ("engine", "link", "transport", "scheduling", "traffic", "metrics",
            "scenario", "simulation", "cli")
 
@@ -119,7 +123,7 @@ def run_chunks(packages: dict[str, ModuleType], workload: str, seed: int,
         if events["ref"] != events["work"]:
             sys.exit(f"error: chunk {chunk} dispatched {events['ref']} events "
                      f"at REF and {events['work']} in the working tree")
-        if chunk >= UNCOUNTED_CHUNKS and cpu["work"] > 0:
+        if end > UNCOUNTED_US and cpu["work"] > 0:
             ratios.append(cpu["ref"] / cpu["work"])
         chunk += 1
     manifests = {}
@@ -144,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in BENCH_CONFIGS \
             and not (SCENARIOS / f"{args.workload}.scn").is_file():
         parser.error(f"unknown workload {args.workload!r}")
-    if args.seconds is not None and args.seconds < UNCOUNTED_CHUNKS + 2:
-        parser.error(f"--seconds must be at least {UNCOUNTED_CHUNKS + 2}")
+    if args.seconds is not None and args.seconds * 1_000_000 <= UNCOUNTED_US:
+        parser.error(f"--seconds must be above {UNCOUNTED_US // 1_000_000}")
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", args.ref, "src"],
