@@ -10,21 +10,16 @@ class PathConfig:
     """Static description of one bidirectional path."""
 
     __slots__ = ("path_id", "owd_us", "rate_bps", "loss_rate",
-                 "ack_loss_enabled", "forced_data_losses")
+                 "ack_loss_enabled")
 
     def __init__(self, path_id: int, owd_us: int,
                  rate_bps: int = 100_000_000, loss_rate: float = 0.0,
-                 ack_loss_enabled: bool = False,
-                 forced_data_losses: tuple[int, ...] = ()):
+                 ack_loss_enabled: bool = False):
         self.path_id = path_id
         self.owd_us = owd_us
         self.rate_bps = rate_bps
         self.loss_rate = loss_rate
         self.ack_loss_enabled = ack_loss_enabled
-        # Test hook: indices of data transmissions (per direction, 0-based)
-        # that are dropped regardless of the random draw. The draw is still
-        # consumed so matched-seed comparisons stay aligned.
-        self.forced_data_losses = forced_data_losses
 
     def validate(self) -> None:
         if self.owd_us <= 0:
@@ -59,18 +54,17 @@ class OneWayLink:
 
     def __init__(self, cfg: PathConfig, rng: RngStream):
         cfg.validate()
-        self.cfg = cfg
         # one draw per data packet, skipped on a lossless link: there no
         # draw can drop a packet, and the stream feeds nothing else
         self._draw = rng.random
         self.rate_bps = cfg.rate_bps
         self.owd_us = cfg.owd_us
         self.loss_rate = cfg.loss_rate
+        self.ack_loss_enabled = cfg.ack_loss_enabled
         self._serialization: dict[int, int] = {}
         self.busy_until = 0
         self.data_sent = 0
         self.data_dropped = 0
-        self._forced = frozenset(cfg.forced_data_losses)
 
     def send(self, size_bytes: int, carries_data: bool, now: int) -> int | None:
         """Serialize a packet; returns its arrival time, or None when dropped."""
@@ -85,11 +79,10 @@ class OneWayLink:
         if carries_data:
             index = self.data_sent
             self.data_sent = index + 1
-            if (self.loss_rate and self._draw() < self.loss_rate) \
-                    or index in self._forced:
+            if self.loss_rate and self._draw() < self.loss_rate:
                 self.data_dropped += 1
                 return None
-        elif self.cfg.ack_loss_enabled:
+        elif self.ack_loss_enabled:
             if self._draw() < self.loss_rate:
                 return None
         return end + self.owd_us

@@ -164,17 +164,29 @@ CWND_SAMPLE_INTERVAL_US = 250
 
 class MetricsCollector:
     """Run traces plus derived outputs; throughput is binned and window
-    growth measured as the run goes."""
+    growth measured as the run goes.
+
+    Throughput bins cut [0, horizon) every bin_width_us, the last one
+    short when the width does not divide the horizon. Deliveries arrive in
+    time order, so only the open bin, the one that ends at `_edge`, can
+    still grow: its totals are the running delivered and priority byte
+    counters less their values at its start. A delivery at or past the edge
+    closes the bins it has passed; one at or past the horizon is counted in
+    no bin.
+    """
 
     def __init__(self, horizon_us: int, warmup_us: int = DEFAULT_WARMUP_US,
                  bin_width_us: int = DEFAULT_BIN_WIDTH_US):
         self.horizon_us = horizon_us
         self.warmup_us = warmup_us
         self.bin_width_us = bin_width_us
-        n_bins = -(-horizon_us // bin_width_us) if horizon_us > 0 else 0
-        self._bins = [ThroughputBin(i * bin_width_us) for i in range(n_bins)]
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
+        self.priority_bytes = 0
+        self._bins: list[ThroughputBin] = []  # the closed ones
+        self._open_total = 0  # delivered_bytes at the open bin's start
+        self._open_priority = 0  # priority_bytes at the open bin's start
+        self._edge = self._open_end()
         self.cwnd_samples: dict[int, GrowthWindows] = {}
 
     def register_path(self, path_id: int, initial_cwnd: int,
@@ -184,14 +196,32 @@ class MetricsCollector:
 
     def on_delivery(self, when: int, size: int, priority: bool,
                     new_bytes: int) -> None:
+        if when >= self._edge:
+            self._close_bins(when)
         self.goodput_unique_bytes += new_bytes
         self.delivered_bytes += size
-        if when >= self.horizon_us:
-            return
-        b = self._bins[when // self.bin_width_us]
-        b.total_bytes += size
         if priority:
-            b.priority_bytes += size
+            self.priority_bytes += size
+
+    def _open_end(self) -> int | float:
+        """The end of the open bin; infinite once every bin is closed."""
+        start = len(self._bins) * self.bin_width_us
+        if start >= self.horizon_us:
+            return float("inf")
+        return min(start + self.bin_width_us, self.horizon_us)
+
+    def _open_bin(self) -> ThroughputBin:
+        return ThroughputBin(len(self._bins) * self.bin_width_us,
+                             self.delivered_bytes - self._open_total,
+                             self.priority_bytes - self._open_priority)
+
+    def _close_bins(self, until: int) -> None:
+        """Close every bin that ends at or before `until`."""
+        while self._edge <= until:
+            self._bins.append(self._open_bin())
+            self._open_total = self.delivered_bytes
+            self._open_priority = self.priority_bytes
+            self._edge = self._open_end()
 
     def on_cwnd(self, path_id: int, when: int, cwnd: int,
                 in_ca: bool) -> None:
@@ -201,7 +231,17 @@ class MetricsCollector:
         self.cwnd_samples[path_id].decreases.append(when)
 
     def throughput(self) -> list[ThroughputBin]:
-        return self._bins
+        """Every bin of the horizon as delivered so far: the closed ones,
+        the open one and the empty ones after it."""
+        bins = list(self._bins)
+        start = len(bins) * self.bin_width_us
+        if start < self.horizon_us:
+            bins.append(self._open_bin())
+            start += self.bin_width_us
+        while start < self.horizon_us:
+            bins.append(ThroughputBin(start))
+            start += self.bin_width_us
+        return bins
 
     def growth_record(self, path_id: int, scheduler: str) -> CwndGrowthRecord:
         return CwndGrowthRecord(path_id, scheduler,

@@ -140,11 +140,11 @@ class ScenarioConfig:
         self.seed &= SEED_MASK
 
     def to_dict(self) -> dict:
-        """The config as plain data, minus the paths' forced-loss test hook."""
+        """The config as plain data."""
         config = {name: getattr(self, name) for name in self.__slots__}
         config["paths"] = [
-            {name: getattr(p, name) for name in PathConfig.__slots__
-             if name != "forced_data_losses"} for p in self.paths]
+            {name: getattr(p, name) for name in PathConfig.__slots__}
+            for p in self.paths]
         config["sources"] = [
             {name: getattr(s, name) for name in DataSourceConfig.__slots__}
             for s in self.sources]

@@ -23,7 +23,9 @@ class SendStream:
     retransmissions it still owes.
 
     A stream holds at most one in-flight message; the background stream is the
-    exception and fabricates an endless sequence of full-size frames. A lost
+    exception, one endless message of full-size frames. Its first
+    transmissions are handed out as bare offsets (next_background_offset),
+    and background_frame(offset) builds the Frame where one is needed. A lost
     copy of a frame is owed again only while its message is the stream's
     current one (its epoch) and no copy of its offset has been acked, which
     is what `delivered` records for the current message.
@@ -73,7 +75,8 @@ class SendStream:
 
     def peek_pending(self) -> Frame:
         if self.background and not self.pending:
-            self.pending.append(self.next_background_frame())
+            self.pending.append(
+                self.background_frame(self.next_background_offset()))
         return self.pending[0]
 
     def pop_pending(self) -> Frame:
@@ -82,14 +85,18 @@ class SendStream:
             self._settle()
         return frame
 
-    def next_background_frame(self) -> Frame:
+    def next_background_offset(self) -> int:
+        """The offset of the background stream's next first transmission: a
+        frame parked by peek_pending leaves before any new offset."""
         if self.pending:
-            return self.pending.popleft()
+            return self.pending.popleft().offset
         offset = self._bg_offset
         self._bg_offset = offset + MAX_PAYLOAD_BYTES
-        # tuple.__new__ skips the NamedTuple's Python-level constructor
-        return tuple.__new__(Frame, (self.stream_id, 0, offset, MAX_PAYLOAD_BYTES,
-                                     False, False, None, False))
+        return offset
+
+    def background_frame(self, offset: int) -> Frame:
+        """The full-size frame a background packet at `offset` carries."""
+        return Frame(self.stream_id, 0, offset, MAX_PAYLOAD_BYTES, False, False)
 
     def message_done(self) -> None:
         # Any queued retransmissions belong to the acknowledged message and

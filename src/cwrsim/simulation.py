@@ -15,8 +15,8 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
 from .scheduling import SendStream, make_path_scheduler, make_stream_scheduler
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, CONGESTION_AVOIDANCE, Frame,
-                        HEADER_BYTES, PathSendState, ReceivedOffsets,
-                        StreamReassembly)
+                        HEADER_BYTES, MAX_PACKET_BYTES, PathSendState,
+                        ReceivedOffsets, StreamReassembly)
 
 
 class Node:
@@ -31,7 +31,8 @@ class Node:
     when set, is called at every data packet received,
     on_delivery(now, size, priority, new_bytes). `trace`, when set, is
     called in `_transmit`, so once per data packet sent,
-    trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx),
+    trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx)
+    (a background first transmission's Frame is built for the record only),
     and at every blocked send decision (each one counted in blocked_count),
     trace(node, "blocked", now, stream_id, is_rtx). It only observes.
     """
@@ -151,7 +152,7 @@ class Node:
         # counted down, not over a range: this runs on most acks, and a
         # range object per call costs about 2% of a line-rate run
         while k:
-            self._transmit(ps, stream.next_background_frame(), now, False,
+            self._transmit(ps, stream.next_background_offset(), now, False,
                            False)
             k -= 1
 
@@ -179,28 +180,40 @@ class Node:
         self._wake_entry = None
         self.try_send(self.engine.now)
 
-    def _transmit(self, ps: PathSendState, frame: Frame, now: int,
+    def _transmit(self, ps: PathSendState, payload: Frame | int, now: int,
                   is_rtx: bool, is_dup: bool) -> None:
-        """Send one data packet carrying `frame` on path `ps`."""
-        number, size, _, _, deadline = ps.register_sent(frame, now, is_rtx)
+        """Send one data packet on path `ps`. `payload` is the Frame it
+        carries or, for a background first transmission, the bare offset
+        of that full-size packet, which travels to the ledger and the
+        receiver as is."""
         path_id = ps.path_id
-        if frame.priority:
-            self.path_sched.ledger.consume(path_id, size, now)
-        arrival = self.links[path_id].send(size, True, now)
-        if arrival is not None:
-            if frame.message_id is None:  # a background frame
+        if payload.__class__ is int:
+            number, size, _, _, deadline = ps.register_sent(
+                MAX_PACKET_BYTES, payload, now, False)
+            receive = self._peer_receive_bg
+            args = (number, path_id, payload, size)
+            label = "packet_arrival"
+        else:
+            frame = payload
+            number, size, _, _, deadline = ps.register_sent(
+                frame.length + HEADER_BYTES, frame, now, is_rtx)
+            if frame.priority:
+                self.path_sched.ledger.consume(path_id, size, now)
+            if frame.message_id is None:  # a parked or resent background frame
                 receive = self._peer_receive_bg
                 args = (number, path_id, frame.offset, size)
             else:
                 receive = self._peer_receive
                 args = (number, path_id, frame, size, is_dup)
-            self.engine.schedule(
-                arrival, receive,
-                "app_ack_arrival" if frame.app_ack else "packet_arrival",
-                args=args)
+            label = "app_ack_arrival" if frame.app_ack else "packet_arrival"
+        arrival = self.links[path_id].send(size, True, now)
+        if arrival is not None:
+            self.engine.schedule(arrival, receive, label, args=args)
         self._arm_alarm(ps, deadline)
         if self.trace is not None:
-            self.trace(self, "send", now, path_id, number, frame,
+            if payload.__class__ is int:
+                payload = self._bg_stream.background_frame(payload)
+            self.trace(self, "send", now, path_id, number, payload,
                        is_dup, is_rtx)
 
     # -- acknowledgment and loss handling --------------------------------
@@ -211,9 +224,10 @@ class Node:
         ps = self.path_states[path_id]
         entry, gaps = ps.ack_packet(number, now)
         if entry is not None:
-            _, _, frame, _, _ = entry
-            if frame.message_id is not None:
-                self.streams[frame.stream_id].on_acked(frame)
+            payload = entry[2]
+            if payload.__class__ is not int \
+                    and payload.message_id is not None:
+                self.streams[payload.stream_id].on_acked(payload)
             if self.metrics is not None \
                     and now >= self._next_cwnd_sample[path_id]:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
@@ -246,7 +260,9 @@ class Node:
             self.metrics.on_cwnd(ps.path_id, now, ps.cwnd,
                                  ps.phase == CONGESTION_AVOIDANCE)
         self.path_sched.ledger.drop_path(ps.path_id)
-        _, _, frame, _, _ = entry
+        frame = entry[2]
+        if frame.__class__ is int:  # a background first transmission
+            frame = self._bg_stream.background_frame(frame)
         if self.on_frame_lost is not None:
             self.on_frame_lost(frame.message_id)
         self.streams[frame.stream_id].on_lost(frame, now, ps.path_id)

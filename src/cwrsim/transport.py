@@ -116,9 +116,11 @@ class PathSendState:
         free = self.cwnd - self.in_flight
         return free if free > 0 else 0
 
-    def register_sent(self, frame: Frame, now: int,
+    def register_sent(self, size: int, payload: Frame | int, now: int,
                       is_rtx: bool = False) -> tuple:
-        size = frame.length + HEADER_BYTES
+        """Enter a packet of `size` bytes into the ledger; `payload` (what
+        the packet carries, kept for the ack and the loss) is stored as-is.
+        Returns the entry (number, size, payload, sent_time, deadline)."""
         if size > self.cwnd - self.in_flight:
             raise InvariantError(
                 f"path {self.path_id}: send of {size} B exceeds free cwnd "
@@ -132,7 +134,7 @@ class PathSendState:
         delay = LOSS_ALARM_NUM * srtt // LOSS_ALARM_DEN
         if delay < self.min_alarm_delay:
             self.min_alarm_delay = delay
-        entry = (number, size, frame, now, now + delay)
+        entry = (number, size, payload, now, now + delay)
         self.ledger[number] = entry
         self.in_flight += size
         self.sent_packets += 1

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import force_data_losses
 from cwrsim.link import PathConfig
 from cwrsim.metrics import ccdf, max_ccdf_gap, post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
@@ -57,12 +58,12 @@ def test_criterion_1_immediate_send_latency():
 def test_criterion_2_early_retransmit_floor():
     # one-packet message, no background, first transmission on path 1 dropped:
     # only the loss alarm can detect it, recovery takes 1.625 RTT + overheads
-    paths = [PathConfig(1, 25_000, forced_data_losses=(0,)),
-             PathConfig(2, 25_000)]
-    cfg = scenario(paths, [(1, 200_000, 1_000)], "cwr", BASE_SEED, 2_000_000,
-                   background=False)
+    cfg = scenario(symmetric_paths(), [(1, 200_000, 1_000)], "cwr", BASE_SEED,
+                   2_000_000, background=False)
     cfg.sources[0].start_offset_us = 0
-    result = Simulation(cfg).run()
+    sim = Simulation(cfg)
+    force_data_losses(sim, 1, (0,))
+    result = sim.run()
     first = result.messages[0]
     ok = (first.loss_involved and first.completed_at is not None
           and 81_250 <= first.mct <= 85_000)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import drop_data_packets
 from cwrsim.engine import RngStream
 from cwrsim.link import OneWayLink, PathConfig, nominal_rtt_us, serialization_us
 
@@ -49,15 +50,21 @@ def test_loss_is_silent():
     assert link.busy_until == 108
 
 
+def forced_link(indices, **kw):
+    link = make_link(**kw)
+    drop_data_packets(link, indices)
+    return link
+
+
 def test_forced_loss_indices_drop_exactly_those_packets():
-    link = make_link(forced_data_losses=(1, 3))
+    link = forced_link((1, 3))
     results = [link.send(1350, True, 0) is None for _ in range(5)]
     assert results == [False, True, False, True, False]
 
 
 def test_forced_loss_still_consumes_a_draw():
     plain = make_link(loss_rate=0.3)
-    forced = make_link(loss_rate=0.3, forced_data_losses=(0,))
+    forced = forced_link((0,), loss_rate=0.3)
     a = [plain.send(1350, True, 0) is None for _ in range(50)]
     b = [forced.send(1350, True, 0) is None for _ in range(50)]
     assert b[0] is True
@@ -66,7 +73,7 @@ def test_forced_loss_still_consumes_a_draw():
 
 @given(st.sets(st.integers(min_value=0, max_value=39)))
 def test_lossless_link_send_drops_exactly_the_forced_indices(forced):
-    link = make_link(forced_data_losses=tuple(sorted(forced)))
+    link = forced_link(forced)
     dropped = {i for i in range(40) if link.send(1350, True, 0) is None}
     assert dropped == forced
     assert link.data_dropped == len(forced)

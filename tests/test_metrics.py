@@ -272,6 +272,55 @@ def test_collector_bins_match_pure_function():
         == direct
 
 
+def reference_bins(horizon, width, deliveries):
+    """(start, total, priority) per bin of [0, horizon), each delivery before
+    the horizon binned from scratch."""
+    out = []
+    for lo in range(0, horizon, width):
+        inside = [(size, pri) for t, size, pri in deliveries
+                  if lo <= t < min(lo + width, horizon)]
+        out.append((lo, sum(size for size, _ in inside),
+                    sum(size for size, pri in inside if pri)))
+    return out
+
+
+@st.composite
+def delivery_runs(draw):
+    """A horizon, a bin width (possibly longer than the horizon or not
+    dividing it), non-decreasing deliveries that fall on bin edges and on
+    the horizon as well as between and past them, and a point to read
+    throughput() mid-run."""
+    width = draw(st.integers(1, 60))
+    horizon = draw(st.integers(1, 400))
+    landmarks = list(range(0, horizon + 2 * width, width)) + [horizon]
+    times = draw(st.lists(st.one_of(st.integers(0, horizon + 2 * width),
+                                    st.sampled_from(landmarks)),
+                          max_size=40))
+    deliveries = [(t, draw(st.integers(1, 1350)), draw(st.booleans()))
+                  for t in sorted(times)]
+    return horizon, width, deliveries, draw(st.integers(0, len(deliveries)))
+
+
+@given(delivery_runs())
+@example((250, 100, [(0, 1350, True), (100, 950, False), (200, 10, True),
+                     (250, 7, True)], 2))  # edges, a short last bin
+@example((30, 100, [(0, 5, False), (29, 6, True), (30, 7, True)], 1))
+@example((1_000, 50, [(10, 1, True), (990, 2, False)], 1))  # empty run
+def test_rolling_bins_equal_reference_binning(run):
+    horizon, width, deliveries, mid = run
+    collector = MetricsCollector(horizon, bin_width_us=width)
+    for i, (t, size, pri) in enumerate(deliveries):
+        if i == mid:
+            assert [(b.bin_start, b.total_bytes, b.priority_bytes)
+                    for b in collector.throughput()] \
+                == reference_bins(horizon, width, deliveries[:mid])
+        collector.on_delivery(t, size, pri, 0)
+    assert [(b.bin_start, b.total_bytes, b.priority_bytes)
+            for b in collector.throughput()] \
+        == reference_bins(horizon, width, deliveries)
+    assert collector.delivered_bytes == sum(d[1] for d in deliveries)
+
+
 def test_csv_outputs_have_contract_columns(tmp_path):
     messages = [MessageRecord(1, 1, 200_000, 10_000, True, stream_id=1,
                               completed_at=225_900, loss_involved=False,

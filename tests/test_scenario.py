@@ -178,10 +178,10 @@ def test_validate_bounds_the_horizon_in_throughput_bins(duration_us,
 
 
 def test_to_dict_round_trips_scenario_fields():
-    # every field off its default; the forced-loss test hook is not echoed
+    # every field off its default
     cfg = ScenarioConfig(
         paths=[PathConfig(3, 12_000, rate_bps=50_000_000, loss_rate=0.25,
-                          ack_loss_enabled=True, forced_data_losses=(3,))],
+                          ack_loss_enabled=True)],
         sources=[DataSourceConfig(2, 40_000, 1_500, priority=False,
                                   start_offset_us=5)],
         duration_us=4_000_000, seed=9, stream_scheduler="rr",

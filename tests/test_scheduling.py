@@ -59,7 +59,7 @@ def drain(scheduler, stream, now=0):
             break
         stream.pop_pending()
         for ps in targets:
-            ps.register_sent(frame, now)
+            ps.register_sent(frame.packet_bytes, frame, now)
             if frame.priority:
                 scheduler.ledger.consume(ps.path_id, frame.packet_bytes, now)
         sent.append(tuple(p.path_id for p in targets))
@@ -121,6 +121,17 @@ def test_pfifo_background_fifo_among_themselves():
     a = new_stream(3, False, enqueue_time=7)
     b = new_stream(8, False, enqueue_time=3)
     assert [s.stream_id for s in pf.order([a, b], 10)] == [8, 3]
+
+
+def test_background_offsets_follow_a_parked_frame():
+    # peek_pending parks a Frame for the general send path; the offset
+    # sequence hands it out first and then continues after it
+    bg = SendStream(0, False, background=True, urgent=set())
+    parked = bg.peek_pending()
+    assert parked == bg.background_frame(0) == bg_frame(0)
+    assert [bg.next_background_offset() for _ in range(3)] \
+        == [0, MAX_PAYLOAD_BYTES, 2 * MAX_PAYLOAD_BYTES]
+    assert not bg.pending
 
 
 def three_sort_order(streams):
@@ -514,7 +525,7 @@ def test_the_prediction_flags_a_send_still_in_flight_at_the_due_time():
     ledger.install(1, p, 10_800, due_time=30_000)  # due in 30 ms
     assert not full_scan_at_risk(ledger, p, 1_350, now=0)
     # one packet sent 10 ms ago is still unacked at the due time
-    p.register_sent(bg_frame(), now=-10_000)
+    p.register_sent(MAX_PACKET_BYTES, 0, now=-10_000)
     assert full_scan_at_risk(ledger, p, 1_350, now=0)
 
 
@@ -533,7 +544,8 @@ def ledger_states(draw):
         size = draw(st.integers(51, MAX_PACKET_BYTES))
         if size > p.cwnd - p.in_flight:
             break
-        p.register_sent(Frame(9, 0, i * 1300, size - 50, False, False), t)
+        p.register_sent(size, Frame(9, 0, i * 1300, size - 50, False, False),
+                        t)
     sched = scheduler(draw(st.sampled_from(["cwr", "cwr_red"])), [p])
     ledger = sched.ledger
     for source, size, due in draw(st.lists(st.tuples(
@@ -562,7 +574,7 @@ def test_admitted_background_keeps_reservations_whole_when_due(state):
     k = sched.background_room(p, NOW)
     if k > 0:
         for i in range(k - 1):
-            p.register_sent(bg_frame(i * 1300), NOW)
+            p.register_sent(MAX_PACKET_BYTES, i * 1300, NOW)
         assert not full_scan_at_risk(sched.ledger, p, MAX_PACKET_BYTES, NOW)
 
 
@@ -685,7 +697,7 @@ def test_cwr_window_reservation_walkthrough():
         if not sched.admit(background, frame, False, 0):
             break
         background.pop_pending()
-        p1.register_sent(frame, 0)
+        p1.register_sent(frame.packet_bytes, frame, 0)
         sent += 1
     assert sent == 1  # 5400 - 4050 reserved leaves room for exactly one
 
@@ -812,7 +824,7 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
         targets = sched.admit(stream, frame, False, 0)
         stream.pop_pending()
         for ps in targets:
-            ps.register_sent(frame, 0)
+            ps.register_sent(frame.packet_bytes, frame, 0)
         sent.append(tuple(p.path_id for p in targets))
     assert a.dup_mode == b.dup_mode == "all"
     assert sent == [(1, 2)] * 4 + [(1,)]

@@ -5,12 +5,13 @@ import itertools
 
 from hypothesis import given, strategies as st
 
+from conftest import force_data_losses
 from cwrsim.link import PathConfig
 from cwrsim.metrics import post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
 from cwrsim.simulation import Simulation
 from cwrsim.traffic import BACKGROUND_STREAM_ID, DataSourceConfig
-from cwrsim.transport import MAX_PAYLOAD_BYTES, ReceivedOffsets
+from cwrsim.transport import Frame, MAX_PAYLOAD_BYTES, ReceivedOffsets
 
 
 def two_paths(loss=0.0, owd=25_000, **kw):
@@ -85,11 +86,10 @@ def test_lost_priority_packet_is_recovered():
     # drop the first data packet on path 1; the message still completes via
     # early retransmission, and the window halves exactly once
     cfg = config(
-        paths=[PathConfig(1, 25_000, forced_data_losses=(0,)),
-               PathConfig(2, 25_000)],
         sources=[DataSourceConfig(1, 200_000, 1_000, start_offset_us=0)],
         background=False, duration_us=1_000_000, warmup_us=0)
     sim = Simulation(cfg)
+    force_data_losses(sim, 1, (0,))
     res = sim.run()
     first = res.messages[0]
     assert first.loss_involved
@@ -142,12 +142,11 @@ def test_duplicate_loss_recovered_without_retransmission():
     # lose one copy of a duplicated packet; the other copy completes the
     # message and the sender suppresses the retransmission
     cfg = config(
-        paths=[PathConfig(1, 25_000, forced_data_losses=(0,)),
-               PathConfig(2, 25_000)],
         path_scheduler="cwr_red",
         sources=[DataSourceConfig(1, 300_000, 1_000, start_offset_us=0)],
         background=False, duration_us=1_000_000, warmup_us=0)
     sim = Simulation(cfg)
+    force_data_losses(sim, 1, (0,))
     res = sim.run()
     first = res.messages[0]
     assert first.completed_at is not None
@@ -165,12 +164,11 @@ def test_message_isolation_under_forced_loss():
                       warmup_us=0)
     baseline = Simulation(base_cfg).run()
 
-    lossy_cfg = config(
-        paths=[PathConfig(1, 25_000, forced_data_losses=(0, 1)),
-               PathConfig(2, 25_000)],
-        sources=sources, background=False, duration_us=900_000,
-        warmup_us=0)
-    lossy = Simulation(lossy_cfg).run()
+    lossy_cfg = config(sources=sources, background=False,
+                       duration_us=900_000, warmup_us=0)
+    lossy_sim = Simulation(lossy_cfg)
+    force_data_losses(lossy_sim, 1, (0, 1))
+    lossy = lossy_sim.run()
 
     def completion(res, source_id):
         return next(m.completed_at for m in res.messages
@@ -182,6 +180,55 @@ def test_message_isolation_under_forced_loss():
     assert completion(lossy, 2) == completion(baseline, 2)
     # and A still completes eventually
     assert all(m.completed_at is not None for m in lossy.messages)
+
+
+def test_lost_background_offset_is_retransmitted_as_its_frame():
+    # a background first transmission travels as its bare offset; losing
+    # one builds its Frame for the loss report and the retransmission
+    sends = []
+
+    def trace(node, kind, now, *fields):
+        if node.name == "server" and kind == "send":
+            sends.append(fields)
+
+    sim = Simulation(config(duration_us=1_000_000, warmup_us=0), trace=trace)
+    force_data_losses(sim, 1, (20,))
+    server, client = sim.server, sim.client
+    lost_payloads = []
+    declare_loss = server._declare_loss
+
+    def recording_declare_loss(ps, number, now):
+        lost_payloads.append(ps.ledger[number][2])
+        declare_loss(ps, number, now)
+
+    server._declare_loss = recording_declare_loss
+    lost_ids = []
+    server.on_frame_lost = lost_ids.append
+    goodput = {}
+    receive_bg = server._peer_receive_bg
+
+    def recording_receive_bg(number, path_id, offset, size):
+        before = sim.metrics.goodput_unique_bytes
+        receive_bg(number, path_id, offset, size)
+        goodput[offset] = goodput.get(offset, 0) \
+            + sim.metrics.goodput_unique_bytes - before
+
+    server._peer_receive_bg = recording_receive_bg
+    sim.run()
+
+    assert len(lost_payloads) == 1 and type(lost_payloads[0]) is int
+    offset = lost_payloads[0]
+    assert lost_ids == [None]
+    background = server.streams[BACKGROUND_STREAM_ID]
+    rtx = [frame for path_id, _n, frame, _dup, is_rtx in sends if is_rtx]
+    assert rtx == [background.background_frame(offset)]
+    assert type(rtx[0]) is Frame
+    assert goodput[offset] == MAX_PAYLOAD_BYTES
+    assert server.path_states[1].retransmissions == 1
+    assert all(type(frame) is Frame
+               and frame == background.background_frame(frame.offset)
+               for _p, _n, frame, _dup, _rtx in sends)
+    assert client._bg_seen.floor > offset
 
 
 def test_asymmetric_paths_prefer_fast_path_for_priority():

@@ -21,7 +21,8 @@ def frame_of(length=1300, offset=0, priority=False, stream=1, epoch=0):
 
 def send_one(ps, now=0, length=1300):
     """The ledger entry (number, size, frame, sent_time, deadline)."""
-    return ps.register_sent(frame_of(length=length), now)
+    frame = frame_of(length=length)
+    return ps.register_sent(frame.packet_bytes, frame, now)
 
 
 # -- packetize -------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_send_beyond_cwnd_is_fatal():
 def test_burst_of_8_packets_in_flight():
     ps = fresh_path()
     for f in packetize(1, 0, 10_000, True):
-        ps.register_sent(f, 0)
+        ps.register_sent(f.packet_bytes, f, 0)
     assert ps.in_flight == 7 * 1350 + 950  # 10 400 B
 
 

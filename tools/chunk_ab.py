@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """A/B a git revision's simulator against this working tree, one chunk at a time.
 
-    python tools/chunk_ab.py REF [--workload W] [--seconds N] [--seed N]
+    python tools/chunk_ab.py REF [--workload W] [--seconds N] [--seed N ...]
+                                 [--aa]
 
 REF's src/ is exported with `git archive` into a temporary directory, and
 both trees are imported into this one process, REF's package as `cwrsim_ref`
@@ -9,15 +10,20 @@ and the working tree's as `cwrsim_work`. Each builds the same configuration:
 W is `line_rate` or `priority_only` (bench/workloads.py's, default
 `line_rate`) or the stem of a file in scenarios/; --seconds (default: the
 configuration's own horizon) sets its horizon and --seed (default 1) its
-seed. The two runs then advance in alternating chunks of 0.2 s of
+seed; given several seeds, the comparison runs once per seed. The two runs
+then advance in alternating chunks of 0.2 s of
 simulated time, the first tree to run a chunk alternating too, and the CPU
 time of every chunk is taken per tree. Both trees must dispatch the same
 number of events in every chunk and end with equal manifests, or the tool
 exits 1.
 
-Printed: the per-chunk ratio REF CPU / work CPU (above 1 means the working
-tree is faster), its median and quartiles, and the number of chunks the
-working tree won. The chunks of the first 2 s run but are not counted: in
+Printed per seed: the per-chunk ratio REF CPU / work CPU (above 1 means the
+working tree is faster), its median and quartiles, and the number of chunks
+the working tree won; after several seeds, the same over every counted
+chunk of all of them. With --aa, each seed also runs the working tree
+against a second import of itself (as `cwrsim_aa`, in the REF role), an
+A/A from the same session that shows how far the ratio strays with no
+change at all. The chunks of the first 2 s run but are not counted: in
 them the windows are still opening and the interpreter's caches filling.
 Because the two trees share one process, host noise lands on both sides of
 a chunk alike, so the spread is much narrower than between fresh processes;
@@ -99,8 +105,9 @@ def make_config(package: ModuleType, workload: str, seed: int,
 
 def run_chunks(packages: dict[str, ModuleType], workload: str, seed: int,
                seconds: int | None) -> tuple[list[float], int]:
-    """Run both trees in alternating chunks; returns each counted chunk's
-    REF/work CPU ratio and the events each tree dispatched."""
+    """Run packages["ref"] and packages["work"] in alternating chunks;
+    returns each counted chunk's ref/work CPU ratio and the events each
+    tree dispatched."""
     sims = {side: package.simulation.Simulation(
                 make_config(package, workload, seed, seconds))
             for side, package in packages.items()}
@@ -135,6 +142,13 @@ def run_chunks(packages: dict[str, ModuleType], workload: str, seed: int,
     return ratios, sims["work"].engine.dispatched
 
 
+def summary(ratios: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    won = sum(r > 1 for r in ratios)
+    return (f"median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), work faster "
+            f"in {won} of {len(ratios)} chunks")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against")
@@ -143,7 +157,10 @@ def main(argv: list[str] | None = None) -> int:
                              "(default line_rate)")
     parser.add_argument("--seconds", type=int, default=None,
                         help="simulated seconds (default: the workload's)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1],
+                        help="one or more seeds (default 1)")
+    parser.add_argument("--aa", action="store_true",
+                        help="also run the working tree against itself")
     args = parser.parse_args(argv)
     if args.workload not in BENCH_CONFIGS \
             and not (SCENARIOS / f"{args.workload}.scn").is_file():
@@ -159,20 +176,27 @@ def main(argv: list[str] | None = None) -> int:
                      f"{archive.stderr.decode().strip()}")
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
                        check=True)
-        packages = {"ref": import_tree(Path(tmp) / "src", "cwrsim_ref"),
-                    "work": import_tree(REPO / "src", "cwrsim_work")}
-        ratios, events = run_chunks(packages, args.workload, args.seed,
-                                    args.seconds)
-
-    if len(ratios) < 2:
-        sys.exit("error: too few counted chunks for quartiles")
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    won = sum(r > 1 for r in ratios)
-    print(f"{args.workload} seed {args.seed}: {events} events per tree, "
-          f"{len(ratios)} chunks counted")
-    print(f"CPU ratio {args.ref} / work: median {median:.3f} "
-          f"(quartiles {q1:.3f}-{q3:.3f}), work faster in {won} of "
-          f"{len(ratios)} chunks")
+        work = import_tree(REPO / "src", "cwrsim_work")
+        pairs = {args.ref: {"ref": import_tree(Path(tmp) / "src",
+                                               "cwrsim_ref"), "work": work}}
+        if args.aa:
+            pairs["A/A"] = {"ref": import_tree(REPO / "src", "cwrsim_aa"),
+                            "work": work}
+        pooled: dict[str, list[float]] = {label: [] for label in pairs}
+        for seed in args.seed:
+            for label, packages in pairs.items():
+                ratios, events = run_chunks(packages, args.workload, seed,
+                                            args.seconds)
+                if len(ratios) < 2:
+                    sys.exit("error: too few counted chunks for quartiles")
+                pooled[label].extend(ratios)
+                print(f"{args.workload} seed {seed}, {events} events per "
+                      f"tree: CPU ratio {label} / work: {summary(ratios)}",
+                      flush=True)
+    if len(args.seed) > 1:
+        for label, ratios in pooled.items():
+            print(f"pooled over {len(args.seed)} seeds: CPU ratio {label} / "
+                  f"work: {summary(ratios)}")
     return 0
 
 
