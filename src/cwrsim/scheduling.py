@@ -257,9 +257,13 @@ class ReservationLedger:
     def consume(self, path_id: int, size: int, now: int) -> None:
         """A priority send claims reserved space that has come due, oldest first."""
         rows = self._by_path[path_id]
-        due = [r for r in rows if r.due_time <= now]
-        if not due:
+        # most priority sends find no row due: leave before building a list
+        for r in rows:
+            if r.due_time <= now:
+                break
+        else:
             return
+        due = [r for r in rows if r.due_time <= now]
         due.sort(key=lambda r: r.due_time)
         remaining = size
         spent = []
@@ -427,10 +431,14 @@ class RedundantScheduler(ReservationScheduler):
                 remaining = stream.remaining_message_bytes()
                 stream.dup_mode = "all" if all(
                     p.free_cwnd() >= remaining for p in self.paths) else "off"
-            size = frame.packet_bytes
-            if stream.dup_mode == "all" and all(
-                    p.free_cwnd() >= size for p in self.paths):
-                return tuple(_paths_by_rtt(self.paths))
+            if stream.dup_mode == "all":
+                # every path's free_cwnd() holds the packet (size > 0)
+                size = frame.length + HEADER_BYTES
+                for p in self.paths:
+                    if p.cwnd - p.in_flight < size:
+                        break
+                else:
+                    return tuple(_paths_by_rtt(self.paths))
         targets = super().admit(stream, frame, is_rtx, now, rtx_path)
         if targets and frame.priority:
             self.refrain_count += 1

@@ -96,20 +96,26 @@ class Node:
 
     def try_send(self, now: int) -> None:
         """Send as long as the stream scheduler offers a unit some path admits."""
-        streams = self.streams
+        urgent = self.urgent
+        bg = self._bg_stream
         sched = self.path_sched
         while True:
-            candidates = [s for s in streams.values()
-                          if s.rtx or s.pending or s.background]
-            if not candidates:
+            # the streams with something to send: the urgent ones and the
+            # background stream, which always has data
+            if not urgent:
+                if bg is not None:
+                    self._drain_background(bg, now)
                 return
-            if len(candidates) == 1 and candidates[0].background \
-                    and not candidates[0].rtx:
-                return self._drain_background(candidates[0], now)
-            candidates = self.stream_sched.order(candidates, now)
+            candidates = list(urgent)
+            if bg is not None and bg not in urgent:
+                candidates.append(bg)
+            if len(candidates) > 1:
+                # order sorts on a total key: the set's iteration order
+                # cannot reach the result
+                candidates = self.stream_sched.order(candidates, now)
             sent = False
             for stream in candidates:
-                owed = stream.next_rtx()
+                owed = stream.next_rtx() if stream.rtx else None
                 if owed is not None:
                     frame, rtx_path = owed
                     is_rtx = True

@@ -1,8 +1,6 @@
 """Connection-layer building blocks: framing, per-path congestion state, reassembly."""
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .engine import InvariantError
 
 MAX_PACKET_BYTES = 1350
@@ -28,21 +26,48 @@ CONGESTION_AVOIDANCE = "congestion_avoidance"
 _NO_GAPS: list[int] = []
 
 
-class Frame(NamedTuple):
-    """One stream frame; a packet carries at most one of these."""
+class Frame:
+    """One stream frame; a packet carries at most one of these.
 
-    stream_id: int
-    epoch: int  # per-stream message counter; disambiguates stream reuse
-    offset: int
-    length: int
-    fin: bool
-    priority: bool
-    message_id: int | None = None
-    app_ack: bool = False
+    Frames compare and hash by value, field by field. Every message packet
+    builds one and reads its fields several times, which a slotted class
+    does faster than a tuple. The repr names every field,
+    `Frame(stream_id=1, ..., app_ack=False)`; trace digests hash it.
+    """
 
-    @property
-    def packet_bytes(self) -> int:
-        return self.length + HEADER_BYTES
+    __slots__ = ("stream_id", "epoch", "offset", "length", "fin", "priority",
+                 "message_id", "app_ack")
+
+    def __init__(self, stream_id: int, epoch: int, offset: int, length: int,
+                 fin: bool, priority: bool, message_id: int | None = None,
+                 app_ack: bool = False):
+        self.stream_id = stream_id
+        # per-stream message counter; disambiguates stream reuse
+        self.epoch = epoch
+        self.offset = offset
+        self.length = length
+        self.fin = fin
+        self.priority = priority
+        self.message_id = message_id
+        self.app_ack = app_ack
+
+    def _values(self) -> tuple:
+        return (self.stream_id, self.epoch, self.offset, self.length, self.fin,
+                self.priority, self.message_id, self.app_ack)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Frame:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"Frame(stream_id={self.stream_id!r}, epoch={self.epoch!r}, "
+                f"offset={self.offset!r}, length={self.length!r}, "
+                f"fin={self.fin!r}, priority={self.priority!r}, "
+                f"message_id={self.message_id!r}, app_ack={self.app_ack!r})")
 
 
 def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
@@ -56,12 +81,14 @@ def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
         raise ValueError("data_length must be positive")
     frames = []
     offset = 0
-    while offset < data_length:
-        length = min(MAX_PAYLOAD_BYTES, data_length - offset)
-        fin = offset + length == data_length
-        frames.append(Frame(stream_id, epoch, offset, length, fin, priority,
-                            message_id, app_ack))
-        offset += length
+    # the final frame starts at or past `last`
+    last = data_length - MAX_PAYLOAD_BYTES
+    while offset < last:
+        frames.append(Frame(stream_id, epoch, offset, MAX_PAYLOAD_BYTES, False,
+                            priority, message_id, app_ack))
+        offset += MAX_PAYLOAD_BYTES
+    frames.append(Frame(stream_id, epoch, offset, data_length - offset, True,
+                        priority, message_id, app_ack))
     return frames
 
 

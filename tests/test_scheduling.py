@@ -11,8 +11,9 @@ from cwrsim.engine import RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
 from cwrsim.scheduling import (GATE_PACKETS, LowRttScheduler,
                                PriorityFifoStreams, RedundantScheduler,
-                               ReservationLedger, ReservationScheduler,
-                               RoundRobinStreams, SendStream,
+                               Reservation, ReservationLedger,
+                               ReservationScheduler, RoundRobinStreams,
+                               SendStream,
                                make_path_scheduler, make_stream_scheduler,
                                reservation_bytes)
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
@@ -58,10 +59,11 @@ def drain(scheduler, stream, now=0):
         if not targets:
             break
         stream.pop_pending()
+        size = frame.length + HEADER_BYTES
         for ps in targets:
-            ps.register_sent(frame.packet_bytes, frame, now)
+            ps.register_sent(size, frame, now)
             if frame.priority:
-                scheduler.ledger.consume(ps.path_id, frame.packet_bytes, now)
+                scheduler.ledger.consume(ps.path_id, size, now)
         sent.append(tuple(p.path_id for p in targets))
     return sent
 
@@ -157,10 +159,9 @@ stream_specs = st.lists(
     max_size=8, unique_by=lambda spec: spec[0])
 
 
-@settings(max_examples=300)
-@given(stream_specs)
-def test_pfifo_one_key_sort_equals_three_sorts(specs):
-    # try_send passes only streams with retransmissions or pending data
+def candidate_streams(specs):
+    """The streams try_send passes: those with retransmissions or pending
+    data, and background streams."""
     streams = []
     for stream_id, kind, enqueue_time, pending, rtx_times in specs:
         s = SendStream(stream_id, kind == "priority", kind == "background",
@@ -173,7 +174,27 @@ def test_pfifo_one_key_sort_equals_three_sorts(specs):
             s.on_lost(pri_frame(stream=stream_id), t, 1)
         if s.rtx or s.background or s.pending:
             streams.append(s)
+    return streams
+
+
+@settings(max_examples=300)
+@given(stream_specs)
+def test_pfifo_one_key_sort_equals_three_sorts(specs):
+    streams = candidate_streams(specs)
     assert PriorityFifoStreams().order(streams, 0) == three_sort_order(streams)
+
+
+@settings(max_examples=300)
+@given(stream_specs, st.integers(min_value=-1, max_value=30), st.data())
+def test_stream_order_ignores_the_order_of_its_input(specs, last_sent, data):
+    # try_send hands order its candidates in a set's iteration order
+    streams = candidate_streams(specs)
+    shuffled = data.draw(st.permutations(streams))
+    rr = RoundRobinStreams()
+    if last_sent >= 0:
+        rr.note_sent(SendStream(last_sent, False, urgent=set()))
+    for sched in (PriorityFifoStreams(), rr):
+        assert sched.order(shuffled, 0) == sched.order(streams, 0)
 
 
 def test_make_stream_scheduler_names():
@@ -333,6 +354,66 @@ def test_consume_without_reservation_is_noop():
     ledger = ReservationLedger([1])
     ledger.consume(1, 1350, now=0)
     assert ledger.active_bytes(1) == 0
+
+
+def list_building_consume(ledger, path_id, size, now):
+    """ReservationLedger.consume as it was before its early exit: it built
+    the due list on every call. The reference for that exit."""
+    rows = ledger._by_path[path_id]
+    due = [r for r in rows if r.due_time <= now]
+    if not due:
+        return
+    due.sort(key=lambda r: r.due_time)
+    remaining = size
+    spent = []
+    for r in due:
+        if remaining <= 0:
+            break
+        take = min(r.bytes_left, remaining)
+        r.bytes_left -= take
+        ledger._active_bytes[path_id] -= take
+        remaining -= take
+        if r.bytes_left == 0:
+            spent.append(r)
+    if spent:
+        rows[:] = [r for r in rows if r not in spent]
+
+
+consume_rows = st.lists(
+    st.tuples(st.integers(1, 4),                                  # source
+              st.one_of(st.just(0), st.integers(1, 4_000)),       # bytes
+              st.integers(0, 10)),                                # due time
+    max_size=8)
+consume_calls = st.lists(st.tuples(st.integers(1, 5_000),         # size
+                                   st.integers(0, 10)),           # now
+                         min_size=1, max_size=6)
+
+
+@settings(max_examples=400)
+@given(consume_rows, consume_calls)
+# a due row clamped to 0 bytes is spent though it gives nothing
+@example([(1, 4_000, 9), (2, 0, 3)], [(1_350, 5)])
+# a 0-byte row past the size taken stays
+@example([(1, 500, 2), (2, 0, 2), (3, 900, 1)], [(1_350, 5)])
+def test_consume_matches_the_list_building_reference(rows, calls):
+    ledger, reference = ReservationLedger([1]), ReservationLedger([1])
+    installed = {}
+    for led in (ledger, reference):
+        installed[led] = [Reservation(source, 1, granted, due)
+                          for source, granted, due in rows]
+        led._by_path[1].extend(installed[led])
+        led._active_bytes[1] = sum(granted for _, granted, _ in rows)
+
+    def left(led):
+        # each remaining row as (install index, bytes left), by identity
+        return [(next(i for i, r0 in enumerate(installed[led]) if r0 is r),
+                 r.bytes_left) for r in led._by_path[1]]
+
+    for size, now in calls:
+        ledger.consume(1, size, now)
+        list_building_consume(reference, 1, size, now)
+        assert left(ledger) == left(reference)
+        assert ledger.active_bytes(1) == reference.active_bytes(1)
 
 
 @dataclass
@@ -570,7 +651,8 @@ def test_admitted_background_keeps_reservations_whole_when_due(state):
     sched, p, frame = state
     bg = SendStream(0, False, background=True, urgent=set())
     if sched.admit(bg, frame, False, NOW):
-        assert not full_scan_at_risk(sched.ledger, p, frame.packet_bytes, NOW)
+        assert not full_scan_at_risk(sched.ledger, p,
+                                     frame.length + HEADER_BYTES, NOW)
     k = sched.background_room(p, NOW)
     if k > 0:
         for i in range(k - 1):
@@ -697,7 +779,7 @@ def test_cwr_window_reservation_walkthrough():
         if not sched.admit(background, frame, False, 0):
             break
         background.pop_pending()
-        p1.register_sent(frame.packet_bytes, frame, 0)
+        p1.register_sent(frame.length + HEADER_BYTES, frame, 0)
         sent += 1
     assert sent == 1  # 5400 - 4050 reserved leaves room for exactly one
 
@@ -824,7 +906,7 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
         targets = sched.admit(stream, frame, False, 0)
         stream.pop_pending()
         for ps in targets:
-            ps.register_sent(frame.packet_bytes, frame, 0)
+            ps.register_sent(frame.length + HEADER_BYTES, frame, 0)
         sent.append(tuple(p.path_id for p in targets))
     assert a.dup_mode == b.dup_mode == "all"
     assert sent == [(1, 2)] * 4 + [(1,)]

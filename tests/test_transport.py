@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import InvariantError
 from cwrsim.transport import (CONGESTION_AVOIDANCE, Frame, GAP_LOSS_THRESHOLD,
-                              MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState,
-                              SLOW_START,
+                              HEADER_BYTES, MAX_PAYLOAD_BYTES, MIN_CWND,
+                              PathSendState, SLOW_START,
                               StreamReassembly, packetize)
 
 
@@ -22,10 +22,31 @@ def frame_of(length=1300, offset=0, priority=False, stream=1, epoch=0):
 def send_one(ps, now=0, length=1300):
     """The ledger entry (number, size, frame, sent_time, deadline)."""
     frame = frame_of(length=length)
-    return ps.register_sent(frame.packet_bytes, frame, now)
+    return ps.register_sent(frame.length + HEADER_BYTES, frame, now)
 
 
 # -- packetize -------------------------------------------------------------
+
+def test_frames_compare_and_hash_by_value():
+    a = Frame(1, 0, 0, 1300, False, True, 0)
+    b = Frame(1, 0, 0, 1300, False, True, message_id=0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Frame(1, 0, 0, 1300, False, True, 0, app_ack=True)
+    assert a != Frame(1, 0, 0, 1300, False, True)
+    assert Frame(2, 1, 0, 1, True, False) == Frame(2, 1, 0, 1, True, False,
+                                                   None, False)
+
+
+def test_frame_repr_is_the_former_named_tuple_repr():
+    # trace digests hash this string
+    assert repr(Frame(1, 0, 0, 1300, False, True, 0)) == (
+        "Frame(stream_id=1, epoch=0, offset=0, length=1300, fin=False, "
+        "priority=True, message_id=0, app_ack=False)")
+    assert repr(Frame(0, 0, 2600, 1300, False, False)) == (
+        "Frame(stream_id=0, epoch=0, offset=2600, length=1300, fin=False, "
+        "priority=False, message_id=None, app_ack=False)")
+
 
 def test_packetize_10kb_message():
     frames = packetize(5, 0, 10_000, True, message_id=1)
@@ -33,7 +54,7 @@ def test_packetize_10kb_message():
     assert [f.length for f in frames] == [1300] * 7 + [900]
     assert [f.offset for f in frames] == [i * 1300 for i in range(8)]
     assert [f.fin for f in frames] == [False] * 7 + [True]
-    assert all(f.packet_bytes <= 1350 for f in frames)
+    assert all(f.length + HEADER_BYTES <= 1350 for f in frames)
 
 
 def test_packetize_5kb_message():
@@ -54,8 +75,13 @@ def test_packetize_rejects_empty():
 
 
 @given(st.integers(min_value=1, max_value=200_000))
+# the last frame is full
+@example(MAX_PAYLOAD_BYTES)
+@example(2 * MAX_PAYLOAD_BYTES)
 def test_packetize_covers_message_contiguously(size):
-    frames = packetize(1, 0, size, False)
+    frames = packetize(4, 2, size, True, 9, True)
+    assert {(f.stream_id, f.epoch, f.priority, f.message_id, f.app_ack)
+            for f in frames} == {(4, 2, True, 9, True)}
     assert len(frames) == -(-size // MAX_PAYLOAD_BYTES)
     offset = 0
     for f in frames:
@@ -86,7 +112,7 @@ def test_send_beyond_cwnd_is_fatal():
 def test_burst_of_8_packets_in_flight():
     ps = fresh_path()
     for f in packetize(1, 0, 10_000, True):
-        ps.register_sent(f.packet_bytes, f, 0)
+        ps.register_sent(f.length + HEADER_BYTES, f, 0)
     assert ps.in_flight == 7 * 1350 + 950  # 10 400 B
 
 
