@@ -53,7 +53,7 @@ class Node:
         self.path_sched = make_path_scheduler(path_scheduler, path_states,
                                               links)
         self._wake_time = 0
-        self._wake_entry: list | None = None
+        self._wake_entry: tuple | None = None
         self.metrics = metrics
         self._on_delivery = on_delivery
         self._next_cwnd_sample = {p.path_id: 0 for p in path_states}

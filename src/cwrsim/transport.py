@@ -126,7 +126,7 @@ class PathSendState:
         # increasing order and never return to it
         self.oldest = 0
         self.next_number = 0
-        self.alarm_entry: list | None = None
+        self.alarm_entry: tuple | None = None
         self.alarm_time = 0
         # no ledger entry's deadline is closer than this to its send time
         self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN

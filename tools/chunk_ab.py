@@ -20,9 +20,10 @@ and end with equal manifests, or the tool exits 1; with
 `shipped_scenarios`, every scenario is held to this.
 
 Printed per seed and scenario: the per-chunk ratio REF CPU / work CPU
-(above 1 means the working tree is faster), its median and quartiles, and
-the number of chunks the working tree won; after several runs, the same
-over every counted chunk of all of them. With --aa, each run also pairs
+(above 1 means the working tree is faster), its median and quartiles, the
+number of chunks the working tree won, and each tree's dispatched events
+per CPU-second over the counted chunks; after several runs, the same over
+every counted chunk of all of them. With --aa, each run also pairs
 the working tree with a second import of itself (as `cwrsim_aa`, in the
 REF role), an A/A from the same session that shows how far the ratio
 strays with no change at all. The chunks of the first 2 s run but are not
@@ -108,18 +109,43 @@ def make_config(package: ModuleType, workload: str, seed: int,
     return config
 
 
+class Tally:
+    """Counted chunks of one comparison: each chunk's ref/work CPU ratio,
+    and the events dispatched and CPU seconds taken over them per tree."""
+
+    def __init__(self) -> None:
+        self.ratios: list[float] = []
+        self.events = 0
+        self.cpu = {"ref": 0.0, "work": 0.0}
+
+    def add(self, other: "Tally") -> None:
+        self.ratios.extend(other.ratios)
+        self.events += other.events
+        for side, seconds in other.cpu.items():
+            self.cpu[side] += seconds
+
+    def summary(self) -> str:
+        q1, median, q3 = statistics.quantiles(self.ratios, n=4)
+        won = sum(r > 1 for r in self.ratios)
+        rates = ", ".join(f"{side} {self.events / seconds:,.0f}"
+                          for side, seconds in self.cpu.items())
+        return (f"median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), work "
+                f"faster in {won} of {len(self.ratios)} chunks; events per "
+                f"CPU-second {rates}")
+
+
 def run_chunks(packages: dict[str, ModuleType], workload: str, seed: int,
-               seconds: int | None) -> tuple[list[float], int]:
+               seconds: int | None) -> tuple[Tally, int]:
     """Run packages["ref"] and packages["work"] in alternating chunks;
-    returns each counted chunk's ref/work CPU ratio and the events each
-    tree dispatched."""
+    returns the counted chunks' tally and the events each tree
+    dispatched."""
     sims = {side: package.simulation.Simulation(
                 make_config(package, workload, seed, seconds))
             for side, package in packages.items()}
     horizon = sims["ref"].config.duration_us
     for sim in sims.values():
         sim.traffic.start()
-    ratios = []
+    tally = Tally()
     end = 0
     chunk = 0
     while end < horizon:
@@ -136,7 +162,10 @@ def run_chunks(packages: dict[str, ModuleType], workload: str, seed: int,
             sys.exit(f"error: chunk {chunk} dispatched {events['ref']} events "
                      f"at REF and {events['work']} in the working tree")
         if end > UNCOUNTED_US and cpu["work"] > 0:
-            ratios.append(cpu["ref"] / cpu["work"])
+            tally.ratios.append(cpu["ref"] / cpu["work"])
+            tally.events += events["work"]
+            for side, seconds in cpu.items():
+                tally.cpu[side] += seconds
         chunk += 1
     manifests = {}
     for side, sim in sims.items():
@@ -144,14 +173,7 @@ def run_chunks(packages: dict[str, ModuleType], workload: str, seed: int,
         manifests[side] = packages[side].simulation.RunResult(sim).manifest()
     if manifests["ref"] != manifests["work"]:
         sys.exit("error: the two trees' manifests differ")
-    return ratios, sims["work"].engine.dispatched
-
-
-def summary(ratios: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    won = sum(r > 1 for r in ratios)
-    return (f"median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), work faster "
-            f"in {won} of {len(ratios)} chunks")
+    return tally, sims["work"].engine.dispatched
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -191,25 +213,25 @@ def main(argv: list[str] | None = None) -> int:
         if args.aa:
             pairs["A/A"] = {"ref": import_tree(REPO / "src", "cwrsim_aa"),
                             "work": work}
-        pooled: dict[str, list[float]] = {label: [] for label in pairs}
+        pooled = {label: Tally() for label in pairs}
         for seed in args.seed:
             for stem in stems:
                 for label, packages in pairs.items():
-                    ratios, events = run_chunks(packages, stem, seed,
-                                                args.seconds)
-                    if len(ratios) < 2:
+                    tally, events = run_chunks(packages, stem, seed,
+                                               args.seconds)
+                    if len(tally.ratios) < 2:
                         sys.exit("error: too few counted chunks for quartiles")
-                    pooled[label].extend(ratios)
+                    pooled[label].add(tally)
                     print(f"{stem} seed {seed}, {events} events per tree: "
-                          f"CPU ratio {label} / work: {summary(ratios)}",
+                          f"CPU ratio {label} / work: {tally.summary()}",
                           flush=True)
     if len(args.seed) * len(stems) > 1:
         runs = f"{len(args.seed)} seeds"
         if len(stems) > 1:
             runs += f" x {len(stems)} scenarios"
-        for label, ratios in pooled.items():
+        for label, tally in pooled.items():
             print(f"pooled over {runs}: CPU ratio {label} / work: "
-                  f"{summary(ratios)}")
+                  f"{tally.summary()}")
     return 0
 
 
