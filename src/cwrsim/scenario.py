@@ -127,6 +127,10 @@ class ScenarioConfig:
                     f"{GATE_PACKETS} serializations of a {MAX_PACKET_BYTES} B "
                     f"packet take {backlog_us} us, which must be under an "
                     f"eighth of the {nominal_rtt_us(p)} us RTT", key=key)
+        # a message is packetized whole when it is generated, so one larger
+        # than all paths together can serialize over the run cannot be sent
+        # and would only cost memory
+        horizon_bits = sum(p.rate_bps for p in self.paths) * self.duration_us
         source_ids = set()
         for i, s in enumerate(self.sources):
             key = ("source", i)
@@ -137,6 +141,12 @@ class ScenarioConfig:
                 raise ScenarioError(f"duplicate source_id {s.source_id}",
                                     key=key)
             source_ids.add(s.source_id)
+            if s.message_size_bytes * 8 * 1_000_000 > horizon_bits:
+                raise ScenarioError(
+                    f"source {s.source_id}: a {s.message_size_bytes} B "
+                    f"message exceeds the {horizon_bits // 8_000_000} B all "
+                    f"paths together can serialize in {self.duration_us} us",
+                    key=key)
         self.seed &= SEED_MASK
 
     def to_dict(self) -> dict:

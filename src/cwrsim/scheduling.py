@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 
 from .engine import InvariantError
 from .link import OneWayLink, serialization_us
@@ -191,12 +192,10 @@ def make_stream_scheduler(name: str):
 
 # rows compare by identity: two reservations with equal fields are still two
 class Reservation:
-    __slots__ = ("source_id", "path_id", "bytes_left", "due_time")
+    __slots__ = ("source_id", "bytes_left", "due_time")
 
-    def __init__(self, source_id: int, path_id: int, bytes_left: int,
-                 due_time: int):
+    def __init__(self, source_id: int, bytes_left: int, due_time: int):
         self.source_id = source_id
-        self.path_id = path_id
         self.bytes_left = bytes_left
         self.due_time = due_time
 
@@ -226,7 +225,7 @@ class ReservationLedger:
         if granted > room:
             granted = max(room, 0)
             self.clamped += 1
-        res = Reservation(source_id, path.path_id, granted, due_time)
+        res = Reservation(source_id, granted, due_time)
         self._by_path[path.path_id].append(res)
         self._active_bytes[path.path_id] += granted
         return res
@@ -280,10 +279,7 @@ class ReservationLedger:
             rows[:] = [r for r in rows if r not in spent]
 
 
-def _rtt_key(p: PathSendState) -> tuple[int, int]:
-    # effective_srtt() inlined: this runs on every priority admission
-    srtt = p.srtt
-    return (p.nominal_rtt if srtt is None else srtt), p.path_id
+_rtt_key = attrgetter("srtt", "path_id")
 
 
 def _paths_by_rtt(paths: list[PathSendState]) -> list[PathSendState]:
@@ -323,10 +319,10 @@ class LowRttScheduler:
         return []
 
     def register_reservation(self, source_id: int, bytes_needed: int,
-                             due_time: int) -> list[Reservation]:
+                             due_time: int) -> None:
         self.ledger.retire_source(source_id)
-        return [self.ledger.install(source_id, path, bytes_needed, due_time)
-                for path in self.reservation_paths()]
+        for path in self.reservation_paths():
+            self.ledger.install(source_id, path, bytes_needed, due_time)
 
     def gate_room(self, path_id: int, now: int) -> int:
         """Max packets the path's serializer gate accepts back to back now.

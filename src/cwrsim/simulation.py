@@ -79,19 +79,17 @@ class Node:
 
     # -- sender side ---------------------------------------------------
 
-    def get_send_stream(self, stream_id: int, priority: bool) -> SendStream:
+    def get_send_stream(self, stream_id: int, priority: bool,
+                        background: bool = False) -> SendStream:
+        """The stream of that id, created on first use; a node has at most
+        one background stream."""
         stream = self.streams.get(stream_id)
         if stream is None:
-            stream = SendStream(stream_id, priority, urgent=self.urgent)
+            stream = SendStream(stream_id, priority, background,
+                                urgent=self.urgent)
             self.streams[stream_id] = stream
-        return stream
-
-    def ensure_background_stream(self, stream_id: int) -> SendStream:
-        stream = self.streams.get(stream_id)
-        if stream is None:
-            stream = SendStream(stream_id, False, True, urgent=self.urgent)
-            self.streams[stream_id] = stream
-            self._bg_stream = stream
+            if background:
+                self._bg_stream = stream
         return stream
 
     def try_send(self, now: int) -> None:

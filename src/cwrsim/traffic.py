@@ -44,13 +44,12 @@ class DataSourceConfig:
 class MessageRecord:
     """Lifecycle of one generated message, from tick to completion."""
 
-    __slots__ = ("message_id", "source_id", "generated_at", "size",
-                 "priority", "stream_id", "completed_at", "loss_involved",
-                 "duplicated", "completing_path", "completed_by_duplicate",
-                 "app_acked_at")
+    __slots__ = ("message_id", "source_id", "generated_at", "priority",
+                 "stream_id", "completed_at", "loss_involved", "duplicated",
+                 "completing_path", "completed_by_duplicate", "app_acked_at")
 
     def __init__(self, message_id: int, source_id: int, generated_at: int,
-                 size: int, priority: bool, stream_id: int | None = None,
+                 priority: bool, stream_id: int | None = None,
                  completed_at: int | None = None, loss_involved: bool = False,
                  duplicated: bool = False, completing_path: int | None = None,
                  completed_by_duplicate: bool = False,
@@ -58,7 +57,6 @@ class MessageRecord:
         self.message_id = message_id
         self.source_id = source_id
         self.generated_at = generated_at
-        self.size = size
         self.priority = priority
         self.stream_id = stream_id
         self.completed_at = completed_at
@@ -92,7 +90,8 @@ class TrafficManager:
 
     def start(self) -> None:
         if self.background:
-            self.server.ensure_background_stream(BACKGROUND_STREAM_ID)
+            self.server.get_send_stream(BACKGROUND_STREAM_ID, False,
+                                        background=True)
         sched = self.server.path_sched
         for src in self.sources:
             if src.priority:
@@ -109,7 +108,7 @@ class TrafficManager:
         if now >= self.duration_us:
             return
         record = MessageRecord(len(self.messages), src.source_id, now,
-                               src.message_size_bytes, src.priority)
+                               src.priority)
         self.messages.append(record)
         stream = self._idle_stream(src.priority)
         record.stream_id = stream.stream_id

@@ -29,9 +29,9 @@ _NO_GAPS: list[int] = []
 class Frame:
     """One stream frame; a packet carries at most one of these.
 
-    Frames compare and hash by value, field by field. Every message packet
-    builds one and reads its fields several times, which a slotted class
-    does faster than a tuple. The repr names every field,
+    Every message packet builds one and reads its fields several times,
+    which a slotted class does faster than a tuple. Frames compare by
+    identity. The repr names every field,
     `Frame(stream_id=1, ..., app_ack=False)`; trace digests hash it.
     """
 
@@ -50,18 +50,6 @@ class Frame:
         self.priority = priority
         self.message_id = message_id
         self.app_ack = app_ack
-
-    def _values(self) -> tuple:
-        return (self.stream_id, self.epoch, self.offset, self.length, self.fin,
-                self.priority, self.message_id, self.app_ack)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Frame:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __repr__(self) -> str:
         return (f"Frame(stream_id={self.stream_id!r}, epoch={self.epoch!r}, "
@@ -98,7 +86,9 @@ class PathSendState:
     Slow start adds every acked byte to cwnd until ssthresh; congestion
     avoidance adds one max packet per cwnd of acked bytes, with the
     fractional remainder carried exactly between acks. A loss halves cwnd
-    (floor 2 packets) at most once per RTT round.
+    (floor 2 packets) at most once per RTT round. srtt is the configured
+    RTT until the first sample replaces it; each later sample moves it by
+    a 7/8 EWMA.
     """
 
     __slots__ = (
@@ -117,7 +107,7 @@ class PathSendState:
         self.ssthresh = INITIAL_SSTHRESH
         self.in_flight = 0
         self.phase = SLOW_START
-        self.srtt: int | None = None
+        self.srtt = nominal_rtt
         self.growth_carry = 0
         self.last_decrease: int | None = None
         self.ledger: dict[int, tuple] = {}
@@ -136,9 +126,6 @@ class PathSendState:
         self.srtt_sum = 0
         self.srtt_samples = 0
 
-    def effective_srtt(self) -> int:
-        return self.srtt if self.srtt is not None else self.nominal_rtt
-
     def free_cwnd(self) -> int:
         free = self.cwnd - self.in_flight
         return free if free > 0 else 0
@@ -155,10 +142,7 @@ class PathSendState:
             )
         number = self.next_number
         self.next_number = number + 1
-        srtt = self.srtt
-        if srtt is None:
-            srtt = self.nominal_rtt
-        delay = LOSS_ALARM_NUM * srtt // LOSS_ALARM_DEN
+        delay = LOSS_ALARM_NUM * self.srtt // LOSS_ALARM_DEN
         if delay < self.min_alarm_delay:
             self.min_alarm_delay = delay
         entry = (number, size, payload, now, now + delay)
@@ -179,8 +163,8 @@ class PathSendState:
         _, size, _, sent_time, _ = entry
         self.in_flight -= size
         sample = now - sent_time
-        srtt = self.srtt
-        self.srtt = sample if srtt is None else (7 * srtt + sample) // 8
+        self.srtt = (sample if self.srtt_samples == 0
+                     else (7 * self.srtt + sample) // 8)
         self.srtt_sum += sample
         self.srtt_samples += 1
         if self.phase == SLOW_START:
@@ -247,7 +231,7 @@ class PathSendState:
         self.lost_packets += 1
         decreased = False
         if (self.last_decrease is None
-                or now - self.last_decrease >= self.effective_srtt()):
+                or now - self.last_decrease >= self.srtt):
             self.ssthresh = max(self.cwnd // 2, MIN_CWND)
             self.cwnd = self.ssthresh
             self.phase = CONGESTION_AVOIDANCE

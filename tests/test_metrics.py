@@ -322,7 +322,7 @@ def test_rolling_bins_equal_reference_binning(run):
 
 
 def test_csv_outputs_have_contract_columns(tmp_path):
-    messages = [MessageRecord(1, 1, 200_000, 10_000, True, stream_id=1,
+    messages = [MessageRecord(1, 1, 200_000, True, stream_id=1,
                               completed_at=225_900, loss_involved=False,
                               duplicated=True)]
     write_mct_csv(tmp_path / "mct.csv", messages)
@@ -355,7 +355,7 @@ def test_csv_outputs_have_contract_columns(tmp_path):
 
 
 def test_incomplete_messages_are_not_written(tmp_path):
-    messages = [MessageRecord(1, 1, 0, 100, True)]
+    messages = [MessageRecord(1, 1, 0, True)]
     write_mct_csv(tmp_path / "mct.csv", messages)
     with (tmp_path / "mct.csv").open() as fh:
         assert len(list(csv.reader(fh))) == 1  # header only

@@ -238,6 +238,38 @@ def test_section_range_error_names_the_section_line(tmp_path, section, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("size", ["1000000000000", "9" * 30])
+def test_message_past_the_horizon_capacity_names_the_source_line(tmp_path,
+                                                                 size):
+    # parsed and validated only: running it would packetize the message
+    with pytest.raises(ScenarioError, match="exceeds") as info:
+        parse_scenario(write(tmp_path, "duration_s = 2\n[path]\n"
+                                       "owd_us = 25000\n[source]\n"
+                                       "inter_arrival_us = 100000\n"
+                                       f"message_size_bytes = {size}\n"))
+    assert info.value.line == 4
+    assert info.value.key == ("source", 0)
+
+
+@pytest.mark.parametrize("size, accepted", [(50_000_000, True),
+                                            (50_000_001, False)])
+def test_message_size_is_bounded_by_all_paths_over_the_run(size, accepted):
+    # 2 s over 100 + 100 Mbit/s serialize 50,000,000 B
+    cfg = ScenarioConfig(
+        paths=[PathConfig(1, 25_000), PathConfig(2, 25_000)],
+        sources=[DataSourceConfig(1, 100_000, 1_000),
+                 DataSourceConfig(2, 100_000, size)],
+        duration_us=2_000_000)
+    if accepted:
+        cfg.validate()
+    else:
+        with pytest.raises(ScenarioError,
+                           match="source 2: a 50000001 B message exceeds"
+                                 " the 50000000 B") as info:
+            cfg.validate()
+        assert info.value.key == ("source", 1)
+
+
 def _config(**fields):
     return ScenarioConfig(**{"paths": [PathConfig(1, 25_000)],
                              "duration_us": 2_000_000, **fields})

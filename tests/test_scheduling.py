@@ -21,9 +21,11 @@ from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
 
 
 def path(path_id=1, cwnd=13_500, srtt=None, rtt=50_000):
+    """A path whose srtt is `srtt`, or its nominal rtt when that is None."""
     ps = PathSendState(path_id, rtt)
     ps.cwnd = cwnd
-    ps.srtt = srtt
+    if srtt is not None:
+        ps.srtt = srtt
     return ps
 
 
@@ -130,7 +132,7 @@ def test_background_offsets_follow_a_parked_frame():
     # sequence hands it out first and then continues after it
     bg = SendStream(0, False, background=True, urgent=set())
     parked = bg.peek_pending()
-    assert parked == bg.background_frame(0) == bg_frame(0)
+    assert repr(parked) == repr(bg.background_frame(0)) == repr(bg_frame(0))
     assert [bg.next_background_offset() for _ in range(3)] \
         == [0, MAX_PAYLOAD_BYTES, 2 * MAX_PAYLOAD_BYTES]
     assert not bg.pending
@@ -322,7 +324,7 @@ def test_owed_retransmissions_match_the_per_node_tables(steps):
 # -- reservation ledger ------------------------------------------------------
 
 def live_rows(ledger, path_id):
-    return [(r.source_id, r.path_id, r.bytes_left, r.due_time)
+    return [(r.source_id, path_id, r.bytes_left, r.due_time)
             for r in ledger._by_path[path_id]]
 
 
@@ -399,7 +401,7 @@ def test_consume_matches_the_list_building_reference(rows, calls):
     ledger, reference = ReservationLedger([1]), ReservationLedger([1])
     installed = {}
     for led in (ledger, reference):
-        installed[led] = [Reservation(source, 1, granted, due)
+        installed[led] = [Reservation(source, granted, due)
                           for source, granted, due in rows]
         led._by_path[1].extend(installed[led])
         led._active_bytes[1] = sum(granted for _, granted, _ in rows)
@@ -570,7 +572,8 @@ def test_reservation_paths_per_scheduler():
     assert scheduler("cwr", [p1, p2]).reservation_paths() == [p2]
     assert scheduler("cwr_red", [p1, p2]).reservation_paths() == [p2, p1]
     sched = scheduler("lowrtt", [p1, p2])
-    assert sched.register_reservation(1, 10_800, 100_000) == []
+    sched.register_reservation(1, 10_800, 100_000)
+    assert live_rows(sched.ledger, 1) == live_rows(sched.ledger, 2) == []
     assert sched.ledger.active_bytes(1) == sched.ledger.active_bytes(2) == 0
 
 
@@ -583,7 +586,7 @@ def full_scan_at_risk(ledger, path, candidate_size, now):
     reservations pooled on a path, the space required at a due time T is
     the sum of those due at or before T."""
     rows = sorted(ledger._by_path[path.path_id], key=lambda r: r.due_time)
-    srtt = path.effective_srtt()
+    srtt = path.srtt
     required = 0
     for res in rows:
         required += res.bytes_left
@@ -916,8 +919,9 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
 def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("cwr_red", [p1, p2])
-    rows = sched.register_reservation(1, 10_800, 50_000)
-    assert {r.path_id for r in rows} == {1, 2}
+    sched.register_reservation(1, 10_800, 50_000)
+    assert live_rows(sched.ledger, 1) == [(1, 1, 10_800, 50_000)]
+    assert live_rows(sched.ledger, 2) == [(1, 2, 10_800, 50_000)]
     bg = SendStream(0, False, True, urgent=set())
     # 13 500 - 10 800 = 2 700 leaves room for 2 background packets per path
     assert sched.admit(bg, bg_frame(), False, 0) == (p1,)

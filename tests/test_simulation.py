@@ -221,12 +221,14 @@ def test_lost_background_offset_is_retransmitted_as_its_frame():
     assert lost_ids == [None]
     background = server.streams[BACKGROUND_STREAM_ID]
     rtx = [frame for path_id, _n, frame, _dup, is_rtx in sends if is_rtx]
-    assert rtx == [background.background_frame(offset)]
+    assert [repr(frame) for frame in rtx] \
+        == [repr(background.background_frame(offset))]
     assert type(rtx[0]) is Frame
     assert goodput[offset] == MAX_PAYLOAD_BYTES
     assert server.path_states[1].retransmissions == 1
     assert all(type(frame) is Frame
-               and frame == background.background_frame(frame.offset)
+               and repr(frame)
+               == repr(background.background_frame(frame.offset))
                for _p, _n, frame, _dup, _rtx in sends)
     assert client._bg_seen.floor > offset
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import InvariantError
+from cwrsim.scheduling import _paths_by_rtt
 from cwrsim.transport import (CONGESTION_AVOIDANCE, Frame, GAP_LOSS_THRESHOLD,
-                              HEADER_BYTES, MAX_PAYLOAD_BYTES, MIN_CWND,
-                              PathSendState, SLOW_START,
-                              StreamReassembly, packetize)
+                              HEADER_BYTES, LOSS_ALARM_DEN, LOSS_ALARM_NUM,
+                              MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState,
+                              SLOW_START, StreamReassembly, packetize)
 
 
 def fresh_path(path_id=1, rtt=50_000):
@@ -26,17 +27,6 @@ def send_one(ps, now=0, length=1300):
 
 
 # -- packetize -------------------------------------------------------------
-
-def test_frames_compare_and_hash_by_value():
-    a = Frame(1, 0, 0, 1300, False, True, 0)
-    b = Frame(1, 0, 0, 1300, False, True, message_id=0)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != Frame(1, 0, 0, 1300, False, True, 0, app_ack=True)
-    assert a != Frame(1, 0, 0, 1300, False, True)
-    assert Frame(2, 1, 0, 1, True, False) == Frame(2, 1, 0, 1, True, False,
-                                                   None, False)
-
 
 def test_frame_repr_is_the_former_named_tuple_repr():
     # trace digests hash this string
@@ -325,6 +315,87 @@ def test_gap_rule_matches_a_reference_model(ops):
                 outstanding.discard(number)
                 counts.pop(number, None)
     assert set(ps.ledger) == outstanding
+
+
+class NoneUntilSampled:
+    """Reference for the RTT rule as once stated: srtt is None until the
+    first sample sets it, and every reader takes effective_srtt(), the
+    nominal RTT while srtt is None. Tracks each outstanding number's
+    (send time, loss deadline)."""
+
+    def __init__(self, path_id, nominal_rtt):
+        self.path_id = path_id
+        self.nominal_rtt = nominal_rtt
+        self.srtt = None
+        self.outstanding = {}
+        self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN
+        self.last_decrease = None
+
+    def effective_srtt(self):
+        return self.srtt if self.srtt is not None else self.nominal_rtt
+
+    def send(self, number, now):
+        delay = LOSS_ALARM_NUM * self.effective_srtt() // LOSS_ALARM_DEN
+        self.min_alarm_delay = min(self.min_alarm_delay, delay)
+        self.outstanding[number] = (now, now + delay)
+
+    def ack(self, number, now):
+        sample = now - self.outstanding.pop(number)[0]
+        self.srtt = sample if self.srtt is None \
+            else (7 * self.srtt + sample) // 8
+
+    def lose(self, number, now):
+        """Whether the loss decreases the window."""
+        del self.outstanding[number]
+        if self.last_decrease is None \
+                or now - self.last_decrease >= self.effective_srtt():
+            self.last_decrease = now
+            return True
+        return False
+
+
+# (op, path index, pick among its outstanding numbers, time step first);
+# steps of whole 5 ms make samples equal other paths' RTTs, so ties occur
+rtt_ops = st.lists(st.tuples(
+    st.sampled_from(["send", "ack", "lose"]), st.integers(0, 2),
+    st.integers(0, 1_000), st.sampled_from([0, 5_000, 10_000, 40_000])),
+    max_size=60)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([40_000, 50_000]), min_size=3, max_size=3),
+       rtt_ops)
+# equal nominal RTTs, and a first sample equal to another path's RTT
+@example([50_000, 50_000, 40_000],
+         [("send", 0, 0, 0), ("ack", 0, 0, 40_000), ("send", 0, 0, 0)])
+def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
+    ids = (7, 3, 5)  # list order is not id order: ties break by id
+    paths = [PathSendState(pid, rtt) for pid, rtt in zip(ids, nominals)]
+    refs = [NoneUntilSampled(pid, rtt) for pid, rtt in zip(ids, nominals)]
+    now = 0
+    for kind, index, pick, step in ops:
+        now += step
+        ps, ref = paths[index], refs[index]
+        if kind == "send":
+            ps.cwnd = 10 ** 9  # room for every send, whatever losses did
+            ref.send(send_one(ps, now=now)[0], now)
+        elif ps.ledger:
+            number = sorted(ps.ledger)[pick % len(ps.ledger)]
+            if kind == "ack":
+                ps.ack_packet(number, now)
+                ref.ack(number, now)
+            else:
+                _, decreased = ps.declare_lost(number, now)
+                assert decreased == ref.lose(number, now)
+        assert ps.srtt == ref.effective_srtt()
+        assert {num: deadline for num, _, _, _, deadline
+                in ps.ledger.values()} \
+            == {num: deadline for num, (_, deadline)
+                in ref.outstanding.items()}
+        assert ps.min_alarm_delay == ref.min_alarm_delay
+        assert [p.path_id for p in _paths_by_rtt(paths)] == [
+            r.path_id for r in sorted(
+                refs, key=lambda r: (r.effective_srtt(), r.path_id))]
 
 
 def test_free_cwnd_trivials():

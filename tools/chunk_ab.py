@@ -10,7 +10,9 @@ and the working tree's as `cwrsim_work`. Each builds the same configuration:
 W is `line_rate` or `priority_only` (bench/workloads.py's, default
 `line_rate`) or the stem of a file in scenarios/; `shipped_scenarios`
 runs every scenarios/*.scn stem in turn, as the benchmark workload of that
-name does, and pools their chunks. --seconds (default: the configuration's
+name does, and pools their chunks; `all` runs the three benchmark
+workloads, `line_rate`, `priority_only` and `shipped_scenarios`, one after
+the other and pools each on its own. --seconds (default: the configuration's
 own horizon) sets its horizon and --seed (default 1) its seed; given several
 seeds, the comparison runs once per seed and scenario. The two runs then
 advance in alternating chunks of 0.2 s of simulated time, the first tree to
@@ -22,10 +24,10 @@ and end with equal manifests, or the tool exits 1; with
 Printed per seed and scenario: the per-chunk ratio REF CPU / work CPU
 (above 1 means the working tree is faster), its median and quartiles, the
 number of chunks the working tree won, and each tree's dispatched events
-per CPU-second over the counted chunks; after several runs, the same over
-every counted chunk of all of them. With --aa, each run also pairs
-the working tree with a second import of itself (as `cwrsim_aa`, in the
-REF role), an A/A from the same session that shows how far the ratio
+per CPU-second over the counted chunks; after several runs of a workload,
+the same over every counted chunk of all of them. With --aa, each run also
+pairs the working tree with a second import of itself (as `cwrsim_aa`, in
+the REF role), an A/A from the same session that shows how far the ratio
 strays with no change at all. The chunks of the first 2 s run but are not
 counted: in them the windows are still opening and the interpreter's caches
 filling.
@@ -180,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against")
     parser.add_argument("--workload", default="line_rate",
-                        help="line_rate, priority_only, shipped_scenarios "
-                             "or a scenario stem (default line_rate)")
+                        help="line_rate, priority_only, shipped_scenarios, "
+                             "all or a scenario stem (default line_rate)")
     parser.add_argument("--seconds", type=int, default=None,
                         help="simulated seconds (default: the workload's)")
     parser.add_argument("--seed", type=int, nargs="+", default=[1],
@@ -189,11 +191,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--aa", action="store_true",
                         help="also run the working tree against itself")
     args = parser.parse_args(argv)
-    if args.workload == "shipped_scenarios":
-        stems = [scn.stem for scn in sorted(SCENARIOS.glob("*.scn"))]
+    shipped = [scn.stem for scn in sorted(SCENARIOS.glob("*.scn"))]
+    if args.workload == "all":
+        workloads = {**{w: [w] for w in BENCH_CONFIGS},
+                     "shipped_scenarios": shipped}
+    elif args.workload == "shipped_scenarios":
+        workloads = {args.workload: shipped}
     elif args.workload in BENCH_CONFIGS \
             or (SCENARIOS / f"{args.workload}.scn").is_file():
-        stems = [args.workload]
+        workloads = {args.workload: [args.workload]}
     else:
         parser.error(f"unknown workload {args.workload!r}")
     if args.seconds is not None and args.seconds * 1_000_000 <= UNCOUNTED_US:
@@ -213,25 +219,27 @@ def main(argv: list[str] | None = None) -> int:
         if args.aa:
             pairs["A/A"] = {"ref": import_tree(REPO / "src", "cwrsim_aa"),
                             "work": work}
-        pooled = {label: Tally() for label in pairs}
-        for seed in args.seed:
-            for stem in stems:
-                for label, packages in pairs.items():
-                    tally, events = run_chunks(packages, stem, seed,
-                                               args.seconds)
-                    if len(tally.ratios) < 2:
-                        sys.exit("error: too few counted chunks for quartiles")
-                    pooled[label].add(tally)
-                    print(f"{stem} seed {seed}, {events} events per tree: "
-                          f"CPU ratio {label} / work: {tally.summary()}",
-                          flush=True)
-    if len(args.seed) * len(stems) > 1:
-        runs = f"{len(args.seed)} seeds"
-        if len(stems) > 1:
-            runs += f" x {len(stems)} scenarios"
-        for label, tally in pooled.items():
-            print(f"pooled over {runs}: CPU ratio {label} / work: "
-                  f"{tally.summary()}")
+        for workload, stems in workloads.items():
+            pooled = {label: Tally() for label in pairs}
+            for seed in args.seed:
+                for stem in stems:
+                    for label, packages in pairs.items():
+                        tally, events = run_chunks(packages, stem, seed,
+                                                   args.seconds)
+                        if len(tally.ratios) < 2:
+                            sys.exit("error: too few counted chunks for "
+                                     "quartiles")
+                        pooled[label].add(tally)
+                        print(f"{stem} seed {seed}, {events} events per "
+                              f"tree: CPU ratio {label} / work: "
+                              f"{tally.summary()}", flush=True)
+            if len(args.seed) * len(stems) > 1:
+                runs = f"{len(args.seed)} seeds"
+                if len(stems) > 1:
+                    runs += f" x {len(stems)} scenarios"
+                for label, tally in pooled.items():
+                    print(f"{workload} pooled over {runs}: CPU ratio "
+                          f"{label} / work: {tally.summary()}", flush=True)
     return 0
 
 
