@@ -8,10 +8,11 @@ from .engine import SEED_MASK
 from .link import PathConfig, nominal_rtt_us, serialization_us
 from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from .traffic import DataSourceConfig
-from .transport import MAX_PACKET_BYTES
+from .transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
-# the metrics allocate every throughput bin of the horizon before the run
-# starts; at the default 100 ms bin this allows 10,000 s
+# a run builds one throughput bin per bin_width_us of its horizon, each as
+# it closes or the rest when throughput() reads them, and throughput.csv
+# holds a row per bin; this caps both, at the default 100 ms bin 10,000 s
 MAX_THROUGHPUT_BINS = 100_000
 
 
@@ -147,6 +148,22 @@ class ScenarioConfig:
                     f"message exceeds the {horizon_bits // 8_000_000} B all "
                     f"paths together can serialize in {self.duration_us} us",
                     key=key)
+        # sources that offer more than the paths carry grow a backlog without
+        # bound, and a run's cost grows with its square. The offered bit/s
+        # are summed exactly, as num / den; the first source that takes the
+        # sum past capacity is named.
+        capacity = sum(p.rate_bps for p in self.paths)
+        num, den = 0, 1
+        for i, s in enumerate(self.sources):
+            size = s.message_size_bytes
+            wire = size + HEADER_BYTES * -(-size // MAX_PAYLOAD_BYTES)
+            num = num * s.inter_arrival_us + 8_000_000 * wire * den
+            den *= s.inter_arrival_us
+            if num > capacity * den:
+                raise ScenarioError(
+                    f"source {s.source_id}: the sources up to this one offer "
+                    f"{num // den} bit/s on the wire, above the {capacity} "
+                    f"bit/s of all paths together", key=("source", i))
         self.seed &= SEED_MASK
 
     def to_dict(self) -> dict:

@@ -25,22 +25,21 @@ class SendStream:
 
     A stream holds at most one in-flight message; the background stream is the
     exception, one endless message of full-size frames. Its first
-    transmissions are handed out as bare offsets (next_background_offset),
-    and background_frame(offset) builds the Frame where one is needed. A lost
-    copy of a frame is owed again only while its message is the stream's
+    transmissions are never queued in `pending`: they are handed out as bare
+    offsets (next_background_offset), and background_frame(offset) builds
+    the Frame where one is needed. A lost copy of a frame is owed again only while its message is the stream's
     current one (its epoch) and no copy of its offset has been acked, which
     is what `delivered` records for the current message.
     """
 
-    __slots__ = ("stream_id", "priority", "background", "epoch", "enqueue_time",
-                 "pending", "rtx", "message_id", "dup_mode", "delivered",
-                 "urgent", "_bg_offset")
+    __slots__ = ("stream_id", "priority", "epoch", "enqueue_time", "pending",
+                 "rtx", "message_id", "dup_mode", "delivered", "urgent",
+                 "_bg_offset")
 
     def __init__(self, stream_id: int, priority: bool, background: bool = False,
                  *, urgent: set[SendStream]):
         self.stream_id = stream_id
         self.priority = priority
-        self.background = background
         # a message stream's first message is epoch 0; background is one
         # endless message from the start
         self.epoch = 0 if background else -1
@@ -50,12 +49,12 @@ class SendStream:
         self.message_id: int | None = None
         self.dup_mode: str | None = None  # None undecided, 'all', 'off'
         self.delivered: set[int] = set()
-        # the node's streams with rtx, or pending data and not background
+        # the node's streams with rtx or pending data
         self.urgent = urgent
         self._bg_offset = 0
 
     def _settle(self) -> None:
-        urgent = self.rtx or (self.pending and not self.background)
+        urgent = self.rtx or self.pending
         (self.urgent.add if urgent else self.urgent.discard)(self)
 
     def load_message(self, size: int, message_id: int | None, now: int,
@@ -75,9 +74,6 @@ class SendStream:
         self._settle()
 
     def peek_pending(self) -> Frame:
-        if self.background and not self.pending:
-            self.pending.append(
-                self.background_frame(self.next_background_offset()))
         return self.pending[0]
 
     def pop_pending(self) -> Frame:
@@ -87,10 +83,7 @@ class SendStream:
         return frame
 
     def next_background_offset(self) -> int:
-        """The offset of the background stream's next first transmission: a
-        frame parked by peek_pending leaves before any new offset."""
-        if self.pending:
-            return self.pending.popleft().offset
+        """The offset of the background stream's next first transmission."""
         offset = self._bg_offset
         self._bg_offset = offset + MAX_PAYLOAD_BYTES
         return offset
@@ -190,26 +183,18 @@ def make_stream_scheduler(name: str):
     raise ValueError(f"unknown stream scheduler: {name}")
 
 
-# rows compare by identity: two reservations with equal fields are still two
-class Reservation:
-    __slots__ = ("source_id", "bytes_left", "due_time")
-
-    def __init__(self, source_id: int, bytes_left: int, due_time: int):
-        self.source_id = source_id
-        self.bytes_left = bytes_left
-        self.due_time = due_time
-
-
 class ReservationLedger:
     """Per-path pools of congestion-window space held free for upcoming messages.
 
-    A path's rows are its live reservations in install order: consume,
-    drop_path and retire_source remove the rows they end, so the rows' bytes
-    sum to active_bytes.
+    A path's rows map each source with a live reservation there to its
+    [bytes_left, due_time], in reservation order: consume and drop_path
+    remove the rows they end and reserve replaces a source's rows, so a
+    path's rows' bytes sum to active_bytes.
     """
 
     def __init__(self, path_ids: list[int]):
-        self._by_path: dict[int, list[Reservation]] = {pid: [] for pid in path_ids}
+        self._by_path: dict[int, dict[int, list[int]]] = {
+            pid: {} for pid in path_ids}
         self._active_bytes: dict[int, int] = {pid: 0 for pid in path_ids}
         self.clamped = 0
         self.drop_events = 0
@@ -217,29 +202,24 @@ class ReservationLedger:
     def active_bytes(self, path_id: int) -> int:
         return self._active_bytes[path_id]
 
-    def install(self, source_id: int, path: PathSendState, bytes_needed: int,
-                due_time: int) -> Reservation:
-        """Reserve space on one path, clamped to what the window can still hold."""
-        room = path.cwnd - self._active_bytes[path.path_id]
-        granted = bytes_needed
-        if granted > room:
-            granted = max(room, 0)
-            self.clamped += 1
-        res = Reservation(source_id, granted, due_time)
-        self._by_path[path.path_id].append(res)
-        self._active_bytes[path.path_id] += granted
-        return res
-
-    def retire_source(self, source_id: int) -> None:
-        """Drop a source's previous reservations everywhere (renewal or shutdown)."""
+    def reserve(self, source_id: int, paths: list[PathSendState],
+                bytes_needed: int, due_time: int) -> None:
+        """Replace the source's rows on every path by one on each of
+        `paths`, each clamped to what that path's window can still hold."""
+        active = self._active_bytes
         for pid, rows in self._by_path.items():
-            kept = []
-            for r in rows:
-                if r.source_id == source_id:
-                    self._active_bytes[pid] -= r.bytes_left
-                else:
-                    kept.append(r)
-            rows[:] = kept
+            row = rows.pop(source_id, None)
+            if row is not None:
+                active[pid] -= row[0]
+        for path in paths:
+            pid = path.path_id
+            room = path.cwnd - active[pid]
+            granted = bytes_needed
+            if granted > room:
+                granted = max(room, 0)
+                self.clamped += 1
+            self._by_path[pid][source_id] = [granted, due_time]
+            active[pid] += granted
 
     def drop_path(self, path_id: int) -> None:
         """A loss on the path invalidates its reserved space until renewal.
@@ -254,35 +234,33 @@ class ReservationLedger:
             self.drop_events += 1
 
     def consume(self, path_id: int, size: int, now: int) -> None:
-        """A priority send claims reserved space that has come due, oldest first."""
+        """A priority send claims reserved space that has come due, oldest
+        first, ties in reservation order."""
         rows = self._by_path[path_id]
         # most priority sends find no row due: leave before building a list
-        for r in rows:
-            if r.due_time <= now:
+        for _, due_time in rows.values():
+            if due_time <= now:
                 break
         else:
             return
-        due = [r for r in rows if r.due_time <= now]
-        due.sort(key=lambda r: r.due_time)
+        due = [item for item in rows.items() if item[1][1] <= now]
+        due.sort(key=lambda item: item[1][1])
         remaining = size
-        spent = []
-        for r in due:
+        for source_id, row in due:
             if remaining <= 0:
                 break
-            take = min(r.bytes_left, remaining)
-            r.bytes_left -= take
+            take = min(row[0], remaining)
+            row[0] -= take
             self._active_bytes[path_id] -= take
             remaining -= take
-            if r.bytes_left == 0:
-                spent.append(r)
-        if spent:
-            rows[:] = [r for r in rows if r not in spent]
+            if row[0] == 0:
+                del rows[source_id]
 
 
 _rtt_key = attrgetter("srtt", "path_id")
 
 
-def _paths_by_rtt(paths: list[PathSendState]) -> list[PathSendState]:
+def paths_by_rtt(paths: list[PathSendState]) -> list[PathSendState]:
     return sorted(paths, key=_rtt_key)
 
 
@@ -320,9 +298,8 @@ class LowRttScheduler:
 
     def register_reservation(self, source_id: int, bytes_needed: int,
                              due_time: int) -> None:
-        self.ledger.retire_source(source_id)
-        for path in self.reservation_paths():
-            self.ledger.install(source_id, path, bytes_needed, due_time)
+        self.ledger.reserve(source_id, self.reservation_paths(), bytes_needed,
+                            due_time)
 
     def gate_room(self, path_id: int, now: int) -> int:
         """Max packets the path's serializer gate accepts back to back now.
@@ -350,7 +327,7 @@ class LowRttScheduler:
         size = frame.length + HEADER_BYTES
         self.gated_wake = None
         reserved = None if frame.priority else self.ledger._active_bytes
-        for path in _paths_by_rtt(self.paths):
+        for path in paths_by_rtt(self.paths):
             if rtx_path is not None and path.path_id != rtx_path:
                 continue
             room = path.cwnd - path.in_flight
@@ -365,7 +342,8 @@ class LowRttScheduler:
         """Full-size background packets the path admits back to back now.
 
         The free window less the reserved bytes, in max packets, capped by
-        gate_room.
+        gate_room. Positive exactly when admit takes a full-size non-priority
+        first transmission on this path, with the same gate side effects.
         """
         k = (path.cwnd - path.in_flight
              - self.ledger._active_bytes[path.path_id]) // MAX_PACKET_BYTES
@@ -373,20 +351,6 @@ class LowRttScheduler:
             return 0
         room = self.gate_room(path.path_id, now)
         return room if room < k else k
-
-    def background_plan(self, now: int) -> list[tuple[PathSendState, int]]:
-        """Per-path runs of full-size background packets admissible right now.
-
-        Equivalent to repeated single-packet admission: each send shrinks one
-        path's free window by one packet and paths do not interact.
-        """
-        self.gated_wake = None
-        plan = []
-        for path in _paths_by_rtt(self.paths):
-            k = self.background_room(path, now)
-            if k > 0:
-                plan.append((path, k))
-        return plan
 
 
 class ReservationScheduler(LowRttScheduler):
@@ -401,7 +365,7 @@ class ReservationScheduler(LowRttScheduler):
     reserving = True
 
     def reservation_paths(self) -> list[PathSendState]:
-        return [_paths_by_rtt(self.paths)[0]]
+        return [paths_by_rtt(self.paths)[0]]
 
 
 class RedundantScheduler(ReservationScheduler):
@@ -418,7 +382,7 @@ class RedundantScheduler(ReservationScheduler):
     """
 
     def reservation_paths(self) -> list[PathSendState]:
-        return _paths_by_rtt(self.paths)
+        return paths_by_rtt(self.paths)
 
     def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
               now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
@@ -434,7 +398,7 @@ class RedundantScheduler(ReservationScheduler):
                     if p.cwnd - p.in_flight < size:
                         break
                 else:
-                    return tuple(_paths_by_rtt(self.paths))
+                    return tuple(paths_by_rtt(self.paths))
         targets = super().admit(stream, frame, is_rtx, now, rtx_path)
         if targets and frame.priority:
             self.refrain_count += 1

@@ -12,7 +12,8 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
                       InsufficientSamplesError, ccdf, post_warmup_mcts,
                       write_ccdf_csv, write_growth_csv, write_mct_csv,
                       write_throughput_csv)
-from .scheduling import SendStream, make_path_scheduler, make_stream_scheduler
+from .scheduling import (SendStream, make_path_scheduler,
+                         make_stream_scheduler, paths_by_rtt)
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, CONGESTION_AVOIDANCE, Frame,
                         HEADER_BYTES, MAX_PACKET_BYTES, PathSendState,
@@ -111,13 +112,26 @@ class Node:
                 # order sorts on a total key: the set's iteration order
                 # cannot reach the result
                 candidates = self.stream_sched.order(candidates, now)
-            sent = False
             for stream in candidates:
                 owed = stream.next_rtx() if stream.rtx else None
                 if owed is not None:
                     frame, rtx_path = owed
                     is_rtx = True
-                elif stream.background or stream.pending:
+                elif stream is bg:
+                    # one full-size first transmission: admit's verdict, by
+                    # background_room, on each path lowest RTT first
+                    sched.gated_wake = None
+                    for ps in paths_by_rtt(self.path_list):
+                        if sched.background_room(ps, now) > 0:
+                            self._transmit(ps, bg.next_background_offset(),
+                                           now, False, False)
+                            break
+                    else:
+                        self._blocked(now, bg, False)
+                        continue
+                    self.stream_sched.note_sent(bg)
+                    break
+                elif stream.pending:
                     frame = stream.peek_pending()
                     is_rtx = False
                     rtx_path = None
@@ -136,19 +150,23 @@ class Node:
                 for i, ps in enumerate(targets):
                     self._transmit(ps, frame, now, is_rtx, i > 0)
                 self.stream_sched.note_sent(stream)
-                sent = True
                 break
-            if not sent:
+            else:
                 return
 
     def _drain_background(self, stream: SendStream, now: int) -> None:
         """Tight loop for the common case: only the background stream can send.
 
-        Admission is planned per path in one pass; the counts reproduce the
-        per-packet guards exactly since nothing else runs between the sends.
+        Each path, lowest RTT first, takes its whole background room in one
+        run: paths do not interact, so the runs reproduce the per-packet
+        verdicts exactly.
         """
-        for ps, k in self.path_sched.background_plan(now):
-            self._send_background_run(stream, ps, k, now)
+        sched = self.path_sched
+        sched.gated_wake = None
+        for ps in paths_by_rtt(self.path_list):
+            k = sched.background_room(ps, now)
+            if k > 0:
+                self._send_background_run(stream, ps, k, now)
         self._blocked(now, stream, False)
 
     def _send_background_run(self, stream: SendStream, ps: PathSendState,
@@ -203,7 +221,7 @@ class Node:
                 frame.length + HEADER_BYTES, frame, now, is_rtx)
             if frame.priority:
                 self.path_sched.ledger.consume(path_id, size, now)
-            if frame.message_id is None:  # a parked or resent background frame
+            if frame.message_id is None:  # a resent background frame
                 receive = self._peer_receive_bg
                 args = (number, path_id, frame.offset, size)
             else:
@@ -374,7 +392,7 @@ class Simulation:
         """Byte conservation, reservation bounds and urgent streams."""
         for node in (self.server, self.client):
             if node.urgent != {s for s in node.streams.values()
-                               if s.rtx or (s.pending and not s.background)}:
+                               if s.rtx or s.pending}:
                 raise InvariantError(f"{node.name}: urgent set out of date")
             for ps in node.path_list:
                 total = sum(size for _, size, _, _, _ in ps.ledger.values())

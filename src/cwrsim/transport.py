@@ -92,7 +92,7 @@ class PathSendState:
     """
 
     __slots__ = (
-        "path_id", "nominal_rtt", "cwnd", "ssthresh", "in_flight", "phase",
+        "path_id", "cwnd", "ssthresh", "in_flight", "phase",
         "srtt", "growth_carry", "last_decrease", "ledger", "gap_counts",
         "oldest", "next_number", "alarm_entry", "alarm_time",
         "min_alarm_delay",
@@ -102,7 +102,6 @@ class PathSendState:
 
     def __init__(self, path_id: int, nominal_rtt: int):
         self.path_id = path_id
-        self.nominal_rtt = nominal_rtt
         self.cwnd = INITIAL_CWND
         self.ssthresh = INITIAL_SSTHRESH
         self.in_flight = 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cwrsim.cli import main
 from cwrsim.link import serialization_us
 from cwrsim.scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
-from cwrsim.transport import MAX_PACKET_BYTES
+from cwrsim.transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
 SCENARIO = """
 duration_s = 2
@@ -100,6 +100,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_overloaded_sources_exit_code(tmp_path, capsys):
+    # 10,400 B on the wire every 200 us offer 416 Mbit/s to 200 Mbit/s
+    scn = tmp_path / "overload.scn"
+    scn.write_text("duration_s = 2\nbackground = false\n"
+                   "[path]\nowd_us = 25000\n[path]\nowd_us = 25000\n"
+                   "[source]\ninter_arrival_us = 200\n"
+                   "message_size_bytes = 10000\n")
+    assert main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {scn}: line 7: source 1: the sources up to this one offer "
+        "416000000 bit/s")
+    assert not (tmp_path / "out").exists()
+
+
 def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
     # 2 Mbit/s: one 1350 B packet serializes in 5.4 ms, more than the RTT
     slow = tmp_path / "slow.scn"
@@ -120,18 +134,25 @@ def envelope_scenarios(draw) -> str:
              f"path_scheduler = {draw(st.sampled_from(PATH_SCHEDULERS))}",
              f"stream_scheduler = {draw(st.sampled_from(STREAM_SCHEDULERS))}",
              f"background = {draw(st.booleans())}"]
+    capacity = 0
     for _ in range(draw(st.integers(1, 2))):
         rate = draw(st.sampled_from([10_000_000, 20_000_000, 100_000_000]))
+        capacity += rate
         # the RTT, twice owd_us, must exceed 8 * GATE_PACKETS serializations
         low = 4 * GATE_PACKETS * serialization_us(MAX_PACKET_BYTES, rate) + 1
         lines += ["[path]", f"owd_us = {draw(st.integers(low, 100_000))}",
                   f"rate_bps = {rate}",
                   f"loss_rate = {draw(st.sampled_from([0, 0.0005, 0.02]))}"]
     for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(100, 20_000))
+        # each of up to three sources offers at most a third of the paths'
+        # capacity on the wire (its message plus a header per packet)
+        wire_bits = 8 * (size + -(-size // MAX_PAYLOAD_BYTES) * HEADER_BYTES)
+        fastest = max(20_000, -(-3 * wire_bits * 1_000_000 // capacity))
         lines += [
             "[source]",
-            f"inter_arrival_us = {draw(st.integers(20_000, 200_000))}",
-            f"message_size_bytes = {draw(st.integers(100, 20_000))}",
+            f"inter_arrival_us = {draw(st.integers(fastest, 200_000))}",
+            f"message_size_bytes = {size}",
             f"priority = {draw(st.booleans())}",
             f"start_offset_us = {draw(st.integers(0, 300_000))}"]
     return "\n".join(lines) + "\n"

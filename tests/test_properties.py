@@ -14,7 +14,7 @@ import pytest
 from cwrsim.link import PathConfig
 from cwrsim.scenario import ScenarioConfig
 from cwrsim.simulation import Simulation
-from cwrsim.traffic import DataSourceConfig
+from cwrsim.traffic import BACKGROUND_STREAM_ID, DataSourceConfig
 
 HORIZON_US = 1_800_000
 
@@ -79,7 +79,7 @@ class Observer:
         self.send_log.append((now, path_id, number, frame.stream_id,
                               frame.epoch, frame.offset, frame.length,
                               frame.priority, is_dup, is_rtx))
-        if is_rtx or not node.streams[frame.stream_id].background:
+        if is_rtx or frame.stream_id != BACKGROUND_STREAM_ID:
             return
         # pfifo: a fresh background frame goes out only after every priority
         # stream with pending data was found inadmissible at this instant
@@ -95,7 +95,7 @@ class Observer:
         # every active reservation; test_scheduling proves this implies the
         # full at-risk prediction holds at every due time
         sched = node.path_sched
-        if frame.priority or not sched.reserving:
+        if frame.priority or not sched.reservation_paths():
             return
         ps = node.path_states[path_id]
         if ps.cwnd - ps.in_flight < sched.ledger.active_bytes(path_id):
@@ -224,7 +224,7 @@ def test_zero_loss_runs_complete_every_message(run):
 
 def test_reservations_never_exceed_window(run):
     _cfg, sim, _res, _obs = run
-    if not sim.server.path_sched.reserving:
+    if not sim.server.path_sched.reservation_paths():
         pytest.skip("reservation bound applies to reserving schedulers")
     ledger = sim.server.path_sched.ledger
     for ps in sim.server.path_list:

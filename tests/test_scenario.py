@@ -254,11 +254,12 @@ def test_message_past_the_horizon_capacity_names_the_source_line(tmp_path,
 @pytest.mark.parametrize("size, accepted", [(50_000_000, True),
                                             (50_000_001, False)])
 def test_message_size_is_bounded_by_all_paths_over_the_run(size, accepted):
-    # 2 s over 100 + 100 Mbit/s serialize 50,000,000 B
+    # 2 s over 100 + 100 Mbit/s serialize 50,000,000 B; one such message
+    # every 2.1 s keeps the offered load under the paths' capacity
     cfg = ScenarioConfig(
         paths=[PathConfig(1, 25_000), PathConfig(2, 25_000)],
         sources=[DataSourceConfig(1, 100_000, 1_000),
-                 DataSourceConfig(2, 100_000, size)],
+                 DataSourceConfig(2, 2_100_000, size)],
         duration_us=2_000_000)
     if accepted:
         cfg.validate()
@@ -268,6 +269,35 @@ def test_message_size_is_bounded_by_all_paths_over_the_run(size, accepted):
                                  " the 50000000 B") as info:
             cfg.validate()
         assert info.value.key == ("source", 1)
+
+
+def test_overloaded_sources_name_the_source_line(tmp_path):
+    # two 100 Mbit/s paths; on the wire the first source offers 8 * 5,200 B
+    # per 1,040 us (40 Mbit/s) and the second 8 * 10,400 B per 500 us
+    # (166.4 Mbit/s)
+    text = ("duration_s = 2\n[path]\nowd_us = 25000\n[path]\n"
+            "owd_us = 25000\n[source]\ninter_arrival_us = 1040\n"
+            "message_size_bytes = 5000\n[source]\n"
+            "inter_arrival_us = {}\nmessage_size_bytes = 10000\n")
+    with pytest.raises(ScenarioError, match="source 2: the sources up to "
+                       "this one offer 206400000 bit/s on the wire, above "
+                       "the 200000000") as info:
+        parse_scenario(write(tmp_path, text.format(500)))
+    assert info.value.line == 9
+    assert info.value.key == ("source", 1)
+    # at 520 us the second source offers exactly 160 Mbit/s: the sum equals
+    # the capacity, which is allowed
+    cfg = parse_scenario(write(tmp_path, text.format(520)))
+    assert len(cfg.sources) == 2
+
+
+def test_load_rule_runs_after_every_per_source_check():
+    # the first source overloads the path, the second repeats its id: the
+    # per-source message wins
+    cfg = _config(sources=[DataSourceConfig(1, 100, 10_000),
+                           DataSourceConfig(1, 100_000, 1_000)])
+    with pytest.raises(ScenarioError, match="duplicate source_id 1"):
+        cfg.validate()
 
 
 def _config(**fields):

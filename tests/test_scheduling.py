@@ -7,15 +7,16 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cwrsim.engine import RngStream
+from cwrsim.engine import EventQueue, RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
 from cwrsim.scheduling import (GATE_PACKETS, LowRttScheduler,
                                PriorityFifoStreams, RedundantScheduler,
-                               Reservation, ReservationLedger,
+                               ReservationLedger,
                                ReservationScheduler, RoundRobinStreams,
                                SendStream,
                                make_path_scheduler, make_stream_scheduler,
                                reservation_bytes)
+from cwrsim.simulation import Node
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState)
 
@@ -127,23 +128,11 @@ def test_pfifo_background_fifo_among_themselves():
     assert [s.stream_id for s in pf.order([a, b], 10)] == [8, 3]
 
 
-def test_background_offsets_follow_a_parked_frame():
-    # peek_pending parks a Frame for the general send path; the offset
-    # sequence hands it out first and then continues after it
-    bg = SendStream(0, False, background=True, urgent=set())
-    parked = bg.peek_pending()
-    assert repr(parked) == repr(bg.background_frame(0)) == repr(bg_frame(0))
-    assert [bg.next_background_offset() for _ in range(3)] \
-        == [0, MAX_PAYLOAD_BYTES, 2 * MAX_PAYLOAD_BYTES]
-    assert not bg.pending
-
-
 def three_sort_order(streams):
     """The pfifo order as three filtered sorts, the reference for the one-key sort."""
     rtx = sorted((s for s in streams if s.rtx),
                  key=lambda s: (s.rtx[0][0], s.stream_id))
-    rest = [s for s in streams
-            if not s.rtx and (s.background or s.pending)]
+    rest = [s for s in streams if not s.rtx]
     pri = sorted((s for s in rest if s.priority),
                  key=lambda s: (s.enqueue_time, s.stream_id))
     bg = sorted((s for s in rest if not s.priority),
@@ -174,7 +163,7 @@ def candidate_streams(specs):
             s.pending.append(pri_frame(stream=stream_id))
         for t in rtx_times:
             s.on_lost(pri_frame(stream=stream_id), t, 1)
-        if s.rtx or s.background or s.pending:
+        if s.rtx or kind == "background" or s.pending:
             streams.append(s)
     return streams
 
@@ -324,8 +313,10 @@ def test_owed_retransmissions_match_the_per_node_tables(steps):
 # -- reservation ledger ------------------------------------------------------
 
 def live_rows(ledger, path_id):
-    return [(r.source_id, path_id, r.bytes_left, r.due_time)
-            for r in ledger._by_path[path_id]]
+    """A path's rows as (source, path, bytes left, due time), in order."""
+    return [(source_id, path_id, bytes_left, due_time)
+            for source_id, (bytes_left, due_time)
+            in ledger._by_path[path_id].items()]
 
 
 def test_reservation_bytes_counts_full_packets():
@@ -335,10 +326,10 @@ def test_reservation_bytes_counts_full_packets():
     assert reservation_bytes(1) == 1350
 
 
-def test_install_and_consume():
+def test_reserve_and_consume():
     ledger = ReservationLedger([1])
     p = path(cwnd=20_000)
-    ledger.install(1, p, 10_800, due_time=100_000)
+    ledger.reserve(1, [p], 10_800, due_time=100_000)
     assert ledger.active_bytes(1) == 10_800
     ledger.consume(1, 1350, now=100_000)
     assert ledger.active_bytes(1) == 9_450
@@ -347,7 +338,7 @@ def test_install_and_consume():
 def test_consume_ignores_future_reservations():
     ledger = ReservationLedger([1])
     p = path(cwnd=30_000)
-    ledger.install(1, p, 10_800, due_time=200_000)
+    ledger.reserve(1, [p], 10_800, due_time=200_000)
     ledger.consume(1, 1350, now=100_000)  # not due yet
     assert ledger.active_bytes(1) == 10_800
 
@@ -358,34 +349,34 @@ def test_consume_without_reservation_is_noop():
     assert ledger.active_bytes(1) == 0
 
 
-def list_building_consume(ledger, path_id, size, now):
-    """ReservationLedger.consume as it was before its early exit: it built
-    the due list on every call. The reference for that exit."""
-    rows = ledger._by_path[path_id]
-    due = [r for r in rows if r.due_time <= now]
+def list_building_consume(rows, size, now):
+    """ReservationLedger.consume as it was before its early exit and its
+    per-source rows: it built the due list on every call over a list of
+    [source, bytes left, due time] rows in reservation order. The reference
+    for both."""
+    due = [r for r in rows if r[2] <= now]
     if not due:
         return
-    due.sort(key=lambda r: r.due_time)
+    due.sort(key=lambda r: r[2])
     remaining = size
     spent = []
     for r in due:
         if remaining <= 0:
             break
-        take = min(r.bytes_left, remaining)
-        r.bytes_left -= take
-        ledger._active_bytes[path_id] -= take
+        take = min(r[1], remaining)
+        r[1] -= take
         remaining -= take
-        if r.bytes_left == 0:
+        if r[1] == 0:
             spent.append(r)
     if spent:
-        rows[:] = [r for r in rows if r not in spent]
+        rows[:] = [r for r in rows if not any(r is x for x in spent)]
 
 
 consume_rows = st.lists(
-    st.tuples(st.integers(1, 4),                                  # source
+    st.tuples(st.integers(1, 8),                                  # source
               st.one_of(st.just(0), st.integers(1, 4_000)),       # bytes
               st.integers(0, 10)),                                # due time
-    max_size=8)
+    max_size=8, unique_by=lambda row: row[0])
 consume_calls = st.lists(st.tuples(st.integers(1, 5_000),         # size
                                    st.integers(0, 10)),           # now
                          min_size=1, max_size=6)
@@ -398,24 +389,21 @@ consume_calls = st.lists(st.tuples(st.integers(1, 5_000),         # size
 # a 0-byte row past the size taken stays
 @example([(1, 500, 2), (2, 0, 2), (3, 900, 1)], [(1_350, 5)])
 def test_consume_matches_the_list_building_reference(rows, calls):
-    ledger, reference = ReservationLedger([1]), ReservationLedger([1])
-    installed = {}
-    for led in (ledger, reference):
-        installed[led] = [Reservation(source, granted, due)
-                          for source, granted, due in rows]
-        led._by_path[1].extend(installed[led])
-        led._active_bytes[1] = sum(granted for _, granted, _ in rows)
-
-    def left(led):
-        # each remaining row as (install index, bytes left), by identity
-        return [(next(i for i, r0 in enumerate(installed[led]) if r0 is r),
-                 r.bytes_left) for r in led._by_path[1]]
-
+    ledger = ReservationLedger([1])
+    p = path()
+    for source, granted, due in rows:
+        # a window with room for exactly `granted` more bytes clamps the
+        # 4,000 asked for to it
+        p.cwnd = ledger.active_bytes(1) + granted
+        ledger.reserve(source, [p], 4_000, due)
+    assert ledger.clamped == sum(granted < 4_000 for _, granted, _ in rows)
+    reference = [list(row) for row in rows]
     for size, now in calls:
         ledger.consume(1, size, now)
-        list_building_consume(reference, 1, size, now)
-        assert left(ledger) == left(reference)
-        assert ledger.active_bytes(1) == reference.active_bytes(1)
+        list_building_consume(reference, size, now)
+        assert live_rows(ledger, 1) == [(source, 1, left, due)
+                                        for source, left, due in reference]
+        assert ledger.active_bytes(1) == sum(r[1] for r in reference)
 
 
 @dataclass
@@ -438,23 +426,22 @@ class StateLedger:
         self.clamped = 0
         self.drop_events = 0
 
-    def install(self, source_id, path, bytes_needed, due_time):
-        room = path.cwnd - self.active_bytes[path.path_id]
-        granted = bytes_needed
-        if granted > room:
-            granted = max(room, 0)
-            self.clamped += 1
-        self.rows[path.path_id].append(
-            StateRow(source_id, path.path_id, granted, due_time))
-        self.active_bytes[path.path_id] += granted
-
-    def retire_source(self, source_id):
+    def reserve(self, source_id, paths, bytes_needed, due_time):
         for pid, rows in self.rows.items():
             for r in rows:
                 if r.source_id == source_id and r.state == "active":
                     self.active_bytes[pid] -= r.bytes_left
                     r.state = "replaced"
             rows[:] = [r for r in rows if r.source_id != source_id]
+        for path in paths:
+            room = path.cwnd - self.active_bytes[path.path_id]
+            granted = bytes_needed
+            if granted > room:
+                granted = max(room, 0)
+                self.clamped += 1
+            self.rows[path.path_id].append(
+                StateRow(source_id, path.path_id, granted, due_time))
+            self.active_bytes[path.path_id] += granted
 
     def drop_path(self, path_id):
         active = [r for r in self.rows[path_id] if r.state == "active"]
@@ -487,40 +474,43 @@ class StateLedger:
 
 
 times = st.integers(min_value=0, max_value=10)
+# a reserve names its source, the paths it reserves on (none retires the
+# source), the bytes asked for on each and the due time
 ledger_ops = st.lists(st.one_of(
-    st.tuples(st.just("install"), st.integers(1, 3), st.integers(1, 2),
+    st.tuples(st.just("reserve"), st.integers(1, 3),
+              st.sampled_from([(), (1,), (2,), (1, 2), (2, 1)]),
               st.integers(0, 12_000), times),
     st.tuples(st.just("drop"), st.integers(1, 2)),
     st.tuples(st.just("consume"), st.integers(1, 2),
               st.integers(1, 5_000), times),
-    st.tuples(st.just("retire"), st.integers(1, 3)),
 ), max_size=30)
 
 
 @settings(max_examples=300)
 @given(ledger_ops)
 # the second row is due while the first is not
-@example([("install", 1, 1, 1_000, 5), ("install", 2, 1, 1_000, 0),
+@example([("reserve", 1, (1,), 1_000, 5), ("reserve", 2, (1,), 1_000, 0),
           ("consume", 1, 500, 1)])
 # a row clamped to 0 bytes outlives the full row beside it and still counts
 # as a drop
-@example([("install", 1, 2, 9_000, 0), ("install", 2, 2, 500, 5),
+@example([("reserve", 1, (2,), 9_000, 0), ("reserve", 2, (2,), 500, 5),
           ("consume", 2, 5_000, 1), ("consume", 2, 4_000, 1),
           ("drop", 2)])
+# a renewal moves the source's row to the end of the reservation order
+@example([("reserve", 1, (1,), 1_000, 0), ("reserve", 2, (1,), 1_000, 0),
+          ("reserve", 1, (1, 2), 1_000, 0), ("consume", 1, 1_500, 1)])
 def test_live_rows_match_a_ledger_of_state_labelled_rows(ops):
     ledger, reference = ReservationLedger([1, 2]), StateLedger([1, 2])
     paths = {1: path(1, cwnd=20_000), 2: path(2, cwnd=9_000)}
     for op in ops:
         for led in (ledger, reference):
-            if op[0] == "install":
-                _, source, pid, size, due = op
-                led.install(source, paths[pid], size, due)
+            if op[0] == "reserve":
+                _, source, pids, size, due = op
+                led.reserve(source, [paths[pid] for pid in pids], size, due)
             elif op[0] == "drop":
                 led.drop_path(op[1])
-            elif op[0] == "consume":
-                led.consume(*op[1:])
             else:
-                led.retire_source(op[1])
+                led.consume(*op[1:])
         for pid in (1, 2):
             assert ledger.active_bytes(pid) == reference.active_bytes[pid]
             assert live_rows(ledger, pid) == reference.live_rows(pid)
@@ -531,16 +521,17 @@ def test_live_rows_match_a_ledger_of_state_labelled_rows(ops):
 def test_clamp_when_window_cannot_hold_reservation():
     ledger = ReservationLedger([1])
     p = path(cwnd=13_500)
-    ledger.install(1, p, 10_800, due_time=50_000)
-    res = ledger.install(2, p, 10_800, due_time=60_000)
-    assert res.bytes_left == 2_700  # clamped to remaining window
+    ledger.reserve(1, [p], 10_800, due_time=50_000)
+    ledger.reserve(2, [p], 10_800, due_time=60_000)
+    # clamped to the remaining window
+    assert live_rows(ledger, 1)[1] == (2, 1, 2_700, 60_000)
     assert ledger.clamped == 1
 
 
 def test_drop_path_releases_its_reservations():
     ledger = ReservationLedger([1, 2])
-    ledger.install(1, path(1, cwnd=20_000), 10_800, 50_000)
-    ledger.install(1, path(2, cwnd=20_000), 10_800, 50_000)
+    ledger.reserve(1, [path(1, cwnd=20_000), path(2, cwnd=20_000)], 10_800,
+                   50_000)
     ledger.drop_path(1)
     assert ledger.active_bytes(1) == 0
     assert ledger.active_bytes(2) == 10_800
@@ -585,17 +576,17 @@ def full_scan_at_risk(ledger, path, candidate_size, now):
     now leave some live reservation short at its due time? With several
     reservations pooled on a path, the space required at a due time T is
     the sum of those due at or before T."""
-    rows = sorted(ledger._by_path[path.path_id], key=lambda r: r.due_time)
+    rows = sorted(ledger._by_path[path.path_id].values(), key=lambda r: r[1])
     srtt = path.srtt
     required = 0
-    for res in rows:
-        required += res.bytes_left
-        if res.due_time >= now + srtt:
+    for bytes_left, due_time in rows:
+        required += bytes_left
+        if due_time >= now + srtt:
             # everything in flight now, the candidate too, is acked by then
             if path.cwnd < required:
                 return True
             continue
-        cutoff = res.due_time - srtt
+        cutoff = due_time - srtt
         still_in_flight = sum(size for _, size, _, sent_time, _
                               in path.ledger.values() if sent_time > cutoff)
         if path.cwnd - still_in_flight - candidate_size < required:
@@ -606,7 +597,7 @@ def full_scan_at_risk(ledger, path, candidate_size, now):
 def test_the_prediction_flags_a_send_still_in_flight_at_the_due_time():
     ledger = ReservationLedger([1])
     p = path(cwnd=12_150, srtt=50_000)
-    ledger.install(1, p, 10_800, due_time=30_000)  # due in 30 ms
+    ledger.reserve(1, [p], 10_800, due_time=30_000)  # due in 30 ms
     assert not full_scan_at_risk(ledger, p, 1_350, now=0)
     # one packet sent 10 ms ago is still unacked at the due time
     p.register_sent(MAX_PACKET_BYTES, 0, now=-10_000)
@@ -620,7 +611,8 @@ NOW = 200_000
 def ledger_states(draw):
     """A cwr or cwr_red scheduler on one path with packets in flight sent
     over the last 150 ms, pooled (possibly clamped) reservations after a
-    possible consume or drop, and a background frame to admit."""
+    possible consume or drop, and a background frame to admit. A source
+    that reserves again replaces its row."""
     p = path(cwnd=draw(st.integers(MIN_CWND, 40_000)),
              srtt=draw(st.one_of(st.none(), st.integers(5_000, 120_000))))
     sent = sorted(draw(st.lists(st.integers(NOW - 150_000, NOW), max_size=25)))
@@ -635,7 +627,7 @@ def ledger_states(draw):
     for source, size, due in draw(st.lists(st.tuples(
             st.integers(1, 3), st.integers(0, 15_000),
             st.integers(NOW - 60_000, NOW + 250_000)), max_size=4)):
-        ledger.install(source, p, size, due)
+        ledger.reserve(source, [p], size, due)
     op = draw(st.sampled_from(["none", "consume", "drop"]))
     if op == "consume":
         ledger.consume(1, draw(st.integers(1, 5_000)), NOW)
@@ -699,13 +691,34 @@ def test_admit_gates_every_non_priority_first_transmission():
     app_ack = stream_with(1, stream_id=3, priority=False, message_id=5,
                           app_ack=True)
     background = SendStream(0, False, background=True, urgent=set())
-    for stream in (message, app_ack, background):
-        assert sched.admit(stream, stream.peek_pending(), False, now) == ()
+    for stream, frame in ((message, message.peek_pending()),
+                          (app_ack, app_ack.peek_pending()),
+                          (background, background.background_frame(0))):
+        assert sched.admit(stream, frame, False, now) == ()
         assert sched.gated_wake == link.busy_until - drain + 1
     urgent = stream_with(1300)
     assert sched.admit(urgent, urgent.peek_pending(), False, now) == (ps,)
     assert sched.admit(message, message.peek_pending(), True, now,
                        rtx_path=1) == (ps,)
+
+
+def test_general_send_loop_sends_background_as_its_bare_offset():
+    # a non-priority message enqueued after t = 0 ranks behind the
+    # background stream under pfifo, so try_send's general loop, not the
+    # background-only drain, sends background until the gate closes
+    engine = EventQueue(checker=lambda: None)
+    links = {1: OneWayLink(PathConfig(1, 25_000), RngStream(1, 0))}
+    ps = PathSendState(1, 50_000)
+    node = Node("server", engine, [ps], links, "pfifo", "cwr")
+    node.set_peer(Node("client", engine, [PathSendState(1, 50_000)], links,
+                       "pfifo", "cwr"))
+    node.get_send_stream(0, False, background=True)
+    message = node.get_send_stream(1, False)
+    message.load_message(1_300, 7, now=5)
+    node.try_send(10)
+    assert [entry[2] for entry in ps.ledger.values()] \
+        == [i * MAX_PAYLOAD_BYTES for i in range(GATE_PACKETS)]
+    assert message.pending and node.urgent == {message}
 
 
 # -- serializer gate -----------------------------------------------------------
@@ -775,14 +788,10 @@ def test_cwr_window_reservation_walkthrough():
     sched.register_reservation(1, 3 * 1350, due_time=30_000)
 
     background = SendStream(0, False, background=True, urgent=set())
-    background.epoch = 0
     sent = 0
-    while True:
-        frame = background.peek_pending()
-        if not sched.admit(background, frame, False, 0):
-            break
-        background.pop_pending()
-        p1.register_sent(frame.length + HEADER_BYTES, frame, 0)
+    while sched.background_room(p1, 0) > 0:
+        p1.register_sent(MAX_PACKET_BYTES, background.next_background_offset(),
+                         0)
         sent += 1
     assert sent == 1  # 5400 - 4050 reserved leaves room for exactly one
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import InvariantError
-from cwrsim.scheduling import _paths_by_rtt
+from cwrsim.scheduling import paths_by_rtt
 from cwrsim.transport import (CONGESTION_AVOIDANCE, Frame, GAP_LOSS_THRESHOLD,
                               HEADER_BYTES, LOSS_ALARM_DEN, LOSS_ALARM_NUM,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState,
@@ -393,7 +393,7 @@ def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
             == {num: deadline for num, (_, deadline)
                 in ref.outstanding.items()}
         assert ps.min_alarm_delay == ref.min_alarm_delay
-        assert [p.path_id for p in _paths_by_rtt(paths)] == [
+        assert [p.path_id for p in paths_by_rtt(paths)] == [
             r.path_id for r in sorted(
                 refs, key=lambda r: (r.effective_srtt(), r.path_id))]
 
