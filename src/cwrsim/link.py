@@ -53,7 +53,6 @@ class OneWayLink:
     """
 
     def __init__(self, cfg: PathConfig, rng: RngStream):
-        cfg.validate()
         # one draw per data packet, skipped on a lossless link: there no
         # draw can drop a packet, and the stream feeds nothing else
         self._draw = rng.random

@@ -6,8 +6,8 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Sequence
 
-DEFAULT_WARMUP_US = 1_000_000
-DEFAULT_BIN_WIDTH_US = 100_000
+WARMUP_US = 1_000_000
+BIN_WIDTH_US = 100_000
 MIN_GROWTH_WINDOWS = 20
 
 MCT_COLUMNS = ["source_id", "message_id", "generated_at_us", "mct_us",
@@ -166,7 +166,7 @@ class MetricsCollector:
     """Run traces plus derived outputs; throughput is binned and window
     growth measured as the run goes.
 
-    Throughput bins cut [0, horizon) every bin_width_us, the last one
+    Throughput bins cut [0, horizon) every BIN_WIDTH_US, the last one
     short when the width does not divide the horizon. Deliveries arrive in
     time order, so only the open bin, the one that ends at `_edge`, can
     still grow: its totals are the running delivered and priority byte
@@ -175,11 +175,8 @@ class MetricsCollector:
     no bin.
     """
 
-    def __init__(self, horizon_us: int, warmup_us: int = DEFAULT_WARMUP_US,
-                 bin_width_us: int = DEFAULT_BIN_WIDTH_US):
+    def __init__(self, horizon_us: int):
         self.horizon_us = horizon_us
-        self.warmup_us = warmup_us
-        self.bin_width_us = bin_width_us
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
         self.priority_bytes = 0
@@ -192,7 +189,7 @@ class MetricsCollector:
     def register_path(self, path_id: int, initial_cwnd: int,
                       rtt_us: int) -> None:
         self.cwnd_samples[path_id] = GrowthWindows(
-            initial_cwnd, rtt_us, self.warmup_us, self.horizon_us)
+            initial_cwnd, rtt_us, WARMUP_US, self.horizon_us)
 
     def on_delivery(self, when: int, size: int, priority: bool,
                     new_bytes: int) -> None:
@@ -205,13 +202,13 @@ class MetricsCollector:
 
     def _open_end(self) -> int | float:
         """The end of the open bin; infinite once every bin is closed."""
-        start = len(self._bins) * self.bin_width_us
+        start = len(self._bins) * BIN_WIDTH_US
         if start >= self.horizon_us:
             return float("inf")
-        return min(start + self.bin_width_us, self.horizon_us)
+        return min(start + BIN_WIDTH_US, self.horizon_us)
 
     def _open_bin(self) -> ThroughputBin:
-        return ThroughputBin(len(self._bins) * self.bin_width_us,
+        return ThroughputBin(len(self._bins) * BIN_WIDTH_US,
                              self.delivered_bytes - self._open_total,
                              self.priority_bytes - self._open_priority)
 
@@ -234,13 +231,13 @@ class MetricsCollector:
         """Every bin of the horizon as delivered so far: the closed ones,
         the open one and the empty ones after it."""
         bins = list(self._bins)
-        start = len(bins) * self.bin_width_us
+        start = len(bins) * BIN_WIDTH_US
         if start < self.horizon_us:
             bins.append(self._open_bin())
-            start += self.bin_width_us
+            start += BIN_WIDTH_US
         while start < self.horizon_us:
             bins.append(ThroughputBin(start))
-            start += self.bin_width_us
+            start += BIN_WIDTH_US
         return bins
 
     def growth_record(self, path_id: int, scheduler: str) -> CwndGrowthRecord:
@@ -248,10 +245,10 @@ class MetricsCollector:
                                 self.cwnd_samples[path_id].mean())
 
 
-def post_warmup_mcts(messages, warmup_us: int = DEFAULT_WARMUP_US) -> list[int]:
+def post_warmup_mcts(messages) -> list[int]:
     """Completion times of priority messages generated after warm-up."""
     return [m.mct for m in messages
-            if m.priority and m.generated_at >= warmup_us
+            if m.priority and m.generated_at >= WARMUP_US
             and m.completed_at is not None]
 
 

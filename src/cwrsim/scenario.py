@@ -6,14 +6,16 @@ from pathlib import Path
 
 from .engine import SEED_MASK
 from .link import PathConfig, nominal_rtt_us, serialization_us
+from .metrics import BIN_WIDTH_US, WARMUP_US
 from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from .traffic import DataSourceConfig
 from .transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
-# a run builds one throughput bin per bin_width_us of its horizon, each as
+# a run builds one throughput bin per BIN_WIDTH_US of its horizon, each as
 # it closes or the rest when throughput() reads them, and throughput.csv
-# holds a row per bin; this caps both, at the default 100 ms bin 10,000 s
+# holds a row per bin; this caps both, at 10,000 s
 MAX_THROUGHPUT_BINS = 100_000
+MAX_DURATION_US = MAX_THROUGHPUT_BINS * BIN_WIDTH_US
 
 
 class ScenarioError(ValueError):
@@ -55,15 +57,13 @@ class ScenarioConfig:
     """Everything one run needs: paths, sources, schedulers, seed, horizon."""
 
     __slots__ = ("paths", "sources", "duration_us", "seed",
-                 "stream_scheduler", "path_scheduler", "background",
-                 "warmup_us", "bin_width_us")
+                 "stream_scheduler", "path_scheduler", "background")
 
     def __init__(self, paths: list[PathConfig],
                  sources: list[DataSourceConfig] | None = None,
                  duration_us: int = 30_000_000, seed: int = 1,
                  stream_scheduler: str = "pfifo", path_scheduler: str = "cwr",
-                 background: bool = True, warmup_us: int = 1_000_000,
-                 bin_width_us: int = 100_000):
+                 background: bool = True):
         self.paths = paths
         self.sources = [] if sources is None else sources
         self.duration_us = duration_us
@@ -71,33 +71,26 @@ class ScenarioConfig:
         self.stream_scheduler = stream_scheduler
         self.path_scheduler = path_scheduler
         self.background = background
-        self.warmup_us = warmup_us
-        self.bin_width_us = bin_width_us
 
     def validate(self) -> None:
         """Reject what the model cannot represent; every rule lives here."""
         if not self.paths:
             raise ScenarioError("at least one [path] section is required")
-        _require(self, ("bin_width_us", "warmup_us", "seed"), int,
-                 "an integer")
+        _require(self, ("seed",), int, "an integer")
         _require(self, ("background",), bool, "a boolean")
-        if self.bin_width_us <= 0:
-            raise ScenarioError("bin_width_us must be positive",
-                                key="bin_width_us")
-        longest = MAX_THROUGHPUT_BINS * self.bin_width_us
         # held to the horizon before its type: a file's duration_s = 1e303
         # arrives as an infinite float
         if isinstance(self.duration_us, (int, float)) \
-                and self.duration_us > longest:
+                and self.duration_us > MAX_DURATION_US:
             raise ScenarioError(
-                f"the run may last at most {longest} us "
+                f"the run may last at most {MAX_DURATION_US} us "
                 f"({MAX_THROUGHPUT_BINS} throughput bins of "
-                f"{self.bin_width_us} us)", key="duration_us")
+                f"{BIN_WIDTH_US} us)", key="duration_us")
         _require(self, ("duration_us",), int, "an integer")
-        if not 0 <= self.warmup_us < self.duration_us:
+        if self.duration_us <= WARMUP_US:
             raise ScenarioError(
                 f"the run must be longer than its warm-up: need 0 <= "
-                f"warmup_us < duration_us, got warmup_us = {self.warmup_us}, "
+                f"warmup_us < duration_us, got warmup_us = {WARMUP_US}, "
                 f"duration_us = {self.duration_us}", key="duration_us")
         if self.stream_scheduler not in STREAM_SCHEDULERS:
             raise ScenarioError(
@@ -167,8 +160,10 @@ class ScenarioConfig:
         self.seed &= SEED_MASK
 
     def to_dict(self) -> dict:
-        """The config as plain data."""
+        """The config as plain data, with the fixed warm-up and bin width."""
         config = {name: getattr(self, name) for name in self.__slots__}
+        config["warmup_us"] = WARMUP_US
+        config["bin_width_us"] = BIN_WIDTH_US
         config["paths"] = [
             {name: getattr(p, name) for name in PathConfig.__slots__}
             for p in self.paths]

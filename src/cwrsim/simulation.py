@@ -274,8 +274,6 @@ class Node:
 
     def _declare_loss(self, ps: PathSendState, number: int, now: int) -> None:
         entry, decreased = ps.declare_lost(number, now)
-        if entry is None:
-            return
         if self.metrics is not None:
             if decreased:
                 self.metrics.on_decrease(ps.path_id, now)
@@ -357,8 +355,7 @@ class Simulation:
         self.config = config
         self.engine = EventQueue(checker=self.verify_invariants,
                                  check_interval=check_interval)
-        self.metrics = MetricsCollector(config.duration_us, config.warmup_us,
-                                        config.bin_width_us)
+        self.metrics = MetricsCollector(config.duration_us)
         fwd_links: dict[int, OneWayLink] = {}
         rev_links: dict[int, OneWayLink] = {}
         server_paths: list[PathSendState] = []
@@ -426,7 +423,7 @@ class RunResult:
         self.metrics = sim.metrics
 
     def priority_mcts(self) -> list[int]:
-        return post_warmup_mcts(self.messages, self.config.warmup_us)
+        return post_warmup_mcts(self.messages)
 
     def ccdf_curve(self) -> list[tuple[int, float]]:
         return ccdf(self.priority_mcts())

@@ -219,11 +219,10 @@ class PathSendState:
                 nxt = deadline
         return expired, nxt
 
-    def declare_lost(self, number: int, now: int) -> tuple[tuple | None, bool]:
-        """Remove a packet from the ledger as lost; returns (entry, decreased)."""
-        entry = self.ledger.pop(number, None)
-        if entry is None:
-            return None, False
+    def declare_lost(self, number: int, now: int) -> tuple[tuple, bool]:
+        """Remove an outstanding packet from the ledger as lost; returns
+        (entry, decreased)."""
+        entry = self.ledger.pop(number)
         self.gap_counts.pop(number, None)
         _, size, _, _, _ = entry
         self.in_flight -= size

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from conftest import drop_data_packets
 from cwrsim.engine import RngStream
 from cwrsim.link import OneWayLink, PathConfig, nominal_rtt_us, serialization_us
+from cwrsim.scenario import ScenarioConfig, ScenarioError
 
 
 def make_link(owd_us=25_000, rate_bps=100_000_000, loss_rate=0.0, **kw):
@@ -85,9 +86,6 @@ def test_loss_draw_edge_rates():
     assert all(lossless.send(1350, True, 0) is not None for _ in range(100))
     lossy = make_link(loss_rate=0.999999)
     assert all(lossy.send(1350, True, 0) is None for _ in range(100))
-    for rate in (1.0, 1.5, -0.1):
-        with pytest.raises(ValueError):
-            make_link(loss_rate=rate)
 
 
 def test_loss_rate_matches_probability():
@@ -114,10 +112,17 @@ def test_config_validation():
         PathConfig(1, 0).validate()
     with pytest.raises(ValueError):
         PathConfig(1, 1000, rate_bps=0).validate()
-    with pytest.raises(ValueError):
-        PathConfig(1, 1000, loss_rate=1.0).validate()
-    with pytest.raises(ValueError):
-        OneWayLink(PathConfig(1, 1000, loss_rate=-0.5), RngStream(1, 0))
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, -0.5])
+def test_loss_rate_outside_the_unit_interval_rejected(rate):
+    # a link trusts its config: the scenario rejects it, naming the path
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000),
+                                PathConfig(2, 25_000, loss_rate=rate)])
+    with pytest.raises(ScenarioError,
+                       match=r"path 2: loss_rate must be in \[0, 1\)") as info:
+        cfg.validate()
+    assert info.value.key == ("path", 1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=1350), min_size=1,

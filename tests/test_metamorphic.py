@@ -7,7 +7,9 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from cwrsim.scheduling import PATH_SCHEDULERS, STREAM_SCHEDULERS
 from cwrsim.simulation import Simulation
+from cwrsim.traffic import BACKGROUND_STREAM_ID
 from test_properties import random_config
 
 # order-preserving, because _rtt_key breaks srtt ties by path_id
@@ -15,10 +17,10 @@ RELABEL = {1: 3, 2: 7}
 FILES_WITHOUT_IDS = ("mct.csv", "ccdf.csv", "throughput.csv")
 
 
-def outputs(cfg, outdir):
+def outputs(cfg, outdir, trace=None):
     """The run's written files by name, its manifest parsed, and its
-    write_outputs warnings."""
-    warnings = Simulation(cfg).run().write_outputs(outdir)
+    write_outputs warnings; `trace` is passed to the Simulation."""
+    warnings = Simulation(cfg, trace=trace).run().write_outputs(outdir)
     files = {name: (outdir / name).read_bytes() for name in FILES_WITHOUT_IDS}
     with (outdir / "cwnd_growth.csv").open() as fh:
         files["cwnd_growth.csv"] = list(csv.reader(fh))
@@ -55,3 +57,79 @@ def test_order_preserving_path_relabel_changes_only_the_ids(tmp_path_factory,
     assert set(files["manifest.json"]["paths"]) == {"3", "7"}
     back = {new: old for old, new in RELABEL.items()}
     assert ids_restored(files, warnings, back) == expected
+
+
+def labelled_run(cfg, outdir):
+    """outputs() with the path scheduler's name blanked where it is
+    written, plus the run's send records and each node's number of
+    blocked decisions."""
+    records = []
+    blocked = {"server": 0, "client": 0}
+
+    def trace(node, kind, now, *fields):
+        if kind == "send":
+            path_id, number, frame, is_dup, is_rtx = fields
+            records.append((node.name, now, path_id, number, frame.stream_id,
+                            frame.epoch, frame.offset, frame.length,
+                            frame.priority, is_dup, is_rtx))
+        else:
+            blocked[node.name] += 1
+
+    files, warnings = outputs(cfg, outdir, trace)
+    header, *rows = files["cwnd_growth.csv"]
+    files["cwnd_growth.csv"] = [header] + [[row[0], "", *row[2:]]
+                                           for row in rows]
+    files["manifest.json"]["config"]["path_scheduler"] = ""
+    return files, warnings, records, blocked
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=2),
+       st.sampled_from(STREAM_SCHEDULERS))
+def test_schedulers_agree_without_priority_sources(tmp_path_factory, seed,
+                                                   kept, stream_scheduler):
+    # with nothing to reserve for or duplicate, the three path schedulers
+    # send the same packets at the same instants and block alike
+    runs = []
+    for scheduler in PATH_SCHEDULERS:
+        cfg = random_config(seed)
+        cfg.sources = cfg.sources[:kept]
+        for source in cfg.sources:
+            source.priority = False
+        # a run with neither would send nothing
+        cfg.background = cfg.background or not cfg.sources
+        cfg.stream_scheduler = stream_scheduler
+        cfg.path_scheduler = scheduler
+        runs.append(labelled_run(cfg, tmp_path_factory.mktemp(scheduler)))
+    assert runs[0][2] and runs[0] == runs[1] == runs[2]
+    # pfifo ranks background ahead of every non-priority message stream
+    # and may never send one; rr gives each stream its turn
+    if cfg.sources and stream_scheduler == "rr":
+        assert any(rec[0] == "server" and rec[4] != BACKGROUND_STREAM_ID
+                   for rec in runs[0][2])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_redundancy_on_one_path_changes_only_the_refrain_count(
+        tmp_path_factory, seed):
+    # one path leaves nothing to duplicate on: cwr_red sends each packet
+    # once, as cwr does (so mct.csv's duplicated column stays 0), and only
+    # counts its priority sends as refrains
+    runs = []
+    for scheduler in ("cwr", "cwr_red"):
+        cfg = random_config(seed)
+        cfg.paths = cfg.paths[:1]
+        cfg.path_scheduler = scheduler
+        run = labelled_run(cfg, tmp_path_factory.mktemp(scheduler))
+        del run[0]["manifest.json"]["diagnostics"]["refrain"]
+        runs.append(run)
+    assert runs[0][2] and runs[0] == runs[1]
+    # losses on the lone path are recovered: every message generated
+    # 300 ms or more before the horizon completed
+    rows = csv.reader(runs[0][0]["mct.csv"].decode().splitlines()[1:])
+    done = {(int(row[0]), int(row[2])) for row in rows}
+    assert all((s.source_id, t) in done for s in cfg.sources
+               for t in range(s.start_offset_us, cfg.duration_us - 300_000,
+                              s.inter_arrival_us))

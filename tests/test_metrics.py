@@ -8,7 +8,8 @@ from bisect import bisect_left, bisect_right
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cwrsim.metrics import (MIN_GROWTH_WINDOWS, InsufficientSamplesError,
+from cwrsim.metrics import (BIN_WIDTH_US, MIN_GROWTH_WINDOWS, WARMUP_US,
+                            GrowthWindows, InsufficientSamplesError,
                             MetricsCollector, ccdf, ccdf_at, max_ccdf_gap,
                             write_ccdf_csv, write_growth_csv, write_mct_csv,
                             write_throughput_csv, CwndGrowthRecord)
@@ -79,17 +80,16 @@ def test_throughput_empty_bins_are_zero():
 
 
 def recorder_of(samples, ca_since=0, decreases=(), rtt_us=50_000,
-                start_us=1_000_000, end_us=3_000_000):
+                start_us=WARMUP_US, end_us=3_000_000):
     """A path's growth recorder fed (time, cwnd) samples from 0 on, in
     congestion avoidance from the sample at ca_since (None: never), with
     each decrease reported just before the sample at its instant."""
-    collector = MetricsCollector(end_us, warmup_us=start_us)
-    collector.register_path(1, samples[0][1], rtt_us)
+    recorder = GrowthWindows(samples[0][1], rtt_us, start_us, end_us)
     for t, cwnd in samples:
         if t in decreases:
-            collector.on_decrease(1, t)
-        collector.on_cwnd(1, t, cwnd, ca_since is not None and t >= ca_since)
-    return collector.cwnd_samples[1]
+            recorder.decreases.append(t)
+        recorder.sample(t, cwnd, ca_since is not None and t >= ca_since)
+    return recorder
 
 
 def samples_linear(start_t, end_t, start_v, slope_per_us, step=1_000):
@@ -226,8 +226,7 @@ growth_steps = st.lists(st.tuples(st.integers(0, 60),
 def test_recorder_matches_the_offline_computation(rtt_us, start_us, span_us,
                                                   cwnd0, steps):
     end_us = start_us + span_us
-    collector = MetricsCollector(end_us, warmup_us=start_us)
-    collector.register_path(1, cwnd0, rtt_us)
+    recorder = GrowthWindows(cwnd0, rtt_us, start_us, end_us)
     trace = ReferenceTrace(0, cwnd0)
     ca_since = None
     decreases = []
@@ -235,13 +234,12 @@ def test_recorder_matches_the_offline_computation(rtt_us, start_us, span_us,
     for gap, cwnd, in_ca, decrease in steps:
         t += gap
         if decrease:
-            collector.on_decrease(1, t)
+            recorder.decreases.append(t)
             decreases.append(t)
-        collector.on_cwnd(1, t, cwnd, in_ca)
+        recorder.sample(t, cwnd, in_ca)
         trace.add(t, cwnd)
         if in_ca and ca_since is None:
             ca_since = t
-    recorder = collector.cwnd_samples[1]
     assert len(recorder) == len(trace.times)
     try:
         expected = reference_growth(trace, ca_since, decreases, rtt_us,
@@ -252,8 +250,10 @@ def test_recorder_matches_the_offline_computation(rtt_us, start_us, span_us,
         assert str(got.value) == str(exc)
     else:
         assert (recorder.mean(), len(recorder.window_growths())) == expected
-        record = collector.growth_record(1, "cwr")
-        assert record.mean_growth == expected[0]
+        # the collector reports its path's recorder as is
+        collector = MetricsCollector(end_us)
+        collector.cwnd_samples[1] = recorder
+        assert collector.growth_record(1, "cwr").mean_growth == expected[0]
 
 
 def test_collector_bins_match_pure_function():
@@ -272,13 +272,13 @@ def test_collector_bins_match_pure_function():
         == direct
 
 
-def reference_bins(horizon, width, deliveries):
+def reference_bins(horizon, deliveries):
     """(start, total, priority) per bin of [0, horizon), each delivery before
     the horizon binned from scratch."""
     out = []
-    for lo in range(0, horizon, width):
+    for lo in range(0, horizon, BIN_WIDTH_US):
         inside = [(size, pri) for t, size, pri in deliveries
-                  if lo <= t < min(lo + width, horizon)]
+                  if lo <= t < min(lo + BIN_WIDTH_US, horizon)]
         out.append((lo, sum(size for size, _ in inside),
                     sum(size for size, pri in inside if pri)))
     return out
@@ -286,38 +286,41 @@ def reference_bins(horizon, width, deliveries):
 
 @st.composite
 def delivery_runs(draw):
-    """A horizon, a bin width (possibly longer than the horizon or not
-    dividing it), non-decreasing deliveries that fall on bin edges and on
-    the horizon as well as between and past them, and a point to read
+    """A horizon (possibly shorter than one bin or not a whole number of
+    bins), non-decreasing deliveries that fall on bin edges and on the
+    horizon as well as between and past them, and a point to read
     throughput() mid-run."""
-    width = draw(st.integers(1, 60))
-    horizon = draw(st.integers(1, 400))
+    width = BIN_WIDTH_US
+    horizon = draw(st.integers(1, 4 * width))
     landmarks = list(range(0, horizon + 2 * width, width)) + [horizon]
     times = draw(st.lists(st.one_of(st.integers(0, horizon + 2 * width),
                                     st.sampled_from(landmarks)),
                           max_size=40))
     deliveries = [(t, draw(st.integers(1, 1350)), draw(st.booleans()))
                   for t in sorted(times)]
-    return horizon, width, deliveries, draw(st.integers(0, len(deliveries)))
+    return horizon, deliveries, draw(st.integers(0, len(deliveries)))
 
 
 @given(delivery_runs())
-@example((250, 100, [(0, 1350, True), (100, 950, False), (200, 10, True),
-                     (250, 7, True)], 2))  # edges, a short last bin
-@example((30, 100, [(0, 5, False), (29, 6, True), (30, 7, True)], 1))
-@example((1_000, 50, [(10, 1, True), (990, 2, False)], 1))  # empty run
+# bin edges and a short last bin
+@example((250_000, [(0, 1350, True), (100_000, 950, False),
+                    (200_000, 10, True), (250_000, 7, True)], 2))
+# a horizon shorter than one bin
+@example((30_000, [(0, 5, False), (29_999, 6, True), (30_000, 7, True)], 1))
+# the bins between two deliveries left empty
+@example((2_000_000, [(20_000, 1, True), (1_980_000, 2, False)], 1))
 def test_rolling_bins_equal_reference_binning(run):
-    horizon, width, deliveries, mid = run
-    collector = MetricsCollector(horizon, bin_width_us=width)
+    horizon, deliveries, mid = run
+    collector = MetricsCollector(horizon)
     for i, (t, size, pri) in enumerate(deliveries):
         if i == mid:
             assert [(b.bin_start, b.total_bytes, b.priority_bytes)
                     for b in collector.throughput()] \
-                == reference_bins(horizon, width, deliveries[:mid])
+                == reference_bins(horizon, deliveries[:mid])
         collector.on_delivery(t, size, pri, 0)
     assert [(b.bin_start, b.total_bytes, b.priority_bytes)
             for b in collector.throughput()] \
-        == reference_bins(horizon, width, deliveries)
+        == reference_bins(horizon, deliveries)
     assert collector.delivered_bytes == sum(d[1] for d in deliveries)
 
 

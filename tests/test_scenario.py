@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwrsim.scenario import (_PATH_KEYS, _SOURCE_KEYS, _TOP_KEYS,
-                             ScenarioConfig, ScenarioError, parse_scenario)
+from cwrsim.scenario import (MAX_DURATION_US, MAX_THROUGHPUT_BINS, _PATH_KEYS,
+                             _SOURCE_KEYS, _TOP_KEYS, ScenarioConfig,
+                             ScenarioError, parse_scenario)
 from cwrsim.link import PathConfig
+from cwrsim.metrics import BIN_WIDTH_US, WARMUP_US
 from cwrsim.simulation import Simulation
 from cwrsim.traffic import DataSourceConfig
 
@@ -121,19 +123,28 @@ def test_validate_catches_bad_programmatic_config():
     assert cfg.seed < 2 ** 64
 
 
-@pytest.mark.parametrize("bin_width_us", [0, -100_000])
-def test_validate_rejects_nonpositive_bin_width(bin_width_us):
-    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], bin_width_us=bin_width_us)
-    with pytest.raises(ScenarioError, match="bin_width_us"):
+@pytest.mark.parametrize("duration_us", [-1, WARMUP_US // 2, WARMUP_US])
+def test_validate_rejects_warmup_outside_the_horizon(duration_us):
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], duration_us=duration_us)
+    with pytest.raises(ScenarioError, match="warmup_us") as info:
         cfg.validate()
+    assert info.value.key == "duration_us"
+    ScenarioConfig(paths=[PathConfig(1, 25_000)],
+                   duration_us=WARMUP_US + 1).validate()
 
 
-@pytest.mark.parametrize("warmup_us", [-1, 2_000_000, 3_000_000])
-def test_validate_rejects_warmup_outside_the_horizon(warmup_us):
-    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], duration_us=2_000_000,
-                         warmup_us=warmup_us)
-    with pytest.raises(ScenarioError, match="warmup_us"):
+@pytest.mark.parametrize("duration_us, accepted", [
+    (MAX_DURATION_US, True), (MAX_DURATION_US + 1, False),
+    (2 * MAX_DURATION_US, False)])
+def test_validate_bounds_the_horizon_in_throughput_bins(duration_us, accepted):
+    assert MAX_DURATION_US == MAX_THROUGHPUT_BINS * BIN_WIDTH_US
+    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], duration_us=duration_us)
+    if accepted:
         cfg.validate()
+    else:
+        with pytest.raises(ScenarioError, match="throughput bins") as info:
+            cfg.validate()
+        assert info.value.key == "duration_us"
 
 
 def test_short_scenario_file_inside_the_default_warmup_rejected(tmp_path):
@@ -148,6 +159,9 @@ def test_duration_us_inside_the_default_warmup_names_its_line(tmp_path, line):
     with pytest.raises(ScenarioError, match="warm-up") as info:
         parse_scenario(write(tmp_path, f"# horizon\n{line}\n[path]\nowd_us = 25000\n"))
     assert info.value.line == 2
+    cfg = parse_scenario(write(tmp_path, f"duration_us = {WARMUP_US + 1}\n"
+                                         "[path]\nowd_us = 25000\n"))
+    assert cfg.duration_us == WARMUP_US + 1
 
 
 @pytest.mark.parametrize("line", ["duration_s = 1e300", "duration_s = 1e303",
@@ -163,30 +177,16 @@ def test_horizon_past_the_throughput_bins_names_its_line(tmp_path, line):
     assert cfg.duration_us == 10_000_000_000  # 100,000 bins of 100 ms
 
 
-@pytest.mark.parametrize("duration_us, bin_width_us, accepted", [
-    (2_000_000, 20, True), (2_000_001, 20, False), (2_000_000, 1, False)])
-def test_validate_bounds_the_horizon_in_throughput_bins(duration_us,
-                                                        bin_width_us,
-                                                        accepted):
-    cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)],
-                         duration_us=duration_us, bin_width_us=bin_width_us)
-    if accepted:
-        cfg.validate()
-    else:
-        with pytest.raises(ScenarioError, match="throughput bins"):
-            cfg.validate()
-
-
 def test_to_dict_round_trips_scenario_fields():
-    # every field off its default
+    # every settable field off its default; the warm-up and the bin width
+    # are fixed and echoed as they are
     cfg = ScenarioConfig(
         paths=[PathConfig(3, 12_000, rate_bps=50_000_000, loss_rate=0.25,
                           ack_loss_enabled=True)],
         sources=[DataSourceConfig(2, 40_000, 1_500, priority=False,
                                   start_offset_us=5)],
         duration_us=4_000_000, seed=9, stream_scheduler="rr",
-        path_scheduler="cwr_red", background=False, warmup_us=500_000,
-        bin_width_us=50_000)
+        path_scheduler="cwr_red", background=False)
     expected = {
         "paths": [{"path_id": 3, "owd_us": 12_000, "rate_bps": 50_000_000,
                    "loss_rate": 0.25, "ack_loss_enabled": True}],
@@ -195,7 +195,7 @@ def test_to_dict_round_trips_scenario_fields():
                      "start_offset_us": 5}],
         "duration_us": 4_000_000, "seed": 9, "stream_scheduler": "rr",
         "path_scheduler": "cwr_red", "background": False,
-        "warmup_us": 500_000, "bin_width_us": 50_000,
+        "warmup_us": 1_000_000, "bin_width_us": 100_000,
     }
     # repr also tells True from 1 and keeps the field order
     assert repr(cfg.to_dict()) == repr(expected)

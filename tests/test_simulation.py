@@ -87,7 +87,7 @@ def test_lost_priority_packet_is_recovered():
     # early retransmission, and the window halves exactly once
     cfg = config(
         sources=[DataSourceConfig(1, 200_000, 1_000, start_offset_us=0)],
-        background=False, duration_us=1_000_000, warmup_us=0)
+        background=False)
     sim = Simulation(cfg)
     force_data_losses(sim, 1, (0,))
     res = sim.run()
@@ -100,22 +100,6 @@ def test_lost_priority_packet_is_recovered():
     assert sim.server.path_states[1].retransmissions == 1
     # later messages are unaffected
     assert all(m.mct < 30_000 for m in res.messages[1:])
-
-
-def test_cwr_equals_lowrtt_without_priority_sources():
-    # with nothing to reserve for or duplicate, the three path schedulers
-    # send the same packets at the same instants and block alike
-    for sources in ([], [DataSourceConfig(1, 100_000, 10_000, priority=False)]):
-        runs = []
-        for scheduler in ("lowrtt", "cwr", "cwr_red"):
-            cfg = config(paths=two_paths(loss=0.0005), sources=sources,
-                         path_scheduler=scheduler, duration_us=1_500_000)
-            sim, _res, send_log = traced_run(cfg)
-            runs.append((send_log, sim.server.blocked_count,
-                         sim.client.blocked_count))
-        assert runs[0][0] and runs[0] == runs[1] == runs[2]
-        if sources:
-            assert any(rec[3] != BACKGROUND_STREAM_ID for rec in runs[0][0])
 
 
 def test_redundant_scheduler_duplicates_and_receiver_deduplicates():
@@ -144,7 +128,7 @@ def test_duplicate_loss_recovered_without_retransmission():
     cfg = config(
         path_scheduler="cwr_red",
         sources=[DataSourceConfig(1, 300_000, 1_000, start_offset_us=0)],
-        background=False, duration_us=1_000_000, warmup_us=0)
+        background=False)
     sim = Simulation(cfg)
     force_data_losses(sim, 1, (0,))
     res = sim.run()
@@ -160,12 +144,10 @@ def test_message_isolation_under_forced_loss():
     # move message B's completion time (loss is silent at the sender)
     sources = [DataSourceConfig(1, 500_000, 2_600, start_offset_us=0),
                DataSourceConfig(2, 500_000, 2_600, start_offset_us=0)]
-    base_cfg = config(sources=sources, background=False, duration_us=900_000,
-                      warmup_us=0)
+    base_cfg = config(sources=sources, background=False)
     baseline = Simulation(base_cfg).run()
 
-    lossy_cfg = config(sources=sources, background=False,
-                       duration_us=900_000, warmup_us=0)
+    lossy_cfg = config(sources=sources, background=False)
     lossy_sim = Simulation(lossy_cfg)
     force_data_losses(lossy_sim, 1, (0, 1))
     lossy = lossy_sim.run()
@@ -191,7 +173,7 @@ def test_lost_background_offset_is_retransmitted_as_its_frame():
         if node.name == "server" and kind == "send":
             sends.append(fields)
 
-    sim = Simulation(config(duration_us=1_000_000, warmup_us=0), trace=trace)
+    sim = Simulation(config(), trace=trace)
     force_data_losses(sim, 1, (20,))
     server, client = sim.server, sim.client
     lost_payloads = []
@@ -310,7 +292,7 @@ def test_dispatch_log_replays_byte_identical():
 def test_handle_ack_one_entry_point():
     cfg = config(sources=[DataSourceConfig(1, 200_000, 1_000,
                                            start_offset_us=0)],
-                 background=False, duration_us=400_000, warmup_us=0)
+                 background=False)
     sim = Simulation(cfg)
     sim.traffic.start()
     sim.engine.run_until(10_000)  # the first packet is in flight, unacked
@@ -321,16 +303,33 @@ def test_handle_ack_one_entry_point():
     assert number not in ps.ledger
 
 
-def test_single_path_degenerates_cleanly():
-    for scheduler in ("lowrtt", "cwr", "cwr_red"):
-        cfg = ScenarioConfig(paths=[PathConfig(1, 25_000, loss_rate=0.001)],
-                             sources=[DataSourceConfig(1, 100_000, 10_000)],
-                             duration_us=1_500_000, seed=3,
-                             path_scheduler=scheduler)
-        res = Simulation(cfg).run()
-        assert all(m.completed_at is not None for m in res.messages)
-        # duplication over one path is just a single copy
-        assert not any(m.completed_by_duplicate for m in res.messages)
+def test_earlier_deadline_moves_the_armed_loss_alarm():
+    # two one-packet messages 5 ms apart on one path, its srtt lowered
+    # between them, so the second packet's loss deadline comes before the
+    # alarm armed for the first
+    cfg = ScenarioConfig(
+        paths=[PathConfig(1, 25_000)],
+        sources=[DataSourceConfig(1, 1_000_000, 1_000, start_offset_us=0),
+                 DataSourceConfig(2, 1_000_000, 1_000, start_offset_us=5_000)],
+        duration_us=1_100_000, background=False, path_scheduler="lowrtt")
+    sim = Simulation(cfg)
+    engine, ps = sim.engine, sim.server.path_states[1]
+    sim.traffic.start()
+    engine.run_until(0)
+    replaced = ps.alarm_entry
+    assert ps.alarm_time == replaced[0] == 56_250  # 9/8 of the 50 ms RTT
+    ps.srtt = 45_000
+    engine.run_until(5_000)
+    assert ps.alarm_entry is not replaced
+    assert ps.alarm_time == ps.alarm_entry[0] == 5_000 + 50_625
+    # both acks arrive before the moved alarm, which finds nothing to
+    # declare, and nothing else falls due at the replaced alarm's instant
+    engine.run_until(replaced[0] - 1)
+    assert ps.alarm_entry is None and not ps.ledger
+    before = engine.dispatched
+    engine.run_until(replaced[0])
+    assert engine.dispatched == before
+    assert ps.lost_packets == 0
 
 
 def test_growth_records_and_outputs(tmp_path):

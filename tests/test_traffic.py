@@ -17,32 +17,33 @@ def two_paths(loss=0.0, owd=25_000):
 
 def run_sim(sources, duration_us, background=False, path_scheduler="cwr",
             seed=3, paths=None, **kw):
-    # every caller's horizon is at most 1 s, inside the default warm-up
     cfg = ScenarioConfig(paths=paths or two_paths(), sources=sources,
-                         duration_us=duration_us, warmup_us=0, seed=seed,
+                         duration_us=duration_us, seed=seed,
                          path_scheduler=path_scheduler, background=background)
     sim = Simulation(cfg, **kw)
     return sim, sim.run()
 
 
 def test_tick_count_over_horizon():
-    # inter-arrival 50 ms from t=0 over a 1 s horizon: 20 messages
+    # inter-arrival 50 ms from t=0 over a 1.5 s horizon: 30 messages
     src = DataSourceConfig(1, 50_000, 2_000, start_offset_us=0)
-    _, res = run_sim([src], 1_000_000)
-    assert len(res.messages) == 20
+    _, res = run_sim([src], 1_500_000)
+    assert len(res.messages) == 30
     assert [m.generated_at for m in res.messages] == [
-        i * 50_000 for i in range(20)]
+        i * 50_000 for i in range(30)]
 
 
 def test_tick_pattern_with_start_offset():
+    # the 17th tick falls on the horizon and makes no message
     src = DataSourceConfig(2, 70_000, 7_000, start_offset_us=0)
-    _, res = run_sim([src], 220_000)
-    assert [m.generated_at for m in res.messages] == [0, 70_000, 140_000, 210_000]
+    _, res = run_sim([src], 1_120_000)
+    assert [m.generated_at for m in res.messages] == [
+        i * 70_000 for i in range(16)]
 
 
 def test_messages_complete_and_free_streams():
     src = DataSourceConfig(1, 100_000, 10_000, start_offset_us=0)
-    sim, res = run_sim([src], 1_000_000)
+    sim, res = run_sim([src], 1_500_000)
     done = [m for m in res.messages if m.completed_at is not None]
     assert len(done) == len(res.messages)
     # zero loss, idle links: every completion takes owd + serialization
@@ -56,7 +57,7 @@ def test_messages_complete_and_free_streams():
 def test_overlapping_messages_use_distinct_streams():
     # inter-arrival shorter than one OWD forces overlap
     src = DataSourceConfig(1, 10_000, 1_000, start_offset_us=0)
-    sim, res = run_sim([src], 300_000)
+    sim, res = run_sim([src], 1_100_000)
     by_stream: dict[int, list] = {}
     for m in res.messages:
         by_stream.setdefault(m.stream_id, []).append(m)
@@ -70,7 +71,7 @@ def test_overlapping_messages_use_distinct_streams():
 
 def test_app_ack_round_trip_timing():
     src = DataSourceConfig(1, 200_000, 1_000, start_offset_us=0)
-    sim, res = run_sim([src], 400_000)
+    sim, res = run_sim([src], 1_100_000)
     first = res.messages[0]
     # completion one owd out, app ack one more owd back
     assert first.completed_at >= 25_000
@@ -79,7 +80,7 @@ def test_app_ack_round_trip_timing():
 
 def test_background_disabled_means_only_priority_traffic():
     src = DataSourceConfig(1, 100_000, 5_000, start_offset_us=0)
-    sim, res = run_sim([src], 500_000, background=False)
+    sim, res = run_sim([src], 1_100_000, background=False)
     assert all(b.total_bytes == b.priority_bytes for b in res.metrics.throughput())
 
 
@@ -101,7 +102,7 @@ def test_background_saturates_low_rate_paths():
 
 def test_non_priority_source_messages_are_not_priority():
     src = DataSourceConfig(1, 100_000, 5_000, priority=False, start_offset_us=0)
-    sim, res = run_sim([src], 400_000)
+    sim, res = run_sim([src], 1_100_000)
     assert all(not m.priority for m in res.messages)
     assert all(m.completed_at is not None for m in res.messages)
 
@@ -112,7 +113,7 @@ def test_message_takes_lowest_idle_stream_of_its_class():
     sources = [DataSourceConfig(1, 15_000, 3_000, start_offset_us=0),
                DataSourceConfig(2, 12_000, 5_000, priority=False,
                                 start_offset_us=0)]
-    _, res = run_sim(sources, 600_000)
+    _, res = run_sim(sources, 1_100_000)
     messages = res.messages
     ticks = {m.generated_at for m in messages}
     assert not ticks & {m.app_acked_at for m in messages}
@@ -143,7 +144,7 @@ def test_message_takes_lowest_idle_stream_of_its_class():
 def test_app_ack_of_a_data_frame_is_fatal():
     sim = Simulation(ScenarioConfig(
         paths=two_paths(), sources=[DataSourceConfig(1, 50_000, 2_000)],
-        duration_us=100_000, warmup_us=0))
+        duration_us=2_000_000))
     frame = Frame(FIRST_MESSAGE_STREAM_ID, 0, 0, 2_000, True, True, 0)
     with pytest.raises(InvariantError):
         sim.traffic.on_app_ack(frame, 0, 1, False)
