@@ -21,14 +21,6 @@ class PathConfig:
         self.loss_rate = loss_rate
         self.ack_loss_enabled = ack_loss_enabled
 
-    def validate(self) -> None:
-        if self.owd_us <= 0:
-            raise ValueError(f"path {self.path_id}: owd_us must be > 0")
-        if self.rate_bps <= 0:
-            raise ValueError(f"path {self.path_id}: rate_bps must be > 0")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"path {self.path_id}: loss_rate must be in [0, 1)")
-
 
 def nominal_rtt_us(cfg: PathConfig) -> int:
     """Configured round-trip time; forward and reverse delay are equal."""

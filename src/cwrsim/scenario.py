@@ -44,15 +44,6 @@ def _require(obj, names: tuple[str, ...], kind, what: str, key=None) -> None:
                                 key=key or name)
 
 
-def _check_section(obj, ints: tuple[str, ...], key: tuple[str, int]) -> None:
-    """Type-check a path or source config, then apply its own range rules."""
-    _require(obj, ints, int, "an integer", key)
-    try:
-        obj.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc), key=key) from None
-
-
 class ScenarioConfig:
     """Everything one run needs: paths, sources, schedulers, seed, horizon."""
 
@@ -89,23 +80,32 @@ class ScenarioConfig:
         _require(self, ("duration_us",), int, "an integer")
         if self.duration_us <= WARMUP_US:
             raise ScenarioError(
-                f"the run must be longer than its warm-up: need 0 <= "
-                f"warmup_us < duration_us, got warmup_us = {WARMUP_US}, "
-                f"duration_us = {self.duration_us}", key="duration_us")
+                f"the run must be longer than the {WARMUP_US} us warm-up, "
+                f"got duration_us = {self.duration_us}", key="duration_us")
         if self.stream_scheduler not in STREAM_SCHEDULERS:
             raise ScenarioError(
-                f"stream_scheduler must be one of {STREAM_SCHEDULERS}, "
+                f"stream_scheduler must be one of {tuple(STREAM_SCHEDULERS)}, "
                 f"got {self.stream_scheduler!r}", key="stream_scheduler")
         if self.path_scheduler not in PATH_SCHEDULERS:
             raise ScenarioError(
-                f"path_scheduler must be one of {PATH_SCHEDULERS}, "
+                f"path_scheduler must be one of {tuple(PATH_SCHEDULERS)}, "
                 f"got {self.path_scheduler!r}", key="path_scheduler")
         path_ids = set()
         for i, p in enumerate(self.paths):
             key = ("path", i)
             _require(p, ("loss_rate",), (int, float), "a number", key)
             _require(p, ("ack_loss_enabled",), bool, "a boolean", key)
-            _check_section(p, ("path_id", "owd_us", "rate_bps"), key)
+            _require(p, ("path_id", "owd_us", "rate_bps"), int, "an integer",
+                     key)
+            if p.owd_us <= 0:
+                raise ScenarioError(
+                    f"path {p.path_id}: owd_us must be > 0", key=key)
+            if p.rate_bps <= 0:
+                raise ScenarioError(
+                    f"path {p.path_id}: rate_bps must be > 0", key=key)
+            if not 0.0 <= p.loss_rate < 1.0:
+                raise ScenarioError(
+                    f"path {p.path_id}: loss_rate must be in [0, 1)", key=key)
             if p.path_id in path_ids:
                 raise ScenarioError(f"duplicate path_id {p.path_id}", key=key)
             path_ids.add(p.path_id)
@@ -124,13 +124,26 @@ class ScenarioConfig:
         # a message is packetized whole when it is generated, so one larger
         # than all paths together can serialize over the run cannot be sent
         # and would only cost memory
-        horizon_bits = sum(p.rate_bps for p in self.paths) * self.duration_us
+        capacity = sum(p.rate_bps for p in self.paths)
+        horizon_bits = capacity * self.duration_us
         source_ids = set()
         for i, s in enumerate(self.sources):
             key = ("source", i)
             _require(s, ("priority",), bool, "a boolean", key)
-            _check_section(s, ("source_id", "inter_arrival_us",
-                               "message_size_bytes", "start_offset_us"), key)
+            _require(s, ("source_id", "inter_arrival_us", "message_size_bytes",
+                         "start_offset_us"), int, "an integer", key)
+            if s.inter_arrival_us <= 0:
+                raise ScenarioError(
+                    f"source {s.source_id}: inter_arrival_us must be > 0",
+                    key=key)
+            if s.message_size_bytes <= 0:
+                raise ScenarioError(
+                    f"source {s.source_id}: message_size_bytes must be > 0",
+                    key=key)
+            if s.start_offset_us < 0:
+                raise ScenarioError(
+                    f"source {s.source_id}: start_offset_us must be >= 0",
+                    key=key)
             if s.source_id in source_ids:
                 raise ScenarioError(f"duplicate source_id {s.source_id}",
                                     key=key)
@@ -145,7 +158,6 @@ class ScenarioConfig:
         # bound, and a run's cost grows with its square. The offered bit/s
         # are summed exactly, as num / den; the first source that takes the
         # sum past capacity is named.
-        capacity = sum(p.rate_bps for p in self.paths)
         num, den = 0, 1
         for i, s in enumerate(self.sources):
             size = s.message_size_bytes

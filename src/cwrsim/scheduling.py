@@ -9,9 +9,6 @@ from .link import OneWayLink, serialization_us
 from .transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
                         MAX_PAYLOAD_BYTES, PathSendState, packetize)
 
-STREAM_SCHEDULERS = ("rr", "pfifo")
-PATH_SCHEDULERS = ("lowrtt", "cwr", "cwr_red")
-
 # Non-priority first transmissions only enter a serializer with a short
 # backlog (six max packets); the retry wake waits for it to nearly drain so
 # sends batch instead of waking per packet. Priority frames and
@@ -145,7 +142,7 @@ class RoundRobinStreams:
     def __init__(self) -> None:
         self._last = -1
 
-    def order(self, streams: list[SendStream], now: int) -> list[SendStream]:
+    def order(self, streams: list[SendStream]) -> list[SendStream]:
         ordered = sorted(streams, key=lambda s: s.stream_id)
         after = [s for s in ordered if s.stream_id > self._last]
         before = [s for s in ordered if s.stream_id <= self._last]
@@ -168,19 +165,15 @@ class PriorityFifoStreams:
     on (class, time, stream id) orders them all.
     """
 
-    def order(self, streams: list[SendStream], now: int) -> list[SendStream]:
+    def order(self, streams: list[SendStream]) -> list[SendStream]:
         return sorted(streams, key=_pfifo_key)
 
     def note_sent(self, stream: SendStream) -> None:
         pass
 
 
-def make_stream_scheduler(name: str):
-    if name == "rr":
-        return RoundRobinStreams()
-    if name == "pfifo":
-        return PriorityFifoStreams()
-    raise ValueError(f"unknown stream scheduler: {name}")
+# a scenario's stream_scheduler name -> the class a Node builds
+STREAM_SCHEDULERS = {"rr": RoundRobinStreams, "pfifo": PriorityFifoStreams}
 
 
 class ReservationLedger:
@@ -390,9 +383,10 @@ class RedundantScheduler(ReservationScheduler):
             if stream.dup_mode is None:
                 remaining = stream.remaining_message_bytes()
                 stream.dup_mode = "all" if all(
-                    p.free_cwnd() >= remaining for p in self.paths) else "off"
+                    p.cwnd - p.in_flight >= remaining
+                    for p in self.paths) else "off"
             if stream.dup_mode == "all":
-                # every path's free_cwnd() holds the packet (size > 0)
+                # every path's free window holds the packet
                 size = frame.length + HEADER_BYTES
                 for p in self.paths:
                     if p.cwnd - p.in_flight < size:
@@ -405,15 +399,10 @@ class RedundantScheduler(ReservationScheduler):
         return targets
 
 
-def make_path_scheduler(name: str, paths: list[PathSendState],
-                        links: dict[int, OneWayLink]):
-    if name == "lowrtt":
-        return LowRttScheduler(paths, links)
-    if name == "cwr":
-        return ReservationScheduler(paths, links)
-    if name == "cwr_red":
-        return RedundantScheduler(paths, links)
-    raise ValueError(f"unknown path scheduler: {name}")
+# a scenario's path_scheduler name -> the class a Node builds, in the
+# order compare ranks them
+PATH_SCHEDULERS = {"lowrtt": LowRttScheduler, "cwr": ReservationScheduler,
+                   "cwr_red": RedundantScheduler}
 
 
 def reservation_bytes(message_size: int) -> int:

@@ -12,8 +12,8 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
                       InsufficientSamplesError, ccdf, post_warmup_mcts,
                       write_ccdf_csv, write_growth_csv, write_mct_csv,
                       write_throughput_csv)
-from .scheduling import (SendStream, make_path_scheduler,
-                         make_stream_scheduler, paths_by_rtt)
+from .scheduling import (PATH_SCHEDULERS, STREAM_SCHEDULERS, SendStream,
+                         paths_by_rtt)
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, CONGESTION_AVOIDANCE, Frame,
                         HEADER_BYTES, MAX_PACKET_BYTES, PathSendState,
@@ -50,9 +50,8 @@ class Node:
         self.path_list = path_states
         self.path_states = {p.path_id: p for p in path_states}
         self.links = links
-        self.stream_sched = make_stream_scheduler(stream_scheduler)
-        self.path_sched = make_path_scheduler(path_scheduler, path_states,
-                                              links)
+        self.stream_sched = STREAM_SCHEDULERS[stream_scheduler]()
+        self.path_sched = PATH_SCHEDULERS[path_scheduler](path_states, links)
         self._wake_time = 0
         self._wake_entry: tuple | None = None
         self.metrics = metrics
@@ -111,7 +110,7 @@ class Node:
             if len(candidates) > 1:
                 # order sorts on a total key: the set's iteration order
                 # cannot reach the result
-                candidates = self.stream_sched.order(candidates, now)
+                candidates = self.stream_sched.order(candidates)
             for stream in candidates:
                 owed = stream.next_rtx() if stream.rtx else None
                 if owed is not None:
@@ -408,8 +407,8 @@ class Simulation:
 
     def run(self) -> "RunResult":
         self.traffic.start()
+        # run_until ends with the checker, verify_invariants
         self.engine.run_until(self.config.duration_us)
-        self.verify_invariants()
         return RunResult(self)
 
 

@@ -32,14 +32,6 @@ class DataSourceConfig:
         self.priority = priority
         self.start_offset_us = start_offset_us
 
-    def validate(self) -> None:
-        if self.inter_arrival_us <= 0:
-            raise ValueError(f"source {self.source_id}: inter_arrival_us must be > 0")
-        if self.message_size_bytes <= 0:
-            raise ValueError(f"source {self.source_id}: message_size_bytes must be > 0")
-        if self.start_offset_us < 0:
-            raise ValueError(f"source {self.source_id}: start_offset_us must be >= 0")
-
 
 class MessageRecord:
     """Lifecycle of one generated message, from tick to completion."""

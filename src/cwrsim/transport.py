@@ -125,10 +125,6 @@ class PathSendState:
         self.srtt_sum = 0
         self.srtt_samples = 0
 
-    def free_cwnd(self) -> int:
-        free = self.cwnd - self.in_flight
-        return free if free > 0 else 0
-
     def register_sent(self, size: int, payload: Frame | int, now: int,
                       is_rtx: bool = False) -> tuple:
         """Enter a packet of `size` bytes into the ledger; `payload` (what

@@ -125,14 +125,48 @@ def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[path]\nowd_us = 0\n", "line 2: path 1: owd_us must be > 0"),
+    ("[path]\nowd_us = 25000\nrate_bps = 0\n",
+     "line 2: path 1: rate_bps must be > 0"),
+    ("[path]\nowd_us = 25000\nloss_rate = 1.0\n",
+     "line 2: path 1: loss_rate must be in [0, 1)"),
+    ("[path]\nowd_us = 25000\n[source]\ninter_arrival_us = 0\n"
+     "message_size_bytes = 100\n",
+     "line 4: source 1: inter_arrival_us must be > 0"),
+    ("[path]\nowd_us = 25000\n[source]\ninter_arrival_us = 100000\n"
+     "message_size_bytes = 0\n",
+     "line 4: source 1: message_size_bytes must be > 0"),
+    ("[path]\nowd_us = 25000\n[source]\ninter_arrival_us = 100000\n"
+     "message_size_bytes = 100\nstart_offset_us = -1\n",
+     "line 4: source 1: start_offset_us must be >= 0"),
+    ("path_scheduler = x\n[path]\nowd_us = 25000\n",
+     "line 2: path_scheduler must be one of ('lowrtt', 'cwr', 'cwr_red'), "
+     "got 'x'"),
+    ("stream_scheduler = x\n[path]\nowd_us = 25000\n",
+     "line 2: stream_scheduler must be one of ('rr', 'pfifo'), got 'x'"),
+], ids=["owd_us", "rate_bps", "loss_rate", "inter_arrival_us",
+        "message_size_bytes", "start_offset_us", "path_scheduler",
+        "stream_scheduler"])
+def test_rejected_scenario_names_its_line_and_rule(tmp_path, capsys, text,
+                                                   message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("duration_s = 2\n" + text)
+    assert main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {scn}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @st.composite
 def envelope_scenarios(draw) -> str:
     """Small scenario files inside the validity envelope, just over the
     1 s warm-up."""
     lines = [f"duration_us = {draw(st.integers(1_000_001, 1_200_000))}",
              f"seed = {draw(st.integers(0, 2 ** 32))}",
-             f"path_scheduler = {draw(st.sampled_from(PATH_SCHEDULERS))}",
-             f"stream_scheduler = {draw(st.sampled_from(STREAM_SCHEDULERS))}",
+             "path_scheduler = "
+             f"{draw(st.sampled_from(tuple(PATH_SCHEDULERS)))}",
+             "stream_scheduler = "
+             f"{draw(st.sampled_from(tuple(STREAM_SCHEDULERS)))}",
              f"background = {draw(st.booleans())}"]
     capacity = 0
     for _ in range(draw(st.integers(1, 2))):

@@ -107,11 +107,14 @@ def test_ack_loss_enabled_applies_loss_to_acks():
     assert link.send(50, False, 0) is None
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PathConfig(1, 0).validate()
-    with pytest.raises(ValueError):
-        PathConfig(1, 1000, rate_bps=0).validate()
+@pytest.mark.parametrize("cfg, message", [
+    (PathConfig(1, 0), "path 1: owd_us must be > 0"),
+    (PathConfig(1, 1000, rate_bps=0), "path 1: rate_bps must be > 0")])
+def test_config_validation(cfg, message):
+    # a link trusts its config: the scenario rejects it, naming the path
+    with pytest.raises(ScenarioError, match=message) as info:
+        ScenarioConfig(paths=[cfg]).validate()
+    assert info.value.key == ("path", 0)
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, -0.5])

@@ -86,7 +86,7 @@ def labelled_run(cfg, outdir):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=2),
-       st.sampled_from(STREAM_SCHEDULERS))
+       st.sampled_from(tuple(STREAM_SCHEDULERS)))
 def test_schedulers_agree_without_priority_sources(tmp_path_factory, seed,
                                                    kept, stream_scheduler):
     # with nothing to reserve for or duplicate, the three path schedulers

@@ -126,7 +126,7 @@ def test_validate_catches_bad_programmatic_config():
 @pytest.mark.parametrize("duration_us", [-1, WARMUP_US // 2, WARMUP_US])
 def test_validate_rejects_warmup_outside_the_horizon(duration_us):
     cfg = ScenarioConfig(paths=[PathConfig(1, 25_000)], duration_us=duration_us)
-    with pytest.raises(ScenarioError, match="warmup_us") as info:
+    with pytest.raises(ScenarioError, match="warm-up") as info:
         cfg.validate()
     assert info.value.key == "duration_us"
     ScenarioConfig(paths=[PathConfig(1, 25_000)],

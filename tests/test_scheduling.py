@@ -4,18 +4,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import EventQueue, RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
-from cwrsim.scheduling import (GATE_PACKETS, LowRttScheduler,
+from cwrsim.scheduling import (GATE_PACKETS, PATH_SCHEDULERS,
+                               STREAM_SCHEDULERS, LowRttScheduler,
                                PriorityFifoStreams, RedundantScheduler,
                                ReservationLedger,
                                ReservationScheduler, RoundRobinStreams,
-                               SendStream,
-                               make_path_scheduler, make_stream_scheduler,
-                               reservation_bytes)
+                               SendStream, reservation_bytes)
 from cwrsim.simulation import Node
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState)
@@ -35,7 +33,7 @@ def scheduler(name, paths):
     open at any time from 0 on."""
     links = {p.path_id: OneWayLink(PathConfig(p.path_id, 25_000),
                                    RngStream(1, p.path_id)) for p in paths}
-    return make_path_scheduler(name, paths, links)
+    return PATH_SCHEDULERS[name](paths, links)
 
 
 def stream_with(size, stream_id=1, priority=True, now=0, message_id=1,
@@ -87,7 +85,7 @@ def test_round_robin_cycles_ignoring_priority():
     streams = [new_stream(1, False), new_stream(2, True), new_stream(3, False)]
     served = []
     for _ in range(6):
-        pick = rr.order(streams, 0)[0]
+        pick = rr.order(streams)[0]
         served.append(pick.stream_id)
         rr.note_sent(pick)
     assert served == [1, 2, 3, 1, 2, 3]
@@ -98,7 +96,7 @@ def test_round_robin_skips_drained_stream():
     streams = [new_stream(1, False), new_stream(3, False)]
     served = []
     for _ in range(4):
-        pick = rr.order(streams, 0)[0]
+        pick = rr.order(streams)[0]
         served.append(pick.stream_id)
         rr.note_sent(pick)
     assert served == [1, 3, 1, 3]
@@ -108,7 +106,7 @@ def test_pfifo_retransmissions_first_regardless_of_priority():
     pf = PriorityFifoStreams()
     background_rtx = new_stream(9, False, enqueue_time=5, rtx_time=30)
     fresh_priority = new_stream(2, True, enqueue_time=10)
-    order = pf.order([fresh_priority, background_rtx], 40)
+    order = pf.order([fresh_priority, background_rtx])
     assert [s.stream_id for s in order] == [9, 2]
 
 
@@ -117,7 +115,7 @@ def test_pfifo_priority_fifo_by_enqueue_time():
     early = new_stream(4, True, enqueue_time=10)
     late = new_stream(2, True, enqueue_time=20)
     bg = new_stream(1, False, enqueue_time=0)
-    order = pf.order([late, bg, early], 40)
+    order = pf.order([late, bg, early])
     assert [s.stream_id for s in order] == [4, 2, 1]
 
 
@@ -125,7 +123,7 @@ def test_pfifo_background_fifo_among_themselves():
     pf = PriorityFifoStreams()
     a = new_stream(3, False, enqueue_time=7)
     b = new_stream(8, False, enqueue_time=3)
-    assert [s.stream_id for s in pf.order([a, b], 10)] == [8, 3]
+    assert [s.stream_id for s in pf.order([a, b])] == [8, 3]
 
 
 def three_sort_order(streams):
@@ -172,7 +170,7 @@ def candidate_streams(specs):
 @given(stream_specs)
 def test_pfifo_one_key_sort_equals_three_sorts(specs):
     streams = candidate_streams(specs)
-    assert PriorityFifoStreams().order(streams, 0) == three_sort_order(streams)
+    assert PriorityFifoStreams().order(streams) == three_sort_order(streams)
 
 
 @settings(max_examples=300)
@@ -185,14 +183,12 @@ def test_stream_order_ignores_the_order_of_its_input(specs, last_sent, data):
     if last_sent >= 0:
         rr.note_sent(SendStream(last_sent, False, urgent=set()))
     for sched in (PriorityFifoStreams(), rr):
-        assert sched.order(shuffled, 0) == sched.order(streams, 0)
+        assert sched.order(shuffled) == sched.order(streams)
 
 
-def test_make_stream_scheduler_names():
-    assert type(make_stream_scheduler("rr")) is RoundRobinStreams
-    assert type(make_stream_scheduler("pfifo")) is PriorityFifoStreams
-    with pytest.raises(ValueError):
-        make_stream_scheduler("fifo")
+def test_stream_scheduler_names():
+    assert type(STREAM_SCHEDULERS["rr"]()) is RoundRobinStreams
+    assert type(STREAM_SCHEDULERS["pfifo"]()) is PriorityFifoStreams
 
 
 # -- owed retransmissions ----------------------------------------------------
@@ -659,7 +655,7 @@ def gated_path(rate=100_000_000):
     """A cwr scheduler on one path, and that path's link for the test to load."""
     ps = PathSendState(1, 50_000)
     link = OneWayLink(PathConfig(1, 25_000, rate_bps=rate), RngStream(1, 0))
-    return make_path_scheduler("cwr", [ps], {1: link}), ps, link
+    return PATH_SCHEDULERS["cwr"]([ps], {1: link}), ps, link
 
 
 def test_background_room_leaves_reserved_bytes_and_follows_the_gate():
@@ -936,10 +932,8 @@ def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     assert sched.admit(bg, bg_frame(), False, 0) == (p1,)
 
 
-def test_make_path_scheduler_names():
+def test_path_scheduler_names():
     paths = [path(1)]
     assert type(scheduler("lowrtt", paths)) is LowRttScheduler
     assert type(scheduler("cwr", paths)) is ReservationScheduler
     assert type(scheduler("cwr_red", paths)) is RedundantScheduler
-    with pytest.raises(ValueError):
-        scheduler("rtt", paths)

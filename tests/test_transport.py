@@ -88,7 +88,6 @@ def test_send_tracks_in_flight():
     ps = fresh_path()
     send_one(ps)
     assert ps.in_flight == 1350
-    assert ps.free_cwnd() == ps.cwnd - 1350
 
 
 def test_send_beyond_cwnd_is_fatal():
@@ -398,15 +397,15 @@ def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
                 refs, key=lambda r: (r.effective_srtt(), r.path_id))]
 
 
-def test_free_cwnd_trivials():
+def test_free_window_trivials():
     ps = fresh_path()
     ps.cwnd = 5_400
     send_one(ps)
-    assert ps.free_cwnd() == 4_050
+    assert ps.cwnd - ps.in_flight == 4_050
     send_one(ps)
     send_one(ps)
     send_one(ps)
-    assert ps.free_cwnd() == 0
+    assert ps.cwnd - ps.in_flight == 0
 
 
 # -- reassembly --------------------------------------------------------------
