@@ -78,6 +78,10 @@ def _load_growth(outdir: Path) -> list[tuple[int, float]]:
                 raise UnreadableOutput(
                     f"{growth}: line {reader.line_num}: expected numeric "
                     "path_id and mean_growth_bytes_per_rtt") from None
+            except csv.Error as exc:  # such as a field over csv's size limit
+                # DictReader's own line_num lags a line that fails to parse
+                raise UnreadableOutput(
+                    f"{growth}: line {reader.reader.line_num}: {exc}") from None
     return rows
 
 
@@ -88,7 +92,8 @@ def _scheduler_of(outdir: Path) -> str:
             try:
                 with manifest.open(encoding="utf-8") as fh:
                     scheduler = json.load(fh)["config"]["path_scheduler"]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, RecursionError):
+                # RecursionError: json nests too deep to parse
                 scheduler = None
             if not isinstance(scheduler, str):
                 raise UnreadableOutput(f"{manifest}: expected JSON with a "

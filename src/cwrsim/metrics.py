@@ -24,8 +24,7 @@ class InsufficientSamplesError(ValueError):
 class ThroughputBin:
     __slots__ = ("bin_start", "total_bytes", "priority_bytes")
 
-    def __init__(self, bin_start: int, total_bytes: int = 0,
-                 priority_bytes: int = 0):
+    def __init__(self, bin_start: int, total_bytes: int, priority_bytes: int):
         self.bin_start = bin_start
         self.total_bytes = total_bytes
         self.priority_bytes = priority_bytes
@@ -167,23 +166,19 @@ class MetricsCollector:
     growth measured as the run goes.
 
     Throughput bins cut [0, horizon) every BIN_WIDTH_US, the last one
-    short when the width does not divide the horizon. Deliveries arrive in
-    time order, so only the open bin, the one that ends at `_edge`, can
-    still grow: its totals are the running delivered and priority byte
-    counters less their values at its start. A delivery at or past the edge
-    closes the bins it has passed; one at or past the horizon is counted in
-    no bin.
+    short when the width does not divide the horizon. Each bin's total and
+    priority bytes are counters allocated for the whole horizon when the
+    collector is built; a delivery adds to the bin of its time, and one at
+    or past the horizon is counted in no bin.
     """
 
     def __init__(self, horizon_us: int):
         self.horizon_us = horizon_us
         self.goodput_unique_bytes = 0
         self.delivered_bytes = 0
-        self.priority_bytes = 0
-        self._bins: list[ThroughputBin] = []  # the closed ones
-        self._open_total = 0  # delivered_bytes at the open bin's start
-        self._open_priority = 0  # priority_bytes at the open bin's start
-        self._edge = self._open_end()
+        bins = -(-horizon_us // BIN_WIDTH_US)
+        self._total = [0] * bins
+        self._priority = [0] * bins
         self.cwnd_samples: dict[int, GrowthWindows] = {}
 
     def register_path(self, path_id: int, initial_cwnd: int,
@@ -193,32 +188,13 @@ class MetricsCollector:
 
     def on_delivery(self, when: int, size: int, priority: bool,
                     new_bytes: int) -> None:
-        if when >= self._edge:
-            self._close_bins(when)
         self.goodput_unique_bytes += new_bytes
         self.delivered_bytes += size
-        if priority:
-            self.priority_bytes += size
-
-    def _open_end(self) -> int | float:
-        """The end of the open bin; infinite once every bin is closed."""
-        start = len(self._bins) * BIN_WIDTH_US
-        if start >= self.horizon_us:
-            return float("inf")
-        return min(start + BIN_WIDTH_US, self.horizon_us)
-
-    def _open_bin(self) -> ThroughputBin:
-        return ThroughputBin(len(self._bins) * BIN_WIDTH_US,
-                             self.delivered_bytes - self._open_total,
-                             self.priority_bytes - self._open_priority)
-
-    def _close_bins(self, until: int) -> None:
-        """Close every bin that ends at or before `until`."""
-        while self._edge <= until:
-            self._bins.append(self._open_bin())
-            self._open_total = self.delivered_bytes
-            self._open_priority = self.priority_bytes
-            self._edge = self._open_end()
+        if when < self.horizon_us:
+            i = when // BIN_WIDTH_US
+            self._total[i] += size
+            if priority:
+                self._priority[i] += size
 
     def on_cwnd(self, path_id: int, when: int, cwnd: int,
                 in_ca: bool) -> None:
@@ -228,17 +204,10 @@ class MetricsCollector:
         self.cwnd_samples[path_id].decreases.append(when)
 
     def throughput(self) -> list[ThroughputBin]:
-        """Every bin of the horizon as delivered so far: the closed ones,
-        the open one and the empty ones after it."""
-        bins = list(self._bins)
-        start = len(bins) * BIN_WIDTH_US
-        if start < self.horizon_us:
-            bins.append(self._open_bin())
-            start += BIN_WIDTH_US
-        while start < self.horizon_us:
-            bins.append(ThroughputBin(start))
-            start += BIN_WIDTH_US
-        return bins
+        """Every bin of the horizon as delivered so far."""
+        return [ThroughputBin(i * BIN_WIDTH_US, total, priority)
+                for i, (total, priority)
+                in enumerate(zip(self._total, self._priority))]
 
     def growth_record(self, path_id: int, scheduler: str) -> CwndGrowthRecord:
         return CwndGrowthRecord(path_id, scheduler,

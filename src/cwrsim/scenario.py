@@ -11,9 +11,9 @@ from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from .traffic import DataSourceConfig
 from .transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
-# a run builds one throughput bin per BIN_WIDTH_US of its horizon, each as
-# it closes or the rest when throughput() reads them, and throughput.csv
-# holds a row per bin; this caps both, at 10,000 s
+# a run allocates a total and a priority byte counter per BIN_WIDTH_US of
+# its horizon when it is built, and throughput.csv holds a row per bin;
+# this caps both, at 10,000 s
 MAX_THROUGHPUT_BINS = 100_000
 MAX_DURATION_US = MAX_THROUGHPUT_BINS * BIN_WIDTH_US
 

@@ -52,7 +52,6 @@ class Node:
         self.links = links
         self.stream_sched = STREAM_SCHEDULERS[stream_scheduler]()
         self.path_sched = PATH_SCHEDULERS[path_scheduler](path_states, links)
-        self._wake_time = 0
         self._wake_entry: tuple | None = None
         self.metrics = metrics
         self._on_delivery = on_delivery
@@ -190,12 +189,11 @@ class Node:
     def _schedule_gate_wake(self, ready_at: int) -> None:
         # exactly one live wake per node; replace only with an earlier one
         if self._wake_entry is not None:
-            if self.engine.now < self._wake_time <= ready_at:
+            if self.engine.now < self._wake_entry[0] <= ready_at:
                 return
             self.engine.cancel(self._wake_entry)
         self._wake_entry = self.engine.schedule(ready_at, self._on_gate_wake,
                                                 "link_ready")
-        self._wake_time = ready_at
 
     def _on_gate_wake(self) -> None:
         self._wake_entry = None
@@ -289,12 +287,11 @@ class Node:
     def _arm_alarm(self, ps: PathSendState, deadline: int) -> None:
         """Keep the path's one loss alarm at its earliest deadline."""
         if ps.alarm_entry is not None:
-            if ps.alarm_time <= deadline:
+            if ps.alarm_entry[0] <= deadline:
                 return
             self.engine.cancel(ps.alarm_entry)
         ps.alarm_entry = self.engine.schedule(
             deadline, self._on_alarm, "loss_alarm", args=(ps,))
-        ps.alarm_time = deadline
 
     def _on_alarm(self, ps: PathSendState) -> None:
         now = self.engine.now

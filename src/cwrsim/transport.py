@@ -94,8 +94,7 @@ class PathSendState:
     __slots__ = (
         "path_id", "cwnd", "ssthresh", "in_flight", "phase",
         "srtt", "growth_carry", "last_decrease", "ledger", "gap_counts",
-        "oldest", "next_number", "alarm_entry", "alarm_time",
-        "min_alarm_delay",
+        "oldest", "next_number", "alarm_entry", "min_alarm_delay",
         "sent_packets", "lost_packets", "retransmissions", "srtt_sum",
         "srtt_samples",
     )
@@ -116,7 +115,6 @@ class PathSendState:
         self.oldest = 0
         self.next_number = 0
         self.alarm_entry: tuple | None = None
-        self.alarm_time = 0
         # no ledger entry's deadline is closer than this to its send time
         self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN
         self.sent_packets = 0

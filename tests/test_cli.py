@@ -302,6 +302,7 @@ GROWTH_HEADER = "path_id,scheduler,mean_growth_bytes_per_rtt\n"
     '{"config": {"path_scheduler": 5}}',
     '["config"]',
     "{not json",
+    "[" * 200_000,  # nests deeper than json can parse
 ])
 def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
                                                           manifest):
@@ -316,6 +317,7 @@ def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
     GROWTH_HEADER + "1,cwr,fast\n",
     GROWTH_HEADER + "one,cwr,1264.0\n",
     GROWTH_HEADER + "1,cwr\n",
+    GROWTH_HEADER + "1,cwr," + "9" * 131_073 + "\n",  # over csv's field limit
 ])
 def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
     run_dir = fake_run_dir(tmp_path, '{"config": {"path_scheduler": "cwr"}}',

@@ -13,6 +13,7 @@ from cwrsim.metrics import (BIN_WIDTH_US, MIN_GROWTH_WINDOWS, WARMUP_US,
                             MetricsCollector, ccdf, ccdf_at, max_ccdf_gap,
                             write_ccdf_csv, write_growth_csv, write_mct_csv,
                             write_throughput_csv, CwndGrowthRecord)
+from cwrsim.scenario import MAX_DURATION_US, MAX_THROUGHPUT_BINS
 from cwrsim.traffic import MessageRecord
 
 
@@ -309,7 +310,7 @@ def delivery_runs(draw):
 @example((30_000, [(0, 5, False), (29_999, 6, True), (30_000, 7, True)], 1))
 # the bins between two deliveries left empty
 @example((2_000_000, [(20_000, 1, True), (1_980_000, 2, False)], 1))
-def test_rolling_bins_equal_reference_binning(run):
+def test_per_bin_counters_equal_reference_binning(run):
     horizon, deliveries, mid = run
     collector = MetricsCollector(horizon)
     for i, (t, size, pri) in enumerate(deliveries):
@@ -322,6 +323,17 @@ def test_rolling_bins_equal_reference_binning(run):
             for b in collector.throughput()] \
         == reference_bins(horizon, deliveries)
     assert collector.delivered_bytes == sum(d[1] for d in deliveries)
+
+
+def test_longest_horizon_gives_the_bin_cap():
+    collector = MetricsCollector(MAX_DURATION_US)
+    collector.on_delivery(MAX_DURATION_US - 1, 1350, True, 1300)
+    collector.on_delivery(MAX_DURATION_US, 950, True, 900)
+    bins = collector.throughput()
+    assert len(bins) == MAX_THROUGHPUT_BINS
+    assert (bins[-1].bin_start, bins[-1].total_bytes, bins[-1].priority_bytes) \
+        == (MAX_DURATION_US - BIN_WIDTH_US, 1350, 1350)
+    assert sum(b.total_bytes for b in bins) == 1350
 
 
 def test_csv_outputs_have_contract_columns(tmp_path):

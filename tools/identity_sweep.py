@@ -4,14 +4,16 @@
     python tools/identity_sweep.py [REF]      (REF defaults to HEAD)
 
 REF's src/, tests/ and scenarios/ are exported with `git archive` into a
-temporary directory. Both trees then run the same 114 configurations:
+temporary directory. Both trees then run the same 115 configurations:
 
 - tests/test_properties.py's random_config(0..15) under each path scheduler
   and each stream scheduler, at 4 s (96 runs);
 - the three shipped scenarios under each path scheduler, at 10 s (9 runs);
 - tests/test_output_identity.py's priority_only at 30 s and line_rate at 5 s;
 - mixed_config(), defined here, under each path scheduler and each stream
-  scheduler, at 2 s (6 runs), and its paths with background alone (1 run).
+  scheduler, at 2 s (6 runs), its paths with background alone (1 run), and
+  mixed_config() at 2.05 s, whose last 100 ms throughput bin is cut short
+  (1 run).
   random_config draws priority sources only; mixed_config's priority and
   non-priority messages overlap on lossy paths that also lose acks, so
   streams of both classes are reused and completion responses are lost.
@@ -88,6 +90,8 @@ def sweep_configs():
                    with_fields(mixed_config(), path_scheduler=ps,
                                stream_scheduler=ss))
     yield "mixed_config(sources=False)", mixed_config(sources=False)
+    yield ("mixed_config() at 2.05 s",
+           with_fields(mixed_config(), duration_us=2_050_000))
 
 
 def outputs_digest(outdir: Path, warnings: list[str]) -> str:
