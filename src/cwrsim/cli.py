@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,12 +73,15 @@ def _load_growth(outdir: Path) -> list[tuple[int, float]]:
             reader = csv.DictReader(fh)
             try:
                 for row in reader:
-                    rows.append((int(row["path_id"]),
-                                 float(row["mean_growth_bytes_per_rtt"])))
+                    mean = float(row["mean_growth_bytes_per_rtt"])
+                    # simulate writes a finite mean only
+                    if not math.isfinite(mean):
+                        raise ValueError(mean)
+                    rows.append((int(row["path_id"]), mean))
             except (KeyError, TypeError, ValueError):
                 raise UnreadableOutput(
                     f"{growth}: line {reader.line_num}: expected numeric "
-                    "path_id and mean_growth_bytes_per_rtt") from None
+                    "path_id and finite mean_growth_bytes_per_rtt") from None
             except csv.Error as exc:  # such as a field over csv's size limit
                 # DictReader's own line_num lags a line that fails to parse
                 raise UnreadableOutput(

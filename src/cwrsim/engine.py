@@ -25,11 +25,9 @@ class EventQueue:
     pending entry's seq in a set, and the entry is skipped (and its seq
     discarded) when it surfaces; cancelling an entry that has fired or
     surfaced already does nothing. An entry that has surfaced sorts before
-    the heap's head, because the clock never runs back and seqs only grow,
-    unless a later run drained the heap: the clock then stays at the last
-    dispatched time, maybe below a skipped entry's. Every entry scheduled
-    before such a drain has surfaced, so `_drained_seq` keeps the seq count
-    at the last one.
+    the heap's head: it is no later than the clock, which never runs back
+    (a run ends at its t_end, even when it drains the heap), and seqs only
+    grow.
 
     `run_until(t_end)` pushes a stop entry (t_end, inf, None, None) straight
     onto the heap, so it sorts after every event at t_end, including events
@@ -45,7 +43,6 @@ class EventQueue:
         self._heap: list[tuple] = []
         self._seq = 0
         self._cancelled: set[int] = set()
-        self._drained_seq = 0
         self._checker = checker
         self._check_interval = max(1, check_interval)
 
@@ -66,17 +63,17 @@ class EventQueue:
     def cancel(self, entry: tuple) -> None:
         heap = self._heap
         # seqs are unique, so the comparison never reaches fn
-        if heap and entry >= heap[0] and entry[1] >= self._drained_seq:
+        if heap and entry >= heap[0]:
             self._cancelled.add(entry[1])
 
     def run_until(self, t_end: int) -> int:
         """Dispatch every live event with fire_time <= t_end, in order.
 
         Returns the number of events dispatched by this call. The clock ends
-        at t_end if entries remain beyond it, otherwise at the last dispatched
-        time (unchanged if nothing ran). A t_end behind the clock raises
-        InvariantError. If a handler raises, its event counts as dispatched,
-        the queue keeps exactly its pending entries and the error propagates.
+        at t_end, whether or not entries remain beyond it. A t_end behind
+        the clock raises InvariantError. If a handler raises, its event
+        counts as dispatched, the queue keeps exactly its pending entries
+        and the error propagates.
         """
         if t_end < self.now:
             raise InvariantError(f"run_until({t_end}) behind clock {self.now}")
@@ -112,10 +109,7 @@ class EventQueue:
         finally:
             count = base + self._seq - len(heap) - skipped
             self.dispatched += count
-        if heap:
-            self.now = t_end
-        else:
-            self._drained_seq = self._seq
+        self.now = t_end
         checker()
         return count
 

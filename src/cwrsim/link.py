@@ -54,7 +54,6 @@ class OneWayLink:
         self.ack_loss_enabled = cfg.ack_loss_enabled
         self._serialization: dict[int, int] = {}
         self.busy_until = 0
-        self.data_sent = 0
         self.data_dropped = 0
 
     def send(self, size_bytes: int, carries_data: bool, now: int) -> int | None:
@@ -68,8 +67,6 @@ class OneWayLink:
         end = start + wire
         self.busy_until = end
         if carries_data:
-            index = self.data_sent
-            self.data_sent = index + 1
             if self.loss_rate and self._draw() < self.loss_rate:
                 self.data_dropped += 1
                 return None

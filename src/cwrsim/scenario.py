@@ -44,6 +44,16 @@ def _require(obj, names: tuple[str, ...], kind, what: str, key=None) -> None:
                                 key=key or name)
 
 
+def _require_list(obj, name: str, kind) -> None:
+    """Reject a field of obj that is not a list of `kind`."""
+    value = getattr(obj, name)
+    if not isinstance(value, list) \
+            or not all(isinstance(item, kind) for item in value):
+        raise ScenarioError(
+            f"{name} must be a list of {kind.__name__}, got {value!r}",
+            key=name)
+
+
 class ScenarioConfig:
     """Everything one run needs: paths, sources, schedulers, seed, horizon."""
 
@@ -65,6 +75,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Reject what the model cannot represent; every rule lives here."""
+        _require(self, ("stream_scheduler", "path_scheduler"), str, "a string")
+        _require_list(self, "paths", PathConfig)
+        _require_list(self, "sources", DataSourceConfig)
         if not self.paths:
             raise ScenarioError("at least one [path] section is required")
         _require(self, ("seed",), int, "an integer")

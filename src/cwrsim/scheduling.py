@@ -313,10 +313,11 @@ class LowRttScheduler:
             self.gated_wake = wake
         return 0
 
-    def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
-              now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
-        """The first path, lowest RTT first, that admits the frame; a
-        retransmission may use only rtx_path, the path that lost it."""
+    def admit(self, stream: SendStream, frame: Frame, now: int,
+              rtx_path: int | None = None) -> tuple[PathSendState, ...]:
+        """The first path, lowest RTT first, that admits the frame. A
+        retransmission names rtx_path, the path that lost it, and may use
+        only that one."""
         size = frame.length + HEADER_BYTES
         self.gated_wake = None
         reserved = None if frame.priority else self.ledger._active_bytes
@@ -326,7 +327,7 @@ class LowRttScheduler:
             room = path.cwnd - path.in_flight
             if reserved is not None:
                 room -= reserved[path.path_id]
-            if room >= size and (frame.priority or is_rtx
+            if room >= size and (frame.priority or rtx_path is not None
                                  or self.gate_room(path.path_id, now) > 0):
                 return (path,)
         return ()
@@ -377,9 +378,9 @@ class RedundantScheduler(ReservationScheduler):
     def reservation_paths(self) -> list[PathSendState]:
         return paths_by_rtt(self.paths)
 
-    def admit(self, stream: SendStream, frame: Frame, is_rtx: bool,
-              now: int, rtx_path: int | None = None) -> tuple[PathSendState, ...]:
-        if frame.priority and not is_rtx:
+    def admit(self, stream: SendStream, frame: Frame, now: int,
+              rtx_path: int | None = None) -> tuple[PathSendState, ...]:
+        if frame.priority and rtx_path is None:
             if stream.dup_mode is None:
                 remaining = stream.remaining_message_bytes()
                 stream.dup_mode = "all" if all(
@@ -393,7 +394,7 @@ class RedundantScheduler(ReservationScheduler):
                         break
                 else:
                     return tuple(paths_by_rtt(self.paths))
-        targets = super().admit(stream, frame, is_rtx, now, rtx_path)
+        targets = super().admit(stream, frame, now, rtx_path)
         if targets and frame.priority:
             self.refrain_count += 1
         return targets

@@ -15,9 +15,9 @@ from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
 from .scheduling import (PATH_SCHEDULERS, STREAM_SCHEDULERS, SendStream,
                          paths_by_rtt)
 from .traffic import TrafficManager
-from .transport import (ACK_PACKET_BYTES, CONGESTION_AVOIDANCE, Frame,
-                        HEADER_BYTES, MAX_PACKET_BYTES, PathSendState,
-                        ReceivedOffsets, StreamReassembly)
+from .transport import (ACK_PACKET_BYTES, Frame, HEADER_BYTES,
+                        MAX_PACKET_BYTES, PathSendState, ReceivedOffsets,
+                        StreamReassembly)
 
 
 class Node:
@@ -114,7 +114,6 @@ class Node:
                 owed = stream.next_rtx() if stream.rtx else None
                 if owed is not None:
                     frame, rtx_path = owed
-                    is_rtx = True
                 elif stream is bg:
                     # one full-size first transmission: admit's verdict, by
                     # background_room, on each path lowest RTT first
@@ -131,11 +130,11 @@ class Node:
                     break
                 elif stream.pending:
                     frame = stream.peek_pending()
-                    is_rtx = False
                     rtx_path = None
                 else:
                     continue
-                targets = sched.admit(stream, frame, is_rtx, now, rtx_path)
+                targets = sched.admit(stream, frame, now, rtx_path)
+                is_rtx = rtx_path is not None
                 if not targets:
                     self._blocked(now, stream, is_rtx)
                     continue
@@ -251,7 +250,7 @@ class Node:
                     and now >= self._next_cwnd_sample[path_id]:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
                 self.metrics.on_cwnd(path_id, now, ps.cwnd,
-                                     ps.phase == CONGESTION_AVOIDANCE)
+                                     ps.cwnd >= ps.ssthresh)
         for num in gaps:
             self._declare_loss(ps, num, now)
         if gaps or self.urgent:
@@ -275,7 +274,7 @@ class Node:
             if decreased:
                 self.metrics.on_decrease(ps.path_id, now)
             self.metrics.on_cwnd(ps.path_id, now, ps.cwnd,
-                                 ps.phase == CONGESTION_AVOIDANCE)
+                                 ps.cwnd >= ps.ssthresh)
         self.path_sched.ledger.drop_path(ps.path_id)
         frame = entry[2]
         if frame.__class__ is int:  # a background first transmission
@@ -442,7 +441,7 @@ class RunResult:
             ps = sim.server.path_states[pcfg.path_id]
             link = sim.server.links[pcfg.path_id]
             paths[str(pcfg.path_id)] = {
-                "data_packets_sent": link.data_sent,
+                "data_packets_sent": ps.sent_packets,
                 "data_packets_dropped": link.data_dropped,
                 "losses_declared": ps.lost_packets,
                 "retransmissions": ps.retransmissions,

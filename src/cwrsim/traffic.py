@@ -41,22 +41,18 @@ class MessageRecord:
                  "completing_path", "completed_by_duplicate", "app_acked_at")
 
     def __init__(self, message_id: int, source_id: int, generated_at: int,
-                 priority: bool, stream_id: int | None = None,
-                 completed_at: int | None = None, loss_involved: bool = False,
-                 duplicated: bool = False, completing_path: int | None = None,
-                 completed_by_duplicate: bool = False,
-                 app_acked_at: int | None = None):
+                 priority: bool):
         self.message_id = message_id
         self.source_id = source_id
         self.generated_at = generated_at
         self.priority = priority
-        self.stream_id = stream_id
-        self.completed_at = completed_at
-        self.loss_involved = loss_involved
-        self.duplicated = duplicated
-        self.completing_path = completing_path
-        self.completed_by_duplicate = completed_by_duplicate
-        self.app_acked_at = app_acked_at
+        self.stream_id: int | None = None
+        self.completed_at: int | None = None
+        self.loss_involved = False
+        self.duplicated = False
+        self.completing_path: int | None = None
+        self.completed_by_duplicate = False
+        self.app_acked_at: int | None = None
 
     @property
     def mct(self) -> int | None:

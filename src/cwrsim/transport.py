@@ -20,9 +20,6 @@ LOSS_ALARM_DEN = 8
 # A packet is also declared lost once this many higher numbers are acked.
 GAP_LOSS_THRESHOLD = 3
 
-SLOW_START = "slow_start"
-CONGESTION_AVOIDANCE = "congestion_avoidance"
-
 _NO_GAPS: list[int] = []
 
 
@@ -83,18 +80,20 @@ def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
 class PathSendState:
     """Per-path congestion control and sent-packet ledger for one sender.
 
-    Slow start adds every acked byte to cwnd until ssthresh; congestion
+    The path is in slow start exactly while cwnd < ssthresh, as in RFC 9002
+    Appendix B: slow start adds every acked byte to cwnd; congestion
     avoidance adds one max packet per cwnd of acked bytes, with the
     fractional remainder carried exactly between acks. A loss halves cwnd
-    (floor 2 packets) at most once per RTT round. srtt is the configured
-    RTT until the first sample replaces it; each later sample moves it by
-    a 7/8 EWMA.
+    (floor 2 packets) at most once per RTT round and sets ssthresh to the
+    new cwnd. Packets are numbered from 0 in send order, so the next number
+    is sent_packets. srtt is the configured RTT until the first sample
+    replaces it; each later sample moves it by a 7/8 EWMA.
     """
 
     __slots__ = (
-        "path_id", "cwnd", "ssthresh", "in_flight", "phase",
+        "path_id", "cwnd", "ssthresh", "in_flight",
         "srtt", "growth_carry", "last_decrease", "ledger", "gap_counts",
-        "oldest", "next_number", "alarm_entry", "min_alarm_delay",
+        "oldest", "alarm_entry", "min_alarm_delay",
         "sent_packets", "lost_packets", "retransmissions", "srtt_sum",
         "srtt_samples",
     )
@@ -104,7 +103,6 @@ class PathSendState:
         self.cwnd = INITIAL_CWND
         self.ssthresh = INITIAL_SSTHRESH
         self.in_flight = 0
-        self.phase = SLOW_START
         self.srtt = nominal_rtt
         self.growth_carry = 0
         self.last_decrease: int | None = None
@@ -113,7 +111,6 @@ class PathSendState:
         # no outstanding number is below this: numbers enter the ledger in
         # increasing order and never return to it
         self.oldest = 0
-        self.next_number = 0
         self.alarm_entry: tuple | None = None
         # no ledger entry's deadline is closer than this to its send time
         self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN
@@ -133,15 +130,14 @@ class PathSendState:
                 f"path {self.path_id}: send of {size} B exceeds free cwnd "
                 f"({self.cwnd} - {self.in_flight})"
             )
-        number = self.next_number
-        self.next_number = number + 1
+        number = self.sent_packets
         delay = LOSS_ALARM_NUM * self.srtt // LOSS_ALARM_DEN
         if delay < self.min_alarm_delay:
             self.min_alarm_delay = delay
         entry = (number, size, payload, now, now + delay)
         self.ledger[number] = entry
         self.in_flight += size
-        self.sent_packets += 1
+        self.sent_packets = number + 1
         if is_rtx:
             self.retransmissions += 1
         return entry
@@ -160,10 +156,8 @@ class PathSendState:
                      else (7 * self.srtt + sample) // 8)
         self.srtt_sum += sample
         self.srtt_samples += 1
-        if self.phase == SLOW_START:
+        if self.cwnd < self.ssthresh:
             self.cwnd += size
-            if self.cwnd >= self.ssthresh:
-                self.phase = CONGESTION_AVOIDANCE
         else:
             total = MAX_PACKET_BYTES * size + self.growth_carry
             inc, self.growth_carry = divmod(total, self.cwnd)
@@ -226,7 +220,6 @@ class PathSendState:
                 or now - self.last_decrease >= self.srtt):
             self.ssthresh = max(self.cwnd // 2, MIN_CWND)
             self.cwnd = self.ssthresh
-            self.phase = CONGESTION_AVOIDANCE
             self.last_decrease = now
             decreased = True
         return entry, decreased
@@ -270,16 +263,16 @@ class ReceivedOffsets:
 
 class StreamReassembly:
     """Receiver-side state for one message stream: its current message's
-    received offsets and completion."""
+    received offsets and, once its fin has arrived, its length `total`. The
+    message is whole exactly when the received floor reaches `total`."""
 
-    __slots__ = ("stream_id", "epoch", "received", "total", "completed")
+    __slots__ = ("stream_id", "epoch", "received", "total")
 
     def __init__(self, stream_id: int):
         self.stream_id = stream_id
         self.epoch = 0
         self.received = ReceivedOffsets()
         self.total: int | None = None
-        self.completed = False
 
     def accept(self, frame: Frame) -> tuple[int, bool]:
         """Place a frame; returns (new_bytes, completed_now).
@@ -287,10 +280,11 @@ class StreamReassembly:
         new_bytes is 0 for a second copy of an offset and for any frame of
         an already finished message.
         """
-        if frame.epoch < self.epoch or (frame.epoch == self.epoch and self.completed):
+        whole = self.received.floor == self.total
+        if frame.epoch < self.epoch or (frame.epoch == self.epoch and whole):
             return 0, False
         if frame.epoch > self.epoch:
-            if frame.epoch != self.epoch + 1 or not self.completed:
+            if frame.epoch != self.epoch + 1 or not whole:
                 raise InvariantError(
                     f"stream {self.stream_id}: message {frame.epoch} arrived "
                     f"while message {self.epoch} is incomplete"
@@ -298,9 +292,7 @@ class StreamReassembly:
             self.epoch = frame.epoch
             self.received = ReceivedOffsets()
             self.total = None
-            self.completed = False
         new_bytes = self.received.add(frame.offset, frame.length)
         if frame.fin:
             self.total = frame.offset + frame.length
-        self.completed = self.received.floor == self.total
-        return new_bytes, self.completed
+        return new_bytes, self.received.floor == self.total

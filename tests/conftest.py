@@ -4,18 +4,23 @@ from __future__ import annotations
 
 def drop_data_packets(link, indices) -> None:
     """Make `link` drop the data packets with these 0-based indices, by
-    wrapping its `send`. The wrapped send still runs first, so the
-    serializer and the loss draw advance exactly as without the wrapper,
-    and a forced drop is counted in `data_dropped` like a random one."""
+    wrapping its `send`, which counts the data packets it takes. The
+    wrapped send still runs first, so the serializer and the loss draw
+    advance exactly as without the wrapper, and a forced drop is counted
+    in `data_dropped` like a random one."""
     send = link.send
     forced = frozenset(indices)
+    data_sent = 0
 
     def forced_send(size_bytes, carries_data, now):
-        index = link.data_sent
+        nonlocal data_sent
         arrival = send(size_bytes, carries_data, now)
-        if carries_data and index in forced and arrival is not None:
-            link.data_dropped += 1
-            return None
+        if carries_data:
+            index = data_sent
+            data_sent += 1
+            if index in forced and arrival is not None:
+                link.data_dropped += 1
+                return None
         return arrival
 
     link.send = forced_send

@@ -318,6 +318,9 @@ def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
     GROWTH_HEADER + "one,cwr,1264.0\n",
     GROWTH_HEADER + "1,cwr\n",
     GROWTH_HEADER + "1,cwr," + "9" * 131_073 + "\n",  # over csv's field limit
+    GROWTH_HEADER + "1,cwr,nan\n",
+    GROWTH_HEADER + "1,cwr,inf\n",
+    GROWTH_HEADER + "1,cwr,-inf\n",
 ])
 def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
     run_dir = fake_run_dir(tmp_path, '{"config": {"path_scheduler": "cwr"}}',

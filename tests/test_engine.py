@@ -53,7 +53,7 @@ def test_scheduling_in_the_past_is_fatal():
 def test_run_until_empty_queue():
     q = EventQueue(checker=no_check)
     assert q.run_until(10_000_000) == 0
-    assert q.now == 0
+    assert q.now == 10_000_000
 
 
 def test_run_until_boundary_inclusive_and_count():
@@ -64,11 +64,11 @@ def test_run_until_boundary_inclusive_and_count():
     assert q.now == 2_000_000
 
 
-def test_clock_stays_at_last_event_when_queue_drains():
+def test_clock_ends_at_t_end_when_queue_drains():
     q = EventQueue(checker=no_check)
     q.schedule(1_500, lambda: None)
     q.run_until(9_999)
-    assert q.now == 1_500
+    assert q.now == 9_999
 
 
 def test_events_scheduled_during_dispatch_run_in_same_window():
@@ -206,8 +206,7 @@ class ModelQueue:
                     self.checker()
         finally:
             self.dispatched += count
-        if self.pending:
-            self.now = t_end
+        self.now = t_end
         self.checker()
         return count
 
@@ -292,8 +291,8 @@ programs = st.lists(st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(programs, handler_actions, st.integers(min_value=1, max_value=4))
-# a cancelled entry at the horizon surfaces, the run drains and leaves the
-# clock below it, and a later cancel of it must still find it gone
+# a cancelled entry at the horizon surfaces and the run drains; a later
+# cancel of it must still find it gone
 @example(program=[("schedule", 0), ("run", 1), ("schedule", 0),
                   ("schedule", 0)],
          actions=[(["end"], 1, False)], check_interval=1)

@@ -80,6 +80,33 @@ def test_lossless_link_send_drops_exactly_the_forced_indices(forced):
     assert link.data_dropped == len(forced)
 
 
+def test_forced_drops_leave_every_other_packet_as_its_unwrapped_twin_sends_it():
+    # both links draw losses from the same RngStream; one packet in three is
+    # an ack, which a forced index never counts
+    forced = {0, 2, 5, 9, 14}
+    twin = make_link(loss_rate=0.3)
+    link = forced_link(forced, loss_rate=0.3)
+    data_index = 0
+    forced_drops = 0
+    for i in range(45):
+        carries_data = i % 3 != 2
+        size = 1350 if carries_data else 50
+        now = 97 * i
+        expected = twin.send(size, carries_data, now)
+        arrival = link.send(size, carries_data, now)
+        if carries_data and data_index in forced:
+            assert arrival is None
+            forced_drops += expected is not None
+        else:
+            assert arrival == expected
+        if not carries_data:
+            assert arrival is not None
+        assert link.busy_until == twin.busy_until
+        data_index += carries_data
+    assert data_index == 30 and forced_drops > 0
+    assert link.data_dropped == twin.data_dropped + forced_drops
+
+
 def test_loss_draw_edge_rates():
     # a drop is one draw of the link's stream against loss_rate
     lossless = make_link(loss_rate=0.0)

@@ -337,9 +337,10 @@ def test_longest_horizon_gives_the_bin_cap():
 
 
 def test_csv_outputs_have_contract_columns(tmp_path):
-    messages = [MessageRecord(1, 1, 200_000, True, stream_id=1,
-                              completed_at=225_900, loss_involved=False,
-                              duplicated=True)]
+    record = MessageRecord(1, 1, 200_000, True)
+    record.completed_at = 225_900
+    record.duplicated = True
+    messages = [record]
     write_mct_csv(tmp_path / "mct.csv", messages)
     write_ccdf_csv(tmp_path / "ccdf.csv", ccdf([25_900]))
     write_throughput_csv(tmp_path / "throughput.csv",

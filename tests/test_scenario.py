@@ -319,9 +319,17 @@ def _config(**fields):
     lambda: _config(paths=[PathConfig(1, 25_000, ack_loss_enabled=1)]),
     lambda: _config(sources=[DataSourceConfig(1, 100_000, 1000,
                                               priority="no")]),
+    lambda: _config(stream_scheduler=[]),
+    lambda: _config(path_scheduler={}),
+    lambda: _config(paths=5),
+    lambda: _config(sources=5),
+    lambda: _config(paths=["x"]),
+    lambda: _config(sources=[None]),
 ], ids=["float duration", "float seed", "float inter-arrival", "float owd",
         "bool rate", "loss_rate 2", "str loss_rate", "duplicate source_id",
-        "str background", "int ack_loss_enabled", "str priority"])
+        "str background", "int ack_loss_enabled", "str priority",
+        "list stream_scheduler", "dict path_scheduler", "int paths",
+        "int sources", "str path", "None source"])
 def test_bad_programmatic_field_is_a_scenario_error(make):
     with pytest.raises(ScenarioError):
         make().validate()

@@ -56,7 +56,7 @@ def drain(scheduler, stream, now=0):
     sent = []
     while stream.pending:
         frame = stream.peek_pending()
-        targets = scheduler.admit(stream, frame, False, now)
+        targets = scheduler.admit(stream, frame, now)
         if not targets:
             break
         stream.pop_pending()
@@ -641,7 +641,7 @@ def ledger_states(draw):
 def test_admitted_background_keeps_reservations_whole_when_due(state):
     sched, p, frame = state
     bg = SendStream(0, False, background=True, urgent=set())
-    if sched.admit(bg, frame, False, NOW):
+    if sched.admit(bg, frame, NOW):
         assert not full_scan_at_risk(sched.ledger, p,
                                      frame.length + HEADER_BYTES, NOW)
     k = sched.background_room(p, NOW)
@@ -690,11 +690,11 @@ def test_admit_gates_every_non_priority_first_transmission():
     for stream, frame in ((message, message.peek_pending()),
                           (app_ack, app_ack.peek_pending()),
                           (background, background.background_frame(0))):
-        assert sched.admit(stream, frame, False, now) == ()
+        assert sched.admit(stream, frame, now) == ()
         assert sched.gated_wake == link.busy_until - drain + 1
     urgent = stream_with(1300)
-    assert sched.admit(urgent, urgent.peek_pending(), False, now) == (ps,)
-    assert sched.admit(message, message.peek_pending(), True, now,
+    assert sched.admit(urgent, urgent.peek_pending(), now) == (ps,)
+    assert sched.admit(message, message.peek_pending(), now,
                        rtx_path=1) == (ps,)
 
 
@@ -751,27 +751,27 @@ def test_gate_room_counts_the_sends_the_gate_accepts(rate, slots, jitter):
 def test_lowrtt_picks_lowest_srtt():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("lowrtt", [p1, p2])
-    assert sched.admit(None, bg_frame(), False, 0) == (p1,)
+    assert sched.admit(None, bg_frame(), 0) == (p1,)
 
 
 def test_lowrtt_falls_back_when_best_is_full():
     p1, p2 = path(1, srtt=50_000, cwnd=2_700), path(2, srtt=100_000)
     p1.in_flight = 2_700
     sched = scheduler("lowrtt", [p1, p2])
-    assert sched.admit(None, bg_frame(), False, 0) == (p2,)
+    assert sched.admit(None, bg_frame(), 0) == (p2,)
 
 
 def test_lowrtt_blocked_when_all_full():
     p1, p2 = path(1, cwnd=2_700), path(2, cwnd=2_700)
     p1.in_flight = p2.in_flight = 2_700
     sched = scheduler("lowrtt", [p1, p2])
-    assert sched.admit(None, bg_frame(), False, 0) == ()
+    assert sched.admit(None, bg_frame(), 0) == ()
 
 
 def test_lowrtt_tie_breaks_by_path_id():
     p2, p1 = path(2, srtt=50_000), path(1, srtt=50_000)
     sched = scheduler("lowrtt", [p2, p1])
-    assert sched.admit(None, bg_frame(), False, 0) == (p1,)
+    assert sched.admit(None, bg_frame(), 0) == (p1,)
 
 
 def test_cwr_window_reservation_walkthrough():
@@ -801,16 +801,16 @@ def test_cwr_priority_uses_raw_free_window():
     sched.register_reservation(1, 10_800, due_time=50_000)
     # 11 000 - 10 800 = 200 blocks background; priority checks raw free window
     bg = SendStream(0, False, True, urgent=set())
-    assert sched.admit(bg, bg_frame(), False, 0) == ()
+    assert sched.admit(bg, bg_frame(), 0) == ()
     msg = stream_with(1300)
-    assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1,)
+    assert sched.admit(msg, msg.peek_pending(), 0) == (p1,)
 
 
 def test_cwr_without_reservations_behaves_like_lowrtt():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("cwr", [p1, p2])
     bg = SendStream(0, False, True, urgent=set())
-    assert sched.admit(bg, bg_frame(), False, 0) == (p1,)
+    assert sched.admit(bg, bg_frame(), 0) == (p1,)
 
 
 def test_cwr_priority_falls_back_across_paths():
@@ -818,7 +818,7 @@ def test_cwr_priority_falls_back_across_paths():
     p1.in_flight = 2_700
     sched = scheduler("cwr", [p1, p2])
     msg = stream_with(1300)
-    assert sched.admit(msg, msg.peek_pending(), False, 0) == (p2,)
+    assert sched.admit(msg, msg.peek_pending(), 0) == (p2,)
 
 
 def test_cwr_red_duplicates_on_all_paths_when_room_everywhere():
@@ -871,7 +871,8 @@ def test_cwr_red_never_duplicates_retransmissions():
     p1, p2 = path(1, srtt=50_000, cwnd=27_000), path(2, srtt=100_000, cwnd=27_000)
     sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(1300)
-    assert sched.admit(msg, pri_frame(), True, 0) == (p1,)
+    assert sched.admit(msg, pri_frame(), 0, rtx_path=1) == (p1,)
+    assert sched.admit(msg, pri_frame(), 0, rtx_path=2) == (p2,)
 
 
 def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
@@ -881,10 +882,10 @@ def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
                   path(3, srtt=150_000))
     sched = scheduler("cwr_red", [p1, p2, p3])
     msg = stream_with(2_600, message_id=3)
-    assert sched.admit(msg, msg.pop_pending(), False, 0) == (p1, p2, p3)
+    assert sched.admit(msg, msg.pop_pending(), 0) == (p1, p2, p3)
     assert msg.dup_mode == "all"
     p1.in_flight = p1.cwnd
-    assert sched.admit(msg, msg.peek_pending(), False, 0) == (p2,)
+    assert sched.admit(msg, msg.peek_pending(), 0) == (p2,)
     assert sched.refrain_count == 1
 
 
@@ -892,11 +893,11 @@ def test_cwr_red_short_packet_waits_when_no_path_fits():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("cwr_red", [p1, p2])
     msg = stream_with(2_600, message_id=3)
-    assert sched.admit(msg, msg.peek_pending(), False, 0) == (p1, p2)
+    assert sched.admit(msg, msg.peek_pending(), 0) == (p1, p2)
     assert msg.dup_mode == "all"
     p1.in_flight = p1.cwnd
     p2.in_flight = p2.cwnd
-    assert sched.admit(msg, msg.peek_pending(), False, 0) == ()
+    assert sched.admit(msg, msg.peek_pending(), 0) == ()
     assert sched.refrain_count == 0
 
 
@@ -911,7 +912,7 @@ def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
     sent = []
     for stream in (a, b, a, b, a):
         frame = stream.peek_pending()
-        targets = sched.admit(stream, frame, False, 0)
+        targets = sched.admit(stream, frame, 0)
         stream.pop_pending()
         for ps in targets:
             ps.register_sent(frame.length + HEADER_BYTES, frame, 0)
@@ -929,7 +930,7 @@ def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     assert live_rows(sched.ledger, 2) == [(1, 2, 10_800, 50_000)]
     bg = SendStream(0, False, True, urgent=set())
     # 13 500 - 10 800 = 2 700 leaves room for 2 background packets per path
-    assert sched.admit(bg, bg_frame(), False, 0) == (p1,)
+    assert sched.admit(bg, bg_frame(), 0) == (p1,)
 
 
 def test_path_scheduler_names():

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.engine import InvariantError
 from cwrsim.scheduling import paths_by_rtt
-from cwrsim.transport import (CONGESTION_AVOIDANCE, Frame, GAP_LOSS_THRESHOLD,
-                              HEADER_BYTES, LOSS_ALARM_DEN, LOSS_ALARM_NUM,
+from cwrsim.transport import (Frame, GAP_LOSS_THRESHOLD, HEADER_BYTES,
+                              LOSS_ALARM_DEN, LOSS_ALARM_NUM,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState,
-                              SLOW_START, StreamReassembly, packetize)
+                              StreamReassembly, packetize)
 
 
 def fresh_path(path_id=1, rtt=50_000):
@@ -111,20 +111,23 @@ def test_slow_start_grows_by_acked_bytes():
     number, *_ = send_one(ps)
     ps.ack_packet(number, 50_000)
     assert ps.cwnd == 4_050
-    assert ps.phase == SLOW_START
+    assert ps.cwnd < ps.ssthresh
 
 
 def test_slow_start_exits_at_ssthresh():
     ps = fresh_path()
     ps.cwnd, ps.ssthresh = 13_000, 13_500
-    number, *_ = send_one(ps)
-    ps.ack_packet(number, 50_000)
-    assert ps.phase == CONGESTION_AVOIDANCE
+    (n1, *_), (n2, *_) = send_one(ps), send_one(ps)
+    ps.ack_packet(n1, 50_000)
+    assert ps.cwnd == 14_350 and ps.cwnd >= ps.ssthresh
+    # the next ack grows cwnd by congestion avoidance's rule
+    ps.ack_packet(n2, 50_100)
+    assert ps.cwnd == 14_350 + 1350 * 1350 // 14_350
 
 
 def test_ca_growth_exact_example():
     ps = fresh_path()
-    ps.cwnd, ps.phase = 13_500, CONGESTION_AVOIDANCE
+    ps.cwnd = ps.ssthresh = 13_500
     number, *_ = send_one(ps, length=1300)
     ps.ack_packet(number, 50_000)
     # 1350 * 1350 / 13500 = 135 exactly, no remainder
@@ -134,7 +137,7 @@ def test_ca_growth_exact_example():
 
 def test_ca_growth_carries_remainder_exactly():
     ps = fresh_path()
-    ps.cwnd, ps.phase = 13_500, CONGESTION_AVOIDANCE
+    ps.cwnd = ps.ssthresh = 13_500
     n1, *_ = send_one(ps)
     n2, *_ = send_one(ps)
     ps.ack_packet(n1, 50_000)
@@ -150,7 +153,7 @@ def test_ca_growth_full_load_approaches_one_packet_per_window():
     # max packet (the divisor itself grows along the way), with no
     # systematic rounding loss
     ps = fresh_path()
-    ps.cwnd, ps.phase = 135_000, CONGESTION_AVOIDANCE
+    ps.cwnd = ps.ssthresh = 135_000
     start = ps.cwnd
     acked = 0
     while acked < start:
@@ -183,7 +186,7 @@ def test_duplicate_ack_ignored():
 
 def test_loss_halves_cwnd_with_floor():
     ps = fresh_path()
-    ps.cwnd, ps.phase = 20_000, CONGESTION_AVOIDANCE
+    ps.cwnd = ps.ssthresh = 20_000
     number, *_ = send_one(ps)
     _, decreased = ps.declare_lost(number, 100_000)
     assert decreased and ps.cwnd == 10_000 and ps.ssthresh == 10_000
@@ -197,7 +200,8 @@ def test_loss_halves_cwnd_with_floor():
 
 def test_single_decrease_per_rtt_round():
     ps = fresh_path()
-    ps.cwnd, ps.phase, ps.srtt = 40_000, CONGESTION_AVOIDANCE, 50_000
+    ps.cwnd = ps.ssthresh = 40_000
+    ps.srtt = 50_000
     (n1, *_), (n2, *_) = send_one(ps), send_one(ps)
     ps.declare_lost(n1, 100_000)
     assert ps.cwnd == 20_000
