@@ -18,9 +18,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
-SCHEDULER_RANK = {name: rank for rank, name in enumerate(PATH_SCHEDULERS)}
-
-
 class UnreadableOutput(ValueError):
     """A file under a compare directory that is not what simulate writes."""
 
@@ -99,9 +96,12 @@ def _scheduler_of(outdir: Path) -> str:
             except (KeyError, TypeError, ValueError, RecursionError):
                 # RecursionError: json nests too deep to parse
                 scheduler = None
-            if not isinstance(scheduler, str):
-                raise UnreadableOutput(f"{manifest}: expected JSON with a "
-                                       "config.path_scheduler string")
+            # isinstance first: a list or dict cannot be looked up
+            if not isinstance(scheduler, str) \
+                    or scheduler not in PATH_SCHEDULERS:
+                raise UnreadableOutput(
+                    f"{manifest}: expected JSON with a config.path_scheduler "
+                    f"of {', '.join(PATH_SCHEDULERS)}")
             return scheduler
     raise UnreadableOutput(f"{outdir}: no manifest.json found")
 
@@ -125,7 +125,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     print("mean congestion-window growth per RTT (bytes)")
     means: dict[str, dict[int, float]] = {}
-    for scheduler in sorted(by_scheduler, key=lambda s: SCHEDULER_RANK.get(s, 99)):
+    for scheduler in PATH_SCHEDULERS:
+        if scheduler not in by_scheduler:
+            continue
         means[scheduler] = {}
         for path_id in sorted(by_scheduler[scheduler]):
             values = by_scheduler[scheduler][path_id]
@@ -134,17 +136,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"  {scheduler:8s} path {path_id}: {mean:8.1f}  "
                   f"({len(values)} run(s))")
 
-    ranked = [s for s in PATH_SCHEDULERS if s in means]
+    ranked = list(means)
     if len(ranked) >= 2:
-        holds = True
+        verdict = "holds"
         path_ids = sorted(set.intersection(
             *(set(means[s]) for s in ranked)))
+        if not path_ids:
+            verdict = "no path has a growth figure under every scheduler"
         for path_id in path_ids:
             series = [means[s][path_id] for s in ranked]
             if any(a < b for a, b in zip(series, series[1:])):
-                holds = False
-        print(f"growth ordering ({' >= '.join(ranked)} per path): "
-              f"{'holds' if holds else 'violated'}")
+                verdict = "violated"
+        print(f"growth ordering ({' >= '.join(ranked)} per path): {verdict}")
     return EXIT_OK
 
 

@@ -6,6 +6,8 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Sequence
 
+from .transport import PathSendState
+
 WARMUP_US = 1_000_000
 BIN_WIDTH_US = 100_000
 MIN_GROWTH_WINDOWS = 20
@@ -196,12 +198,12 @@ class MetricsCollector:
             if priority:
                 self._priority[i] += size
 
-    def on_cwnd(self, path_id: int, when: int, cwnd: int,
-                in_ca: bool) -> None:
-        self.cwnd_samples[path_id].sample(when, cwnd, in_ca)
-
-    def on_decrease(self, path_id: int, when: int) -> None:
-        self.cwnd_samples[path_id].decreases.append(when)
+    def on_cwnd(self, ps: PathSendState, when: int, decreased: bool) -> None:
+        """Sample ps's window at `when`, first noting a decrease just made."""
+        recorder = self.cwnd_samples[ps.path_id]
+        if decreased:
+            recorder.decreases.append(when)
+        recorder.sample(when, ps.cwnd, ps.cwnd >= ps.ssthresh)
 
     def throughput(self) -> list[ThroughputBin]:
         """Every bin of the horizon as delivered so far."""

@@ -104,12 +104,8 @@ class SendStream:
 
     def on_acked(self, frame: Frame) -> None:
         """A copy of one of this stream's message frames was acked."""
-        if frame.epoch != self.epoch:
-            return
-        self.delivered.add(frame.offset)
-        if frame.app_ack:
-            # a completion response is one frame: its ack finishes it
-            self.message_done()
+        if frame.epoch == self.epoch:
+            self.delivered.add(frame.offset)
 
     def on_lost(self, frame: Frame, now: int, path_id: int) -> None:
         """A copy was declared lost on path_id; queue it again for that

@@ -23,15 +23,19 @@ from .transport import (ACK_PACKET_BYTES, Frame, HEADER_BYTES,
 class Node:
     """One connection endpoint: send streams, per-path congestion state, receiver.
 
-    A node only carries the messages loaded onto its streams; which stream
-    a message takes, and the completion response, belong to the traffic
-    manager, which `on_message_complete(frame, now, path_id, by_duplicate)`
-    calls once per message this node receives whole. Every data packet
-    leaves through `_transmit` and every ack through `_send_ack`.
-    `metrics`, when set, receives this node's cwnd trace. `on_delivery`,
-    when set, is called at every data packet received,
-    on_delivery(now, size, priority, new_bytes). `trace`, when set, is
-    called in `_transmit`, so once per data packet sent,
+    A node carries the messages loaded onto its streams and reports each
+    event to the module that owns its meaning. The traffic manager decides
+    streams and message outcomes. On both nodes it sets
+    `on_message_complete(frame, now, path_id, by_duplicate)`, called once
+    per message this node receives whole, `on_frame_lost(frame)`, at every
+    copy declared lost, and `on_duplicated(frame)`, at every frame sent on
+    several paths; the node reads `app_ack` only to label arrival events.
+    Every data packet leaves through `_transmit` and every ack through
+    `_send_ack`. `metrics`, when set, takes this node's cwnd samples,
+    on_cwnd(ps, now, decreased). `on_delivery`, when set, is called at
+    every data packet received, on_delivery(now, size, priority,
+    new_bytes). `trace`, when set, is called in `_transmit`, so once per
+    data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx)
     (a background first transmission's Frame is built for the record only),
     and at every blocked send decision (each one counted in blocked_count),
@@ -68,8 +72,8 @@ class Node:
         self.blocked_count = 0
         self.trace = trace
         self.on_message_complete: Callable[[Frame, int, int, bool], None] | None = None
-        self.on_frame_lost: Callable[[int | None], None] | None = None
-        self.on_duplicated: Callable[[int], None] | None = None
+        self.on_frame_lost: Callable[[Frame], None] | None = None
+        self.on_duplicated: Callable[[Frame], None] | None = None
 
     def set_peer(self, peer: "Node") -> None:
         self._peer_receive = peer.receive_data
@@ -142,8 +146,8 @@ class Node:
                     stream.pop_rtx()
                 else:
                     stream.pop_pending()
-                if len(targets) > 1 and not frame.app_ack:
-                    self.on_duplicated(frame.message_id)
+                if len(targets) > 1:
+                    self.on_duplicated(frame)
                 for i, ps in enumerate(targets):
                     self._transmit(ps, frame, now, is_rtx, i > 0)
                 self.stream_sched.note_sent(stream)
@@ -249,8 +253,7 @@ class Node:
             if self.metrics is not None \
                     and now >= self._next_cwnd_sample[path_id]:
                 self._next_cwnd_sample[path_id] = now + CWND_SAMPLE_INTERVAL_US
-                self.metrics.on_cwnd(path_id, now, ps.cwnd,
-                                     ps.cwnd >= ps.ssthresh)
+                self.metrics.on_cwnd(ps, now, False)
         for num in gaps:
             self._declare_loss(ps, num, now)
         if gaps or self.urgent:
@@ -271,16 +274,12 @@ class Node:
     def _declare_loss(self, ps: PathSendState, number: int, now: int) -> None:
         entry, decreased = ps.declare_lost(number, now)
         if self.metrics is not None:
-            if decreased:
-                self.metrics.on_decrease(ps.path_id, now)
-            self.metrics.on_cwnd(ps.path_id, now, ps.cwnd,
-                                 ps.cwnd >= ps.ssthresh)
+            self.metrics.on_cwnd(ps, now, decreased)
         self.path_sched.ledger.drop_path(ps.path_id)
         frame = entry[2]
         if frame.__class__ is int:  # a background first transmission
             frame = self._bg_stream.background_frame(frame)
-        if self.on_frame_lost is not None:
-            self.on_frame_lost(frame.message_id)
+        self.on_frame_lost(frame)
         self.streams[frame.stream_id].on_lost(frame, now, ps.path_id)
 
     def _arm_alarm(self, ps: PathSendState, deadline: int) -> None:
@@ -375,8 +374,9 @@ class Simulation:
         self.traffic = TrafficManager(config.sources, self.server, self.client,
                                       self.engine, config.duration_us,
                                       config.background)
-        self.server.on_frame_lost = self.traffic.on_frame_lost
-        self.server.on_duplicated = self.traffic.on_duplicated
+        for node in (self.server, self.client):
+            node.on_frame_lost = self.traffic.on_frame_lost
+            node.on_duplicated = self.traffic.on_duplicated
         self.client.on_message_complete = self.traffic.on_message_complete
         self.server.on_message_complete = self.traffic.on_app_ack
 

@@ -124,12 +124,13 @@ class TrafficManager:
             stream_id += 1
         return self.server.get_send_stream(stream_id, priority)
 
-    def on_frame_lost(self, message_id: int | None) -> None:
-        if message_id is not None:
-            self.messages[message_id].loss_involved = True
+    def on_frame_lost(self, frame: Frame) -> None:
+        if frame.message_id is not None and not frame.app_ack:
+            self.messages[frame.message_id].loss_involved = True
 
-    def on_duplicated(self, message_id: int) -> None:
-        self.messages[message_id].duplicated = True
+    def on_duplicated(self, frame: Frame) -> None:
+        if not frame.app_ack:
+            self.messages[frame.message_id].duplicated = True
 
     def on_message_complete(self, frame: Frame, now: int, path_id: int,
                             by_duplicate: bool) -> None:
@@ -142,10 +143,9 @@ class TrafficManager:
             record.completed_by_duplicate = by_duplicate
         client = self.client
         stream = client.get_send_stream(frame.stream_id, frame.priority)
-        if stream.message_id is not None and not stream.pending:
-            # the previous response is fully sent; the server frees the
-            # stream only once it arrives, so the next message follows it
-            stream.message_done()
+        # the server reuses a stream only once the previous response has
+        # arrived, so no copy of that response is owed any more
+        stream.message_done()
         stream.load_message(APP_ACK_BYTES, frame.message_id, now, app_ack=True)
         client.try_send(now)
 

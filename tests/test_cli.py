@@ -300,6 +300,7 @@ GROWTH_HEADER = "path_id,scheduler,mean_growth_bytes_per_rtt\n"
     '{"engine_version": "0.1.0"}',
     '{"config": {"seed": 1}}',
     '{"config": {"path_scheduler": 5}}',
+    '{"config": {"path_scheduler": "foo"}}',
     '["config"]',
     "{not json",
     "[" * 200_000,  # nests deeper than json can parse
@@ -310,6 +311,24 @@ def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
     assert main(["compare", str(run_dir.parent)]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: {run_dir / 'manifest.json'}: ")
+
+
+@pytest.mark.parametrize("lowrtt_growth, cwr_growth", [
+    (GROWTH_HEADER, GROWTH_HEADER),
+    (GROWTH_HEADER + "1,lowrtt,1264.0\n", GROWTH_HEADER + "2,cwr,1200.0\n"),
+], ids=["header_only", "disjoint_paths"])
+def test_compare_orders_no_paths_without_a_common_one(tmp_path, capsys,
+                                                      lowrtt_growth,
+                                                      cwr_growth):
+    dirs = [fake_run_dir(tmp_path / scheduler,
+                         f'{{"config": {{"path_scheduler": "{scheduler}"}}}}',
+                         growth).parent
+            for scheduler, growth in (("cwr", cwr_growth),
+                                      ("lowrtt", lowrtt_growth))]
+    assert main(["compare", *map(str, dirs)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "growth ordering (lowrtt >= cwr per path): no path has a growth "
+        "figure under every scheduler\n")
 
 
 @pytest.mark.parametrize("growth", [

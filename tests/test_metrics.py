@@ -15,6 +15,7 @@ from cwrsim.metrics import (BIN_WIDTH_US, MIN_GROWTH_WINDOWS, WARMUP_US,
                             write_throughput_csv, CwndGrowthRecord)
 from cwrsim.scenario import MAX_DURATION_US, MAX_THROUGHPUT_BINS
 from cwrsim.traffic import MessageRecord
+from cwrsim.transport import PathSendState
 
 
 def test_ccdf_definition():
@@ -144,11 +145,17 @@ def test_collector_notes_the_first_congestion_avoidance_sample():
     collector = MetricsCollector(10_000_000)
     collector.register_path(1, 13_500, 50_000)
     recorder = collector.cwnd_samples[1]
-    collector.on_cwnd(1, 250, 14_850, False)
+    ps = PathSendState(1, 50_000)
+    ps.cwnd = 14_850
+    collector.on_cwnd(ps, 250, False)
     assert recorder.ca_since is None
-    collector.on_cwnd(1, 500, 6_750, True)
-    collector.on_cwnd(1, 750, 8_100, True)
+    # a loss halves the window and sets ssthresh to it
+    ps.cwnd = ps.ssthresh = 6_750
+    collector.on_cwnd(ps, 500, True)
+    ps.cwnd = 8_100
+    collector.on_cwnd(ps, 750, False)
     assert recorder.ca_since == 500
+    assert recorder.decreases == [500]
 
 
 # -- the recorder against the offline computation it replaced ------------------

@@ -185,7 +185,7 @@ def test_lost_background_offset_is_retransmitted_as_its_frame():
 
     server._declare_loss = recording_declare_loss
     lost_ids = []
-    server.on_frame_lost = lost_ids.append
+    server.on_frame_lost = lambda frame: lost_ids.append(frame.message_id)
     goodput = {}
     receive_bg = server._peer_receive_bg
 
@@ -332,6 +332,22 @@ def test_earlier_deadline_moves_the_armed_loss_alarm():
     assert ps.lost_packets == 0
 
 
+def test_due_gate_wake_gives_way_to_a_later_one():
+    # unlike the loss alarm, a gate wake due now but not yet dispatched is
+    # replaced by a later one: an event dispatched before it at its
+    # instant asks for the later wake, and the due one never runs
+    sim = Simulation(config())
+    engine, server = sim.engine, sim.server
+    engine.schedule(1_000, lambda: server._schedule_gate_wake(1_500),
+                    "probe")
+    server._schedule_gate_wake(1_000)
+    engine.run_until(1_000)
+    assert engine.dispatched == 1  # the probe alone
+    assert server._wake_entry[0] == 1_500
+    engine.run_until(2_000)
+    assert engine.dispatched == 2 and server._wake_entry is None
+
+
 def test_growth_records_and_outputs(tmp_path):
     cfg = config(sources=[DataSourceConfig(1, 100_000, 10_000)],
                  duration_us=4_000_000)
@@ -402,3 +418,40 @@ def test_per_run_tables_are_bounded_by_in_flight_state():
         received[horizon] = sim.client._bg_seen.floor // MAX_PAYLOAD_BYTES
     # a table of every offset would be far past those bounds
     assert received[6_000_000] > 2 * received[2_000_000] > 20 * peak_in_flight
+
+
+def test_acked_response_is_not_resent_from_its_queued_copy():
+    # the client sends a completion response on both paths; the path 1 copy
+    # is declared lost with no send pass after it, as when the client's
+    # window is full, so its retransmission is still queued when the path 2
+    # copy's ack arrives
+    client_sends = []
+
+    def trace(node, kind, now, *fields):
+        if node.name == "client" and kind == "send":
+            client_sends.append(fields)
+
+    cfg = config(path_scheduler="cwr_red", background=False,
+                 sources=[DataSourceConfig(1, 1_000_000, 1_000,
+                                           start_offset_us=0)],
+                 duration_us=1_100_000)
+    sim = Simulation(cfg, trace=trace)
+    client, engine = sim.client, sim.engine
+    lossy, other = client.path_states[1], client.path_states[2]
+    sim.traffic.start()
+    engine.run_until(30_000)  # the message is whole, its response sent
+    [(number, _size, response, _t, _d)] = lossy.ledger.values()
+    assert response.app_ack and len(other.ledger) == 1
+    stream = client.streams[response.stream_id]
+    client._declare_loss(lossy, number, engine.now)
+    assert stream.rtx and stream in client.urgent
+    blocked = client.blocked_count
+    engine.run_until(80_000)
+    assert not other.ledger  # the path 2 copy's ack has arrived
+    assert not stream.rtx and stream not in client.urgent
+    assert client.blocked_count == blocked
+    engine.run_until(cfg.duration_us)
+    assert [(path_id, is_rtx) for path_id, _n, frame, _dup, is_rtx
+            in client_sends if frame.message_id == response.message_id] \
+        == [(1, False), (2, False)]
+    assert lossy.retransmissions == 0

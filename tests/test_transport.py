@@ -219,14 +219,20 @@ def test_loss_alarm_deadline_constant():
     assert deadline == 56_250  # 9/8 * 50 ms
 
 
-def test_gap_rule_declares_after_three_higher_acks():
+@pytest.mark.parametrize("acked, declared", [
+    ([1, 2, 3], [[], [], [0]]),
+    # two losses: RFC 9002 section 6.1.1 would declare 0 at the ack of 3,
+    # three numbers past it; this rule waits for three acks above each
+    ([2, 3, 4], [[], [], [0, 1]]),
+], ids=["one_loss", "two_losses"])
+def test_gap_rule_declares_after_three_higher_acks(acked, declared):
     ps = fresh_path()
     numbers = [send_one(ps)[0] for _ in range(5)]
     lost_after = []
-    for number in numbers[1:4]:
-        _, gaps = ps.ack_packet(number, 50_000)
+    for i in acked:
+        _, gaps = ps.ack_packet(numbers[i], 50_000)
         lost_after.append(list(gaps))
-    assert lost_after == [[], [], [numbers[0]]]
+    assert lost_after == [[numbers[i] for i in lost] for lost in declared]
 
 
 # A sequence of ledger operations: ("send", srtt or None, time step),
