@@ -64,8 +64,6 @@ def _load_growth(outdir: Path) -> list[tuple[int, float]]:
     rows = []
     for run_dir in sorted(outdir.glob("run_*")):
         growth = run_dir / "cwnd_growth.csv"
-        if not growth.exists():
-            continue
         with growth.open(encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             try:
@@ -87,23 +85,30 @@ def _load_growth(outdir: Path) -> list[tuple[int, float]]:
 
 
 def _scheduler_of(outdir: Path) -> str:
-    for run_dir in sorted(outdir.glob("run_*")):
-        manifest = run_dir / "manifest.json"
-        if manifest.exists():
-            try:
-                with manifest.open(encoding="utf-8") as fh:
-                    scheduler = json.load(fh)["config"]["path_scheduler"]
-            except (KeyError, TypeError, ValueError, RecursionError):
-                # RecursionError: json nests too deep to parse
-                scheduler = None
+    """The path scheduler that every run's manifest.json names: a reused
+    --out keeps older runs, which may be another scheduler's."""
+    runs: dict[str, str] = {}  # scheduler -> its first run
+    for manifest in sorted(outdir.glob("run_*/manifest.json")):
+        try:
+            with manifest.open(encoding="utf-8") as fh:
+                scheduler = json.load(fh)["config"]["path_scheduler"]
             # isinstance first: a list or dict cannot be looked up
             if not isinstance(scheduler, str) \
                     or scheduler not in PATH_SCHEDULERS:
-                raise UnreadableOutput(
-                    f"{manifest}: expected JSON with a config.path_scheduler "
-                    f"of {', '.join(PATH_SCHEDULERS)}")
-            return scheduler
-    raise UnreadableOutput(f"{outdir}: no manifest.json found")
+                raise ValueError(scheduler)
+        except (KeyError, TypeError, ValueError, RecursionError):
+            # RecursionError: json nests too deep to parse
+            raise UnreadableOutput(
+                f"{manifest}: expected JSON with a config.path_scheduler "
+                f"of {', '.join(PATH_SCHEDULERS)}") from None
+        runs.setdefault(scheduler, manifest.parent.name)
+    if not runs:
+        raise UnreadableOutput(f"{outdir}: no manifest.json found")
+    if len(runs) > 1:
+        (a, run_a), (b, run_b) = list(runs.items())[:2]
+        raise UnreadableOutput(f"{outdir}: {run_a} ran {a} but {run_b} ran "
+                               f"{b}; compare needs one scheduler per dir")
+    return scheduler
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

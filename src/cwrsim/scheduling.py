@@ -24,9 +24,10 @@ class SendStream:
     exception, one endless message of full-size frames. Its first
     transmissions are never queued in `pending`: they are handed out as bare
     offsets (next_background_offset), and background_frame(offset) builds
-    the Frame where one is needed. A lost copy of a frame is owed again only while its message is the stream's
-    current one (its epoch) and no copy of its offset has been acked, which
-    is what `delivered` records for the current message.
+    the Frame where one is needed. A lost copy of a frame is owed again only
+    while its message is the stream's current one (its epoch) and no copy of
+    its offset has been acked, which is what `delivered` records for the
+    current message.
     """
 
     __slots__ = ("stream_id", "priority", "epoch", "enqueue_time", "pending",

@@ -381,20 +381,24 @@ class Simulation:
         self.server.on_message_complete = self.traffic.on_app_ack
 
     def verify_invariants(self) -> None:
-        """Byte conservation, reservation bounds and urgent streams."""
+        """Byte conservation, loss deadlines (alarm_scan's early stop needs
+        min_alarm_delay), reservation bounds and urgent streams."""
         for node in (self.server, self.client):
             if node.urgent != {s for s in node.streams.values()
                                if s.rtx or s.pending}:
                 raise InvariantError(f"{node.name}: urgent set out of date")
             for ps in node.path_list:
-                total = sum(size for _, size, _, _, _ in ps.ledger.values())
+                total = 0
+                for number, size, _, sent, deadline in ps.ledger.values():
+                    total += size
+                    if deadline - sent < ps.min_alarm_delay:
+                        raise InvariantError(
+                            f"{node.name} path {ps.path_id}: packet {number}'s "
+                            f"loss deadline is under min_alarm_delay")
                 if total != ps.in_flight:
                     raise InvariantError(
                         f"{node.name} path {ps.path_id}: in_flight "
                         f"{ps.in_flight} != ledger sum {total}")
-                if ps.in_flight < 0:
-                    raise InvariantError(
-                        f"{node.name} path {ps.path_id}: negative in_flight")
                 active = node.path_sched.ledger.active_bytes(ps.path_id)
                 if active > ps.cwnd:
                     raise InvariantError(

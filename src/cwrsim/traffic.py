@@ -55,9 +55,8 @@ class MessageRecord:
         self.app_acked_at: int | None = None
 
     @property
-    def mct(self) -> int | None:
-        if self.completed_at is None:
-            return None
+    def mct(self) -> int:
+        """Completion time; read only once the message is complete."""
         return self.completed_at - self.generated_at
 
 
@@ -155,7 +154,5 @@ class TrafficManager:
         if not frame.app_ack:
             raise InvariantError("server received a non-ack stream message")
         record = self.messages[frame.message_id]
-        if record.app_acked_at is not None:
-            return
         record.app_acked_at = now
         self.server.streams[record.stream_id].message_done()

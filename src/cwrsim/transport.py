@@ -112,7 +112,7 @@ class PathSendState:
         # increasing order and never return to it
         self.oldest = 0
         self.alarm_entry: tuple | None = None
-        # no ledger entry's deadline is closer than this to its send time
+        # no deadline is closer than this to its send: srtt >= nominal RTT
         self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN
         self.sent_packets = 0
         self.lost_packets = 0
@@ -131,10 +131,8 @@ class PathSendState:
                 f"({self.cwnd} - {self.in_flight})"
             )
         number = self.sent_packets
-        delay = LOSS_ALARM_NUM * self.srtt // LOSS_ALARM_DEN
-        if delay < self.min_alarm_delay:
-            self.min_alarm_delay = delay
-        entry = (number, size, payload, now, now + delay)
+        entry = (number, size, payload, now,
+                 now + LOSS_ALARM_NUM * self.srtt // LOSS_ALARM_DEN)
         self.ledger[number] = entry
         self.in_flight += size
         self.sent_packets = number + 1

@@ -250,6 +250,21 @@ def test_compare_reports_growth_ordering(tmp_path, capsys):
     assert "growth ordering" in report
 
 
+def test_compare_rejects_a_dir_holding_two_schedulers_runs(tmp_path, capsys):
+    # a reused --out keeps the older runs beyond the new --reps
+    out = tmp_path / "out"
+    for scheduler, reps in (("lowrtt", "2"), ("cwr", "1")):
+        scn = write_scenario(tmp_path, scheduler, f"{scheduler}.scn")
+        assert main(["simulate", str(scn), "--reps", reps,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out}: run_000 ran cwr but run_001 ran "
+                            "lowrtt; compare needs one scheduler per dir\n")
+    assert captured.out == ""
+
+
 def test_simulate_rejects_fewer_than_one_repetition(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     for reps in ("0", "-3"):
@@ -329,6 +344,37 @@ def test_compare_orders_no_paths_without_a_common_one(tmp_path, capsys,
     assert capsys.readouterr().out.endswith(
         "growth ordering (lowrtt >= cwr per path): no path has a growth "
         "figure under every scheduler\n")
+
+
+@pytest.mark.parametrize("cwr_growth, verdict", [("1200.0", "holds"),
+                                                ("1300.0", "violated")])
+def test_compare_reports_whether_the_growth_ordering_holds(tmp_path, capsys,
+                                                          cwr_growth,
+                                                          verdict):
+    dirs = [fake_run_dir(tmp_path / scheduler,
+                         f'{{"config": {{"path_scheduler": "{scheduler}"}}}}',
+                         GROWTH_HEADER + f"1,{scheduler},{growth}\n").parent
+            for scheduler, growth in (("lowrtt", "1264.0"),
+                                      ("cwr", cwr_growth))]
+    assert main(["compare", *map(str, dirs)]) == 0
+    assert capsys.readouterr().out.endswith(
+        f"growth ordering (lowrtt >= cwr per path): {verdict}\n")
+
+
+def test_simulate_reports_each_omitted_growth_row(tmp_path, capsys):
+    # without background, one 10 kB message a second leaves both paths in
+    # slow start, so neither has a growth figure
+    scn = tmp_path / "quiet.scn"
+    scn.write_text(SCENARIO.format(scheduler="cwr")
+                   .replace("background = true", "background = false")
+                   .replace("inter_arrival_us = 100000",
+                            "inter_arrival_us = 1000000"))
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"run 0: cwnd_growth omitted: path {p}: path never reached "
+        "congestion avoidance\n" for p in (1, 2))
+    assert (out / "run_000" / "cwnd_growth.csv").read_text() == GROWTH_HEADER
 
 
 @pytest.mark.parametrize("growth", [

@@ -607,9 +607,11 @@ def ledger_states(draw):
     """A cwr or cwr_red scheduler on one path with packets in flight sent
     over the last 150 ms, pooled (possibly clamped) reservations after a
     possible consume or drop, and a background frame to admit. A source
-    that reserves again replaces its row."""
-    p = path(cwnd=draw(st.integers(MIN_CWND, 40_000)),
-             srtt=draw(st.one_of(st.none(), st.integers(5_000, 120_000))))
+    that reserves again replaces its row. srtt is never below the path's
+    nominal RTT, as in a run."""
+    rtt = draw(st.integers(5_000, 120_000))
+    p = path(cwnd=draw(st.integers(MIN_CWND, 40_000)), rtt=rtt,
+             srtt=draw(st.one_of(st.none(), st.integers(rtt, 120_000))))
     sent = sorted(draw(st.lists(st.integers(NOW - 150_000, NOW), max_size=25)))
     for i, t in enumerate(sent):
         size = draw(st.integers(51, MAX_PACKET_BYTES))

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from conftest import force_data_losses
+from cwrsim.engine import InvariantError
 from cwrsim.link import PathConfig
 from cwrsim.metrics import post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
@@ -304,9 +306,10 @@ def test_handle_ack_one_entry_point():
 
 
 def test_earlier_deadline_moves_the_armed_loss_alarm():
-    # two one-packet messages 5 ms apart on one path, its srtt lowered
-    # between them, so the second packet's loss deadline comes before the
-    # alarm armed for the first
+    # two one-packet messages 5 ms apart on one path, its srtt raised over
+    # the 50 ms RTT for the first and back to it for the second, so the
+    # second packet's loss deadline comes before the alarm armed for the
+    # first; srtt never falls below the RTT, as in a run
     cfg = ScenarioConfig(
         paths=[PathConfig(1, 25_000)],
         sources=[DataSourceConfig(1, 1_000_000, 1_000, start_offset_us=0),
@@ -315,13 +318,14 @@ def test_earlier_deadline_moves_the_armed_loss_alarm():
     sim = Simulation(cfg)
     engine, ps = sim.engine, sim.server.path_states[1]
     sim.traffic.start()
+    ps.srtt = 60_000
     engine.run_until(0)
     replaced = ps.alarm_entry
-    assert replaced[0] == 56_250  # 9/8 of the 50 ms RTT
-    ps.srtt = 45_000
+    assert replaced[0] == 67_500  # 9/8 of the 60 ms srtt
+    ps.srtt = 50_000
     engine.run_until(5_000)
     assert ps.alarm_entry is not replaced
-    assert ps.alarm_entry[0] == 5_000 + 50_625
+    assert ps.alarm_entry[0] == 5_000 + 56_250
     # both acks arrive before the moved alarm, which finds nothing to
     # declare, and nothing else falls due at the replaced alarm's instant
     engine.run_until(replaced[0] - 1)
@@ -330,6 +334,23 @@ def test_earlier_deadline_moves_the_armed_loss_alarm():
     engine.run_until(replaced[0])
     assert engine.dispatched == before
     assert ps.lost_packets == 0
+
+
+def test_a_deadline_under_min_alarm_delay_breaks_the_invariants():
+    # srtt under the nominal RTT, which no RTT sample brings about, puts a
+    # loss deadline nearer its send than alarm_scan's early stop allows
+    cfg = config(paths=[PathConfig(1, 25_000)], background=False,
+                 sources=[DataSourceConfig(1, 200_000, 1_000,
+                                           start_offset_us=100_000)])
+    sim = Simulation(cfg)
+    sim.traffic.start()
+    sim.engine.run_until(50_000)
+    sim.server.path_states[1].srtt = 49_999
+    # the run's checker follows the send at 100 ms
+    with pytest.raises(InvariantError, match=(
+            "^server path 1: packet 0's loss deadline is under "
+            "min_alarm_delay$")):
+        sim.engine.run_until(100_000)
 
 
 def test_due_gate_wake_gives_way_to_a_later_one():

@@ -26,6 +26,14 @@ def send_one(ps, now=0, length=1300):
     return ps.register_sent(frame.length + HEADER_BYTES, frame, now)
 
 
+def ack_time(ps, number, now, rtt=50_000):
+    """now, or the earliest an ack of `number` can arrive if that is later:
+    in a run every RTT sample exceeds the nominal RTT, so srtt never falls
+    below it and no loss deadline comes nearer its send than
+    min_alarm_delay."""
+    return max(now, ps.ledger[number][3] + rtt)
+
+
 # -- packetize -------------------------------------------------------------
 
 def test_frame_repr_is_the_former_named_tuple_repr():
@@ -237,9 +245,11 @@ def test_gap_rule_declares_after_three_higher_acks(acked, declared):
 
 # A sequence of ledger operations: ("send", srtt or None, time step),
 # ("ack", pick), ("lose", pick); pick chooses among outstanding numbers.
+# srtt is never below the 50 ms nominal RTT, and an ack waits for its
+# packet's earliest arrival (ack_time), as in a run.
 ledger_ops = st.lists(st.one_of(
     st.tuples(st.just("send"),
-              st.one_of(st.none(), st.integers(min_value=30_000, max_value=70_000)),
+              st.one_of(st.none(), st.integers(min_value=50_000, max_value=90_000)),
               st.integers(min_value=0, max_value=5_000)),
     st.tuples(st.just("ack"), st.integers(min_value=0, max_value=1_000)),
     st.tuples(st.just("lose"), st.integers(min_value=0, max_value=1_000)),
@@ -261,6 +271,7 @@ def _replay(ops):
         elif ps.ledger:
             number = sorted(ps.ledger)[op[1] % len(ps.ledger)]
             if op[0] == "ack":
+                now = ack_time(ps, number, now)
                 ps.ack_packet(number, now)
             else:
                 ps.declare_lost(number, now)
@@ -270,10 +281,9 @@ def _replay(ops):
 @settings(max_examples=300)
 @given(ledger_ops, st.integers(min_value=0, max_value=1_000),
        st.integers(min_value=-2, max_value=2))
-# a low srtt, since acked, sets the bound; then a later send's deadline
-# comes before an earlier one's, within 5 ms of the scan's stopping point
-@example([("send", 30_000, 0), ("send", 40_000, 0), ("send", 30_000, 8_000),
-          ("ack", 0)], 0, -3_250)
+# a later send's deadline comes before an earlier one's, 3,250 us inside
+# the scan's stopping point
+@example([("send", 60_000, 0), ("send", 50_000, 8_000)], 0, -3_250)
 def test_alarm_scan_matches_a_full_rescan(ops, pick, offset):
     ps, now = _replay(ops)
     deadlines = [(num, deadline)
@@ -317,6 +327,7 @@ def test_gap_rule_matches_a_reference_model(ops):
         elif outstanding:
             number = sorted(outstanding)[op[1] % len(outstanding)]
             if op[0] == "ack":
+                now = ack_time(ps, number, now)
                 _, gaps = ps.ack_packet(number, now)
                 on_ack(ps, number, gaps)
             else:
@@ -337,7 +348,6 @@ class NoneUntilSampled:
         self.nominal_rtt = nominal_rtt
         self.srtt = None
         self.outstanding = {}
-        self.min_alarm_delay = LOSS_ALARM_NUM * nominal_rtt // LOSS_ALARM_DEN
         self.last_decrease = None
 
     def effective_srtt(self):
@@ -345,7 +355,6 @@ class NoneUntilSampled:
 
     def send(self, number, now):
         delay = LOSS_ALARM_NUM * self.effective_srtt() // LOSS_ALARM_DEN
-        self.min_alarm_delay = min(self.min_alarm_delay, delay)
         self.outstanding[number] = (now, now + delay)
 
     def ack(self, number, now):
@@ -364,7 +373,8 @@ class NoneUntilSampled:
 
 
 # (op, path index, pick among its outstanding numbers, time step first);
-# steps of whole 5 ms make samples equal other paths' RTTs, so ties occur
+# steps of whole 5 ms make samples equal other paths' RTTs, so ties occur.
+# An ack waits for its packet's earliest arrival (ack_time).
 rtt_ops = st.lists(st.tuples(
     st.sampled_from(["send", "ack", "lose"]), st.integers(0, 2),
     st.integers(0, 1_000), st.sampled_from([0, 5_000, 10_000, 40_000])),
@@ -375,8 +385,8 @@ rtt_ops = st.lists(st.tuples(
 @given(st.lists(st.sampled_from([40_000, 50_000]), min_size=3, max_size=3),
        rtt_ops)
 # equal nominal RTTs, and a first sample equal to another path's RTT
-@example([50_000, 50_000, 40_000],
-         [("send", 0, 0, 0), ("ack", 0, 0, 40_000), ("send", 0, 0, 0)])
+@example([40_000, 50_000, 50_000],
+         [("send", 0, 0, 0), ("ack", 0, 0, 50_000), ("send", 0, 0, 0)])
 def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
     ids = (7, 3, 5)  # list order is not id order: ties break by id
     paths = [PathSendState(pid, rtt) for pid, rtt in zip(ids, nominals)]
@@ -391,6 +401,7 @@ def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
         elif ps.ledger:
             number = sorted(ps.ledger)[pick % len(ps.ledger)]
             if kind == "ack":
+                now = ack_time(ps, number, now, ref.nominal_rtt)
                 ps.ack_packet(number, now)
                 ref.ack(number, now)
             else:
@@ -401,7 +412,10 @@ def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
                 in ps.ledger.values()} \
             == {num: deadline for num, (_, deadline)
                 in ref.outstanding.items()}
-        assert ps.min_alarm_delay == ref.min_alarm_delay
+        assert ps.min_alarm_delay \
+            == LOSS_ALARM_NUM * ref.nominal_rtt // LOSS_ALARM_DEN
+        assert all(deadline - sent >= ps.min_alarm_delay
+                   for _, _, _, sent, deadline in ps.ledger.values())
         assert [p.path_id for p in paths_by_rtt(paths)] == [
             r.path_id for r in sorted(
                 refs, key=lambda r: (r.effective_srtt(), r.path_id))]

@@ -4,7 +4,7 @@
     python tools/identity_sweep.py [REF]      (REF defaults to HEAD)
 
 REF's src/, tests/ and scenarios/ are exported with `git archive` into a
-temporary directory. Both trees then run the same 115 configurations:
+temporary directory. Both trees then run the same 117 configurations:
 
 - tests/test_properties.py's random_config(0..15) under each path scheduler
   and each stream scheduler, at 4 s (96 runs);
@@ -13,10 +13,14 @@ temporary directory. Both trees then run the same 115 configurations:
 - mixed_config(), defined here, under each path scheduler and each stream
   scheduler, at 2 s (6 runs), its paths with background alone (1 run), and
   mixed_config() at 2.05 s, whose last 100 ms throughput bin is cut short
-  (1 run).
-  random_config draws priority sources only; mixed_config's priority and
-  non-priority messages overlap on lossy paths that also lose acks, so
-  streams of both classes are reused and completion responses are lost.
+  (1 run);
+- stale_rtx_config() and early_deadline_config(), defined here, at 2 s
+  (1 run each).
+
+random_config draws priority sources only; mixed_config's priority and
+non-priority messages overlap on lossy paths that also lose acks, so
+streams of both classes are reused and completion responses are lost. The
+last two configs each reach a model branch that no other config does.
 
 Each run records the SHA-256 of its `write_outputs` files (name and bytes, in
 name order) together with the warnings `write_outputs` returns, and the
@@ -62,6 +66,45 @@ def mixed_config(sources=True):
         ] if sources else [])
 
 
+def stale_rtx_config():
+    """Four sources of both classes on two lossy 20 Mbit/s paths under
+    cwr_red: a stream whose queued retransmissions have all gone stale, with
+    nothing pending, meets Node.try_send's stale-retransmission `continue`."""
+    from cwrsim.link import PathConfig
+    from cwrsim.scenario import ScenarioConfig
+    from cwrsim.traffic import DataSourceConfig
+
+    paths = [PathConfig(1, 50_000, rate_bps=20_000_000, loss_rate=0.02),
+             PathConfig(2, 50_000, rate_bps=20_000_000, loss_rate=0.004)]
+    sizes = ((10_000, False), (10_000, True), (5_000, True), (3_000, True))
+    return ScenarioConfig(
+        paths=paths, duration_us=2_000_000, seed=2, background=False,
+        path_scheduler="cwr_red", stream_scheduler="pfifo",
+        sources=[DataSourceConfig(i + 1, 70_000, size, priority=priority,
+                                  start_offset_us=100_000)
+                 for i, (size, priority) in enumerate(sizes)])
+
+
+def early_deadline_config():
+    """Four priority sources on one lossy 20 Mbit/s path: acks of a 15 kB
+    burst raise srtt, and one later ack with a lower sample lowers it
+    right after a packet is sent and right before a lost packet's loss
+    alarm. The retransmission's deadline then comes before that packet's,
+    which meets Node._arm_alarm's cancel."""
+    from cwrsim.link import PathConfig
+    from cwrsim.scenario import ScenarioConfig
+    from cwrsim.traffic import DataSourceConfig
+
+    sources = ((15_000, 100_000), (1_000, 160_000), (1_000, 174_900),
+               (1_000, 275_200))
+    return ScenarioConfig(
+        paths=[PathConfig(1, 50_000, rate_bps=20_000_000, loss_rate=0.02)],
+        duration_us=2_000_000, seed=3, background=False,
+        path_scheduler="lowrtt", stream_scheduler="pfifo",
+        sources=[DataSourceConfig(i + 1, 250_000, size, start_offset_us=start)
+                 for i, (size, start) in enumerate(sources)])
+
+
 def sweep_configs():
     """(name, config) pairs; imports the tree on sys.path."""
     from test_output_identity import line_rate, priority_only, shipped
@@ -92,6 +135,8 @@ def sweep_configs():
     yield "mixed_config(sources=False)", mixed_config(sources=False)
     yield ("mixed_config() at 2.05 s",
            with_fields(mixed_config(), duration_us=2_050_000))
+    yield "stale_rtx_config()", stale_rtx_config()
+    yield "early_deadline_config()", early_deadline_config()
 
 
 def outputs_digest(outdir: Path, warnings: list[str]) -> str:
@@ -105,6 +150,14 @@ def outputs_digest(outdir: Path, warnings: list[str]) -> str:
     return h.hexdigest()
 
 
+def trace_hook(trace):
+    """A Simulation trace hook that feeds `trace` the repr of every record,
+    with the node given by its name."""
+    def hook(node, *rec):
+        trace.update(repr((node.name,) + rec).encode() + b"\n")
+    return hook
+
+
 def run_tree() -> None:
     """Worker: run every config of the tree on sys.path, one JSON line each."""
     from cwrsim.simulation import Simulation
@@ -112,12 +165,9 @@ def run_tree() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for n, (name, cfg) in enumerate(sweep_configs()):
             trace = hashlib.sha256()
-
-            def hook(node, *rec, trace=trace):
-                trace.update(repr((node.name,) + rec).encode() + b"\n")
-
             outdir = Path(tmp) / str(n)
-            warnings = Simulation(cfg, trace=hook).run().write_outputs(outdir)
+            warnings = Simulation(cfg, trace=trace_hook(trace)).run() \
+                .write_outputs(outdir)
             print(json.dumps([name, outputs_digest(outdir, warnings),
                               trace.hexdigest()]), flush=True)
 
