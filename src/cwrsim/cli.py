@@ -85,13 +85,15 @@ def _load_growth(outdir: Path) -> list[tuple[int, float]]:
 
 
 def _scheduler_of(outdir: Path) -> str:
-    """The path scheduler that every run's manifest.json names: a reused
-    --out keeps older runs, which may be another scheduler's."""
-    runs: dict[str, str] = {}  # scheduler -> its first run
+    """The path scheduler of the one configuration, seed apart, that every
+    run's manifest.json holds: a reused --out keeps older runs, which may
+    be another scenario's."""
+    configs: dict[str, dict] = {}  # run -> its config
     for manifest in sorted(outdir.glob("run_*/manifest.json")):
         try:
             with manifest.open(encoding="utf-8") as fh:
-                scheduler = json.load(fh)["config"]["path_scheduler"]
+                config = json.load(fh)["config"]
+            scheduler = config["path_scheduler"]
             # isinstance first: a list or dict cannot be looked up
             if not isinstance(scheduler, str) \
                     or scheduler not in PATH_SCHEDULERS:
@@ -101,14 +103,23 @@ def _scheduler_of(outdir: Path) -> str:
             raise UnreadableOutput(
                 f"{manifest}: expected JSON with a config.path_scheduler "
                 f"of {', '.join(PATH_SCHEDULERS)}") from None
-        runs.setdefault(scheduler, manifest.parent.name)
-    if not runs:
+        configs[manifest.parent.name] = config
+    if not configs:
         raise UnreadableOutput(f"{outdir}: no manifest.json found")
-    if len(runs) > 1:
-        (a, run_a), (b, run_b) = list(runs.items())[:2]
-        raise UnreadableOutput(f"{outdir}: {run_a} ran {a} but {run_b} ran "
-                               f"{b}; compare needs one scheduler per dir")
-    return scheduler
+    (run_a, first), *rest = configs.items()
+    keys = sorted(set().union(*configs.values()) - {"path_scheduler", "seed"})
+    # a mixed scheduler is named first, whatever else differs
+    for key in ("path_scheduler", *keys):
+        for run_b, config in rest:
+            if config.get(key) != first.get(key):
+                if key == "path_scheduler":
+                    raise UnreadableOutput(
+                        f"{outdir}: {run_a} ran {first[key]} but {run_b} ran "
+                        f"{config[key]}; compare needs one scheduler per dir")
+                raise UnreadableOutput(
+                    f"{outdir}: {run_a} and {run_b} differ in config.{key}; "
+                    "compare needs one configuration per dir")
+    return first["path_scheduler"]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

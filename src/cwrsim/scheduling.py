@@ -23,16 +23,16 @@ class SendStream:
     A stream holds at most one in-flight message; the background stream is the
     exception, one endless message of full-size frames. Its first
     transmissions are never queued in `pending`: they are handed out as bare
-    offsets (next_background_offset), and background_frame(offset) builds
-    the Frame where one is needed. A lost copy of a frame is owed again only
-    while its message is the stream's current one (its epoch) and no copy of
-    its offset has been acked, which is what `delivered` records for the
-    current message.
+    offsets from bg_offset (next_background_offset), and
+    background_frame(offset) builds the Frame where one is needed. A lost
+    copy of a frame is owed again only while its message is the stream's
+    current one (its epoch) and no copy of its offset has been acked, which
+    is what `delivered` records for the current message.
     """
 
     __slots__ = ("stream_id", "priority", "epoch", "enqueue_time", "pending",
                  "rtx", "message_id", "dup_mode", "delivered", "urgent",
-                 "_bg_offset")
+                 "bg_offset")
 
     def __init__(self, stream_id: int, priority: bool, background: bool = False,
                  *, urgent: set[SendStream]):
@@ -49,7 +49,7 @@ class SendStream:
         self.delivered: set[int] = set()
         # the node's streams with rtx or pending data
         self.urgent = urgent
-        self._bg_offset = 0
+        self.bg_offset = 0
 
     def _settle(self) -> None:
         urgent = self.rtx or self.pending
@@ -81,9 +81,9 @@ class SendStream:
         return frame
 
     def next_background_offset(self) -> int:
-        """The offset of the background stream's next first transmission."""
-        offset = self._bg_offset
-        self._bg_offset = offset + MAX_PAYLOAD_BYTES
+        """Return bg_offset, then advance it by one full-size payload."""
+        offset = self.bg_offset
+        self.bg_offset = offset + MAX_PAYLOAD_BYTES
         return offset
 
     def background_frame(self, offset: int) -> Frame:

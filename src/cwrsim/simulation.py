@@ -37,7 +37,8 @@ class Node:
     new_bytes). `trace`, when set, is called in `_transmit`, so once per
     data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx)
-    (a background first transmission's Frame is built for the record only),
+    (a background first transmission's Frame is built for this record and
+    for admit),
     and at every blocked send decision (each one counted in blocked_count),
     trace(node, "blocked", now, stream_id, is_rtx). It only observes.
     """
@@ -96,7 +97,9 @@ class Node:
         return stream
 
     def try_send(self, now: int) -> None:
-        """Send as long as the stream scheduler offers a unit some path admits."""
+        """Send as long as the stream scheduler offers a unit some path
+        admits: a stream's owed retransmission, else its next frame (for
+        background, the full-size one at its next offset)."""
         urgent = self.urgent
         bg = self._bg_stream
         sched = self.path_sched
@@ -119,19 +122,8 @@ class Node:
                 if owed is not None:
                     frame, rtx_path = owed
                 elif stream is bg:
-                    # one full-size first transmission: admit's verdict, by
-                    # background_room, on each path lowest RTT first
-                    sched.gated_wake = None
-                    for ps in paths_by_rtt(self.path_list):
-                        if sched.background_room(ps, now) > 0:
-                            self._transmit(ps, bg.next_background_offset(),
-                                           now, False, False)
-                            break
-                    else:
-                        self._blocked(now, bg, False)
-                        continue
-                    self.stream_sched.note_sent(bg)
-                    break
+                    frame = bg.background_frame(bg.bg_offset)
+                    rtx_path = None
                 elif stream.pending:
                     frame = stream.peek_pending()
                     rtx_path = None
@@ -144,12 +136,15 @@ class Node:
                     continue
                 if is_rtx:
                     stream.pop_rtx()
+                    payload = frame
+                elif stream is bg:  # it travels as its bare offset
+                    payload = bg.next_background_offset()
                 else:
-                    stream.pop_pending()
+                    payload = stream.pop_pending()
                 if len(targets) > 1:
                     self.on_duplicated(frame)
                 for i, ps in enumerate(targets):
-                    self._transmit(ps, frame, now, is_rtx, i > 0)
+                    self._transmit(ps, payload, now, is_rtx, i > 0)
                 self.stream_sched.note_sent(stream)
                 break
             else:
@@ -159,8 +154,9 @@ class Node:
         """Tight loop for the common case: only the background stream can send.
 
         Each path, lowest RTT first, takes its whole background room in one
-        run: paths do not interact, so the runs reproduce the per-packet
-        verdicts exactly.
+        run: paths do not interact, so the runs send what per-packet
+        admission would. Then one blocked decision is recorded, whose wake
+        comes only from a gate already shut when its path was asked.
         """
         sched = self.path_sched
         sched.gated_wake = None

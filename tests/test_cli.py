@@ -265,6 +265,25 @@ def test_compare_rejects_a_dir_holding_two_schedulers_runs(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_compare_rejects_a_dir_holding_two_scenarios_runs(tmp_path, capsys):
+    # one scheduler, two scenarios: the older scenario's run_001 outlives
+    # the newer one's single run
+    out = tmp_path / "out"
+    for owd, reps in (("25000", "2"), ("50000", "1")):
+        scn = tmp_path / f"owd_{owd}.scn"
+        scn.write_text(SCENARIO.format(scheduler="cwr")
+                       .replace("owd_us = 25000", f"owd_us = {owd}"))
+        assert main(["simulate", str(scn), "--reps", reps,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out}: run_000 and run_001 differ in "
+                            "config.paths; compare needs one configuration "
+                            "per dir\n")
+    assert captured.out == ""
+
+
 def test_simulate_rejects_fewer_than_one_repetition(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     for reps in ("0", "-3"):

@@ -13,7 +13,7 @@ from cwrsim.scheduling import (GATE_PACKETS, PATH_SCHEDULERS,
                                PriorityFifoStreams, RedundantScheduler,
                                ReservationLedger,
                                ReservationScheduler, RoundRobinStreams,
-                               SendStream, reservation_bytes)
+                               SendStream, paths_by_rtt, reservation_bytes)
 from cwrsim.simulation import Node
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState)
@@ -716,6 +716,89 @@ def test_general_send_loop_sends_background_as_its_bare_offset():
     assert [entry[2] for entry in ps.ledger.values()] \
         == [i * MAX_PAYLOAD_BYTES for i in range(GATE_PACKETS)]
     assert message.pending and node.urgent == {message}
+
+
+# per path: srtt (ties are likely), cwnd, the reserved row sizes, the free
+# window after them in max packets plus a few bytes, the link rate, and the
+# serializer backlog in max-packet slots plus a few us
+background_paths = st.lists(st.tuples(
+    st.sampled_from([40_000, 50_000, 60_000]), st.integers(MIN_CWND, 40_000),
+    st.lists(st.integers(0, 15_000), max_size=3),
+    st.integers(-2, 8), st.integers(-2, 2),
+    st.sampled_from([10_000_000, 100_000_000]),
+    st.integers(-1, 8), st.integers(-2, 2)), min_size=1, max_size=3)
+
+
+def background_state(name, specs, now):
+    """The named scheduler over paths and links built from the specs."""
+    paths, links = [], {}
+    for pid, (srtt, cwnd, _, _, _, rate, slots, lag) in enumerate(specs, 1):
+        paths.append(path(pid, cwnd=cwnd, srtt=srtt, rtt=30_000))
+        links[pid] = OneWayLink(PathConfig(pid, 15_000, rate_bps=rate),
+                                RngStream(1, pid))
+        drain = serialization_us(MAX_PACKET_BYTES, rate)
+        links[pid].busy_until = now + slots * drain + lag
+    sched = PATH_SCHEDULERS[name](paths, links)
+    for p, (_, _, rows, free, jitter, _, _, _) in zip(paths, specs):
+        for i, size in enumerate(rows):
+            # a source id per path: reserve replaces a source's rows
+            sched.ledger.reserve(10 * p.path_id + i, [p], size, now + 50_000)
+        p.in_flight = max(0, p.cwnd - sched.ledger.active_bytes(p.path_id)
+                          - free * MAX_PACKET_BYTES - jitter)
+    return sched, paths
+
+
+@settings(max_examples=300)
+@given(background_paths, st.integers(0, 1_000))
+@example([(50_000, 13_500, [], 1, 0, 100_000_000, 0, 0)], 0)
+@example([(50_000, 13_500, [1_000], 0, 5, 100_000_000, 7, 0)], 0)
+def test_admit_takes_background_where_the_deleted_route_did(specs, packets):
+    # the general send loop's former background route, as it was written:
+    # the first path, lowest RTT first, with background_room; admit must
+    # take the same path for the same frame, with the same gate wake
+    now = 1_000_000
+    for name in PATH_SCHEDULERS:
+        sched, paths = background_state(name, specs, now)
+        sched.gated_wake = None
+        route = next((ps for ps in paths_by_rtt(paths)
+                      if sched.background_room(ps, now) > 0), None)
+        wake = sched.gated_wake
+        sched.gated_wake = -1  # admit resets it itself
+        bg = SendStream(0, False, background=True, urgent=set())
+        bg.bg_offset = packets * MAX_PAYLOAD_BYTES
+        targets = sched.admit(bg, bg.background_frame(bg.bg_offset), now)
+        assert targets == (() if route is None else (route,)), name
+        assert sched.gated_wake == wake, name
+
+
+def test_duplicated_packets_fall_back_when_a_path_is_short():
+    # two 3-packet priority messages loaded before one send pass both find
+    # room for all their bytes on each path, so both are duplicated; rr
+    # interleaves them until each one's third packet finds both paths full,
+    # falls back to lowest-RTT admission and is blocked
+    engine = EventQueue(checker=lambda: None)
+    links = {pid: OneWayLink(PathConfig(pid, 25_000), RngStream(1, pid))
+             for pid in (1, 2)}
+    paths = [PathSendState(pid, 50_000) for pid in (1, 2)]
+    for ps in paths:
+        ps.cwnd = 4 * MAX_PACKET_BYTES
+    node = Node("server", engine, paths, links, "rr", "cwr_red")
+    node.set_peer(Node("client", engine, [PathSendState(pid, 50_000)
+                                          for pid in (1, 2)],
+                       links, "rr", "cwr_red"))
+    duplicated = []
+    node.on_duplicated = duplicated.append
+    streams = [node.get_send_stream(sid, True) for sid in (1, 2)]
+    for stream in streams:
+        stream.load_message(3 * MAX_PAYLOAD_BYTES, stream.stream_id, now=0)
+    node.try_send(0)
+    assert [s.dup_mode for s in streams] == ["all", "all"]
+    assert len(duplicated) == 4 and node.blocked_count == 2
+    for ps in paths:
+        assert [entry[2].stream_id for entry in ps.ledger.values()] \
+            == [1, 2, 1, 2]
+    assert node.path_sched.refrain_count == 0
+    assert [len(s.pending) for s in streams] == [1, 1]
 
 
 # -- serializer gate -----------------------------------------------------------
