@@ -59,10 +59,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_growth(outdir: Path) -> list[tuple[int, float]]:
-    """(path id, mean growth) rows of every run's cwnd_growth.csv."""
+def _load_runs(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
+    """Read both files of every run_* directory: the path scheduler of the
+    one configuration, seed apart, that each manifest.json holds, and the
+    (path id, mean growth) rows of each cwnd_growth.csv. A reused --out
+    keeps older runs, which may be another scenario's, and a stopped
+    simulate leaves a run without its manifest, which is written last."""
+    configs: dict[str, dict] = {}  # run -> its config
     rows = []
     for run_dir in sorted(outdir.glob("run_*")):
+        manifest = run_dir / "manifest.json"
+        try:
+            with manifest.open(encoding="utf-8") as fh:
+                config = json.load(fh)["config"]
+            scheduler = config["path_scheduler"]
+            # isinstance first: a list or dict cannot be looked up
+            if not isinstance(scheduler, str) \
+                    or scheduler not in PATH_SCHEDULERS:
+                raise ValueError(scheduler)
+        except (KeyError, TypeError, ValueError, RecursionError):
+            # RecursionError: json nests too deep to parse
+            raise UnreadableOutput(
+                f"{manifest}: expected JSON with a config.path_scheduler "
+                f"of {', '.join(PATH_SCHEDULERS)}") from None
+        configs[run_dir.name] = config
         growth = run_dir / "cwnd_growth.csv"
         with growth.open(encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -81,29 +101,6 @@ def _load_growth(outdir: Path) -> list[tuple[int, float]]:
                 # DictReader's own line_num lags a line that fails to parse
                 raise UnreadableOutput(
                     f"{growth}: line {reader.reader.line_num}: {exc}") from None
-    return rows
-
-
-def _scheduler_of(outdir: Path) -> str:
-    """The path scheduler of the one configuration, seed apart, that every
-    run's manifest.json holds: a reused --out keeps older runs, which may
-    be another scenario's."""
-    configs: dict[str, dict] = {}  # run -> its config
-    for manifest in sorted(outdir.glob("run_*/manifest.json")):
-        try:
-            with manifest.open(encoding="utf-8") as fh:
-                config = json.load(fh)["config"]
-            scheduler = config["path_scheduler"]
-            # isinstance first: a list or dict cannot be looked up
-            if not isinstance(scheduler, str) \
-                    or scheduler not in PATH_SCHEDULERS:
-                raise ValueError(scheduler)
-        except (KeyError, TypeError, ValueError, RecursionError):
-            # RecursionError: json nests too deep to parse
-            raise UnreadableOutput(
-                f"{manifest}: expected JSON with a config.path_scheduler "
-                f"of {', '.join(PATH_SCHEDULERS)}") from None
-        configs[manifest.parent.name] = config
     if not configs:
         raise UnreadableOutput(f"{outdir}: no manifest.json found")
     (run_a, first), *rest = configs.items()
@@ -119,7 +116,7 @@ def _scheduler_of(outdir: Path) -> str:
                 raise UnreadableOutput(
                     f"{outdir}: {run_a} and {run_b} differ in config.{key}; "
                     "compare needs one configuration per dir")
-    return first["path_scheduler"]
+    return first["path_scheduler"], rows
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -127,8 +124,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for raw in args.dirs:
         outdir = Path(raw)
         try:
-            scheduler = _scheduler_of(outdir)
-            rows = _load_growth(outdir)
+            scheduler, rows = _load_runs(outdir)
         except UnreadableOutput as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

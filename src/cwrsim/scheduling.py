@@ -21,10 +21,11 @@ class SendStream:
     retransmissions it still owes.
 
     A stream holds at most one in-flight message; the background stream is the
-    exception, one endless message of full-size frames. Its first
-    transmissions are never queued in `pending`: they are handed out as bare
-    offsets from bg_offset (next_background_offset), and
-    background_frame(offset) builds the Frame where one is needed. A lost
+    exception, one endless message of full-size frames. Each of its packets
+    is sent as its bare offset, first or resent: first transmissions are
+    never queued in `pending` but handed out from bg_offset
+    (next_background_offset), and background_frame(offset) builds the Frame
+    where one is needed, such as the one a lost packet queues in `rtx`. A lost
     copy of a frame is owed again only while its message is the stream's
     current one (its epoch) and no copy of its offset has been acked, which
     is what `delivered` records for the current message.

@@ -31,14 +31,15 @@ class Node:
     copy declared lost, and `on_duplicated(frame)`, at every frame sent on
     several paths; the node reads `app_ack` only to label arrival events.
     Every data packet leaves through `_transmit` and every ack through
-    `_send_ack`. `metrics`, when set, takes this node's cwnd samples,
-    on_cwnd(ps, now, decreased). `on_delivery`, when set, is called at
-    every data packet received, on_delivery(now, size, priority,
-    new_bytes). `trace`, when set, is called in `_transmit`, so once per
+    `_send_ack`. A background packet travels as its bare offset, so every
+    Frame a node transmits is a message frame. `metrics`, when set, takes
+    this node's cwnd samples, on_cwnd(ps, now, decreased). `on_delivery`
+    is called at every data packet received, on_delivery(now, size,
+    priority, new_bytes); it may be None only on a node that receives no
+    background. `trace`, when set, is called in `_transmit`, so once per
     data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx)
-    (a background first transmission's Frame is built for this record and
-    for admit),
+    (a background packet's Frame is built from its offset for this record),
     and at every blocked send decision (each one counted in blocked_count),
     trace(node, "blocked", now, stream_id, is_rtx). It only observes.
     """
@@ -136,8 +137,9 @@ class Node:
                     continue
                 if is_rtx:
                     stream.pop_rtx()
-                    payload = frame
-                elif stream is bg:  # it travels as its bare offset
+                    # background travels as its bare offset
+                    payload = frame.offset if stream is bg else frame
+                elif stream is bg:
                     payload = bg.next_background_offset()
                 else:
                     payload = stream.pop_pending()
@@ -200,14 +202,14 @@ class Node:
 
     def _transmit(self, ps: PathSendState, payload: Frame | int, now: int,
                   is_rtx: bool, is_dup: bool) -> None:
-        """Send one data packet on path `ps`. `payload` is the Frame it
-        carries or, for a background first transmission, the bare offset
-        of that full-size packet, which travels to the ledger and the
-        receiver as is."""
+        """Send one data packet on path `ps`. `payload` is the message
+        Frame it carries or, for a background packet, first sent or resent,
+        the bare offset of that full-size packet, which travels to the
+        ledger and the receiver as is."""
         path_id = ps.path_id
         if payload.__class__ is int:
             number, size, _, _, deadline = ps.register_sent(
-                MAX_PACKET_BYTES, payload, now, False)
+                MAX_PACKET_BYTES, payload, now, is_rtx)
             receive = self._peer_receive_bg
             args = (number, path_id, payload, size)
             label = "packet_arrival"
@@ -217,12 +219,8 @@ class Node:
                 frame.length + HEADER_BYTES, frame, now, is_rtx)
             if frame.priority:
                 self.path_sched.ledger.consume(path_id, size, now)
-            if frame.message_id is None:  # a resent background frame
-                receive = self._peer_receive_bg
-                args = (number, path_id, frame.offset, size)
-            else:
-                receive = self._peer_receive
-                args = (number, path_id, frame, size, is_dup)
+            receive = self._peer_receive
+            args = (number, path_id, frame, size, is_dup)
             label = "app_ack_arrival" if frame.app_ack else "packet_arrival"
         arrival = self.links[path_id].send(size, True, now)
         if arrival is not None:
@@ -243,8 +241,7 @@ class Node:
         entry, gaps = ps.ack_packet(number, now)
         if entry is not None:
             payload = entry[2]
-            if payload.__class__ is not int \
-                    and payload.message_id is not None:
+            if payload.__class__ is not int:
                 self.streams[payload.stream_id].on_acked(payload)
             if self.metrics is not None \
                     and now >= self._next_cwnd_sample[path_id]:
@@ -273,7 +270,7 @@ class Node:
             self.metrics.on_cwnd(ps, now, decreased)
         self.path_sched.ledger.drop_path(ps.path_id)
         frame = entry[2]
-        if frame.__class__ is int:  # a background first transmission
+        if frame.__class__ is int:  # a background packet
             frame = self._bg_stream.background_frame(frame)
         self.on_frame_lost(frame)
         self.streams[frame.stream_id].on_lost(frame, now, ps.path_id)
@@ -305,9 +302,7 @@ class Node:
         """Every background frame lands here: dedup for goodput, count, ack."""
         now = self.engine.now
         new_bytes = self._bg_seen.add(offset, size - HEADER_BYTES)
-        record = self._on_delivery
-        if record is not None:
-            record(now, size, False, new_bytes)
+        self._on_delivery(now, size, False, new_bytes)
         self._send_ack(path_id, number, now)
 
     def receive_data(self, number: int, path_id: int, frame: Frame, size: int,

@@ -133,13 +133,12 @@ class TrafficManager:
 
     def on_message_complete(self, frame: Frame, now: int, path_id: int,
                             by_duplicate: bool) -> None:
-        """The client holds a whole message: record its first completion and
-        queue the one-byte response on the same stream."""
+        """The client holds a whole message, once per message: record its
+        completion and queue the one-byte response on the same stream."""
         record = self.messages[frame.message_id]
-        if record.completed_at is None:
-            record.completed_at = now
-            record.completing_path = path_id
-            record.completed_by_duplicate = by_duplicate
+        record.completed_at = now
+        record.completing_path = path_id
+        record.completed_by_duplicate = by_duplicate
         client = self.client
         stream = client.get_send_stream(frame.stream_id, frame.priority)
         # the server reuses a stream only once the previous response has

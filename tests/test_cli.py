@@ -347,6 +347,22 @@ def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
         f"error: {run_dir / 'manifest.json'}: ")
 
 
+def test_compare_rejects_a_run_without_its_manifest(tmp_path, capsys):
+    # simulate writes the manifest last, so a stopped run leaves its growth
+    # table without one; that run's rows must not join the dir's figures
+    run_dir = fake_run_dir(tmp_path, '{"config": {"path_scheduler": "cwr"}}',
+                           GROWTH_HEADER + "1,cwr,997.7\n")
+    stopped = run_dir.parent / "run_001"
+    stopped.mkdir()
+    (stopped / "cwnd_growth.csv").write_text(
+        GROWTH_HEADER + "1,lowrtt,1312.0\n")
+    assert main(["compare", str(run_dir.parent)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {stopped / 'manifest.json'}: "
+                            "No such file or directory\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("lowrtt_growth, cwr_growth", [
     (GROWTH_HEADER, GROWTH_HEADER),
     (GROWTH_HEADER + "1,lowrtt,1264.0\n", GROWTH_HEADER + "2,cwr,1200.0\n"),

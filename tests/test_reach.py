@@ -11,6 +11,7 @@ from cwrsim.link import PathConfig
 from cwrsim.scenario import ScenarioConfig
 from cwrsim.simulation import Node
 from cwrsim.traffic import DataSourceConfig
+from cwrsim.transport import PathSendState
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -46,3 +47,32 @@ def test_probe_finds_a_function_only_tests_call(reach):
     report = reach.report(missed)
     assert any(line.endswith(".py:" + f"{min(gap_body)}-{max(gap_body)}"
                              " max_ccdf_gap") for line in report)
+
+
+def test_branch_report_lists_a_test_that_never_changed_its_answer(reach):
+    # lossy paths without ack loss: every ack is for a packet still in the
+    # ledger, while a path's loss alarm is armed both anew and over an
+    # earlier one
+    cfg = ScenarioConfig(
+        paths=[PathConfig(1, 25_000, loss_rate=0.004),
+               PathConfig(2, 25_000, loss_rate=0.004)],
+        sources=[DataSourceConfig(1, 100_000, 10_000)],
+        duration_us=1_100_000, seed=3)
+    arcs = {}
+    reach.probe([cfg], (), arcs)
+
+    def test_line(fn, text):
+        source, first = inspect.getsourcelines(fn)
+        [line] = [first + i for i, t in enumerate(source) if text in t]
+        return f"{inspect.getsourcefile(fn)}:{line}"
+
+    found = {f"{name}:{node.lineno}": never
+             for name in arcs
+             for node, never in reach.one_sided_tests(name, arcs[name])}
+    assert found[test_line(PathSendState.ack_packet,
+                           "if entry is None:")] is True
+    assert test_line(Node._arm_alarm,
+                     "if ps.alarm_entry is not None:") not in found
+    report = reach.branch_report(arcs)
+    assert any(line.endswith(" PathSendState.ack_packet: never True")
+               for line in report)

@@ -217,6 +217,37 @@ def test_lost_background_offset_is_retransmitted_as_its_frame():
     assert client._bg_seen.floor > offset
 
 
+def test_background_retransmission_enters_the_ledger_as_its_offset():
+    # every background send, first or resent, carries its bare offset, so
+    # the ledger holds a Frame only for a message packet
+    payloads = []  # (frame the trace reports, ledger payload, is_rtx)
+
+    def trace(node, kind, now, *fields):
+        if node.name == "server" and kind == "send":
+            path_id, number, frame, _dup, is_rtx = fields
+            payloads.append((frame, node.path_states[path_id]
+                             .ledger[number][2], is_rtx))
+
+    sim = Simulation(config(paths=two_paths(loss=0.004),
+                            sources=[DataSourceConfig(1, 100_000, 10_000)]),
+                     trace=trace)
+    force_data_losses(sim, 1, (20,))
+    sim.run()
+
+    bg_rtx = [payload for frame, payload, is_rtx in payloads
+              if is_rtx and frame.message_id is None]
+    assert bg_rtx and all(type(p) is int for p in bg_rtx)
+    assert any(is_rtx and frame.message_id is not None
+               for frame, _p, is_rtx in payloads)
+    for frame, payload, _rtx in payloads:
+        if frame.message_id is None:
+            assert payload == frame.offset
+        else:
+            assert payload is frame
+    assert sum(ps.retransmissions for ps in sim.server.path_list) \
+        == sum(is_rtx for _f, _p, is_rtx in payloads)
+
+
 def test_asymmetric_paths_prefer_fast_path_for_priority():
     cfg = config(
         paths=[PathConfig(1, 10_000), PathConfig(2, 50_000)],

@@ -4,7 +4,7 @@
     python tools/identity_sweep.py [REF]      (REF defaults to HEAD)
 
 REF's src/, tests/ and scenarios/ are exported with `git archive` into a
-temporary directory. Both trees then run the same 117 configurations:
+temporary directory. Both trees then run the same 118 configurations:
 
 - tests/test_properties.py's random_config(0..15) under each path scheduler
   and each stream scheduler, at 4 s (96 runs);
@@ -14,13 +14,13 @@ temporary directory. Both trees then run the same 117 configurations:
   scheduler, at 2 s (6 runs), its paths with background alone (1 run), and
   mixed_config() at 2.05 s, whose last 100 ms throughput bin is cut short
   (1 run);
-- stale_rtx_config() and early_deadline_config(), defined here, at 2 s
-  (1 run each).
+- stale_rtx_config(), early_deadline_config() and late_ack_config(),
+  defined here, at 2 s (1 run each).
 
 random_config draws priority sources only; mixed_config's priority and
 non-priority messages overlap on lossy paths that also lose acks, so
 streams of both classes are reused and completion responses are lost. The
-last two configs each reach a model branch that no other config does.
+last three configs each reach a model branch that no other config does.
 
 Each run records the SHA-256 of its `write_outputs` files (name and bytes, in
 name order) together with the warnings `write_outputs` returns, and the
@@ -105,6 +105,26 @@ def early_deadline_config():
                  for i, (size, start) in enumerate(sources)])
 
 
+def late_ack_config():
+    """Three priority sources on two lossy 20 Mbit/s paths, the first of
+    which also loses acks, under cwr_red: the client's path 1 receives acks
+    for packets it has already declared lost, which meets
+    PathSendState.ack_packet's return for a settled number."""
+    from cwrsim.link import PathConfig
+    from cwrsim.scenario import ScenarioConfig
+    from cwrsim.traffic import DataSourceConfig
+
+    paths = [PathConfig(1, 50_000, rate_bps=20_000_000, loss_rate=0.004,
+                        ack_loss_enabled=True),
+             PathConfig(2, 50_000, rate_bps=20_000_000, loss_rate=0.004)]
+    return ScenarioConfig(
+        paths=paths, duration_us=2_000_000, seed=1913, background=False,
+        path_scheduler="cwr_red", stream_scheduler="pfifo",
+        sources=[DataSourceConfig(i + 1, 20_000, size,
+                                  start_offset_us=100_000)
+                 for i, size in enumerate((3_000, 5_000, 10_000))])
+
+
 def sweep_configs():
     """(name, config) pairs; imports the tree on sys.path."""
     from test_output_identity import line_rate, priority_only, shipped
@@ -137,6 +157,7 @@ def sweep_configs():
            with_fields(mixed_config(), duration_us=2_050_000))
     yield "stale_rtx_config()", stale_rtx_config()
     yield "early_deadline_config()", early_deadline_config()
+    yield "late_ack_config()", late_ack_config()
 
 
 def outputs_digest(outdir: Path, warnings: list[str]) -> str:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List the lines of src/ that the product path never runs.
+"""List the lines of src/ that the product path never runs, and the tests
+there that never changed their answer.
 
     python tools/reach.py
 
@@ -20,8 +21,14 @@ returns elsewhere, only that last statement), and an exception class's
 methods. The executable lines come from the compiled code
 and the rejecting ones from its syntax tree, so the list follows the code as
 it moves. Module and class bodies run at import and are not judged: a class
-attribute that nothing reads is not found here. The exit status is 0; the
-list is the output.
+attribute that nothing reads is not found here.
+
+A line probe cannot see a test whose body always runs, so the tracer also
+records each frame's (line, next line) pairs. It then prints each
+statement-level `if` or `while` test inside a function that ran but was
+never True, or never False, with the function's name; those whose body
+only rejects bad input are listed apart. The exit status is 0; the lists
+are the output.
 """
 from __future__ import annotations
 
@@ -129,25 +136,37 @@ def rejecting_lines(filename: str) -> set[int]:
     return lines
 
 
-def probe(configs, cli_argvs=()) -> dict[str, set[int]]:
+def probe(configs, cli_argvs=(),
+          arcs: dict[str, set[tuple[int, int]]] | None = None
+          ) -> dict[str, set[int]]:
     """Run each config through Simulation, write_outputs and the identity
     sweep's trace hook, then cwrsim's main on each argv, all under a line
-    tracer. Returns, per src/ file, its function lines that never ran."""
+    tracer. Returns, per src/ file, its function lines that never ran.
+    `arcs`, when given a dict, receives per src/ file the (line, next line)
+    pairs each frame took: 0 as the line stands for the frame's entry, and
+    as the next line for its exit."""
     from cwrsim.cli import main as cli_main
     from cwrsim.simulation import Simulation
     from identity_sweep import trace_hook
 
-    ran: dict[str, set[int]] = {name: set() for name in src_files()}
+    taken: dict[str, set[tuple[int, int]]] = {name: set()
+                                              for name in src_files()}
 
     def on_call(frame, event, arg):
-        lines = ran.get(frame.f_code.co_filename)
-        if lines is None:
+        pairs = taken.get(frame.f_code.co_filename)
+        if pairs is None:
             return None
-        add = lines.add
+        add = pairs.add
+        last = 0
 
         def on_line(frame, event, arg):
+            nonlocal last
             if event == "line":
-                add(frame.f_lineno)
+                line = frame.f_lineno
+                add((last, line))
+                last = line
+            elif event == "return":
+                add((last, 0))
             return on_line
         return on_line
 
@@ -167,8 +186,38 @@ def probe(configs, cli_argvs=()) -> dict[str, set[int]]:
                                        f"{status}: {err.getvalue()}")
     finally:
         sys.settrace(previous)
-    return {name: set(function_lines(name)) - lines
-            for name, lines in ran.items()}
+    if arcs is not None:
+        arcs.update(taken)
+    return {name: set(function_lines(name)) - {line for _, line in pairs}
+            for name, pairs in taken.items()}
+
+
+def one_sided_tests(filename: str, arcs: set[tuple[int, int]]
+                    ) -> list[tuple[ast.If | ast.While, bool]]:
+    """(statement, answer never given) of each statement-level `if` or
+    `while` inside a function whose test ran but always gave the same
+    answer, in line order.
+
+    A test answers True when its frame goes on from it to the first line of
+    its body, and False when it goes anywhere else, returns included.
+    Constant tests, such as `while True`, and bodies on the test's own line
+    are not judged."""
+    names = function_lines(filename)
+    found = []
+    for node in ast.walk(ast.parse(Path(filename).read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.If, ast.While)) \
+                or isinstance(node.test, ast.Constant) \
+                or node.lineno not in names:
+            continue
+        test = range(node.test.lineno, node.test.end_lineno + 1)
+        body = node.body[0].lineno
+        if body in test:
+            continue
+        answers = {line == body for last, line in arcs
+                   if last in test and line not in test}
+        if len(answers) == 1:
+            found.append((node, not answers.pop()))
+    return sorted(found, key=lambda f: f[0].lineno)
 
 
 def report(missed: dict[str, set[int]]) -> list[str]:
@@ -198,6 +247,22 @@ def report(missed: dict[str, set[int]]) -> list[str]:
             + [f"  {r}" for r in rejecting])
 
 
+def branch_report(arcs: dict[str, set[tuple[int, int]]]) -> list[str]:
+    """The one-sided tests, those whose body only rejects bad input apart:
+    `src/cwrsim/file.py:12 Class.method: never True`."""
+    plain, rejecting = [], []
+    for name in sorted(arcs):
+        names = function_lines(name)
+        rejects = rejecting_lines(name)
+        where = Path(name).resolve().relative_to(REPO)
+        for node, never in one_sided_tests(name, arcs[name]):
+            (rejecting if node.body[0].lineno in rejects else plain).append(
+                f"{where}:{node.lineno} {names[node.lineno]}: never {never}")
+    return ([f"one-sided tests ({len(plain)}):"] + [f"  {r}" for r in plain]
+            + [f"one-sided tests, body only rejecting bad input "
+               f"({len(rejecting)}):"] + [f"  {r}" for r in rejecting])
+
+
 def main() -> int:
     sys.path[:0] = [str(REPO / "src"), str(REPO / "tests"),
                     str(REPO / "tools")]
@@ -213,8 +278,9 @@ def main() -> int:
         argvs = [["simulate", str(s), "--reps", str(SIMULATE_REPS),
                   "--out", out] for s, out in zip(scenarios, outs)]
         argvs.append(["compare", *outs])
-        missed = probe(configs, argvs)
-    print("\n".join(report(missed)))
+        arcs: dict[str, set[tuple[int, int]]] = {}
+        missed = probe(configs, argvs, arcs)
+    print("\n".join(report(missed) + branch_report(arcs)))
     return 0
 
 
