@@ -5,10 +5,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-from .engine import InvariantError
+from .engine import SEED_MASK, InvariantError
 from .metrics import ccdf, write_ccdf_csv
 from .scenario import ScenarioError, parse_scenario
 from .scheduling import PATH_SCHEDULERS
@@ -63,8 +64,9 @@ def _load_runs(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
     """Read both files of every run_* directory: the path scheduler of the
     one configuration, seed apart, that each manifest.json holds, and the
     (path id, mean growth) rows of each cwnd_growth.csv. A reused --out
-    keeps older runs, which may be another scenario's, and a stopped
-    simulate leaves a run without its manifest, which is written last."""
+    keeps older runs, which may be another scenario's or another seed's,
+    and a stopped simulate leaves a run without its manifest, which is
+    written last."""
     configs: dict[str, dict] = {}  # run -> its config
     rows = []
     for run_dir in sorted(outdir.glob("run_*")):
@@ -116,13 +118,30 @@ def _load_runs(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
                 raise UnreadableOutput(
                     f"{outdir}: {run_a} and {run_b} differ in config.{key}; "
                     "compare needs one configuration per dir")
+    # simulate gives run k its first run's seed + k
+    seed = first.get("seed")
+    for k, (run_b, config) in enumerate(rest, 1):
+        if not type(seed) is type(config.get("seed")) is int \
+                or config["seed"] != (seed + k) & SEED_MASK:
+            raise UnreadableOutput(
+                f"{outdir}: {run_a} ran seed {seed!r} but {run_b} ran seed "
+                f"{config.get('seed')!r}; compare needs the runs of one "
+                "simulate, at consecutive seeds")
     return first["path_scheduler"], rows
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     by_scheduler: dict[str, dict[int, list[float]]] = {}
+    seen: set[str] = set()
     for raw in args.dirs:
         outdir = Path(raw)
+        # realpath, unlike Path.resolve, does not raise on a symlink loop
+        real = os.path.realpath(outdir)
+        if real in seen:
+            print(f"error: {outdir}: named twice; compare counts each dir "
+                  "once", file=sys.stderr)
+            return EXIT_USAGE
+        seen.add(real)
         try:
             scheduler, rows = _load_runs(outdir)
         except UnreadableOutput as exc:

@@ -141,10 +141,9 @@ class RoundRobinStreams:
         self._last = -1
 
     def order(self, streams: list[SendStream]) -> list[SendStream]:
-        ordered = sorted(streams, key=lambda s: s.stream_id)
-        after = [s for s in ordered if s.stream_id > self._last]
-        before = [s for s in ordered if s.stream_id <= self._last]
-        return after + before
+        # ids after the last one served first, then those up to it
+        last = self._last
+        return sorted(streams, key=lambda s: (s.stream_id <= last, s.stream_id))
 
     def note_sent(self, stream: SendStream) -> None:
         self._last = stream.stream_id

@@ -1,6 +1,8 @@
 """Connection-layer building blocks: framing, per-path congestion state, reassembly."""
 from __future__ import annotations
 
+from heapq import heappushpop
+
 from .engine import InvariantError
 
 MAX_PACKET_BYTES = 1350
@@ -92,7 +94,7 @@ class PathSendState:
 
     __slots__ = (
         "path_id", "cwnd", "ssthresh", "in_flight",
-        "srtt", "growth_carry", "last_decrease", "ledger", "gap_counts",
+        "srtt", "growth_carry", "last_decrease", "ledger", "top_acked",
         "oldest", "alarm_entry", "min_alarm_delay",
         "sent_packets", "lost_packets", "retransmissions", "srtt_sum",
         "srtt_samples",
@@ -107,7 +109,9 @@ class PathSendState:
         self.growth_carry = 0
         self.last_decrease: int | None = None
         self.ledger: dict[int, tuple] = {}
-        self.gap_counts: dict[int, int] = {}
+        # min-heap of the GAP_LOSS_THRESHOLD highest numbers acked while a
+        # lower one was outstanding; -1 stands for one not yet acked
+        self.top_acked = [-1] * GAP_LOSS_THRESHOLD
         # no outstanding number is below this: numbers enter the ledger in
         # increasing order and never return to it
         self.oldest = 0
@@ -160,9 +164,6 @@ class PathSendState:
             total = MAX_PACKET_BYTES * size + self.growth_carry
             inc, self.growth_carry = divmod(total, self.cwnd)
             self.cwnd += inc
-        gap_counts = self.gap_counts
-        if gap_counts:
-            gap_counts.pop(number, None)
         if not ledger:
             return entry, _NO_GAPS
         # the smallest outstanding number, found by membership tests: asking
@@ -172,15 +173,14 @@ class PathSendState:
             oldest += 1
         self.oldest = oldest
         if oldest < number:
+            # a number below the least in top_acked has that many acks above
+            heappushpop(self.top_acked, number)
+            bound = min(self.top_acked[0], number)
             gap_lost = []
             for num in ledger:
-                if num >= number:
+                if num >= bound:
                     break
-                seen = gap_counts.get(num, 0) + 1
-                if seen >= GAP_LOSS_THRESHOLD:
-                    gap_lost.append(num)
-                else:
-                    gap_counts[num] = seen
+                gap_lost.append(num)
             return entry, gap_lost
         return entry, _NO_GAPS
 
@@ -209,7 +209,6 @@ class PathSendState:
         """Remove an outstanding packet from the ledger as lost; returns
         (entry, decreased)."""
         entry = self.ledger.pop(number)
-        self.gap_counts.pop(number, None)
         _, size, _, _, _ = entry
         self.in_flight -= size
         self.lost_packets += 1

@@ -284,6 +284,35 @@ def test_compare_rejects_a_dir_holding_two_scenarios_runs(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_compare_rejects_a_dir_holding_a_stale_run(tmp_path, capsys):
+    # one scenario, two seeds: the seed-6 run_001 outlives the seed-50
+    # run_000 that replaced the seed-5 one
+    out = tmp_path / "out"
+    scn = write_scenario(tmp_path)
+    for extra in (["--reps", "2"], ["--seed", "50"]):
+        assert main(["simulate", str(scn), *extra, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out}: run_000 ran seed 50 but run_001 "
+                            "ran seed 6; compare needs the runs of one "
+                            "simulate, at consecutive seeds\n")
+    assert captured.out == ""
+
+
+def test_compare_rejects_a_dir_named_twice(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_scenario(tmp_path)),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    again = out / ".." / "out"
+    assert main(["compare", str(out), str(again)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {again}: named twice; compare counts "
+                            "each dir once\n")
+    assert captured.out == ""
+
+
 def test_simulate_rejects_fewer_than_one_repetition(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     for reps in ("0", "-3"):
