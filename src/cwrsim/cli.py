@@ -9,8 +9,8 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import SEED_MASK, InvariantError
-from .metrics import ccdf, write_ccdf_csv
+from .engine import InvariantError
+from .metrics import ccdf, write_ccdf_csv, write_growth_csv
 from .scenario import ScenarioError, parse_scenario
 from .scheduling import PATH_SCHEDULERS
 from .simulation import Simulation
@@ -18,6 +18,9 @@ from .simulation import Simulation
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
+
+# every run's growth rows, pooled in OUT beside the run_NNN dirs
+GROWTH_TABLE = "cwnd_growth.csv"
 
 class UnreadableOutput(ValueError):
     """A file under a compare directory that is not what simulate writes."""
@@ -40,15 +43,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     base_seed = config.seed if args.seed is None else args.seed
     outdir = Path(args.out)
     pooled_mcts: list[int] = []
+    pooled_growth = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        # a simulate that stops leaves no pooled table, not an older one
+        for name in (GROWTH_TABLE, "ccdf.csv"):
+            (outdir / name).unlink(missing_ok=True)
         for rep in range(args.reps):
             config.seed = base_seed + rep
             result = Simulation(config).run()
             for warning in result.write_outputs(_run_dir(outdir, rep)):
                 print(f"run {rep}: {warning}", file=sys.stderr)
             pooled_mcts.extend(result.priority_mcts())
+            pooled_growth.extend(result.growth_records()[0])
         write_ccdf_csv(outdir / "ccdf.csv", ccdf(pooled_mcts))
+        # last: compare takes this table to mean the simulate finished
+        write_growth_csv(outdir / GROWTH_TABLE, pooled_growth)
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -60,74 +70,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_runs(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
-    """Read both files of every run_* directory: the path scheduler of the
-    one configuration, seed apart, that each manifest.json holds, and the
-    (path id, mean growth) rows of each cwnd_growth.csv. A reused --out
-    keeps older runs, which may be another scenario's or another seed's,
-    and a stopped simulate leaves a run without its manifest, which is
-    written last."""
-    configs: dict[str, dict] = {}  # run -> its config
+def _load_dir(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
+    """Read the path scheduler of run_000's manifest.json and the (path id,
+    mean growth) rows of the pooled growth table. simulate removes that
+    table before its first run and writes it after its last, so the two
+    files come from one finished simulate."""
+    manifest = _run_dir(outdir, 0) / "manifest.json"
+    try:
+        with manifest.open(encoding="utf-8") as fh:
+            scheduler = json.load(fh)["config"]["path_scheduler"]
+        # isinstance first: a list or dict cannot be looked up
+        if not isinstance(scheduler, str) or scheduler not in PATH_SCHEDULERS:
+            raise ValueError(scheduler)
+    except (KeyError, TypeError, ValueError, RecursionError):
+        # RecursionError: json nests too deep to parse
+        raise UnreadableOutput(
+            f"{manifest}: expected JSON with a config.path_scheduler "
+            f"of {', '.join(PATH_SCHEDULERS)}") from None
+    growth = outdir / GROWTH_TABLE
     rows = []
-    for run_dir in sorted(outdir.glob("run_*")):
-        manifest = run_dir / "manifest.json"
+    with growth.open(encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
         try:
-            with manifest.open(encoding="utf-8") as fh:
-                config = json.load(fh)["config"]
-            scheduler = config["path_scheduler"]
-            # isinstance first: a list or dict cannot be looked up
-            if not isinstance(scheduler, str) \
-                    or scheduler not in PATH_SCHEDULERS:
-                raise ValueError(scheduler)
-        except (KeyError, TypeError, ValueError, RecursionError):
-            # RecursionError: json nests too deep to parse
+            for row in reader:
+                mean = float(row["mean_growth_bytes_per_rtt"])
+                # simulate writes a finite mean only
+                if not math.isfinite(mean):
+                    raise ValueError(mean)
+                rows.append((int(row["path_id"]), mean))
+        except (KeyError, TypeError, ValueError):
             raise UnreadableOutput(
-                f"{manifest}: expected JSON with a config.path_scheduler "
-                f"of {', '.join(PATH_SCHEDULERS)}") from None
-        configs[run_dir.name] = config
-        growth = run_dir / "cwnd_growth.csv"
-        with growth.open(encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                for row in reader:
-                    mean = float(row["mean_growth_bytes_per_rtt"])
-                    # simulate writes a finite mean only
-                    if not math.isfinite(mean):
-                        raise ValueError(mean)
-                    rows.append((int(row["path_id"]), mean))
-            except (KeyError, TypeError, ValueError):
-                raise UnreadableOutput(
-                    f"{growth}: line {reader.line_num}: expected numeric "
-                    "path_id and finite mean_growth_bytes_per_rtt") from None
-            except csv.Error as exc:  # such as a field over csv's size limit
-                # DictReader's own line_num lags a line that fails to parse
-                raise UnreadableOutput(
-                    f"{growth}: line {reader.reader.line_num}: {exc}") from None
-    if not configs:
-        raise UnreadableOutput(f"{outdir}: no manifest.json found")
-    (run_a, first), *rest = configs.items()
-    keys = sorted(set().union(*configs.values()) - {"path_scheduler", "seed"})
-    # a mixed scheduler is named first, whatever else differs
-    for key in ("path_scheduler", *keys):
-        for run_b, config in rest:
-            if config.get(key) != first.get(key):
-                if key == "path_scheduler":
-                    raise UnreadableOutput(
-                        f"{outdir}: {run_a} ran {first[key]} but {run_b} ran "
-                        f"{config[key]}; compare needs one scheduler per dir")
-                raise UnreadableOutput(
-                    f"{outdir}: {run_a} and {run_b} differ in config.{key}; "
-                    "compare needs one configuration per dir")
-    # simulate gives run k its first run's seed + k
-    seed = first.get("seed")
-    for k, (run_b, config) in enumerate(rest, 1):
-        if not type(seed) is type(config.get("seed")) is int \
-                or config["seed"] != (seed + k) & SEED_MASK:
+                f"{growth}: line {reader.line_num}: expected numeric "
+                "path_id and finite mean_growth_bytes_per_rtt") from None
+        except csv.Error as exc:  # such as a field over csv's size limit
+            # DictReader's own line_num lags a line that fails to parse
             raise UnreadableOutput(
-                f"{outdir}: {run_a} ran seed {seed!r} but {run_b} ran seed "
-                f"{config.get('seed')!r}; compare needs the runs of one "
-                "simulate, at consecutive seeds")
-    return first["path_scheduler"], rows
+                f"{growth}: line {reader.reader.line_num}: {exc}") from None
+    return scheduler, rows
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -143,7 +122,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         seen.add(real)
         try:
-            scheduler, rows = _load_runs(outdir)
+            scheduler, rows = _load_dir(outdir)
         except UnreadableOutput as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -9,6 +9,9 @@ from typing import Callable
 _NO_ARGS = ()
 
 SEED_MASK = (1 << 64) - 1
+# RngStream ids per seed: the streams of two seeds share no derived seed
+# while every id is below this
+RNG_STREAMS = 4096
 
 
 class InvariantError(RuntimeError):
@@ -123,5 +126,5 @@ class RngStream:
     __slots__ = ("random",)
 
     def __init__(self, seed: int, stream_id: int):
-        # Disjoint derived seeds as long as stream_id < 4096.
-        self.random = random.Random((seed & SEED_MASK) * 4096 + stream_id).random
+        self.random = random.Random(
+            (seed & SEED_MASK) * RNG_STREAMS + stream_id).random

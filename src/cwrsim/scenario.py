@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .engine import SEED_MASK
+from .engine import RNG_STREAMS, SEED_MASK
 from .link import PathConfig, nominal_rtt_us, serialization_us
 from .metrics import BIN_WIDTH_US, WARMUP_US
 from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
@@ -80,6 +80,13 @@ class ScenarioConfig:
         _require_list(self, "sources", DataSourceConfig)
         if not self.paths:
             raise ScenarioError("at least one [path] section is required")
+        # each path draws from two RngStreams, ids 2i and 2i + 1
+        max_paths = RNG_STREAMS // 2
+        if len(self.paths) > max_paths:
+            raise ScenarioError(
+                f"at most {max_paths} paths, got {len(self.paths)}: each "
+                f"takes two of a seed's {RNG_STREAMS} random streams",
+                key=("path", max_paths))
         _require(self, ("seed",), int, "an integer")
         _require(self, ("background",), bool, "a boolean")
         # held to the horizon before its type: a file's duration_s = 1e303

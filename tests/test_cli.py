@@ -67,6 +67,19 @@ def test_simulate_repetitions_vary_seed(tmp_path):
     assert seeds == [5, 6]
 
 
+def test_pooled_growth_table_holds_every_runs_rows_in_order(tmp_path):
+    scn = write_scenario(tmp_path)
+    scn.write_text(scn.read_text().replace("duration_s = 2", "duration_s = 4"))
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--reps", "2", "--out", str(out)]) == 0
+    header, *rows = (out / "run_000" / "cwnd_growth.csv").read_text() \
+        .splitlines(keepends=True)
+    rows += (out / "run_001" / "cwnd_growth.csv").read_text() \
+        .splitlines(keepends=True)[1:]
+    assert len(rows) == 4  # both paths of both runs
+    assert (out / "cwnd_growth.csv").read_text() == header + "".join(rows)
+
+
 def test_second_repetition_equals_a_run_at_its_seed(tmp_path):
     # the scenario's seed is 5: repetition 1 runs seed 6
     scn = write_scenario(tmp_path)
@@ -91,6 +104,23 @@ def test_same_config_and_seed_yield_byte_identical_outputs(tmp_path):
         a = (out_a / "run_000" / name).read_bytes()
         b = (out_b / "run_000" / name).read_bytes()
         assert a == b, name
+
+
+def test_every_manifest_under_out_holds_the_counts_bench_reads(tmp_path):
+    # bench/ sums these over every manifest.json below --out, so a pooled
+    # summary must take another name
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_scenario(tmp_path)), "--reps", "2",
+                 "--out", str(out)]) == 0
+    manifests = sorted(out.rglob("manifest.json"))
+    assert [m.parent.name for m in manifests] == ["run_000", "run_001"]
+    for manifest in manifests:
+        data = json.loads(manifest.read_text())
+        assert type(data["events_dispatched"]) is int
+        assert data["paths"]
+        for counts in data["paths"].values():
+            assert type(counts["losses_declared"]) is int
+            assert type(counts["data_packets_dropped"]) is int
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -250,53 +280,62 @@ def test_compare_reports_growth_ordering(tmp_path, capsys):
     assert "growth ordering" in report
 
 
-def test_compare_rejects_a_dir_holding_two_schedulers_runs(tmp_path, capsys):
-    # a reused --out keeps the older runs beyond the new --reps
-    out = tmp_path / "out"
-    for scheduler, reps in (("lowrtt", "2"), ("cwr", "1")):
-        scn = write_scenario(tmp_path, scheduler, f"{scheduler}.scn")
-        assert main(["simulate", str(scn), "--reps", reps,
-                     "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["compare", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: {out}: run_000 ran cwr but run_001 ran "
-                            "lowrtt; compare needs one scheduler per dir\n")
-    assert captured.out == ""
+# (scheduler, owd_us, extra simulate args) of the first and the last
+# simulate into one --out
+REUSE_CASES = {
+    "another_scheduler": (("lowrtt", "25000", ["--reps", "2"]),
+                          ("cwr", "25000", [])),
+    "another_scenario": (("cwr", "25000", ["--reps", "2"]),
+                         ("cwr", "50000", [])),
+    "another_seed": (("cwr", "25000", ["--reps", "2"]),
+                     ("cwr", "25000", ["--seed", "50"])),
+    "fewer_reps": (("cwr", "25000", ["--reps", "3"]),
+                   ("cwr", "25000", ["--reps", "1"])),
+}
 
 
-def test_compare_rejects_a_dir_holding_two_scenarios_runs(tmp_path, capsys):
-    # one scheduler, two scenarios: the older scenario's run_001 outlives
-    # the newer one's single run
-    out = tmp_path / "out"
-    for owd, reps in (("25000", "2"), ("50000", "1")):
-        scn = tmp_path / f"owd_{owd}.scn"
-        scn.write_text(SCENARIO.format(scheduler="cwr")
+@pytest.mark.parametrize("first, last", REUSE_CASES.values(),
+                         ids=REUSE_CASES.keys())
+def test_compare_reads_a_reused_out_as_its_last_simulate(tmp_path, capsys,
+                                                         first, last):
+    def simulate(case, out):
+        scheduler, owd, extra = case
+        scn = tmp_path / f"{scheduler}_{owd}.scn"
+        # 4 s: every run has growth rows, so each run counts in the report
+        scn.write_text(SCENARIO.format(scheduler=scheduler)
+                       .replace("duration_s = 2", "duration_s = 4")
                        .replace("owd_us = 25000", f"owd_us = {owd}"))
-        assert main(["simulate", str(scn), "--reps", reps,
-                     "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["compare", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: {out}: run_000 and run_001 differ in "
-                            "config.paths; compare needs one configuration "
-                            "per dir\n")
-    assert captured.out == ""
-
-
-def test_compare_rejects_a_dir_holding_a_stale_run(tmp_path, capsys):
-    # one scenario, two seeds: the seed-6 run_001 outlives the seed-50
-    # run_000 that replaced the seed-5 one
-    out = tmp_path / "out"
-    scn = write_scenario(tmp_path)
-    for extra in (["--reps", "2"], ["--seed", "50"]):
         assert main(["simulate", str(scn), *extra, "--out", str(out)]) == 0
+
+    def compare(out):
+        capsys.readouterr()
+        code = main(["compare", str(out)])
+        return code, *capsys.readouterr()
+
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    simulate(first, reused)
+    simulate(last, reused)
+    simulate(last, fresh)
+    expected = compare(fresh)
+    assert expected[0] == 0 and "(1 run(s))" in expected[1]
+    assert compare(reused) == expected
+
+
+def test_a_stopped_simulate_leaves_no_pooled_table(tmp_path, capsys):
+    # the first simulate's pooled tables must not outlive the second one,
+    # which stops at run_001
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--out", str(out)]) == 0
+    (out / "run_001").write_text("kept\n")
+    assert main(["simulate", str(scn), "--reps", "2", "--out", str(out)]) == 1
+    assert not (out / "cwnd_growth.csv").exists()
+    assert not (out / "ccdf.csv").exists()
     capsys.readouterr()
     assert main(["compare", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: {out}: run_000 ran seed 50 but run_001 "
-                            "ran seed 6; compare needs the runs of one "
-                            "simulate, at consecutive seeds\n")
+    assert captured.err == (f"error: {out / 'cwnd_growth.csv'}: "
+                            "No such file or directory\n")
     assert captured.out == ""
 
 
@@ -347,12 +386,13 @@ def test_undecodable_scenario_file_exit_code(tmp_path, capsys):
 
 
 def fake_run_dir(tmp_path, manifest: str, growth: str | None = None) -> Path:
-    """A compare input dir holding one run's manifest and growth table."""
+    """A compare input dir holding one run's manifest and the pooled growth
+    table; returns the run's dir."""
     run_dir = tmp_path / "out" / "run_000"
     run_dir.mkdir(parents=True)
     (run_dir / "manifest.json").write_text(manifest)
     if growth is not None:
-        (run_dir / "cwnd_growth.csv").write_text(growth)
+        (run_dir.parent / "cwnd_growth.csv").write_text(growth)
     return run_dir
 
 
@@ -374,22 +414,6 @@ def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
     assert main(["compare", str(run_dir.parent)]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: {run_dir / 'manifest.json'}: ")
-
-
-def test_compare_rejects_a_run_without_its_manifest(tmp_path, capsys):
-    # simulate writes the manifest last, so a stopped run leaves its growth
-    # table without one; that run's rows must not join the dir's figures
-    run_dir = fake_run_dir(tmp_path, '{"config": {"path_scheduler": "cwr"}}',
-                           GROWTH_HEADER + "1,cwr,997.7\n")
-    stopped = run_dir.parent / "run_001"
-    stopped.mkdir()
-    (stopped / "cwnd_growth.csv").write_text(
-        GROWTH_HEADER + "1,lowrtt,1312.0\n")
-    assert main(["compare", str(run_dir.parent)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: {stopped / 'manifest.json'}: "
-                            "No such file or directory\n")
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("lowrtt_growth, cwr_growth", [
@@ -456,5 +480,5 @@ def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
                            growth)
     assert main(["compare", str(run_dir.parent)]) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {run_dir / 'cwnd_growth.csv'}: line 2: ")
+        f"error: {run_dir.parent / 'cwnd_growth.csv'}: line 2: ")
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cwrsim.engine import RNG_STREAMS
 from cwrsim.scenario import (MAX_DURATION_US, MAX_THROUGHPUT_BINS, _PATH_KEYS,
                              _SOURCE_KEYS, _TOP_KEYS, ScenarioConfig,
                              ScenarioError, parse_scenario)
@@ -220,6 +221,30 @@ def test_validity_envelope_boundary_names_the_path_line(tmp_path, owd_us,
         with pytest.raises(ScenarioError, match="validity envelope") as info:
             parse_scenario(p)
         assert info.value.line == 3
+
+
+@pytest.mark.parametrize("count, accepted", [(RNG_STREAMS // 2, True),
+                                             (RNG_STREAMS // 2 + 1, False)])
+def test_validate_bounds_the_paths_by_the_random_streams(count, accepted):
+    # two streams per path: a 2049th path's forward link would draw what
+    # the next seed's first path draws, so repetitions would share draws
+    assert RNG_STREAMS == 4096
+    cfg = ScenarioConfig(paths=[PathConfig(i, 25_000)
+                                for i in range(1, count + 1)])
+    if accepted:
+        cfg.validate()
+    else:
+        with pytest.raises(ScenarioError, match="at most 2048 paths") as info:
+            cfg.validate()
+        assert info.value.key == ("path", 2048)
+
+
+def test_a_path_past_the_random_streams_names_its_line(tmp_path):
+    # line 1 holds the seed; the i-th [path] header, from 0, is line 2 + 2i
+    text = "seed = 1\n" + "[path]\nowd_us = 25000\n" * (RNG_STREAMS // 2 + 1)
+    with pytest.raises(ScenarioError, match="at most 2048 paths") as info:
+        parse_scenario(write(tmp_path, text))
+    assert info.value.line == 2 + 2 * (RNG_STREAMS // 2)
 
 
 def test_programmatic_path_outside_the_envelope_rejected():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from cwrsim.engine import InvariantError
 from cwrsim.scheduling import paths_by_rtt
 from cwrsim.transport import (Frame, GAP_LOSS_THRESHOLD, HEADER_BYTES,
-                              LOSS_ALARM_DEN, LOSS_ALARM_NUM,
+                              INITIAL_CWND, INITIAL_SSTHRESH, LOSS_ALARM_DEN,
+                              LOSS_ALARM_NUM, MAX_PACKET_BYTES,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState,
                               StreamReassembly, packetize)
 
@@ -423,6 +424,183 @@ def test_rtt_estimate_matches_the_none_until_sampled_rule(nominals, ops):
         assert [p.path_id for p in paths_by_rtt(paths)] == [
             r.path_id for r in sorted(
                 refs, key=lambda r: (r.effective_srtt(), r.path_id))]
+
+
+class Rfc9002Sender:
+    """One path's sender as RFC 9002's pseudocode states it: Appendix A.5
+    (sending), A.7 (an ack, with A.10's loss detection), A.9 (the loss
+    timer) and Appendix B (congestion control), with the departures that
+    README's "Transport model against RFC 9002" lists applied, each marked
+    "departure" where it applies. The RFC's variables keep their names."""
+
+    def __init__(self, initial_rtt):
+        # B.3
+        self.congestion_window = INITIAL_CWND
+        self.bytes_in_flight = 0
+        self.congestion_recovery_start_time = None
+        self.ssthresh = INITIAL_SSTHRESH  # departure: finite
+        # B.5 as README states it: the remainder of a congestion avoidance
+        # increase is carried to the next ack
+        self.carry = 0
+        # A.4; departure: the configured RTT is the initial one, and
+        # there is no rttvar or min_rtt
+        self.smoothed_rtt = initial_rtt
+        self.first_rtt_sample = False
+        self.next_packet_number = 0
+        self.sent_packets = {}  # number -> (time_sent, sent_bytes, loss_time)
+        self.acked = []  # every number newly acked
+        self.lost = set()
+
+    def on_packet_sent(self, sent_bytes, now):
+        """A.5 and B.4; returns the packet's number."""
+        number = self.next_packet_number
+        self.next_packet_number += 1
+        # departure: the loss time is fixed at the send
+        self.sent_packets[number] = (
+            now, sent_bytes,
+            now + LOSS_ALARM_NUM * self.smoothed_rtt // LOSS_ALARM_DEN)
+        self.bytes_in_flight += sent_bytes
+        return number
+
+    def loss_times(self):
+        return [loss_time for _, _, loss_time in self.sent_packets.values()]
+
+    def on_ack_received(self, number, now):
+        # A.7; departure: an ack carries one number, acked on arrival
+        if number not in self.sent_packets:
+            return  # not newly acked: declared lost before it came
+        time_sent, sent_bytes, _ = self.sent_packets.pop(number)
+        self.acked.append(number)
+        # UpdateRtt; departure: no ack delay, no rttvar, integer srtt
+        latest_rtt = now - time_sent
+        if not self.first_rtt_sample:
+            self.smoothed_rtt = latest_rtt
+            self.first_rtt_sample = True
+        else:
+            self.smoothed_rtt = (7 * self.smoothed_rtt + latest_rtt) // 8
+        lost_packets = self.detect_and_remove_lost_packets(now)
+        # departure: the acked packet grows the window before the losses
+        # it shows decrease it; A.7 handles the losses first
+        self.on_packet_acked(sent_bytes)
+        if lost_packets:
+            self.on_packets_lost(lost_packets, now)
+
+    def on_loss_timeout(self, now):
+        # A.9 and A.10; departure: every outstanding packet has a loss time
+        self.on_packets_lost(self.detect_and_remove_lost_packets(now), now)
+
+    def detect_and_remove_lost_packets(self, now):
+        # A.10; departures: the time threshold's loss time is fixed at the
+        # send, and the packet threshold counts the numbers acked above a
+        # packet rather than its distance to the largest one
+        lost_packets = []
+        for number, (_, sent_bytes, loss_time) in sorted(
+                self.sent_packets.items()):
+            above = sum(1 for acked in self.acked if acked > number)
+            if loss_time <= now or above >= GAP_LOSS_THRESHOLD:
+                lost_packets.append((number, sent_bytes))
+        for number, _ in lost_packets:
+            del self.sent_packets[number]
+        return lost_packets
+
+    def on_packet_acked(self, sent_bytes):
+        # B.5; departure: the window grows on every ack, in recovery and
+        # when application-limited too
+        self.bytes_in_flight -= sent_bytes
+        if self.congestion_window < self.ssthresh:
+            self.congestion_window += sent_bytes
+        else:
+            increase, self.carry = divmod(
+                MAX_PACKET_BYTES * sent_bytes + self.carry,
+                self.congestion_window)
+            self.congestion_window += increase
+
+    def on_packets_lost(self, lost_packets, now):
+        # B.8; departure: no persistent congestion
+        for number, sent_bytes in lost_packets:
+            self.bytes_in_flight -= sent_bytes
+            self.lost.add(number)
+        if lost_packets:
+            self.on_congestion_event(now)
+
+    def on_congestion_event(self, now):
+        # B.6; departure: the recovery period is one smoothed RTT from the
+        # last decrease
+        if self.congestion_recovery_start_time is not None \
+                and now - self.congestion_recovery_start_time \
+                < self.smoothed_rtt:
+            return
+        self.congestion_recovery_start_time = now
+        # departure: ssthresh is floored at the minimum window, as cwnd is
+        self.ssthresh = max(self.congestion_window // 2, MIN_CWND)
+        self.congestion_window = max(self.ssthresh, MIN_CWND)
+
+
+NOMINAL_RTT = 50_000
+
+# (kind, value, size, step), after `step` us: "send" value + 1 packets
+# of `size` B, each cut to the free window (none when under a header's
+# worth is free); "ack" the value-th oldest outstanding number at its
+# send + the nominal RTT, or now if that is past, so a packet that three
+# later acks skip is gap-lost; "late": ack the value-th oldest number
+# declared lost and not yet acked; or "alarm": let value x 20 ms more pass.
+# The loss alarm fires at every loss time that time passes.
+sender_ops = st.lists(st.tuples(
+    st.sampled_from(("send",) * 3 + ("ack",) * 4 + ("late", "alarm")),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([HEADER_BYTES + 1, 700, MAX_PACKET_BYTES]),
+    st.sampled_from([0, 0, 1, 1_000, 5_000])),
+    min_size=30, max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sender_ops)
+# the third ack above packet 0 grows the window, then declares 0 lost
+@example([("send", 3, HEADER_BYTES + 1, 0)] + [("ack", 1, 0, 0)] * 3)
+def test_path_send_state_matches_rfc_9002_with_the_listed_departures(ops):
+    ps = PathSendState(1, NOMINAL_RTT)
+    ref = Rfc9002Sender(NOMINAL_RTT)
+    lost = set()
+    sent_at = {}  # number -> send time, until acked
+    now = 0
+
+    def declare(numbers, at):
+        for number in numbers:
+            ps.declare_lost(number, at)
+            lost.add(number)
+
+    def advance(to):
+        # the alarm fires at each loss time up to `to`, earliest first
+        nonlocal now
+        while ref.loss_times() and min(ref.loss_times()) <= to:
+            now = min(ref.loss_times())
+            ref.on_loss_timeout(now)
+            declare(ps.alarm_scan(now)[0], now)
+        now = max(now, to)
+
+    for kind, value, size, step in ops:
+        advance(now + step)
+        if kind == "send":
+            for _ in range(value + 1):
+                cut = min(size, ref.congestion_window - ref.bytes_in_flight)
+                if cut > HEADER_BYTES:
+                    number = ref.on_packet_sent(cut, now)
+                    assert ps.register_sent(cut, 0, now)[0] == number
+                    sent_at[number] = now
+        elif kind in ("ack", "late"):
+            pool = sorted(ref.sent_packets if kind == "ack"
+                          else lost & sent_at.keys())
+            if pool:
+                number = pool[value % len(pool)]
+                advance(sent_at.pop(number) + NOMINAL_RTT)
+                _, gaps = ps.ack_packet(number, now)
+                declare(gaps, now)
+                ref.on_ack_received(number, now)
+        elif kind == "alarm":
+            advance(now + 20_000 * value)
+        assert (ps.cwnd, ps.ssthresh, ps.srtt, ps.in_flight, lost) \
+            == (ref.congestion_window, ref.ssthresh, ref.smoothed_rtt,
+                ref.bytes_in_flight, ref.lost)
 
 
 def test_free_window_trivials():
