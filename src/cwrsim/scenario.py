@@ -89,15 +89,12 @@ class ScenarioConfig:
                 key=("path", max_paths))
         _require(self, ("seed",), int, "an integer")
         _require(self, ("background",), bool, "a boolean")
-        # held to the horizon before its type: a file's duration_s = 1e303
-        # arrives as an infinite float
-        if isinstance(self.duration_us, (int, float)) \
-                and self.duration_us > MAX_DURATION_US:
+        _require(self, ("duration_us",), int, "an integer")
+        if self.duration_us > MAX_DURATION_US:
             raise ScenarioError(
                 f"the run may last at most {MAX_DURATION_US} us "
                 f"({MAX_THROUGHPUT_BINS} throughput bins of "
                 f"{BIN_WIDTH_US} us)", key="duration_us")
-        _require(self, ("duration_us",), int, "an integer")
         if self.duration_us <= WARMUP_US:
             raise ScenarioError(
                 f"the run must be longer than the {WARMUP_US} us warm-up, "
@@ -207,11 +204,9 @@ class ScenarioConfig:
 
 def _parse_bool(raw: str, line: int) -> bool:
     low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ScenarioError(f"expected a boolean, got {raw!r}", line)
+    if low not in ("true", "false"):
+        raise ScenarioError(f"expected a boolean, got {raw!r}", line)
+    return low == "true"
 
 
 def _parse_int(raw: str, line: int) -> int:
@@ -235,27 +230,29 @@ def _parse_text(raw: str, line: int) -> str:
     return raw
 
 
-# each section's vocabulary: key -> parser of its value
-_TOP_KEYS = {"duration_s": _parse_float, "duration_us": _parse_int,
-             "seed": _parse_int, "stream_scheduler": _parse_text,
-             "path_scheduler": _parse_text, "background": _parse_bool}
-_PATH_KEYS = {"owd_us": _parse_int, "rtt_us": _parse_int,
-              "rate_bps": _parse_int, "loss_rate": _parse_float,
-              "ack_loss_enabled": _parse_bool}
+# each section's vocabulary: key -> parser of its value; a key is the name
+# of the config field it sets
+_TOP_KEYS = {"duration_us": _parse_int, "seed": _parse_int,
+             "stream_scheduler": _parse_text, "path_scheduler": _parse_text,
+             "background": _parse_bool}
+_PATH_KEYS = {"owd_us": _parse_int, "rate_bps": _parse_int,
+              "loss_rate": _parse_float, "ack_loss_enabled": _parse_bool}
 _SOURCE_KEYS = {"inter_arrival_us": _parse_int,
                 "message_size_bytes": _parse_int, "priority": _parse_bool,
                 "start_offset_us": _parse_int}
 _SECTION_KEYS = {"path": _PATH_KEYS, "source": _SOURCE_KEYS}
+# the keys each section must set: its fields without a default
+_REQUIRED_KEYS = {"path": ("owd_us",),
+                  "source": ("inter_arrival_us", "message_size_bytes")}
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Read a scenario file into a validated ScenarioConfig.
 
-    Parsing owns only the file's vocabulary: sections, keys, value syntax,
-    the key pairs that exclude each other and the required keys.
-    ScenarioConfig.validate owns every range and consistency rule; its
-    ScenarioError is raised again naming the line that set the rejected
-    field, or the rejected section's header line.
+    Parsing owns only the file's vocabulary: sections, keys, value syntax
+    and the required keys. ScenarioConfig.validate owns every range and
+    consistency rule; its ScenarioError is raised again naming the line
+    that set the rejected field, or the rejected section's header line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -287,42 +284,21 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         current[key] = (vocabulary[key](value.strip(), lineno), lineno)
 
-    if "duration_s" in top:
-        if "duration_us" in top:
-            raise ScenarioError("give duration_s or duration_us, not both",
-                                top["duration_us"][1])
-        seconds, ln = top.pop("duration_s")
-        micros = seconds * 1_000_000  # inf past the float range
-        top["duration_us"] = (round(micros) if math.isfinite(micros)
-                              else micros, ln)
     config = ScenarioConfig(paths=[])
     lines: dict[str | tuple[str, int], int] = {}
     for key, (value, ln) in top.items():
         setattr(config, key, value)
         lines[key] = ln
 
-    for i, (section_line, keys) in enumerate(sections["path"]):
-        if "rtt_us" in keys:
-            rtt, ln = keys.pop("rtt_us")
-            if "owd_us" in keys:
-                raise ScenarioError("give owd_us or rtt_us, not both", ln)
-            if rtt % 2:
-                # forward and reverse one-way delays are equal whole us
-                raise ScenarioError(f"rtt_us must be even, got {rtt}", ln)
-            keys["owd_us"] = (rtt // 2, ln)
-        if "owd_us" not in keys:
-            raise ScenarioError("path needs owd_us or rtt_us", section_line)
-        config.paths.append(PathConfig(
-            path_id=i + 1, **{k: v for k, (v, _) in keys.items()}))
-        lines["path", i] = section_line
-
-    for i, (section_line, keys) in enumerate(sections["source"]):
-        for required in ("inter_arrival_us", "message_size_bytes"):
-            if required not in keys:
-                raise ScenarioError(f"source needs {required}", section_line)
-        config.sources.append(DataSourceConfig(
-            source_id=i + 1, **{k: v for k, (v, _) in keys.items()}))
-        lines["source", i] = section_line
+    for section, built, make in (("path", config.paths, PathConfig),
+                                 ("source", config.sources, DataSourceConfig)):
+        for i, (section_line, keys) in enumerate(sections[section]):
+            for required in _REQUIRED_KEYS[section]:
+                if required not in keys:
+                    raise ScenarioError(f"{section} needs {required}",
+                                        section_line)
+            built.append(make(i + 1, **{k: v for k, (v, _) in keys.items()}))
+            lines[section, i] = section_line
 
     try:
         config.validate()

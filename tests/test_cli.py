@@ -16,7 +16,7 @@ from cwrsim.scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from cwrsim.transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
 SCENARIO = """
-duration_s = 2
+duration_us = 2000000
 seed = 5
 path_scheduler = {scheduler}
 background = true
@@ -69,7 +69,8 @@ def test_simulate_repetitions_vary_seed(tmp_path):
 
 def test_pooled_growth_table_holds_every_runs_rows_in_order(tmp_path):
     scn = write_scenario(tmp_path)
-    scn.write_text(scn.read_text().replace("duration_s = 2", "duration_s = 4"))
+    scn.write_text(scn.read_text().replace("duration_us = 2000000",
+                                           "duration_us = 4000000"))
     out = tmp_path / "out"
     assert main(["simulate", str(scn), "--reps", "2", "--out", str(out)]) == 0
     header, *rows = (out / "run_000" / "cwnd_growth.csv").read_text() \
@@ -133,7 +134,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_overloaded_sources_exit_code(tmp_path, capsys):
     # 10,400 B on the wire every 200 us offer 416 Mbit/s to 200 Mbit/s
     scn = tmp_path / "overload.scn"
-    scn.write_text("duration_s = 2\nbackground = false\n"
+    scn.write_text("duration_us = 2000000\nbackground = false\n"
                    "[path]\nowd_us = 25000\n[path]\nowd_us = 25000\n"
                    "[source]\ninter_arrival_us = 200\n"
                    "message_size_bytes = 10000\n")
@@ -147,7 +148,7 @@ def test_overloaded_sources_exit_code(tmp_path, capsys):
 def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
     # 2 Mbit/s: one 1350 B packet serializes in 5.4 ms, more than the RTT
     slow = tmp_path / "slow.scn"
-    slow.write_text("duration_s = 3\n\n[path]\nrtt_us = 5000\n"
+    slow.write_text("duration_us = 3000000\n\n[path]\nowd_us = 2500\n"
                     "rate_bps = 2000000\n")
     assert main(["simulate", str(slow), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(
@@ -181,7 +182,7 @@ def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
 def test_rejected_scenario_names_its_line_and_rule(tmp_path, capsys, text,
                                                    message):
     scn = tmp_path / "bad.scn"
-    scn.write_text("duration_s = 2\n" + text)
+    scn.write_text("duration_us = 2000000\n" + text)
     assert main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {scn}: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -270,8 +271,8 @@ def test_compare_reports_growth_ordering(tmp_path, capsys):
         scn = write_scenario(tmp_path, scheduler, f"{scheduler}.scn")
         out = tmp_path / f"out_{scheduler}"
         # longer horizon so the growth metric has enough windows
-        scn.write_text(scn.read_text().replace("duration_s = 2",
-                                               "duration_s = 4"))
+        scn.write_text(scn.read_text().replace("duration_us = 2000000",
+                                               "duration_us = 4000000"))
         assert main(["simulate", str(scn), "--out", str(out)]) == 0
         dirs.append(str(out))
     assert main(["compare", *dirs]) == 0
@@ -303,7 +304,8 @@ def test_compare_reads_a_reused_out_as_its_last_simulate(tmp_path, capsys,
         scn = tmp_path / f"{scheduler}_{owd}.scn"
         # 4 s: every run has growth rows, so each run counts in the report
         scn.write_text(SCENARIO.format(scheduler=scheduler)
-                       .replace("duration_s = 2", "duration_s = 4")
+                       .replace("duration_us = 2000000",
+                                "duration_us = 4000000")
                        .replace("owd_us = 25000", f"owd_us = {owd}"))
         assert main(["simulate", str(scn), *extra, "--out", str(out)]) == 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cwrsim.scheduling import PATH_SCHEDULERS, STREAM_SCHEDULERS
 from cwrsim.simulation import Simulation
@@ -17,10 +17,14 @@ RELABEL = {1: 3, 2: 7}
 FILES_WITHOUT_IDS = ("mct.csv", "ccdf.csv", "throughput.csv")
 
 
-def outputs(cfg, outdir, trace=None):
+def outputs(cfg, outdir, trace=None, messages=None):
     """The run's written files by name, its manifest parsed, and its
-    write_outputs warnings; `trace` is passed to the Simulation."""
-    warnings = Simulation(cfg, trace=trace).run().write_outputs(outdir)
+    write_outputs warnings; `trace` is passed to the Simulation, and the
+    run's MessageRecords are added to the list `messages` if one is given."""
+    result = Simulation(cfg, trace=trace).run()
+    if messages is not None:
+        messages += result.messages
+    warnings = result.write_outputs(outdir)
     files = {name: (outdir / name).read_bytes() for name in FILES_WITHOUT_IDS}
     with (outdir / "cwnd_growth.csv").open() as fh:
         files["cwnd_growth.csv"] = list(csv.reader(fh))
@@ -59,10 +63,10 @@ def test_order_preserving_path_relabel_changes_only_the_ids(tmp_path_factory,
     assert ids_restored(files, warnings, back) == expected
 
 
-def labelled_run(cfg, outdir):
+def labelled_run(cfg, outdir, messages=None):
     """outputs() with the path scheduler's name blanked where it is
     written, plus the run's send records and each node's number of
-    blocked decisions."""
+    blocked decisions; `messages` is passed to outputs()."""
     records = []
     blocked = {"server": 0, "client": 0}
 
@@ -75,7 +79,7 @@ def labelled_run(cfg, outdir):
         else:
             blocked[node.name] += 1
 
-    files, warnings = outputs(cfg, outdir, trace)
+    files, warnings = outputs(cfg, outdir, trace, messages)
     header, *rows = files["cwnd_growth.csv"]
     files["cwnd_growth.csv"] = [header] + [[row[0], "", *row[2:]]
                                            for row in rows]
@@ -112,24 +116,27 @@ def test_schedulers_agree_without_priority_sources(tmp_path_factory, seed,
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+# the lone path's window carries little more than the sources offer, so a
+# backlog leaves messages without loss incomplete at the horizon
+@example(seed=3194)
 def test_redundancy_on_one_path_changes_only_the_refrain_count(
         tmp_path_factory, seed):
     # one path leaves nothing to duplicate on: cwr_red sends each packet
     # once, as cwr does (so mct.csv's duplicated column stays 0), and only
     # counts its priority sends as refrains
     runs = []
+    messages = []
     for scheduler in ("cwr", "cwr_red"):
         cfg = random_config(seed)
         cfg.paths = cfg.paths[:1]
         cfg.path_scheduler = scheduler
-        run = labelled_run(cfg, tmp_path_factory.mktemp(scheduler))
+        run = labelled_run(cfg, tmp_path_factory.mktemp(scheduler), messages)
         del run[0]["manifest.json"]["diagnostics"]["refrain"]
         runs.append(run)
     assert runs[0][2] and runs[0] == runs[1]
-    # losses on the lone path are recovered: every message generated
-    # 300 ms or more before the horizon completed
-    rows = csv.reader(runs[0][0]["mct.csv"].decode().splitlines()[1:])
-    done = {(int(row[0]), int(row[2])) for row in rows}
-    assert all((s.source_id, t) in done for s in cfg.sources
-               for t in range(s.start_offset_us, cfg.duration_us - 300_000,
-                              s.inter_arrival_us))
+    # losses on the lone path are recovered: in both runs, every message
+    # that lost a packet and was generated 300 ms or more before the
+    # horizon completed (mct.csv lists only completed messages)
+    assert all(m.completed_at is not None for m in messages
+               if m.loss_involved
+               and m.generated_at < cfg.duration_us - 300_000)
