@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -24,10 +23,6 @@ GROWTH_TABLE = "cwnd_growth.csv"
 
 class UnreadableOutput(ValueError):
     """A file under a compare directory that is not what simulate writes."""
-
-
-def _run_dir(outdir: Path, rep: int) -> Path:
-    return outdir / f"run_{rep:03d}"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -52,7 +47,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for rep in range(args.reps):
             config.seed = base_seed + rep
             result = Simulation(config).run()
-            for warning in result.write_outputs(_run_dir(outdir, rep)):
+            for warning in result.write_outputs(outdir / f"run_{rep:03d}"):
                 print(f"run {rep}: {warning}", file=sys.stderr)
             pooled_mcts.extend(result.priority_mcts())
             pooled_growth.extend(result.growth_records()[0])
@@ -71,49 +66,47 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_dir(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
-    """Read the path scheduler of run_000's manifest.json and the (path id,
-    mean growth) rows of the pooled growth table. simulate removes that
-    table before its first run and writes it after its last, so the two
-    files come from one finished simulate."""
-    manifest = _run_dir(outdir, 0) / "manifest.json"
-    try:
-        with manifest.open(encoding="utf-8") as fh:
-            scheduler = json.load(fh)["config"]["path_scheduler"]
-        # isinstance first: a list or dict cannot be looked up
-        if not isinstance(scheduler, str) or scheduler not in PATH_SCHEDULERS:
-            raise ValueError(scheduler)
-    except (KeyError, TypeError, ValueError, RecursionError):
-        # RecursionError: json nests too deep to parse
-        raise UnreadableOutput(
-            f"{manifest}: expected JSON with a config.path_scheduler "
-            f"of {', '.join(PATH_SCHEDULERS)}") from None
+    """Read the pooled growth table: the one path scheduler its rows name
+    and their (path id, mean growth). simulate removes that table before
+    its first run and writes it after its last, so its rows come from one
+    finished simulate."""
     growth = outdir / GROWTH_TABLE
+    scheduler = None
     rows = []
     with growth.open(encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             for row in reader:
+                scheduler = scheduler or row["scheduler"]
                 mean = float(row["mean_growth_bytes_per_rtt"])
-                # simulate writes a finite mean only
-                if not math.isfinite(mean):
-                    raise ValueError(mean)
+                # simulate writes its config's scheduler in every row, and
+                # a finite mean only
+                if (row["scheduler"] != scheduler
+                        or scheduler not in PATH_SCHEDULERS
+                        or not math.isfinite(mean)):
+                    raise ValueError(row)
                 rows.append((int(row["path_id"]), mean))
         except (KeyError, TypeError, ValueError):
             raise UnreadableOutput(
                 f"{growth}: line {reader.line_num}: expected numeric "
-                "path_id and finite mean_growth_bytes_per_rtt") from None
+                "path_id, finite mean_growth_bytes_per_rtt and one "
+                f"scheduler of {', '.join(PATH_SCHEDULERS)} in every "
+                "row") from None
         except csv.Error as exc:  # such as a field over csv's size limit
             # DictReader's own line_num lags a line that fails to parse
             raise UnreadableOutput(
                 f"{growth}: line {reader.reader.line_num}: {exc}") from None
+    if not rows:
+        raise UnreadableOutput(
+            f"{growth}: no growth rows to compare; simulate warned of "
+            "each one it omitted")
     return scheduler, rows
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    by_scheduler: dict[str, dict[int, list[float]]] = {}
+    outdirs = [Path(raw) for raw in args.dirs]
     seen: set[str] = set()
-    for raw in args.dirs:
-        outdir = Path(raw)
+    for outdir in outdirs:
         # realpath, unlike Path.resolve, does not raise on a symlink loop
         real = os.path.realpath(outdir)
         if real in seen:
@@ -121,6 +114,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                   "once", file=sys.stderr)
             return EXIT_USAGE
         seen.add(real)
+    by_scheduler: dict[str, dict[int, list[float]]] = {}
+    for outdir in outdirs:
         try:
             scheduler, rows = _load_dir(outdir)
         except UnreadableOutput as exc:

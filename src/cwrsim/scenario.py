@@ -9,7 +9,8 @@ from .link import PathConfig, nominal_rtt_us, serialization_us
 from .metrics import BIN_WIDTH_US, WARMUP_US
 from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from .traffic import DataSourceConfig
-from .transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
+from .transport import (HEADER_BYTES, LOSS_ALARM_DEN, LOSS_ALARM_NUM,
+                        MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES)
 
 # a run allocates a total and a priority byte counter per BIN_WIDTH_US of
 # its horizon when it is built, and throughput.csv holds a row per bin;
@@ -126,18 +127,21 @@ class ScenarioConfig:
             if p.path_id in path_ids:
                 raise ScenarioError(f"duplicate path_id {p.path_id}", key=key)
             path_ids.add(p.path_id)
-            # a packet is declared lost 9/8 of an RTT after its send; the
-            # serializer backlog it may queue behind (GATE_PACKETS max
-            # packets) must fit in that 1/8 margin, or queueing alone
-            # fires the loss alarm
+            # a packet is declared lost LOSS_ALARM_NUM / LOSS_ALARM_DEN of
+            # an RTT after its send; the serializer backlog it may queue
+            # behind (GATE_PACKETS max packets) must fit in the margin past
+            # one RTT, or queueing alone fires the loss alarm
             backlog_us = GATE_PACKETS * serialization_us(MAX_PACKET_BYTES,
                                                          p.rate_bps)
-            if 8 * backlog_us >= nominal_rtt_us(p):
+            rtt_us = nominal_rtt_us(p)
+            if (backlog_us * LOSS_ALARM_DEN
+                    >= rtt_us * (LOSS_ALARM_NUM - LOSS_ALARM_DEN)):
                 raise ScenarioError(
                     f"path {p.path_id}: outside the validity envelope: "
                     f"{GATE_PACKETS} serializations of a {MAX_PACKET_BYTES} B "
-                    f"packet take {backlog_us} us, which must be under an "
-                    f"eighth of the {nominal_rtt_us(p)} us RTT", key=key)
+                    f"packet take {backlog_us} us, which must be under "
+                    f"{LOSS_ALARM_NUM - LOSS_ALARM_DEN}/{LOSS_ALARM_DEN} of "
+                    f"the {rtt_us} us RTT", key=key)
         # a message is packetized whole when it is generated, so one larger
         # than all paths together can serialize over the run cannot be sent
         # and would only cost memory

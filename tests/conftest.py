@@ -1,5 +1,17 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the Hypothesis profiles the suite runs under."""
 from __future__ import annotations
+
+from hypothesis import settings
+
+# Every @settings(...) in the suite inherits the loaded profile. "tier1"
+# draws each property's examples from a hash of its test function, so a
+# run's draws are a function of the tree (derandomize implies no example
+# database). "scan" draws afresh from --hypothesis-seed, for
+# tools/hypothesis_scan.py; its database is off, so no failure found at one
+# seed replays at another.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("scan", derandomize=False, database=None)
+settings.load_profile("tier1")
 
 
 def drop_data_packets(link, indices) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -387,53 +388,37 @@ def test_undecodable_scenario_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
-def fake_run_dir(tmp_path, manifest: str, growth: str | None = None) -> Path:
-    """A compare input dir holding one run's manifest and the pooled growth
-    table; returns the run's dir."""
-    run_dir = tmp_path / "out" / "run_000"
-    run_dir.mkdir(parents=True)
-    (run_dir / "manifest.json").write_text(manifest)
-    if growth is not None:
-        (run_dir.parent / "cwnd_growth.csv").write_text(growth)
-    return run_dir
+def fake_run_dir(tmp_path, growth: str) -> Path:
+    """A compare input dir holding only the pooled growth table; returns
+    the dir."""
+    out = tmp_path / "out"
+    out.mkdir(parents=True)
+    (out / "cwnd_growth.csv").write_text(growth)
+    return out
 
 
 GROWTH_HEADER = "path_id,scheduler,mean_growth_bytes_per_rtt\n"
 
 
-@pytest.mark.parametrize("manifest", [
-    '{"engine_version": "0.1.0"}',
-    '{"config": {"seed": 1}}',
-    '{"config": {"path_scheduler": 5}}',
-    '{"config": {"path_scheduler": "foo"}}',
-    '["config"]',
-    "{not json",
-    "[" * 200_000,  # nests deeper than json can parse
-])
-def test_compare_rejects_a_manifest_without_its_scheduler(tmp_path, capsys,
-                                                          manifest):
-    run_dir = fake_run_dir(tmp_path, manifest)
-    assert main(["compare", str(run_dir.parent)]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {run_dir / 'manifest.json'}: ")
-
-
-@pytest.mark.parametrize("lowrtt_growth, cwr_growth", [
-    (GROWTH_HEADER, GROWTH_HEADER),
-    (GROWTH_HEADER + "1,lowrtt,1264.0\n", GROWTH_HEADER + "2,cwr,1200.0\n"),
+@pytest.mark.parametrize("lowrtt_growth, cwr_growth, code, report", [
+    # a header-only table names no scheduler to report under
+    (GROWTH_HEADER, GROWTH_HEADER, 1, ""),
+    (GROWTH_HEADER + "1,lowrtt,1264.0\n", GROWTH_HEADER + "2,cwr,1200.0\n", 0,
+     "mean congestion-window growth per RTT (bytes)\n"
+     "  lowrtt   path 1:   1264.0  (1 run(s))\n"
+     "  cwr      path 2:   1200.0  (1 run(s))\n"
+     "growth ordering (lowrtt >= cwr per path): no path has a growth "
+     "figure under every scheduler\n"),
 ], ids=["header_only", "disjoint_paths"])
 def test_compare_orders_no_paths_without_a_common_one(tmp_path, capsys,
                                                       lowrtt_growth,
-                                                      cwr_growth):
-    dirs = [fake_run_dir(tmp_path / scheduler,
-                         f'{{"config": {{"path_scheduler": "{scheduler}"}}}}',
-                         growth).parent
+                                                      cwr_growth, code,
+                                                      report):
+    dirs = [fake_run_dir(tmp_path / scheduler, growth)
             for scheduler, growth in (("cwr", cwr_growth),
                                       ("lowrtt", lowrtt_growth))]
-    assert main(["compare", *map(str, dirs)]) == 0
-    assert capsys.readouterr().out.endswith(
-        "growth ordering (lowrtt >= cwr per path): no path has a growth "
-        "figure under every scheduler\n")
+    assert main(["compare", *map(str, dirs)]) == code
+    assert capsys.readouterr().out == report
 
 
 @pytest.mark.parametrize("cwr_growth, verdict", [("1200.0", "holds"),
@@ -442,13 +427,50 @@ def test_compare_reports_whether_the_growth_ordering_holds(tmp_path, capsys,
                                                           cwr_growth,
                                                           verdict):
     dirs = [fake_run_dir(tmp_path / scheduler,
-                         f'{{"config": {{"path_scheduler": "{scheduler}"}}}}',
-                         GROWTH_HEADER + f"1,{scheduler},{growth}\n").parent
+                         GROWTH_HEADER + f"1,{scheduler},{growth}\n")
             for scheduler, growth in (("lowrtt", "1264.0"),
                                       ("cwr", cwr_growth))]
     assert main(["compare", *map(str, dirs)]) == 0
     assert capsys.readouterr().out.endswith(
         f"growth ordering (lowrtt >= cwr per path): {verdict}\n")
+
+
+def test_compare_needs_no_run_dir(tmp_path, capsys):
+    # the pooled table alone names the scheduler and holds every figure
+    scn = write_scenario(tmp_path)
+    # 4 s: both runs have growth rows
+    scn.write_text(scn.read_text().replace("duration_us = 2000000",
+                                           "duration_us = 4000000"))
+    out = tmp_path / "out"
+    assert main(["simulate", str(scn), "--reps", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 0
+    before = capsys.readouterr()
+    assert "(2 run(s))" in before.out
+    for run_dir in out.glob("run_*"):
+        shutil.rmtree(run_dir)
+    assert main(["compare", str(out)]) == 0
+    assert capsys.readouterr() == before
+
+
+def test_compare_rejects_a_header_only_growth_table(tmp_path, capsys):
+    out = fake_run_dir(tmp_path, GROWTH_HEADER)
+    assert main(["compare", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out / 'cwnd_growth.csv'}: no growth "
+                            "rows to compare; simulate warned of each one it "
+                            "omitted\n")
+    assert captured.out == ""
+
+
+def test_compare_names_a_dir_named_twice_before_reading_a_table(tmp_path,
+                                                               capsys):
+    # the header-only table would exit 1 too, but it is never read
+    out = fake_run_dir(tmp_path, GROWTH_HEADER)
+    again = out / ".." / "out"
+    assert main(["compare", str(out), str(again)]) == 1
+    assert capsys.readouterr().err == (f"error: {again}: named twice; "
+                                       "compare counts each dir once\n")
 
 
 def test_simulate_reports_each_omitted_growth_row(tmp_path, capsys):
@@ -478,9 +500,26 @@ def test_simulate_reports_each_omitted_growth_row(tmp_path, capsys):
     GROWTH_HEADER + "1,cwr,-inf\n",
 ])
 def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
-    run_dir = fake_run_dir(tmp_path, '{"config": {"path_scheduler": "cwr"}}',
-                           growth)
-    assert main(["compare", str(run_dir.parent)]) == 1
+    out = fake_run_dir(tmp_path, growth)
+    assert main(["compare", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {run_dir.parent / 'cwnd_growth.csv'}: line 2: ")
+        f"error: {out / 'cwnd_growth.csv'}: line 2: ")
+
+
+@pytest.mark.parametrize("growth, line", [
+    (GROWTH_HEADER + "1,foo,1264.0\n", 2),
+    (GROWTH_HEADER + "1,,1264.0\n", 2),
+    (GROWTH_HEADER + "1,cwr,1264.0\n2,cwr,1200.0\n1,lowrtt,1264.0\n", 4),
+    (GROWTH_HEADER + "1,cwr,1264.0\n1,CWR,1264.0\n", 3),
+    ("path_id,mean_growth_bytes_per_rtt\n1,1264.0\n", 2),
+], ids=["unknown", "empty", "two_schedulers", "another_spelling",
+        "no_column"])
+def test_compare_rejects_a_growth_table_without_one_known_scheduler(
+        tmp_path, capsys, growth, line):
+    out = fake_run_dir(tmp_path, growth)
+    assert main(["compare", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {out / 'cwnd_growth.csv'}: line {line}: ")
+    assert captured.out == ""
 
