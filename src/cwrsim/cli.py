@@ -9,7 +9,8 @@ import sys
 from pathlib import Path
 
 from .engine import InvariantError
-from .metrics import ccdf, write_ccdf_csv, write_growth_csv
+from .metrics import (CCDF_CSV, GROWTH_COLUMNS, GROWTH_CSV, ccdf,
+                      write_ccdf_csv, write_growth_csv)
 from .scenario import ScenarioError, parse_scenario
 from .scheduling import PATH_SCHEDULERS
 from .simulation import Simulation
@@ -18,8 +19,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
-# every run's growth rows, pooled in OUT beside the run_NNN dirs
-GROWTH_TABLE = "cwnd_growth.csv"
 
 class UnreadableOutput(ValueError):
     """A file under a compare directory that is not what simulate writes."""
@@ -42,7 +41,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         # a simulate that stops leaves no pooled table, not an older one
-        for name in (GROWTH_TABLE, "ccdf.csv"):
+        for name in (GROWTH_CSV, CCDF_CSV):
             (outdir / name).unlink(missing_ok=True)
         for rep in range(args.reps):
             config.seed = base_seed + rep
@@ -51,9 +50,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"run {rep}: {warning}", file=sys.stderr)
             pooled_mcts.extend(result.priority_mcts())
             pooled_growth.extend(result.growth_records()[0])
-        write_ccdf_csv(outdir / "ccdf.csv", ccdf(pooled_mcts))
+        write_ccdf_csv(outdir / CCDF_CSV, ccdf(pooled_mcts))
         # last: compare takes this table to mean the simulate finished
-        write_growth_csv(outdir / GROWTH_TABLE, pooled_growth)
+        write_growth_csv(outdir / GROWTH_CSV, pooled_growth)
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -67,35 +66,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _load_dir(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
     """Read the pooled growth table: the one path scheduler its rows name
-    and their (path id, mean growth). simulate removes that table before
-    its first run and writes it after its last, so its rows come from one
-    finished simulate."""
-    growth = outdir / GROWTH_TABLE
+    and their (path id, mean growth). It is read only as write_growth_csv
+    writes it, GROWTH_COLUMNS and then rows of an integer path id, one
+    scheduler of PATH_SCHEDULERS throughout and a finite mean. simulate
+    removes that table before its first run and writes it after its last,
+    so its rows come from one finished simulate."""
+    growth = outdir / GROWTH_CSV
     scheduler = None
     rows = []
-    with growth.open(encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with growth.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            for row in reader:
-                scheduler = scheduler or row["scheduler"]
-                mean = float(row["mean_growth_bytes_per_rtt"])
-                # simulate writes its config's scheduler in every row, and
-                # a finite mean only
-                if (row["scheduler"] != scheduler
+            if next(reader, None) != GROWTH_COLUMNS:
+                raise ValueError
+            for path_id, row_scheduler, mean in reader:
+                scheduler = scheduler or row_scheduler
+                mean = float(mean)
+                if (row_scheduler != scheduler
                         or scheduler not in PATH_SCHEDULERS
                         or not math.isfinite(mean)):
-                    raise ValueError(row)
-                rows.append((int(row["path_id"]), mean))
-        except (KeyError, TypeError, ValueError):
+                    raise ValueError
+                rows.append((int(path_id), mean))
+        except (ValueError, csv.Error):
+            # an empty file fails before csv.reader counts its first line
             raise UnreadableOutput(
-                f"{growth}: line {reader.line_num}: expected numeric "
-                "path_id, finite mean_growth_bytes_per_rtt and one "
-                f"scheduler of {', '.join(PATH_SCHEDULERS)} in every "
-                "row") from None
-        except csv.Error as exc:  # such as a field over csv's size limit
-            # DictReader's own line_num lags a line that fails to parse
-            raise UnreadableOutput(
-                f"{growth}: line {reader.reader.line_num}: {exc}") from None
+                f"{growth}: line {reader.line_num or 1}: expected the header "
+                f"{','.join(GROWTH_COLUMNS)}, then rows of an integer "
+                f"path id, one scheduler of {', '.join(PATH_SCHEDULERS)} "
+                "and a finite mean") from None
     if not rows:
         raise UnreadableOutput(
             f"{growth}: no growth rows to compare; simulate warned of "

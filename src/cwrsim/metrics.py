@@ -14,8 +14,10 @@ MIN_GROWTH_WINDOWS = 20
 
 MCT_COLUMNS = ["source_id", "message_id", "generated_at_us", "mct_us",
                "loss_involved", "duplicated"]
+CCDF_CSV = "ccdf.csv"
 CCDF_COLUMNS = ["mct_us", "ccdf"]
 THROUGHPUT_COLUMNS = ["bin_start_us", "total_bytes", "priority_bytes"]
+GROWTH_CSV = "cwnd_growth.csv"
 GROWTH_COLUMNS = ["path_id", "scheduler", "mean_growth_bytes_per_rtt"]
 
 
@@ -46,20 +48,10 @@ def ccdf(samples: Sequence[int]) -> list[tuple[int, float]]:
 
     Output is sorted by value, monotone nonincreasing, and ends at 0.
     """
-    if not samples:
-        return []
     ordered = sorted(samples)
     n = len(ordered)
-    out = []
-    i = 0
-    while i < n:
-        value = ordered[i]
-        j = i
-        while j < n and ordered[j] == value:
-            j += 1
-        out.append((value, (n - j) / n))
-        i = j
-    return out
+    return [(v, (n - bisect_right(ordered, v)) / n)
+            for v in sorted(set(ordered))]
 
 
 def ccdf_at(curve: list[tuple[int, float]], x: int) -> float:

@@ -8,10 +8,10 @@ from typing import Callable
 from . import __version__
 from .engine import EventQueue, InvariantError, RngStream
 from .link import OneWayLink, nominal_rtt_us
-from .metrics import (CWND_SAMPLE_INTERVAL_US, MetricsCollector,
-                      InsufficientSamplesError, ccdf, post_warmup_mcts,
-                      write_ccdf_csv, write_growth_csv, write_mct_csv,
-                      write_throughput_csv)
+from .metrics import (CCDF_CSV, CWND_SAMPLE_INTERVAL_US, GROWTH_CSV,
+                      MetricsCollector, InsufficientSamplesError, ccdf,
+                      post_warmup_mcts, write_ccdf_csv, write_growth_csv,
+                      write_mct_csv, write_throughput_csv)
 from .scheduling import (PATH_SCHEDULERS, STREAM_SCHEDULERS, SendStream,
                          paths_by_rtt)
 from .traffic import TrafficManager
@@ -415,9 +415,6 @@ class RunResult:
     def priority_mcts(self) -> list[int]:
         return post_warmup_mcts(self.messages)
 
-    def ccdf_curve(self) -> list[tuple[int, float]]:
-        return ccdf(self.priority_mcts())
-
     def growth_records(self) -> tuple[list, list[str]]:
         records = []
         skipped = []
@@ -472,10 +469,10 @@ class RunResult:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         write_mct_csv(outdir / "mct.csv", self.messages)
-        write_ccdf_csv(outdir / "ccdf.csv", self.ccdf_curve())
+        write_ccdf_csv(outdir / CCDF_CSV, ccdf(self.priority_mcts()))
         write_throughput_csv(outdir / "throughput.csv", self.metrics.throughput())
         records, skipped = self.growth_records()
-        write_growth_csv(outdir / "cwnd_growth.csv", records)
+        write_growth_csv(outdir / GROWTH_CSV, records)
         with (outdir / "manifest.json").open("w") as fh:
             json.dump(self.manifest(), fh, indent=2, sort_keys=True)
             fh.write("\n")

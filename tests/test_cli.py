@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cwrsim.cli import main
+from cwrsim.cli import _load_dir, main
 from cwrsim.link import serialization_us
+from cwrsim.metrics import GROWTH_CSV, CwndGrowthRecord, write_growth_csv
 from cwrsim.scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
 from cwrsim.transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
@@ -489,21 +490,33 @@ def test_simulate_reports_each_omitted_growth_row(tmp_path, capsys):
     assert (out / "run_000" / "cwnd_growth.csv").read_text() == GROWTH_HEADER
 
 
-@pytest.mark.parametrize("growth", [
-    "path_id,scheduler\n1,cwr\n",
-    GROWTH_HEADER + "1,cwr,fast\n",
-    GROWTH_HEADER + "one,cwr,1264.0\n",
-    GROWTH_HEADER + "1,cwr\n",
-    GROWTH_HEADER + "1,cwr," + "9" * 131_073 + "\n",  # over csv's field limit
-    GROWTH_HEADER + "1,cwr,nan\n",
-    GROWTH_HEADER + "1,cwr,inf\n",
-    GROWTH_HEADER + "1,cwr,-inf\n",
-])
-def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
+UNREADABLE_TABLES = [
+    ("path_id,scheduler\n1,cwr\n", 1),
+    (GROWTH_HEADER + "1,cwr,fast\n", 2),
+    (GROWTH_HEADER + "one,cwr,1264.0\n", 2),
+    (GROWTH_HEADER + "1,cwr\n", 2),
+    # over csv's field limit
+    (GROWTH_HEADER + "1,cwr," + "9" * 131_073 + "\n", 2),
+    (GROWTH_HEADER + "1,cwr,nan\n", 2),
+    (GROWTH_HEADER + "1,cwr,inf\n", 2),
+    (GROWTH_HEADER + "1,cwr,-inf\n", 2),
+    # write_growth_csv writes GROWTH_COLUMNS, then three fields a row
+    (GROWTH_HEADER + "1,cwr,1264.0\n1,cwr,1264.0,oops\n", 3),
+    (GROWTH_HEADER.rstrip("\n") + ",extra\n1,cwr,1264.0\n", 1),
+    ("scheduler,path_id,mean_growth_bytes_per_rtt\ncwr,1,1264.0\n", 1),
+    ("", 1),
+]
+
+
+# each case is named by its table alone
+@pytest.mark.parametrize("growth, line", UNREADABLE_TABLES,
+                         ids=[growth for growth, _ in UNREADABLE_TABLES])
+def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth,
+                                                    line):
     out = fake_run_dir(tmp_path, growth)
     assert main(["compare", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {out / 'cwnd_growth.csv'}: line 2: ")
+        f"error: {out / 'cwnd_growth.csv'}: line {line}: ")
 
 
 @pytest.mark.parametrize("growth, line", [
@@ -511,7 +524,7 @@ def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth):
     (GROWTH_HEADER + "1,,1264.0\n", 2),
     (GROWTH_HEADER + "1,cwr,1264.0\n2,cwr,1200.0\n1,lowrtt,1264.0\n", 4),
     (GROWTH_HEADER + "1,cwr,1264.0\n1,CWR,1264.0\n", 3),
-    ("path_id,mean_growth_bytes_per_rtt\n1,1264.0\n", 2),
+    ("path_id,mean_growth_bytes_per_rtt\n1,1264.0\n", 1),
 ], ids=["unknown", "empty", "two_schedulers", "another_spelling",
         "no_column"])
 def test_compare_rejects_a_growth_table_without_one_known_scheduler(
@@ -523,3 +536,18 @@ def test_compare_rejects_a_growth_table_without_one_known_scheduler(
         f"error: {out / 'cwnd_growth.csv'}: line {line}: ")
     assert captured.out == ""
 
+
+@settings(max_examples=50, deadline=None)
+@given(scheduler=st.sampled_from(list(PATH_SCHEDULERS)),
+       rows=st.lists(st.tuples(st.integers(),
+                               st.floats(allow_nan=False,
+                                         allow_infinity=False)),
+                     min_size=1, max_size=5))
+def test_load_dir_reads_back_what_write_growth_csv_writes(tmp_path_factory,
+                                                           scheduler, rows):
+    out = tmp_path_factory.mktemp("out")
+    write_growth_csv(out / GROWTH_CSV,
+                     [CwndGrowthRecord(path_id, scheduler, mean)
+                      for path_id, mean in rows])
+    assert _load_dir(out) == (
+        scheduler, [(path_id, float(f"{mean:.3f}")) for path_id, mean in rows])

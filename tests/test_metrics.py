@@ -42,6 +42,16 @@ def test_ccdf_monotone_nonincreasing_ending_at_zero(samples):
     assert values == sorted(set(samples))
 
 
+# a narrow value range, so that most drawn samples repeat a value
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=2,
+                max_size=200).filter(lambda s: len(set(s)) < len(s)))
+def test_ccdf_is_the_strict_fraction_above_each_value(samples):
+    # the same integer quotient, so equal as floats too
+    assert ccdf(samples) == [
+        (v, sum(s > v for s in samples) / len(samples))
+        for v in sorted(set(samples))]
+
+
 def test_ccdf_at_lookup():
     curve = ccdf([10, 20, 30])
     assert ccdf_at(curve, 5) == 1.0

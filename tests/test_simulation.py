@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import force_data_losses
 from cwrsim.engine import InvariantError
-from cwrsim.link import PathConfig
+from cwrsim.link import PathConfig, nominal_rtt_us
 from cwrsim.metrics import post_warmup_mcts
 from cwrsim.scenario import ScenarioConfig
 from cwrsim.simulation import Simulation
 from cwrsim.traffic import BACKGROUND_STREAM_ID, DataSourceConfig
-from cwrsim.transport import Frame, MAX_PAYLOAD_BYTES, ReceivedOffsets
+from cwrsim.transport import (Frame, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES,
+                              ReceivedOffsets)
 
 
 def two_paths(loss=0.0, owd=25_000, **kw):
@@ -292,6 +294,56 @@ def test_ca_growth_bounds_per_window_at_full_load():
         windows = recorder.window_growths()
         assert len(windows) >= 20
         assert all(1_215 <= w <= 1_385 for w in windows), windows
+
+
+def background_path(owd, loss=0.0, seed=1, duration_us=60_000_000):
+    """A run of background traffic alone on one 100 Mbit/s path."""
+    return Simulation(config(paths=[PathConfig(1, owd, loss_rate=loss)],
+                             path_scheduler="lowrtt", seed=seed,
+                             duration_us=duration_us)).run()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("loss", [0.001, 0.005, 0.02])
+@pytest.mark.parametrize("owd", [25_000, 50_000])
+def test_ca_throughput_follows_the_square_root_law(owd, loss, seed):
+    # Mathis, Semke, Mahdavi and Ott, "The macroscopic behavior of the TCP
+    # congestion avoidance algorithm", CCR 27(3), 1997: a window that grows
+    # one packet per RTT and halves on loss delivers C / (RTT * sqrt(p))
+    # packets a second under loss rate p, with C = sqrt(3/2) ~ 1.22 when
+    # losses are periodic. The band [1.0, 1.6] holds these random-loss
+    # points (1.18-1.41 measured); a step of two packets per window (C =
+    # sqrt(3) in the model) or a decrease to 3/4 (sqrt(7/2)) reads above 1.8.
+    # Delivered packets count from 5 s, once slow start is long over.
+    res = background_path(owd, loss=loss, seed=seed)
+    skip_us = 5_000_000
+    packets = sum(b.total_bytes for b in res.metrics.throughput()
+                  if b.bin_start >= skip_us) / MAX_PACKET_BYTES
+    per_s = packets * 1_000_000 / (res.config.duration_us - skip_us)
+    c = per_s * nominal_rtt_us(res.config.paths[0]) / 1_000_000 \
+        * math.sqrt(loss)
+    assert 1.0 <= c <= 1.6, c
+
+
+def test_ca_growth_slows_once_the_window_outgrows_the_path():
+    # Congestion avoidance adds one max packet per cwnd of acked bytes, and
+    # it does so on every ack, also when the sender is application-limited
+    # (a README departure from RFC 9002 Appendix B.5). At owd 10 ms the
+    # link's BDP is 250,000 B and the serializer gate holds in flight near
+    # it, so each RTT acks about 259,200 B whatever cwnd is: once cwnd
+    # outgrows that, each RTT adds about 1,350 * 259,200 / cwnd bytes, so
+    # the growth figure depends on the horizon (813.0 at 12 s, 564.2 at
+    # 30 s) and the RTT.
+    res = background_path(10_000, duration_us=6_000_000)
+    (record,), skipped = res.growth_records()
+    assert not skipped
+    assert f"{record.mean_growth:.1f}" == "1038.5"
+    server = res.sim.server.path_states[1]
+    assert (server.cwnd, server.in_flight) == (446_107, 259_200)
+    # a path whose window fills stays near one max packet per RTT
+    (full,), _ = background_path(50_000,
+                                 duration_us=6_000_000).growth_records()
+    assert 1_215 <= full.mean_growth <= 1_350
 
 
 def test_dispatch_log_replays_byte_identical():
