@@ -68,9 +68,10 @@ def _load_dir(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
     """Read the pooled growth table: the one path scheduler its rows name
     and their (path id, mean growth). It is read only as write_growth_csv
     writes it, GROWTH_COLUMNS and then rows of an integer path id, one
-    scheduler of PATH_SCHEDULERS throughout and a finite mean. simulate
-    removes that table before its first run and writes it after its last,
-    so its rows come from one finished simulate."""
+    scheduler of PATH_SCHEDULERS throughout and a finite mean, each number
+    spelled as str() and f"{:.3f}" spell it. simulate removes that table
+    before its first run and writes it after its last, so its rows come
+    from one finished simulate."""
     growth = outdir / GROWTH_CSV
     scheduler = None
     rows = []
@@ -79,21 +80,23 @@ def _load_dir(outdir: Path) -> tuple[str, list[tuple[int, float]]]:
         try:
             if next(reader, None) != GROWTH_COLUMNS:
                 raise ValueError
-            for path_id, row_scheduler, mean in reader:
+            for raw_id, row_scheduler, raw_mean in reader:
                 scheduler = scheduler or row_scheduler
-                mean = float(mean)
+                path_id, mean = int(raw_id), float(raw_mean)
                 if (row_scheduler != scheduler
                         or scheduler not in PATH_SCHEDULERS
-                        or not math.isfinite(mean)):
+                        or not math.isfinite(mean)
+                        or str(path_id) != raw_id
+                        or f"{mean:.3f}" != raw_mean):
                     raise ValueError
-                rows.append((int(path_id), mean))
+                rows.append((path_id, mean))
         except (ValueError, csv.Error):
             # an empty file fails before csv.reader counts its first line
             raise UnreadableOutput(
                 f"{growth}: line {reader.line_num or 1}: expected the header "
                 f"{','.join(GROWTH_COLUMNS)}, then rows of an integer "
                 f"path id, one scheduler of {', '.join(PATH_SCHEDULERS)} "
-                "and a finite mean") from None
+                "and a finite mean to three decimals") from None
     if not rows:
         raise UnreadableOutput(
             f"{growth}: no growth rows to compare; simulate warned of "

@@ -7,7 +7,7 @@ from pathlib import Path
 from .engine import RNG_STREAMS, SEED_MASK
 from .link import PathConfig, nominal_rtt_us, serialization_us
 from .metrics import BIN_WIDTH_US, WARMUP_US
-from .scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
+from .scheduling import GATE_PACKETS, PATH_SCHEDULERS
 from .traffic import DataSourceConfig
 from .transport import (HEADER_BYTES, LOSS_ALARM_DEN, LOSS_ALARM_NUM,
                         MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES)
@@ -100,10 +100,10 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"the run must be longer than the {WARMUP_US} us warm-up, "
                 f"got duration_us = {self.duration_us}", key="duration_us")
-        if self.stream_scheduler not in STREAM_SCHEDULERS:
+        if self.stream_scheduler != "pfifo":
             raise ScenarioError(
-                f"stream_scheduler must be one of {tuple(STREAM_SCHEDULERS)}, "
-                f"got {self.stream_scheduler!r}", key="stream_scheduler")
+                f"stream_scheduler must be 'pfifo', got "
+                f"{self.stream_scheduler!r}", key="stream_scheduler")
         if self.path_scheduler not in PATH_SCHEDULERS:
             raise ScenarioError(
                 f"path_scheduler must be one of {tuple(PATH_SCHEDULERS)}, "

@@ -134,43 +134,16 @@ class SendStream:
         self._settle()
 
 
-class RoundRobinStreams:
-    """Cyclic service over all streams with sendable data; priority ignored."""
-
-    def __init__(self) -> None:
-        self._last = -1
-
-    def order(self, streams: list[SendStream]) -> list[SendStream]:
-        # ids after the last one served first, then those up to it
-        last = self._last
-        return sorted(streams, key=lambda s: (s.stream_id <= last, s.stream_id))
-
-    def note_sent(self, stream: SendStream) -> None:
-        self._last = stream.stream_id
-
-
 def _pfifo_key(s: SendStream) -> tuple[int, int, int]:
     if s.rtx:
         return 0, s.rtx[0][0], s.stream_id
     return 1 if s.priority else 2, s.enqueue_time, s.stream_id
 
 
-class PriorityFifoStreams:
-    """Retransmissions first, then priority streams, then the rest; FIFO within class.
-
-    Every stream passed in has retransmissions or pending data, so one sort
-    on (class, time, stream id) orders them all.
-    """
-
-    def order(self, streams: list[SendStream]) -> list[SendStream]:
-        return sorted(streams, key=_pfifo_key)
-
-    def note_sent(self, stream: SendStream) -> None:
-        pass
-
-
-# a scenario's stream_scheduler name -> the class a Node builds
-STREAM_SCHEDULERS = {"rr": RoundRobinStreams, "pfifo": PriorityFifoStreams}
+def order(streams: list[SendStream]) -> list[SendStream]:
+    """Retransmissions first, then priority streams, then the rest; FIFO
+    within class, as one sort on (class, time, stream id)."""
+    return sorted(streams, key=_pfifo_key)
 
 
 class ReservationLedger:
@@ -367,9 +340,18 @@ class RedundantScheduler(ReservationScheduler):
     then. Otherwise the message is never duplicated and its packets fall back
     to per-packet lowest-RTT admission (single path when one fits everything,
     a split across paths when only the combined free space suffices). So do
-    a duplicated message's packets that find some path short, and
     retransmissions. A packet sent without its copies never gains a duplicate
     later; each priority packet sent on one path counts as a refrain.
+
+    A duplicated message's packets go to every path unchecked: each fits.
+    Its stream holds no retransmission (a stream takes a message only once
+    its last one is done), so the send pass (one try_send) that decided
+    offers it first until the message is sent: each stream ranked ahead was
+    refused or skipped, and a pass moves no stream's key earlier and only
+    shrinks what each needs (free window, window less reserved bytes, gate).
+    Every path's free window held the whole message, and each packet takes
+    its own bytes from each path. register_sent raises InvariantError if a
+    packet ever does not fit.
     """
 
     def reservation_paths(self) -> list[PathSendState]:
@@ -384,13 +366,7 @@ class RedundantScheduler(ReservationScheduler):
                     p.cwnd - p.in_flight >= remaining
                     for p in self.paths) else "off"
             if stream.dup_mode == "all":
-                # every path's free window holds the packet
-                size = frame.length + HEADER_BYTES
-                for p in self.paths:
-                    if p.cwnd - p.in_flight < size:
-                        break
-                else:
-                    return tuple(paths_by_rtt(self.paths))
+                return tuple(paths_by_rtt(self.paths))
         targets = super().admit(stream, frame, now, rtx_path)
         if targets and frame.priority:
             self.refrain_count += 1

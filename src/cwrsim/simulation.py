@@ -12,8 +12,7 @@ from .metrics import (CCDF_CSV, CWND_SAMPLE_INTERVAL_US, GROWTH_CSV,
                       MetricsCollector, InsufficientSamplesError, ccdf,
                       post_warmup_mcts, write_ccdf_csv, write_growth_csv,
                       write_mct_csv, write_throughput_csv)
-from .scheduling import (PATH_SCHEDULERS, STREAM_SCHEDULERS, SendStream,
-                         paths_by_rtt)
+from .scheduling import PATH_SCHEDULERS, SendStream, order, paths_by_rtt
 from .traffic import TrafficManager
 from .transport import (ACK_PACKET_BYTES, Frame, HEADER_BYTES,
                         MAX_PACKET_BYTES, PathSendState, ReceivedOffsets,
@@ -46,8 +45,7 @@ class Node:
 
     def __init__(self, name: str, engine: EventQueue,
                  path_states: list[PathSendState],
-                 links: dict[int, OneWayLink],
-                 stream_scheduler: str, path_scheduler: str,
+                 links: dict[int, OneWayLink], path_scheduler: str,
                  metrics: MetricsCollector | None = None,
                  on_delivery: Callable[[int, int, bool, int], None] | None = None,
                  trace: Callable[..., None] | None = None):
@@ -56,7 +54,6 @@ class Node:
         self.path_list = path_states
         self.path_states = {p.path_id: p for p in path_states}
         self.links = links
-        self.stream_sched = STREAM_SCHEDULERS[stream_scheduler]()
         self.path_sched = PATH_SCHEDULERS[path_scheduler](path_states, links)
         self._wake_entry: tuple | None = None
         self.metrics = metrics
@@ -98,7 +95,7 @@ class Node:
         return stream
 
     def try_send(self, now: int) -> None:
-        """Send as long as the stream scheduler offers a unit some path
+        """Send as long as the stream order offers a unit some path
         admits: a stream's owed retransmission, else its next frame (for
         background, the full-size one at its next offset)."""
         urgent = self.urgent
@@ -117,7 +114,7 @@ class Node:
             if len(candidates) > 1:
                 # order sorts on a total key: the set's iteration order
                 # cannot reach the result
-                candidates = self.stream_sched.order(candidates)
+                candidates = order(candidates)
             for stream in candidates:
                 owed = stream.next_rtx() if stream.rtx else None
                 if owed is not None:
@@ -147,7 +144,6 @@ class Node:
                     self.on_duplicated(frame)
                 for i, ps in enumerate(targets):
                     self._transmit(ps, payload, now, is_rtx, i > 0)
-                self.stream_sched.note_sent(stream)
                 break
             else:
                 return
@@ -355,10 +351,10 @@ class Simulation:
             self.metrics.register_path(pcfg.path_id, server_paths[-1].cwnd,
                                        rtt)
         self.server = Node("server", self.engine, server_paths, fwd_links,
-                           config.stream_scheduler, config.path_scheduler,
-                           metrics=self.metrics, trace=trace)
+                           config.path_scheduler, metrics=self.metrics,
+                           trace=trace)
         self.client = Node("client", self.engine, client_paths, rev_links,
-                           config.stream_scheduler, config.path_scheduler,
+                           config.path_scheduler,
                            on_delivery=self.metrics.on_delivery, trace=trace)
         self.server.set_peer(self.client)
         self.client.set_peer(self.server)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cwrsim.cli import _load_dir, main
 from cwrsim.link import serialization_us
 from cwrsim.metrics import GROWTH_CSV, CwndGrowthRecord, write_growth_csv
-from cwrsim.scheduling import GATE_PACKETS, PATH_SCHEDULERS, STREAM_SCHEDULERS
+from cwrsim.scheduling import GATE_PACKETS, PATH_SCHEDULERS
 from cwrsim.transport import HEADER_BYTES, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES
 
 SCENARIO = """
@@ -177,10 +177,12 @@ def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
      "line 2: path_scheduler must be one of ('lowrtt', 'cwr', 'cwr_red'), "
      "got 'x'"),
     ("stream_scheduler = x\n[path]\nowd_us = 25000\n",
-     "line 2: stream_scheduler must be one of ('rr', 'pfifo'), got 'x'"),
+     "line 2: stream_scheduler must be 'pfifo', got 'x'"),
+    ("stream_scheduler = rr\n[path]\nowd_us = 25000\n",
+     "line 2: stream_scheduler must be 'pfifo', got 'rr'"),
 ], ids=["owd_us", "rate_bps", "loss_rate", "inter_arrival_us",
         "message_size_bytes", "start_offset_us", "path_scheduler",
-        "stream_scheduler"])
+        "stream_scheduler", "stream_scheduler_rr"])
 def test_rejected_scenario_names_its_line_and_rule(tmp_path, capsys, text,
                                                    message):
     scn = tmp_path / "bad.scn"
@@ -198,8 +200,6 @@ def envelope_scenarios(draw) -> str:
              f"seed = {draw(st.integers(0, 2 ** 32))}",
              "path_scheduler = "
              f"{draw(st.sampled_from(tuple(PATH_SCHEDULERS)))}",
-             "stream_scheduler = "
-             f"{draw(st.sampled_from(tuple(STREAM_SCHEDULERS)))}",
              f"background = {draw(st.booleans())}"]
     capacity = 0
     for _ in range(draw(st.integers(1, 2))):
@@ -404,7 +404,8 @@ GROWTH_HEADER = "path_id,scheduler,mean_growth_bytes_per_rtt\n"
 @pytest.mark.parametrize("lowrtt_growth, cwr_growth, code, report", [
     # a header-only table names no scheduler to report under
     (GROWTH_HEADER, GROWTH_HEADER, 1, ""),
-    (GROWTH_HEADER + "1,lowrtt,1264.0\n", GROWTH_HEADER + "2,cwr,1200.0\n", 0,
+    (GROWTH_HEADER + "1,lowrtt,1264.000\n",
+     GROWTH_HEADER + "2,cwr,1200.000\n", 0,
      "mean congestion-window growth per RTT (bytes)\n"
      "  lowrtt   path 1:   1264.0  (1 run(s))\n"
      "  cwr      path 2:   1200.0  (1 run(s))\n"
@@ -422,14 +423,14 @@ def test_compare_orders_no_paths_without_a_common_one(tmp_path, capsys,
     assert capsys.readouterr().out == report
 
 
-@pytest.mark.parametrize("cwr_growth, verdict", [("1200.0", "holds"),
-                                                ("1300.0", "violated")])
+@pytest.mark.parametrize("cwr_growth, verdict", [("1200.000", "holds"),
+                                                ("1300.000", "violated")])
 def test_compare_reports_whether_the_growth_ordering_holds(tmp_path, capsys,
                                                           cwr_growth,
                                                           verdict):
     dirs = [fake_run_dir(tmp_path / scheduler,
                          GROWTH_HEADER + f"1,{scheduler},{growth}\n")
-            for scheduler, growth in (("lowrtt", "1264.0"),
+            for scheduler, growth in (("lowrtt", "1264.000"),
                                       ("cwr", cwr_growth))]
     assert main(["compare", *map(str, dirs)]) == 0
     assert capsys.readouterr().out.endswith(
@@ -493,7 +494,7 @@ def test_simulate_reports_each_omitted_growth_row(tmp_path, capsys):
 UNREADABLE_TABLES = [
     ("path_id,scheduler\n1,cwr\n", 1),
     (GROWTH_HEADER + "1,cwr,fast\n", 2),
-    (GROWTH_HEADER + "one,cwr,1264.0\n", 2),
+    (GROWTH_HEADER + "one,cwr,1264.000\n", 2),
     (GROWTH_HEADER + "1,cwr\n", 2),
     # over csv's field limit
     (GROWTH_HEADER + "1,cwr," + "9" * 131_073 + "\n", 2),
@@ -501,10 +502,15 @@ UNREADABLE_TABLES = [
     (GROWTH_HEADER + "1,cwr,inf\n", 2),
     (GROWTH_HEADER + "1,cwr,-inf\n", 2),
     # write_growth_csv writes GROWTH_COLUMNS, then three fields a row
-    (GROWTH_HEADER + "1,cwr,1264.0\n1,cwr,1264.0,oops\n", 3),
-    (GROWTH_HEADER.rstrip("\n") + ",extra\n1,cwr,1264.0\n", 1),
-    ("scheduler,path_id,mean_growth_bytes_per_rtt\ncwr,1,1264.0\n", 1),
+    (GROWTH_HEADER + "1,cwr,1264.000\n1,cwr,1264.000,oops\n", 3),
+    (GROWTH_HEADER.rstrip("\n") + ",extra\n1,cwr,1264.000\n", 1),
+    ("scheduler,path_id,mean_growth_bytes_per_rtt\ncwr,1,1264.000\n", 1),
     ("", 1),
+    # each number spelled as write_growth_csv spells it
+    (GROWTH_HEADER + "+1,cwr,1264.000\n", 2),
+    (GROWTH_HEADER + " 1,cwr,1264.000\n", 2),
+    (GROWTH_HEADER + "1,cwr,1_264.500\n", 2),
+    (GROWTH_HEADER + "1,cwr,1264.0\n", 2),
 ]
 
 
@@ -520,11 +526,12 @@ def test_compare_rejects_an_unreadable_growth_table(tmp_path, capsys, growth,
 
 
 @pytest.mark.parametrize("growth, line", [
-    (GROWTH_HEADER + "1,foo,1264.0\n", 2),
-    (GROWTH_HEADER + "1,,1264.0\n", 2),
-    (GROWTH_HEADER + "1,cwr,1264.0\n2,cwr,1200.0\n1,lowrtt,1264.0\n", 4),
-    (GROWTH_HEADER + "1,cwr,1264.0\n1,CWR,1264.0\n", 3),
-    ("path_id,mean_growth_bytes_per_rtt\n1,1264.0\n", 1),
+    (GROWTH_HEADER + "1,foo,1264.000\n", 2),
+    (GROWTH_HEADER + "1,,1264.000\n", 2),
+    (GROWTH_HEADER + "1,cwr,1264.000\n2,cwr,1200.000\n"
+     "1,lowrtt,1264.000\n", 4),
+    (GROWTH_HEADER + "1,cwr,1264.000\n1,CWR,1264.000\n", 3),
+    ("path_id,mean_growth_bytes_per_rtt\n1,1264.000\n", 1),
 ], ids=["unknown", "empty", "two_schedulers", "another_spelling",
         "no_column"])
 def test_compare_rejects_a_growth_table_without_one_known_scheduler(

@@ -7,9 +7,8 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from cwrsim.scheduling import PATH_SCHEDULERS, STREAM_SCHEDULERS
+from cwrsim.scheduling import PATH_SCHEDULERS
 from cwrsim.simulation import Simulation
-from cwrsim.traffic import BACKGROUND_STREAM_ID
 from test_properties import random_config
 
 # order-preserving, because _rtt_key breaks srtt ties by path_id
@@ -89,10 +88,9 @@ def labelled_run(cfg, outdir, messages=None):
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
-       st.integers(min_value=0, max_value=2),
-       st.sampled_from(tuple(STREAM_SCHEDULERS)))
+       st.integers(min_value=0, max_value=2))
 def test_schedulers_agree_without_priority_sources(tmp_path_factory, seed,
-                                                   kept, stream_scheduler):
+                                                   kept):
     # with nothing to reserve for or duplicate, the three path schedulers
     # send the same packets at the same instants and block alike
     runs = []
@@ -103,15 +101,9 @@ def test_schedulers_agree_without_priority_sources(tmp_path_factory, seed,
             source.priority = False
         # a run with neither would send nothing
         cfg.background = cfg.background or not cfg.sources
-        cfg.stream_scheduler = stream_scheduler
         cfg.path_scheduler = scheduler
         runs.append(labelled_run(cfg, tmp_path_factory.mktemp(scheduler)))
     assert runs[0][2] and runs[0] == runs[1] == runs[2]
-    # pfifo ranks background ahead of every non-priority message stream
-    # and may never send one; rr gives each stream its turn
-    if cfg.sources and stream_scheduler == "rr":
-        assert any(rec[0] == "server" and rec[4] != BACKGROUND_STREAM_ID
-                   for rec in runs[0][2])
 
 
 @settings(max_examples=15, deadline=None)

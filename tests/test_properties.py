@@ -8,8 +8,10 @@ properties are then asserted against that single run.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwrsim.link import PathConfig
 from cwrsim.scenario import ScenarioConfig
@@ -17,6 +19,7 @@ from cwrsim.simulation import Simulation
 from cwrsim.traffic import BACKGROUND_STREAM_ID, DataSourceConfig
 
 HORIZON_US = 1_800_000
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 SENT_T, SENT_PATH, SENT_NUM, SENT_SID, SENT_EPOCH, SENT_OFF, SENT_LEN, \
     SENT_PRI, SENT_DUP, SENT_RTX = range(10)
@@ -233,3 +236,53 @@ def test_reservations_never_exceed_window(run):
     ledger = sim.server.path_sched.ledger
     for ps in sim.server.path_list:
         assert ledger.active_bytes(ps.path_id) <= ps.cwnd
+
+
+def duplicated_messages(cfg) -> int:
+    """Run cfg and check, from its trace records, that every frame of each
+    duplicated message left once on every path, all at one instant; return
+    how many messages were duplicated."""
+    sends: dict[tuple, list] = {}  # (node, stream id, epoch) -> sends
+
+    def hook(node, kind, now, *fields):
+        if kind == "send":
+            path_id, _number, frame, is_dup, is_rtx = fields
+            if frame.priority and not is_rtx:
+                sends.setdefault((node.name, frame.stream_id, frame.epoch),
+                                 []).append((now, path_id, frame, is_dup))
+
+    Simulation(cfg, trace=hook).run()
+    path_ids = sorted(p.path_id for p in cfg.paths)
+    duplicated = 0
+    for key, recs in sends.items():
+        if not any(is_dup for *_, is_dup in recs):
+            continue
+        duplicated += 1
+        assert len({now for now, *_ in recs}) == 1, key
+        frames = sorted({f.offset: f for _, _, f, _ in recs}.values(),
+                        key=lambda f: f.offset)
+        assert sorted((f.offset, pid) for _, pid, f, _ in recs) \
+            == [(f.offset, pid) for f in frames for pid in path_ids], key
+        # the frames are the whole message: contiguous from 0 to its fin
+        assert frames[0].offset == 0 and frames[-1].fin, key
+        assert all(a.offset + a.length == b.offset
+                   for a, b in zip(frames, frames[1:])), key
+    return duplicated
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_duplicated_message_leaves_whole_at_one_instant(seed):
+    cfg = random_config(seed)
+    cfg.path_scheduler = "cwr_red"
+    duplicated_messages(cfg)
+
+
+def test_duplicated_message_leaves_whole_beside_other_traffic(monkeypatch):
+    # priority and non-priority messages beside background on lossy paths
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from identity_sweep import mixed_config
+
+    cfg = mixed_config()
+    cfg.path_scheduler = "cwr_red"
+    assert duplicated_messages(cfg) > 0

@@ -209,14 +209,15 @@ def test_horizon_past_the_throughput_bins_names_its_line(tmp_path, line):
 
 
 def test_to_dict_round_trips_scenario_fields():
-    # every settable field off its default; the warm-up and the bin width
-    # are fixed and echoed as they are
+    # every settable field off its default but stream_scheduler, whose one
+    # value is its default; the warm-up and the bin width are fixed and
+    # echoed as they are
     cfg = ScenarioConfig(
         paths=[PathConfig(3, 12_000, rate_bps=50_000_000, loss_rate=0.25,
                           ack_loss_enabled=True)],
         sources=[DataSourceConfig(2, 40_000, 1_500, priority=False,
                                   start_offset_us=5)],
-        duration_us=4_000_000, seed=9, stream_scheduler="rr",
+        duration_us=4_000_000, seed=9, stream_scheduler="pfifo",
         path_scheduler="cwr_red", background=False)
     expected = {
         "paths": [{"path_id": 3, "owd_us": 12_000, "rate_bps": 50_000_000,
@@ -224,7 +225,7 @@ def test_to_dict_round_trips_scenario_fields():
         "sources": [{"source_id": 2, "inter_arrival_us": 40_000,
                      "message_size_bytes": 1_500, "priority": False,
                      "start_offset_us": 5}],
-        "duration_us": 4_000_000, "seed": 9, "stream_scheduler": "rr",
+        "duration_us": 4_000_000, "seed": 9, "stream_scheduler": "pfifo",
         "path_scheduler": "cwr_red", "background": False,
         "warmup_us": 1_000_000, "bin_width_us": 100_000,
     }

@@ -1,4 +1,4 @@
-"""Stream schedulers, reservation ledger, and path scheduler admission rules."""
+"""Stream order, reservation ledger, and path scheduler admission rules."""
 from __future__ import annotations
 
 from collections import deque
@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from cwrsim.engine import EventQueue, RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
 from cwrsim.scheduling import (GATE_PACKETS, PATH_SCHEDULERS,
-                               STREAM_SCHEDULERS, LowRttScheduler,
-                               PriorityFifoStreams, RedundantScheduler,
-                               ReservationLedger,
-                               ReservationScheduler, RoundRobinStreams,
-                               SendStream, paths_by_rtt, reservation_bytes)
+                               LowRttScheduler, RedundantScheduler,
+                               ReservationLedger, ReservationScheduler,
+                               SendStream, order, paths_by_rtt,
+                               reservation_bytes)
 from cwrsim.simulation import Node
 from cwrsim.transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
                               MAX_PAYLOAD_BYTES, MIN_CWND, PathSendState)
@@ -69,7 +68,7 @@ def drain(scheduler, stream, now=0):
     return sent
 
 
-# -- stream schedulers -------------------------------------------------------
+# -- stream order ----------------------------------------------------------
 
 def new_stream(stream_id, priority, enqueue_time=0, rtx_time=None):
     s = SendStream(stream_id, priority, urgent=set())
@@ -80,50 +79,25 @@ def new_stream(stream_id, priority, enqueue_time=0, rtx_time=None):
     return s
 
 
-def test_round_robin_cycles_ignoring_priority():
-    rr = RoundRobinStreams()
-    streams = [new_stream(1, False), new_stream(2, True), new_stream(3, False)]
-    served = []
-    for _ in range(6):
-        pick = rr.order(streams)[0]
-        served.append(pick.stream_id)
-        rr.note_sent(pick)
-    assert served == [1, 2, 3, 1, 2, 3]
-
-
-def test_round_robin_skips_drained_stream():
-    rr = RoundRobinStreams()
-    streams = [new_stream(1, False), new_stream(3, False)]
-    served = []
-    for _ in range(4):
-        pick = rr.order(streams)[0]
-        served.append(pick.stream_id)
-        rr.note_sent(pick)
-    assert served == [1, 3, 1, 3]
-
-
 def test_pfifo_retransmissions_first_regardless_of_priority():
-    pf = PriorityFifoStreams()
     background_rtx = new_stream(9, False, enqueue_time=5, rtx_time=30)
     fresh_priority = new_stream(2, True, enqueue_time=10)
-    order = pf.order([fresh_priority, background_rtx])
-    assert [s.stream_id for s in order] == [9, 2]
+    ranked = order([fresh_priority, background_rtx])
+    assert [s.stream_id for s in ranked] == [9, 2]
 
 
 def test_pfifo_priority_fifo_by_enqueue_time():
-    pf = PriorityFifoStreams()
     early = new_stream(4, True, enqueue_time=10)
     late = new_stream(2, True, enqueue_time=20)
     bg = new_stream(1, False, enqueue_time=0)
-    order = pf.order([late, bg, early])
-    assert [s.stream_id for s in order] == [4, 2, 1]
+    ranked = order([late, bg, early])
+    assert [s.stream_id for s in ranked] == [4, 2, 1]
 
 
 def test_pfifo_background_fifo_among_themselves():
-    pf = PriorityFifoStreams()
     a = new_stream(3, False, enqueue_time=7)
     b = new_stream(8, False, enqueue_time=3)
-    assert [s.stream_id for s in pf.order([a, b])] == [8, 3]
+    assert [s.stream_id for s in order([a, b])] == [8, 3]
 
 
 def three_sort_order(streams):
@@ -170,25 +144,16 @@ def candidate_streams(specs):
 @given(stream_specs)
 def test_pfifo_one_key_sort_equals_three_sorts(specs):
     streams = candidate_streams(specs)
-    assert PriorityFifoStreams().order(streams) == three_sort_order(streams)
+    assert order(streams) == three_sort_order(streams)
 
 
 @settings(max_examples=300)
-@given(stream_specs, st.integers(min_value=-1, max_value=30), st.data())
-def test_stream_order_ignores_the_order_of_its_input(specs, last_sent, data):
+@given(stream_specs, st.data())
+def test_stream_order_ignores_the_order_of_its_input(specs, data):
     # try_send hands order its candidates in a set's iteration order
     streams = candidate_streams(specs)
     shuffled = data.draw(st.permutations(streams))
-    rr = RoundRobinStreams()
-    if last_sent >= 0:
-        rr.note_sent(SendStream(last_sent, False, urgent=set()))
-    for sched in (PriorityFifoStreams(), rr):
-        assert sched.order(shuffled) == sched.order(streams)
-
-
-def test_stream_scheduler_names():
-    assert type(STREAM_SCHEDULERS["rr"]()) is RoundRobinStreams
-    assert type(STREAM_SCHEDULERS["pfifo"]()) is PriorityFifoStreams
+    assert order(shuffled) == order(streams)
 
 
 # -- owed retransmissions ----------------------------------------------------
@@ -706,9 +671,9 @@ def test_general_send_loop_sends_background_as_its_bare_offset():
     engine = EventQueue(checker=lambda: None)
     links = {1: OneWayLink(PathConfig(1, 25_000), RngStream(1, 0))}
     ps = PathSendState(1, 50_000)
-    node = Node("server", engine, [ps], links, "pfifo", "cwr")
+    node = Node("server", engine, [ps], links, "cwr")
     node.set_peer(Node("client", engine, [PathSendState(1, 50_000)], links,
-                       "pfifo", "cwr"))
+                       "cwr"))
     node.get_send_stream(0, False, background=True)
     message = node.get_send_stream(1, False)
     message.load_message(1_300, 7, now=5)
@@ -769,36 +734,6 @@ def test_admit_takes_background_where_the_deleted_route_did(specs, packets):
         targets = sched.admit(bg, bg.background_frame(bg.bg_offset), now)
         assert targets == (() if route is None else (route,)), name
         assert sched.gated_wake == wake, name
-
-
-def test_duplicated_packets_fall_back_when_a_path_is_short():
-    # two 3-packet priority messages loaded before one send pass both find
-    # room for all their bytes on each path, so both are duplicated; rr
-    # interleaves them until each one's third packet finds both paths full,
-    # falls back to lowest-RTT admission and is blocked
-    engine = EventQueue(checker=lambda: None)
-    links = {pid: OneWayLink(PathConfig(pid, 25_000), RngStream(1, pid))
-             for pid in (1, 2)}
-    paths = [PathSendState(pid, 50_000) for pid in (1, 2)]
-    for ps in paths:
-        ps.cwnd = 4 * MAX_PACKET_BYTES
-    node = Node("server", engine, paths, links, "rr", "cwr_red")
-    node.set_peer(Node("client", engine, [PathSendState(pid, 50_000)
-                                          for pid in (1, 2)],
-                       links, "rr", "cwr_red"))
-    duplicated = []
-    node.on_duplicated = duplicated.append
-    streams = [node.get_send_stream(sid, True) for sid in (1, 2)]
-    for stream in streams:
-        stream.load_message(3 * MAX_PAYLOAD_BYTES, stream.stream_id, now=0)
-    node.try_send(0)
-    assert [s.dup_mode for s in streams] == ["all", "all"]
-    assert len(duplicated) == 4 and node.blocked_count == 2
-    for ps in paths:
-        assert [entry[2].stream_id for entry in ps.ledger.values()] \
-            == [1, 2, 1, 2]
-    assert node.path_sched.refrain_count == 0
-    assert [len(s.pending) for s in streams] == [1, 1]
 
 
 # -- serializer gate -----------------------------------------------------------
@@ -957,53 +892,6 @@ def test_cwr_red_never_duplicates_retransmissions():
     msg = stream_with(1300)
     assert sched.admit(msg, pri_frame(), 0, rtx_path=1) == (p1,)
     assert sched.admit(msg, pri_frame(), 0, rtx_path=2) == (p2,)
-
-
-def test_cwr_red_short_packet_of_a_duplicated_message_takes_lowest_rtt_fit():
-    # decided "all", then the lowest-RTT path fills up: the packet goes,
-    # alone, to the next-lowest-RTT path that still fits it
-    p1, p2, p3 = (path(1, srtt=50_000), path(2, srtt=100_000),
-                  path(3, srtt=150_000))
-    sched = scheduler("cwr_red", [p1, p2, p3])
-    msg = stream_with(2_600, message_id=3)
-    assert sched.admit(msg, msg.pop_pending(), 0) == (p1, p2, p3)
-    assert msg.dup_mode == "all"
-    p1.in_flight = p1.cwnd
-    assert sched.admit(msg, msg.peek_pending(), 0) == (p2,)
-    assert sched.refrain_count == 1
-
-
-def test_cwr_red_short_packet_waits_when_no_path_fits():
-    p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
-    sched = scheduler("cwr_red", [p1, p2])
-    msg = stream_with(2_600, message_id=3)
-    assert sched.admit(msg, msg.peek_pending(), 0) == (p1, p2)
-    assert msg.dup_mode == "all"
-    p1.in_flight = p1.cwnd
-    p2.in_flight = p2.cwnd
-    assert sched.admit(msg, msg.peek_pending(), 0) == ()
-    assert sched.refrain_count == 0
-
-
-def test_cwr_red_interleaved_duplicated_messages_outgrow_a_path():
-    # rr alternates two messages that each fit path 2 when first admitted;
-    # together they fill it, so A's last packet goes to path 1 alone
-    p1 = path(1, srtt=50_000, cwnd=27_000)
-    p2 = path(2, srtt=100_000, cwnd=4 * MAX_PACKET_BYTES)
-    sched = scheduler("cwr_red", [p1, p2])
-    a = stream_with(3 * 1300, stream_id=1, message_id=1)
-    b = stream_with(2 * 1300, stream_id=2, message_id=2)
-    sent = []
-    for stream in (a, b, a, b, a):
-        frame = stream.peek_pending()
-        targets = sched.admit(stream, frame, 0)
-        stream.pop_pending()
-        for ps in targets:
-            ps.register_sent(frame.length + HEADER_BYTES, frame, 0)
-        sent.append(tuple(p.path_id for p in targets))
-    assert a.dup_mode == b.dup_mode == "all"
-    assert sent == [(1, 2)] * 4 + [(1,)]
-    assert sched.refrain_count == 1
 
 
 def test_cwr_red_background_follows_reservation_rules_on_all_paths():

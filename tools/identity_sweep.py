@@ -4,16 +4,15 @@
     python tools/identity_sweep.py [REF]      (REF defaults to HEAD)
 
 REF's src/, tests/ and scenarios/ are exported with `git archive` into a
-temporary directory. Both trees then run the same 118 configurations:
+temporary directory. Both trees then run the same 67 configurations:
 
-- tests/test_properties.py's random_config(0..15) under each path scheduler
-  and each stream scheduler, at 4 s (96 runs);
+- tests/test_properties.py's random_config(0..15) under each path
+  scheduler, at 4 s (48 runs);
 - the three shipped scenarios under each path scheduler, at 10 s (9 runs);
 - tests/test_output_identity.py's priority_only at 30 s and line_rate at 5 s;
-- mixed_config(), defined here, under each path scheduler and each stream
-  scheduler, at 2 s (6 runs), its paths with background alone (1 run), and
-  mixed_config() at 2.05 s, whose last 100 ms throughput bin is cut short
-  (1 run);
+- mixed_config(), defined here, under each path scheduler, at 2 s (3 runs),
+  its paths with background alone (1 run), and mixed_config() at 2.05 s,
+  whose last 100 ms throughput bin is cut short (1 run);
 - stale_rtx_config(), early_deadline_config() and late_ack_config(),
   defined here, at 2 s (1 run each).
 
@@ -42,7 +41,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 TREE_DIRS = ("src", "tests", "scenarios")
 PATH_SCHEDULERS = ("lowrtt", "cwr", "cwr_red")
-STREAM_SCHEDULERS = ("pfifo", "rr")
 SHIPPED = ("asymmetric_rtt", "one_source_cwr", "three_sources")
 
 
@@ -137,10 +135,9 @@ def sweep_configs():
 
     for i in range(16):
         for ps in PATH_SCHEDULERS:
-            for ss in STREAM_SCHEDULERS:
-                yield (f"random_config({i}) {ps} {ss}",
-                       with_fields(random_config(i), duration_us=4_000_000,
-                                   path_scheduler=ps, stream_scheduler=ss))
+            yield (f"random_config({i}) {ps}",
+                   with_fields(random_config(i), duration_us=4_000_000,
+                               path_scheduler=ps))
     for name in SHIPPED:
         for ps in PATH_SCHEDULERS:
             yield (f"{name} {ps}",
@@ -148,10 +145,8 @@ def sweep_configs():
     yield "priority_only", with_fields(priority_only(1), duration_us=30_000_000)
     yield "line_rate", with_fields(line_rate(1), duration_us=5_000_000)
     for ps in PATH_SCHEDULERS:
-        for ss in STREAM_SCHEDULERS:
-            yield (f"mixed_config() {ps} {ss}",
-                   with_fields(mixed_config(), path_scheduler=ps,
-                               stream_scheduler=ss))
+        yield (f"mixed_config() {ps}",
+               with_fields(mixed_config(), path_scheduler=ps))
     yield "mixed_config(sources=False)", mixed_config(sources=False)
     yield ("mixed_config() at 2.05 s",
            with_fields(mixed_config(), duration_us=2_050_000))
