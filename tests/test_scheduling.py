@@ -4,9 +4,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cwrsim.engine import EventQueue, RngStream
+from cwrsim.engine import EventQueue, InvariantError, RngStream
 from cwrsim.link import OneWayLink, PathConfig, serialization_us
 from cwrsim.scheduling import (GATE_PACKETS, PATH_SCHEDULERS,
                                LowRttScheduler, RedundantScheduler,
@@ -892,6 +893,66 @@ def test_cwr_red_never_duplicates_retransmissions():
     msg = stream_with(1300)
     assert sched.admit(msg, pri_frame(), 0, rtx_path=1) == (p1,)
     assert sched.admit(msg, pri_frame(), 0, rtx_path=2) == (p2,)
+
+
+def test_cwr_red_duplicated_message_sends_every_packet_on_every_path():
+    # decided "all" on its first packet, each later packet goes to all paths
+    # in RTT order with no check of its own, and fits each: here the
+    # message fills every window exactly
+    p1, p2, p3 = (path(1, srtt=50_000, cwnd=3 * 1350),
+                  path(2, srtt=100_000, cwnd=3 * 1350),
+                  path(3, srtt=150_000, cwnd=3 * 1350))
+    sched = scheduler("cwr_red", [p3, p1, p2])
+    msg = stream_with(3 * 1300, message_id=3)
+    assert drain(sched, msg) == [(1, 2, 3)] * 3
+    assert msg.dup_mode == "all" and sched.refrain_count == 0
+    assert all(p.in_flight == 3 * 1350 for p in (p1, p2, p3))
+
+
+def test_cwr_red_duplicated_packet_that_does_not_fit_raises():
+    # the send pass cannot shrink a path under a duplicated message; if
+    # something did, register_sent refuses the copy rather than overfill
+    p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
+    sched = scheduler("cwr_red", [p1, p2])
+    msg = stream_with(2_600, message_id=3)
+    frame = msg.pop_pending()
+    assert sched.admit(msg, frame, 0) == (p1, p2)
+    p1.in_flight = p1.cwnd
+    frame = msg.pop_pending()
+    assert sched.admit(msg, frame, 0) == (p1, p2)
+    with pytest.raises(InvariantError, match="path 1"):
+        p1.register_sent(frame.length + HEADER_BYTES, frame, 0)
+
+
+def test_cwr_red_second_message_of_a_pass_waits_for_the_first_to_go_whole():
+    # two 3-packet priority messages loaded before one send pass: the order
+    # offers stream 1 until its message is sent on both paths; stream 2
+    # then finds one packet of room on each, so it is not duplicated
+    engine = EventQueue(checker=lambda: None)
+    links = {pid: OneWayLink(PathConfig(pid, 25_000), RngStream(1, pid))
+             for pid in (1, 2)}
+    paths = [PathSendState(pid, 50_000) for pid in (1, 2)]
+    for ps in paths:
+        ps.cwnd = 4 * MAX_PACKET_BYTES
+    node = Node("server", engine, paths, links, "cwr_red")
+    node.set_peer(Node("client", engine, [PathSendState(pid, 50_000)
+                                          for pid in (1, 2)],
+                       links, "cwr_red"))
+    duplicated = []
+    node.on_duplicated = duplicated.append
+    second, first = (node.get_send_stream(sid, True) for sid in (2, 1))
+    for stream in (second, first):
+        stream.load_message(3 * MAX_PAYLOAD_BYTES, stream.stream_id, now=0)
+    node.try_send(0)
+    assert (first.dup_mode, second.dup_mode) == ("all", "off")
+    assert len(duplicated) == 3 and node.path_sched.refrain_count == 2
+    for ps, offset in zip(paths, (0, MAX_PAYLOAD_BYTES)):
+        assert [(entry[2].stream_id, entry[2].offset)
+                for entry in ps.ledger.values()] \
+            == [(1, 0), (1, MAX_PAYLOAD_BYTES), (1, 2 * MAX_PAYLOAD_BYTES),
+                (2, offset)]
+    assert node.blocked_count == 1
+    assert (len(first.pending), len(second.pending)) == (0, 1)
 
 
 def test_cwr_red_background_follows_reservation_rules_on_all_paths():
