@@ -209,10 +209,9 @@ class MetricsCollector:
 
 
 def post_warmup_mcts(messages) -> list[int]:
-    """Completion times of priority messages generated after warm-up."""
+    """Completion times of messages generated after warm-up."""
     return [m.mct for m in messages
-            if m.priority and m.generated_at >= WARMUP_US
-            and m.completed_at is not None]
+            if m.generated_at >= WARMUP_US and m.completed_at is not None]
 
 
 def _write_csv(path: Path, columns: list[str], rows) -> None:

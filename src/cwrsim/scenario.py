@@ -150,7 +150,6 @@ class ScenarioConfig:
         source_ids = set()
         for i, s in enumerate(self.sources):
             key = ("source", i)
-            _require(s, ("priority",), bool, "a boolean", key)
             _require(s, ("source_id", "inter_arrival_us", "message_size_bytes",
                          "start_offset_us"), int, "an integer", key)
             if s.inter_arrival_us <= 0:
@@ -242,8 +241,7 @@ _TOP_KEYS = {"duration_us": _parse_int, "seed": _parse_int,
 _PATH_KEYS = {"owd_us": _parse_int, "rate_bps": _parse_int,
               "loss_rate": _parse_float, "ack_loss_enabled": _parse_bool}
 _SOURCE_KEYS = {"inter_arrival_us": _parse_int,
-                "message_size_bytes": _parse_int, "priority": _parse_bool,
-                "start_offset_us": _parse_int}
+                "message_size_bytes": _parse_int, "start_offset_us": _parse_int}
 _SECTION_KEYS = {"path": _PATH_KEYS, "source": _SOURCE_KEYS}
 # the keys each section must set: its fields without a default
 _REQUIRED_KEYS = {"path": ("owd_us",),

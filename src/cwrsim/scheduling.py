@@ -9,16 +9,17 @@ from .link import OneWayLink, serialization_us
 from .transport import (Frame, HEADER_BYTES, MAX_PACKET_BYTES,
                         MAX_PAYLOAD_BYTES, PathSendState, packetize)
 
-# Non-priority first transmissions only enter a serializer with a short
+# Background first transmissions only enter a serializer with a short
 # backlog (six max packets); the retry wake waits for it to nearly drain so
-# sends batch instead of waking per packet. Priority frames and
+# sends batch instead of waking per packet. Message frames and
 # retransmissions bypass this.
 GATE_PACKETS = 6
 
 
 class SendStream:
     """Sender-side queue of one stream: its current message's frames, and the
-    retransmissions it still owes.
+    retransmissions it still owes. A stream is priority exactly when it is
+    not the background stream.
 
     A stream holds at most one in-flight message; the background stream is the
     exception, one endless message of full-size frames. Each of its packets
@@ -35,10 +36,10 @@ class SendStream:
                  "rtx", "message_id", "dup_mode", "delivered", "urgent",
                  "bg_offset")
 
-    def __init__(self, stream_id: int, priority: bool, background: bool = False,
-                 *, urgent: set[SendStream]):
+    def __init__(self, stream_id: int, *, background: bool = False,
+                 urgent: set[SendStream]):
         self.stream_id = stream_id
-        self.priority = priority
+        self.priority = not background
         # a message stream's first message is epoch 0; background is one
         # endless message from the start
         self.epoch = 0 if background else -1
@@ -65,7 +66,7 @@ class SendStream:
             )
         self.epoch += 1
         self.pending.extend(packetize(self.stream_id, self.epoch, size,
-                                      self.priority, message_id, app_ack))
+                                      message_id=message_id, app_ack=app_ack))
         self.message_id = message_id
         self.enqueue_time = now
         self.dup_mode = None
@@ -141,7 +142,7 @@ def _pfifo_key(s: SendStream) -> tuple[int, int, int]:
 
 
 def order(streams: list[SendStream]) -> list[SendStream]:
-    """Retransmissions first, then priority streams, then the rest; FIFO
+    """Retransmissions first, then message streams, then background; FIFO
     within class, as one sort on (class, time, stream id)."""
     return sorted(streams, key=_pfifo_key)
 
@@ -231,15 +232,14 @@ class LowRttScheduler:
     """Baseline: lowest-srtt path whose free window fits the packet.
 
     Every path scheduler keeps a ReservationLedger on its
-    reservation_paths(), none here. A non-priority frame may use a path only
-    while cwnd - in_flight - reserved bytes still fits it; priority frames
-    use the raw free window, reserved space being there for them.
+    reservation_paths(), none here. A background frame may use a path only
+    while cwnd - in_flight - reserved bytes still fits it; message frames
+    (priority) use the raw free window, reserved space being there for them.
 
-    Non-priority first transmissions (background frames, messages of
-    non-priority sources and their app acks) also pass the serializer gate
-    of the path's link, gate_room; when a path is held back only by that
-    gate, gated_wake is left set so the caller can retry once the serializer
-    drains. Priority frames and retransmissions bypass the gate.
+    A background first transmission also passes the serializer gate of the
+    path's link, gate_room; when a path is held back only by that gate,
+    gated_wake is left set so the caller can retry once the serializer
+    drains. Message frames and retransmissions bypass the gate.
     """
 
     reserving = False
@@ -306,8 +306,8 @@ class LowRttScheduler:
         """Full-size background packets the path admits back to back now.
 
         The free window less the reserved bytes, in max packets, capped by
-        gate_room. Positive exactly when admit takes a full-size non-priority
-        first transmission on this path, with the same gate side effects.
+        gate_room. Positive exactly when admit takes a background first
+        transmission on this path, with the same gate side effects.
         """
         k = (path.cwnd - path.in_flight
              - self.ledger._active_bytes[path.path_id]) // MAX_PACKET_BYTES

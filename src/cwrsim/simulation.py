@@ -31,7 +31,7 @@ class Node:
     several paths; the node reads `app_ack` only to label arrival events.
     Every data packet leaves through `_transmit` and every ack through
     `_send_ack`. A background packet travels as its bare offset, so every
-    Frame a node transmits is a message frame. `metrics`, when set, takes
+    Frame a node transmits is a message frame, and a priority one. `metrics`, when set, takes
     this node's cwnd samples, on_cwnd(ps, now, decreased). `on_delivery`
     is called at every data packet received, on_delivery(now, size,
     priority, new_bytes); it may be None only on a node that receives no
@@ -81,13 +81,13 @@ class Node:
 
     # -- sender side ---------------------------------------------------
 
-    def get_send_stream(self, stream_id: int, priority: bool,
+    def get_send_stream(self, stream_id: int, *,
                         background: bool = False) -> SendStream:
         """The stream of that id, created on first use; a node has at most
         one background stream."""
         stream = self.streams.get(stream_id)
         if stream is None:
-            stream = SendStream(stream_id, priority, background,
+            stream = SendStream(stream_id, background=background,
                                 urgent=self.urgent)
             self.streams[stream_id] = stream
             if background:
@@ -213,8 +213,7 @@ class Node:
             frame = payload
             number, size, _, _, deadline = ps.register_sent(
                 frame.length + HEADER_BYTES, frame, now, is_rtx)
-            if frame.priority:
-                self.path_sched.ledger.consume(path_id, size, now)
+            self.path_sched.ledger.consume(path_id, size, now)
             receive = self._peer_receive
             args = (number, path_id, frame, size, is_dup)
             label = "app_ack_arrival" if frame.app_ack else "packet_arrival"
@@ -311,7 +310,7 @@ class Node:
             self.reassembly[frame.stream_id] = reasm
         new_bytes, completed = reasm.accept(frame)
         if self._on_delivery is not None:
-            self._on_delivery(now, size, frame.priority, new_bytes)
+            self._on_delivery(now, size, True, new_bytes)
         self._send_ack(path_id, number, now)
         if completed:
             self.on_message_complete(frame, now, path_id, is_duplicate)

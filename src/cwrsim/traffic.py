@@ -18,34 +18,32 @@ DEFAULT_START_OFFSET_US = 200_000
 
 
 class DataSourceConfig:
-    """A periodic source emitting fixed-size messages at fixed intervals."""
+    """A periodic source emitting fixed-size priority messages at fixed
+    intervals."""
 
     __slots__ = ("source_id", "inter_arrival_us", "message_size_bytes",
-                 "priority", "start_offset_us")
+                 "start_offset_us")
 
     def __init__(self, source_id: int, inter_arrival_us: int,
-                 message_size_bytes: int, priority: bool = True,
+                 message_size_bytes: int, *,
                  start_offset_us: int = DEFAULT_START_OFFSET_US):
         self.source_id = source_id
         self.inter_arrival_us = inter_arrival_us
         self.message_size_bytes = message_size_bytes
-        self.priority = priority
         self.start_offset_us = start_offset_us
 
 
 class MessageRecord:
     """Lifecycle of one generated message, from tick to completion."""
 
-    __slots__ = ("message_id", "source_id", "generated_at", "priority",
-                 "stream_id", "completed_at", "loss_involved", "duplicated",
+    __slots__ = ("message_id", "source_id", "generated_at", "stream_id",
+                 "completed_at", "loss_involved", "duplicated",
                  "completing_path", "completed_by_duplicate", "app_acked_at")
 
-    def __init__(self, message_id: int, source_id: int, generated_at: int,
-                 priority: bool):
+    def __init__(self, message_id: int, source_id: int, generated_at: int):
         self.message_id = message_id
         self.source_id = source_id
         self.generated_at = generated_at
-        self.priority = priority
         self.stream_id: int | None = None
         self.completed_at: int | None = None
         self.loss_involved = False
@@ -77,14 +75,12 @@ class TrafficManager:
 
     def start(self) -> None:
         if self.background:
-            self.server.get_send_stream(BACKGROUND_STREAM_ID, False,
-                                        background=True)
+            self.server.get_send_stream(BACKGROUND_STREAM_ID, background=True)
         sched = self.server.path_sched
         for src in self.sources:
-            if src.priority:
-                sched.register_reservation(
-                    src.source_id, reservation_bytes(src.message_size_bytes),
-                    src.start_offset_us)
+            sched.register_reservation(
+                src.source_id, reservation_bytes(src.message_size_bytes),
+                src.start_offset_us)
             self.engine.schedule(src.start_offset_us, self.tick,
                                  "source_tick", args=(src,))
         if self.background:
@@ -94,34 +90,31 @@ class TrafficManager:
         now = self.engine.now
         if now >= self.duration_us:
             return
-        record = MessageRecord(len(self.messages), src.source_id, now,
-                               src.priority)
+        record = MessageRecord(len(self.messages), src.source_id, now)
         self.messages.append(record)
-        stream = self._idle_stream(src.priority)
+        stream = self._idle_stream()
         record.stream_id = stream.stream_id
         stream.load_message(src.message_size_bytes, record.message_id, now)
-        if src.priority:
-            self.server.path_sched.register_reservation(
-                src.source_id, reservation_bytes(src.message_size_bytes),
-                now + src.inter_arrival_us)
+        self.server.path_sched.register_reservation(
+            src.source_id, reservation_bytes(src.message_size_bytes),
+            now + src.inter_arrival_us)
         self.engine.schedule(now + src.inter_arrival_us, self.tick,
                              "source_tick", args=(src,))
         self.server.try_send(now)
 
-    def _idle_stream(self, priority: bool) -> SendStream:
-        """The lowest-id idle server stream of the class, else the next id.
+    def _idle_stream(self) -> SendStream:
+        """The lowest-id idle server message stream, else the next id.
 
-        Message streams are numbered contiguously from FIRST_MESSAGE_STREAM_ID
-        and keep their class for life.
+        Message streams are numbered contiguously from FIRST_MESSAGE_STREAM_ID.
         """
         streams = self.server.streams
         stream_id = FIRST_MESSAGE_STREAM_ID
         while stream_id in streams:
             stream = streams[stream_id]
-            if stream.message_id is None and stream.priority == priority:
+            if stream.message_id is None:
                 return stream
             stream_id += 1
-        return self.server.get_send_stream(stream_id, priority)
+        return self.server.get_send_stream(stream_id)
 
     def on_frame_lost(self, frame: Frame) -> None:
         if frame.message_id is not None and not frame.app_ack:
@@ -140,7 +133,7 @@ class TrafficManager:
         record.completing_path = path_id
         record.completed_by_duplicate = by_duplicate
         client = self.client
-        stream = client.get_send_stream(frame.stream_id, frame.priority)
+        stream = client.get_send_stream(frame.stream_id)
         # the server reuses a stream only once the previous response has
         # arrived, so no copy of that response is owed any more
         stream.message_done()

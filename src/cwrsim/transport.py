@@ -57,9 +57,9 @@ class Frame:
                 f"message_id={self.message_id!r}, app_ack={self.app_ack!r})")
 
 
-def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
+def packetize(stream_id: int, epoch: int, data_length: int, *,
               message_id: int | None = None, app_ack: bool = False) -> list[Frame]:
-    """Split a message into per-packet frames with contiguous offsets.
+    """Split a message into priority frames with contiguous offsets.
 
     Produces ceil(data_length / MAX_PAYLOAD_BYTES) frames; the last one
     carries the remainder and the fin marker.
@@ -72,10 +72,10 @@ def packetize(stream_id: int, epoch: int, data_length: int, priority: bool,
     last = data_length - MAX_PAYLOAD_BYTES
     while offset < last:
         frames.append(Frame(stream_id, epoch, offset, MAX_PAYLOAD_BYTES, False,
-                            priority, message_id, app_ack))
+                            True, message_id, app_ack))
         offset += MAX_PAYLOAD_BYTES
     frames.append(Frame(stream_id, epoch, offset, data_length - offset, True,
-                        priority, message_id, app_ack))
+                        True, message_id, app_ack))
     return frames
 
 

@@ -180,9 +180,13 @@ def test_path_outside_the_validity_envelope_exit_code(tmp_path, capsys):
      "line 2: stream_scheduler must be 'pfifo', got 'x'"),
     ("stream_scheduler = rr\n[path]\nowd_us = 25000\n",
      "line 2: stream_scheduler must be 'pfifo', got 'rr'"),
+    # every source is a priority source: the key is gone
+    ("[path]\nowd_us = 25000\n[source]\ninter_arrival_us = 100000\n"
+     "message_size_bytes = 100\npriority = true\n",
+     "line 7: unknown key 'priority'"),
 ], ids=["owd_us", "rate_bps", "loss_rate", "inter_arrival_us",
         "message_size_bytes", "start_offset_us", "path_scheduler",
-        "stream_scheduler", "stream_scheduler_rr"])
+        "stream_scheduler", "stream_scheduler_rr", "priority"])
 def test_rejected_scenario_names_its_line_and_rule(tmp_path, capsys, text,
                                                    message):
     scn = tmp_path / "bad.scn"
@@ -220,7 +224,6 @@ def envelope_scenarios(draw) -> str:
             "[source]",
             f"inter_arrival_us = {draw(st.integers(fastest, 200_000))}",
             f"message_size_bytes = {size}",
-            f"priority = {draw(st.booleans())}",
             f"start_offset_us = {draw(st.integers(0, 300_000))}"]
     return "\n".join(lines) + "\n"
 

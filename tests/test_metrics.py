@@ -354,7 +354,7 @@ def test_longest_horizon_gives_the_bin_cap():
 
 
 def test_csv_outputs_have_contract_columns(tmp_path):
-    record = MessageRecord(1, 1, 200_000, True)
+    record = MessageRecord(1, 1, 200_000)
     record.completed_at = 225_900
     record.duplicated = True
     messages = [record]
@@ -388,7 +388,7 @@ def test_csv_outputs_have_contract_columns(tmp_path):
 
 
 def test_incomplete_messages_are_not_written(tmp_path):
-    messages = [MessageRecord(1, 1, 0, True)]
+    messages = [MessageRecord(1, 1, 0)]
     write_mct_csv(tmp_path / "mct.csv", messages)
     with (tmp_path / "mct.csv").open() as fh:
         assert len(list(csv.reader(fh))) == 1  # header only

@@ -68,18 +68,18 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    ("asymmetric_rtt", 1): "e7630dcc05299ce32543ee2a3678f949ce010bb5d8d3ae346d9da8145c54d54a",
-    ("asymmetric_rtt", 2): "ee5117ef8dacf67282a5befd43f58825b7f9b7abf5befbe45fbf32a09ff95413",
-    ("one_source_cwr", 1): "dfd2c651f39a5c8cf87ec9f72839cdcc352e8443ba0a204550c6711d08bc9dd2",
-    ("one_source_cwr", 2): "5fbdaedf2c461ddf8ed9ac6fa4063925778492596fa42300a32421a3713bd3ad",
-    ("three_sources", 1): "8e3c2ebac8180cd2cbeaa5870d5e2f1009bce1d58f80a056398dd6d8284e0262",
-    ("three_sources", 2): "a455a467023148d01387c90838e5560373b2d3f2b8613713e88a706efa38b61c",
-    ("priority_only", 1): "5f019a893d8caed3acf69d18b8cfb7550fcbf072325364b1765945211f301184",
-    ("priority_only", 2): "0e7390e800bebe3ecc9dba8e395d53bcd715f2c3158af969213ce41ca7aa21dc",
-    ("line_rate", 1): "47ce87cc7d9843d3e6c953b99b07f1076dd6aec5257e966bc5d1750f0e41649c",
-    ("line_rate", 2): "66e942d01d1d07424cfdf42b3048ea61ae365c4cb624a6f266a0c4498f1b1d97",
-    ("asymmetric_rtt_lowrtt", 1): "dd3a8d197abe732243c86ec2147896944a6b1118895fc7b4cfa873978278b978",
-    ("asymmetric_rtt_lowrtt", 2): "8cc8b2fee2dc8d46f85a46e40897f273fac404681b3348f375d983329a0ef011",
+    ("asymmetric_rtt", 1): "c7b3e39b9f2703eed220ebedd49d07b0039826f6410ec96a84a1f1c2e6bab4fd",
+    ("asymmetric_rtt", 2): "42d97d007300c8e77b26336827fc80e6ccaf503484470f981f8adc2939051a69",
+    ("one_source_cwr", 1): "201d65989f1da27c595ed637a32d991f3b19476a0313ac5578e87b99d224b878",
+    ("one_source_cwr", 2): "d6c30fed45ec7b2364dd0d6b4d23d9433bc6d4ea0487f142bd0ca9cb12d46334",
+    ("three_sources", 1): "c815f7471dacd3147b8c4b754ae18cd47fbd12c9554ead4fc5919ab439ad1bdb",
+    ("three_sources", 2): "aafe3288d038c2e07a6c56a53aac428d08ceb58dd6f32b3b63a0de1734153ace",
+    ("priority_only", 1): "7767b1b5f23babe17612eeffc55baa3f50aab780da40b8960cda4b8bf18e662a",
+    ("priority_only", 2): "6557f42edb63d4ad9c3513c4a65944c3a42f7d85bccef355aac525a373ff6705",
+    ("line_rate", 1): "5f6d4d63589661763ac512f92940eaef03cb0d2ab9d05339187fd8a2eaa78761",
+    ("line_rate", 2): "d630098c73080b70b44a8a69f15b14bf223af72d3f100f2ff0839a5b462a8525",
+    ("asymmetric_rtt_lowrtt", 1): "a94153a17d8b9cadd6a4b3c8390ac739cb3002ab45e313de3114b6b6b04ff783",
+    ("asymmetric_rtt_lowrtt", 2): "106b94a374e1fc46cc078a3d40201ed36898489f9e109d2a69de1fe20b24c7c6",
 }
 
 

@@ -279,7 +279,7 @@ def test_duplicated_message_leaves_whole_at_one_instant(seed):
 
 
 def test_duplicated_message_leaves_whole_beside_other_traffic(monkeypatch):
-    # priority and non-priority messages beside background on lossy paths
+    # overlapping messages beside background on lossy paths
     monkeypatch.syspath_prepend(str(TOOLS))
     from identity_sweep import mixed_config
 

@@ -25,13 +25,12 @@ def reach():
 
 
 def test_probe_finds_a_function_only_tests_call(reach):
-    # one short run of messages of both classes beside background on lossy
-    # paths: under pfifo, background ranks ahead of a non-priority message
+    # one short run of two message sources beside background on lossy paths
     cfg = ScenarioConfig(
         paths=[PathConfig(1, 25_000, loss_rate=0.004),
                PathConfig(2, 25_000, loss_rate=0.004)],
         sources=[DataSourceConfig(1, 100_000, 10_000),
-                 DataSourceConfig(2, 100_000, 5_000, priority=False)],
+                 DataSourceConfig(2, 100_000, 5_000)],
         duration_us=1_100_000, seed=3)
     missed = reach.probe([cfg])
     gap_file = inspect.getsourcefile(metrics.max_ccdf_gap)

@@ -32,7 +32,6 @@ def test_parse_shipped_three_source_scenario():
     assert [p.owd_us for p in cfg.paths] == [25_000, 25_000]
     assert [(s.inter_arrival_us, s.message_size_bytes) for s in cfg.sources] \
         == [(100_000, 10_000), (70_000, 7_000), (135_000, 5_000)]
-    assert all(s.priority for s in cfg.sources)
 
 
 def test_parse_minimal_scenario(tmp_path):
@@ -215,16 +214,14 @@ def test_to_dict_round_trips_scenario_fields():
     cfg = ScenarioConfig(
         paths=[PathConfig(3, 12_000, rate_bps=50_000_000, loss_rate=0.25,
                           ack_loss_enabled=True)],
-        sources=[DataSourceConfig(2, 40_000, 1_500, priority=False,
-                                  start_offset_us=5)],
+        sources=[DataSourceConfig(2, 40_000, 1_500, start_offset_us=5)],
         duration_us=4_000_000, seed=9, stream_scheduler="pfifo",
         path_scheduler="cwr_red", background=False)
     expected = {
         "paths": [{"path_id": 3, "owd_us": 12_000, "rate_bps": 50_000_000,
                    "loss_rate": 0.25, "ack_loss_enabled": True}],
         "sources": [{"source_id": 2, "inter_arrival_us": 40_000,
-                     "message_size_bytes": 1_500, "priority": False,
-                     "start_offset_us": 5}],
+                     "message_size_bytes": 1_500, "start_offset_us": 5}],
         "duration_us": 4_000_000, "seed": 9, "stream_scheduler": "pfifo",
         "path_scheduler": "cwr_red", "background": False,
         "warmup_us": 1_000_000, "bin_width_us": 100_000,
@@ -374,7 +371,7 @@ def _config(**fields):
     lambda: _config(background="off"),
     lambda: _config(paths=[PathConfig(1, 25_000, ack_loss_enabled=1)]),
     lambda: _config(sources=[DataSourceConfig(1, 100_000, 1000,
-                                              priority="no")]),
+                                              start_offset_us="0")]),
     lambda: _config(stream_scheduler=[]),
     lambda: _config(path_scheduler={}),
     lambda: _config(paths=5),
@@ -383,7 +380,7 @@ def _config(**fields):
     lambda: _config(sources=[None]),
 ], ids=["float duration", "float seed", "float inter-arrival", "float owd",
         "bool rate", "loss_rate 2", "str loss_rate", "duplicate source_id",
-        "str background", "int ack_loss_enabled", "str priority",
+        "str background", "int ack_loss_enabled", "str start_offset_us",
         "list stream_scheduler", "dict path_scheduler", "int paths",
         "int sources", "str path", "None source"])
 def test_bad_programmatic_field_is_a_scenario_error(make):

@@ -36,9 +36,8 @@ def scheduler(name, paths):
     return PATH_SCHEDULERS[name](paths, links)
 
 
-def stream_with(size, stream_id=1, priority=True, now=0, message_id=1,
-                app_ack=False):
-    s = SendStream(stream_id, priority, urgent=set())
+def stream_with(size, stream_id=1, now=0, message_id=1, app_ack=False):
+    s = SendStream(stream_id, urgent=set())
     s.load_message(size, message_id, now, app_ack)
     return s
 
@@ -63,16 +62,16 @@ def drain(scheduler, stream, now=0):
         size = frame.length + HEADER_BYTES
         for ps in targets:
             ps.register_sent(size, frame, now)
-            if frame.priority:
-                scheduler.ledger.consume(ps.path_id, size, now)
+            scheduler.ledger.consume(ps.path_id, size, now)
         sent.append(tuple(p.path_id for p in targets))
     return sent
 
 
 # -- stream order ----------------------------------------------------------
 
-def new_stream(stream_id, priority, enqueue_time=0, rtx_time=None):
-    s = SendStream(stream_id, priority, urgent=set())
+def new_stream(stream_id, enqueue_time=0, rtx_time=None):
+    """A message stream holding a 2-packet message."""
+    s = SendStream(stream_id, urgent=set())
     s.load_message(2_600, None, enqueue_time)
     if rtx_time is not None:
         # its first frame was sent on path 1 and lost there
@@ -80,25 +79,27 @@ def new_stream(stream_id, priority, enqueue_time=0, rtx_time=None):
     return s
 
 
+def background_stream(stream_id=0, rtx_time=None):
+    s = SendStream(stream_id, background=True, urgent=set())
+    if rtx_time is not None:
+        # its first packet was sent on path 1 and lost there
+        s.on_lost(s.background_frame(s.next_background_offset()), rtx_time, 1)
+    return s
+
+
 def test_pfifo_retransmissions_first_regardless_of_priority():
-    background_rtx = new_stream(9, False, enqueue_time=5, rtx_time=30)
-    fresh_priority = new_stream(2, True, enqueue_time=10)
-    ranked = order([fresh_priority, background_rtx])
+    background_rtx = background_stream(9, rtx_time=30)
+    fresh_message = new_stream(2, enqueue_time=10)
+    ranked = order([fresh_message, background_rtx])
     assert [s.stream_id for s in ranked] == [9, 2]
 
 
 def test_pfifo_priority_fifo_by_enqueue_time():
-    early = new_stream(4, True, enqueue_time=10)
-    late = new_stream(2, True, enqueue_time=20)
-    bg = new_stream(1, False, enqueue_time=0)
+    early = new_stream(4, enqueue_time=10)
+    late = new_stream(2, enqueue_time=20)
+    bg = background_stream(1)
     ranked = order([late, bg, early])
     assert [s.stream_id for s in ranked] == [4, 2, 1]
-
-
-def test_pfifo_background_fifo_among_themselves():
-    a = new_stream(3, False, enqueue_time=7)
-    b = new_stream(8, False, enqueue_time=3)
-    assert [s.stream_id for s in order([a, b])] == [8, 3]
 
 
 def three_sort_order(streams):
@@ -115,7 +116,7 @@ def three_sort_order(streams):
 
 stream_specs = st.lists(
     st.tuples(st.integers(min_value=0, max_value=30),        # stream id
-              st.sampled_from(["priority", "plain", "background"]),
+              st.sampled_from(["message", "background"]),
               st.integers(min_value=0, max_value=5),         # enqueue time
               st.booleans(),                                 # pending data
               st.lists(st.integers(min_value=0, max_value=5),  # rtx times
@@ -128,7 +129,7 @@ def candidate_streams(specs):
     data, and background streams."""
     streams = []
     for stream_id, kind, enqueue_time, pending, rtx_times in specs:
-        s = SendStream(stream_id, kind == "priority", kind == "background",
+        s = SendStream(stream_id, background=kind == "background",
                        urgent=set())
         s.epoch = 0
         s.enqueue_time = enqueue_time
@@ -212,7 +213,7 @@ stream_steps = st.lists(st.one_of(
 @given(stream_steps)
 def test_owed_retransmissions_match_the_per_node_tables(steps):
     urgent = set()
-    stream = SendStream(1, True, urgent=urgent)
+    stream = SendStream(1, urgent=urgent)
     ref = DupTables()
     ref_rtx = deque()  # (frame, path)
     epoch = -1
@@ -607,7 +608,7 @@ def ledger_states(draw):
 @given(ledger_states())
 def test_admitted_background_keeps_reservations_whole_when_due(state):
     sched, p, frame = state
-    bg = SendStream(0, False, background=True, urgent=set())
+    bg = SendStream(0, background=True, urgent=set())
     if sched.admit(bg, frame, NOW):
         assert not full_scan_at_risk(sched.ledger, p,
                                      frame.length + HEADER_BYTES, NOW)
@@ -645,43 +646,44 @@ def test_background_room_leaves_reserved_bytes_and_follows_the_gate():
     assert sched.gated_wake is None
 
 
-def test_admit_gates_every_non_priority_first_transmission():
+def test_admit_gates_background_first_transmissions_only():
     now = 1_000_000
     sched, ps, link = gated_path()
     drain = serialization_us(MAX_PACKET_BYTES, link.rate_bps)
     link.busy_until = now + GATE_PACKETS * drain
-    message = stream_with(1300, stream_id=2, priority=False, message_id=4)
-    app_ack = stream_with(1, stream_id=3, priority=False, message_id=5,
-                          app_ack=True)
-    background = SendStream(0, False, background=True, urgent=set())
-    for stream, frame in ((message, message.peek_pending()),
-                          (app_ack, app_ack.peek_pending()),
-                          (background, background.background_frame(0))):
-        assert sched.admit(stream, frame, now) == ()
-        assert sched.gated_wake == link.busy_until - drain + 1
-    urgent = stream_with(1300)
-    assert sched.admit(urgent, urgent.peek_pending(), now) == (ps,)
-    assert sched.admit(message, message.peek_pending(), now,
-                       rtx_path=1) == (ps,)
+    background = SendStream(0, background=True, urgent=set())
+    frame = background.background_frame(0)
+    assert sched.admit(background, frame, now) == ()
+    assert sched.gated_wake == link.busy_until - drain + 1
+    # message frames and completion responses are priority: no gate
+    message = stream_with(1300, stream_id=2, message_id=4)
+    app_ack = stream_with(1, stream_id=3, message_id=5, app_ack=True)
+    for stream in (message, app_ack):
+        assert sched.admit(stream, stream.peek_pending(), now) == (ps,)
+    assert sched.admit(background, frame, now, rtx_path=1) == (ps,)
 
 
 def test_general_send_loop_sends_background_as_its_bare_offset():
-    # a non-priority message enqueued after t = 0 ranks behind the
-    # background stream under pfifo, so try_send's general loop, not the
-    # background-only drain, sends background until the gate closes
+    # a message stream owes a retransmission on path 2, whose window is
+    # full, so it stays urgent and try_send's general loop, not the
+    # background-only drain, sends background on path 1 until the gate
+    # closes
     engine = EventQueue(checker=lambda: None)
-    links = {1: OneWayLink(PathConfig(1, 25_000), RngStream(1, 0))}
-    ps = PathSendState(1, 50_000)
-    node = Node("server", engine, [ps], links, "cwr")
-    node.set_peer(Node("client", engine, [PathSendState(1, 50_000)], links,
-                       "cwr"))
-    node.get_send_stream(0, False, background=True)
-    message = node.get_send_stream(1, False)
+    links = {pid: OneWayLink(PathConfig(pid, 25_000), RngStream(1, pid))
+             for pid in (1, 2)}
+    paths = [PathSendState(pid, 50_000) for pid in (1, 2)]
+    node = Node("server", engine, paths, links, "cwr")
+    node.set_peer(Node("client", engine, [PathSendState(pid, 50_000)
+                                          for pid in (1, 2)], links, "cwr"))
+    node.get_send_stream(0, background=True)
+    message = node.get_send_stream(1)
     message.load_message(1_300, 7, now=5)
+    message.on_lost(message.pop_pending(), 5, 2)
+    paths[1].register_sent(paths[1].cwnd, 0, 5)
     node.try_send(10)
-    assert [entry[2] for entry in ps.ledger.values()] \
+    assert [entry[2] for entry in paths[0].ledger.values()] \
         == [i * MAX_PAYLOAD_BYTES for i in range(GATE_PACKETS)]
-    assert message.pending and node.urgent == {message}
+    assert message.rtx and node.urgent == {message}
 
 
 # per path: srtt (ties are likely), cwnd, the reserved row sizes, the free
@@ -730,7 +732,7 @@ def test_admit_takes_background_where_the_deleted_route_did(specs, packets):
                       if sched.background_room(ps, now) > 0), None)
         wake = sched.gated_wake
         sched.gated_wake = -1  # admit resets it itself
-        bg = SendStream(0, False, background=True, urgent=set())
+        bg = SendStream(0, background=True, urgent=set())
         bg.bg_offset = packets * MAX_PAYLOAD_BYTES
         targets = sched.admit(bg, bg.background_frame(bg.bg_offset), now)
         assert targets == (() if route is None else (route,)), name
@@ -803,7 +805,7 @@ def test_cwr_window_reservation_walkthrough():
     sched = scheduler("cwr", [p1])
     sched.register_reservation(1, 3 * 1350, due_time=30_000)
 
-    background = SendStream(0, False, background=True, urgent=set())
+    background = SendStream(0, background=True, urgent=set())
     sent = 0
     while sched.background_room(p1, 0) > 0:
         p1.register_sent(MAX_PACKET_BYTES, background.next_background_offset(),
@@ -820,7 +822,7 @@ def test_cwr_priority_uses_raw_free_window():
     sched = scheduler("cwr", [p1])
     sched.register_reservation(1, 10_800, due_time=50_000)
     # 11 000 - 10 800 = 200 blocks background; priority checks raw free window
-    bg = SendStream(0, False, True, urgent=set())
+    bg = SendStream(0, background=True, urgent=set())
     assert sched.admit(bg, bg_frame(), 0) == ()
     msg = stream_with(1300)
     assert sched.admit(msg, msg.peek_pending(), 0) == (p1,)
@@ -829,7 +831,7 @@ def test_cwr_priority_uses_raw_free_window():
 def test_cwr_without_reservations_behaves_like_lowrtt():
     p1, p2 = path(1, srtt=50_000), path(2, srtt=100_000)
     sched = scheduler("cwr", [p1, p2])
-    bg = SendStream(0, False, True, urgent=set())
+    bg = SendStream(0, background=True, urgent=set())
     assert sched.admit(bg, bg_frame(), 0) == (p1,)
 
 
@@ -940,7 +942,7 @@ def test_cwr_red_second_message_of_a_pass_waits_for_the_first_to_go_whole():
                        links, "cwr_red"))
     duplicated = []
     node.on_duplicated = duplicated.append
-    second, first = (node.get_send_stream(sid, True) for sid in (2, 1))
+    second, first = (node.get_send_stream(sid) for sid in (2, 1))
     for stream in (second, first):
         stream.load_message(3 * MAX_PAYLOAD_BYTES, stream.stream_id, now=0)
     node.try_send(0)
@@ -961,7 +963,7 @@ def test_cwr_red_background_follows_reservation_rules_on_all_paths():
     sched.register_reservation(1, 10_800, 50_000)
     assert live_rows(sched.ledger, 1) == [(1, 1, 10_800, 50_000)]
     assert live_rows(sched.ledger, 2) == [(1, 2, 10_800, 50_000)]
-    bg = SendStream(0, False, True, urgent=set())
+    bg = SendStream(0, background=True, urgent=set())
     # 13 500 - 10 800 = 2 700 leaves room for 2 background packets per path
     assert sched.admit(bg, bg_frame(), 0) == (p1,)
 

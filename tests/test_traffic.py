@@ -100,38 +100,39 @@ def test_background_saturates_low_rate_paths():
         assert b.total_bytes >= 0.9 * per_bin_capacity
 
 
-def test_non_priority_source_messages_are_not_priority():
-    src = DataSourceConfig(1, 100_000, 5_000, priority=False, start_offset_us=0)
-    sim, res = run_sim([src], 1_100_000)
-    assert all(not m.priority for m in res.messages)
-    assert all(m.completed_at is not None for m in res.messages)
+def test_a_source_has_no_priority_flag():
+    # every source is a priority source; the start offset is keyword-only,
+    # so an old call passing a flag fourth does not become an offset
+    with pytest.raises(TypeError):
+        DataSourceConfig(1, 100_000, 5_000, priority=False)
+    with pytest.raises(TypeError):
+        DataSourceConfig(1, 100_000, 5_000, True)
+    assert not hasattr(DataSourceConfig(1, 100_000, 5_000), "priority")
 
 
-def test_message_takes_lowest_idle_stream_of_its_class():
-    # both classes overlap their own earlier messages, so streams of each
-    # class are busy, idle and reused throughout the run
+def test_message_takes_lowest_idle_stream():
+    # both sources overlap their own earlier messages and each other's, so
+    # streams are busy, idle and reused throughout the run
     sources = [DataSourceConfig(1, 15_000, 3_000, start_offset_us=0),
-               DataSourceConfig(2, 12_000, 5_000, priority=False,
-                                start_offset_us=0)]
+               DataSourceConfig(2, 12_000, 5_000, start_offset_us=0)]
     _, res = run_sim(sources, 1_100_000)
     messages = res.messages
     ticks = {m.generated_at for m in messages}
     assert not ticks & {m.app_acked_at for m in messages}
     # replay the rule over the run: an app ack frees its stream, a tick takes
-    # the lowest freed id of its class, else the next id
+    # the lowest freed id, else the next id
     events = sorted([(m.generated_at, 1, m.message_id) for m in messages]
                     + [(m.app_acked_at, 0, m.message_id) for m in messages
                        if m.app_acked_at is not None])
-    free = {True: set(), False: set()}
+    free = set()
     next_id = FIRST_MESSAGE_STREAM_ID
     expected = {}
     for _, is_tick, message_id in events:
-        m = messages[message_id]
         if not is_tick:
-            free[m.priority].add(expected[message_id])
-        elif free[m.priority]:
-            expected[message_id] = min(free[m.priority])
-            free[m.priority].remove(expected[message_id])
+            free.add(expected[message_id])
+        elif free:
+            expected[message_id] = min(free)
+            free.remove(expected[message_id])
         else:
             expected[message_id] = next_id
             next_id += 1
@@ -152,7 +153,7 @@ def test_app_ack_of_a_data_frame_is_fatal():
 
 def test_double_message_on_stream_is_fatal():
     from cwrsim.scheduling import SendStream
-    s = SendStream(1, True, urgent=set())
+    s = SendStream(1, urgent=set())
     s.load_message(100, 1, 0)
     with pytest.raises(InvariantError):
         s.load_message(100, 2, 0)

@@ -48,7 +48,7 @@ def test_frame_repr_is_the_former_named_tuple_repr():
 
 
 def test_packetize_10kb_message():
-    frames = packetize(5, 0, 10_000, True, message_id=1)
+    frames = packetize(5, 0, 10_000, message_id=1)
     assert len(frames) == 8
     assert [f.length for f in frames] == [1300] * 7 + [900]
     assert [f.offset for f in frames] == [i * 1300 for i in range(8)]
@@ -57,20 +57,20 @@ def test_packetize_10kb_message():
 
 
 def test_packetize_5kb_message():
-    frames = packetize(1, 0, 5_000, True)
+    frames = packetize(1, 0, 5_000)
     assert len(frames) == 4
     assert [f.length for f in frames] == [1300, 1300, 1300, 1100]
 
 
 def test_packetize_single_byte():
-    frames = packetize(1, 0, 1, True, app_ack=True)
+    frames = packetize(1, 0, 1, app_ack=True)
     assert len(frames) == 1
     assert frames[0].length == 1 and frames[0].fin
 
 
 def test_packetize_rejects_empty():
     with pytest.raises(ValueError):
-        packetize(1, 0, 0, True)
+        packetize(1, 0, 0)
 
 
 @given(st.integers(min_value=1, max_value=200_000))
@@ -78,7 +78,7 @@ def test_packetize_rejects_empty():
 @example(MAX_PAYLOAD_BYTES)
 @example(2 * MAX_PAYLOAD_BYTES)
 def test_packetize_covers_message_contiguously(size):
-    frames = packetize(4, 2, size, True, 9, True)
+    frames = packetize(4, 2, size, message_id=9, app_ack=True)
     assert {(f.stream_id, f.epoch, f.priority, f.message_id, f.app_ack)
             for f in frames} == {(4, 2, True, 9, True)}
     assert len(frames) == -(-size // MAX_PAYLOAD_BYTES)
@@ -109,7 +109,7 @@ def test_send_beyond_cwnd_is_fatal():
 
 def test_burst_of_8_packets_in_flight():
     ps = fresh_path()
-    for f in packetize(1, 0, 10_000, True):
+    for f in packetize(1, 0, 10_000):
         ps.register_sent(f.length + HEADER_BYTES, f, 0)
     assert ps.in_flight == 7 * 1350 + 950  # 10 400 B
 
@@ -618,7 +618,7 @@ def test_free_window_trivials():
 
 def test_reassembly_completes_on_last_offset():
     r = StreamReassembly(1)
-    frames = packetize(1, 0, 10_000, True, message_id=7)
+    frames = packetize(1, 0, 10_000, message_id=7)
     for f in frames[:-1]:
         assert r.accept(f) == (f.length, False)
     assert r.accept(frames[-1]) == (frames[-1].length, True)
@@ -626,7 +626,7 @@ def test_reassembly_completes_on_last_offset():
 
 def test_reassembly_out_of_order_completes_at_gap_fill():
     r = StreamReassembly(1)
-    frames = packetize(1, 0, 5_000, True)
+    frames = packetize(1, 0, 5_000)
     for f in (frames[0], frames[2], frames[3]):
         _, done = r.accept(f)
         assert not done
@@ -636,7 +636,7 @@ def test_reassembly_out_of_order_completes_at_gap_fill():
 
 def test_reassembly_discards_duplicate_offsets():
     r = StreamReassembly(1)
-    frames = packetize(1, 0, 2_000, True)
+    frames = packetize(1, 0, 2_000)
     assert r.accept(frames[0]) == (1_300, False)
     assert r.accept(frames[0]) == (0, False)
     assert r.accept(frames[1]) == (700, True)
@@ -646,8 +646,8 @@ def test_reassembly_discards_duplicate_offsets():
 
 def test_reassembly_tracks_stream_reuse():
     r = StreamReassembly(1)
-    first = packetize(1, 0, 1_000, True)
-    again = packetize(1, 1, 1_000, True)
+    first = packetize(1, 0, 1_000)
+    again = packetize(1, 1, 1_000)
     assert r.accept(first[0]) == (1_000, True)
     assert r.accept(again[0]) == (1_000, True)
     # a late retransmission of the finished message is stale
@@ -657,7 +657,7 @@ def test_reassembly_tracks_stream_reuse():
 def test_reassembly_rejects_epoch_skip():
     r = StreamReassembly(1)
     with pytest.raises(InvariantError):
-        r.accept(packetize(1, 2, 100, True)[0])
+        r.accept(packetize(1, 2, 100)[0])
 
 
 class PlainSetReassembly:
@@ -702,7 +702,7 @@ def test_accept_matches_a_plain_set(messages, rnd):
     ref = PlainSetReassembly()
     previous = []
     for epoch, (size, copies) in enumerate(messages):
-        frames = packetize(1, epoch, size, True)
+        frames = packetize(1, epoch, size)
         arrivals = [f for f, n in zip(frames, copies) for _ in range(n)]
         arrivals += previous
         rnd.shuffle(arrivals)
@@ -718,4 +718,4 @@ def test_accept_matches_a_plain_set(messages, rnd):
             assert r.accept(f) == (0, False)
         previous = frames
     with pytest.raises(InvariantError):
-        r.accept(packetize(1, len(messages) + 1, 100, True)[0])
+        r.accept(packetize(1, len(messages) + 1, 100)[0])

@@ -16,10 +16,9 @@ temporary directory. Both trees then run the same 67 configurations:
 - stale_rtx_config(), early_deadline_config() and late_ack_config(),
   defined here, at 2 s (1 run each).
 
-random_config draws priority sources only; mixed_config's priority and
-non-priority messages overlap on lossy paths that also lose acks, so
-streams of both classes are reused and completion responses are lost. The
-last three configs each reach a model branch that no other config does.
+mixed_config's messages overlap on lossy paths that also lose acks, so
+streams are reused and completion responses are lost. The last three
+configs each reach a model branch that no other config does.
 
 Each run records the SHA-256 of its `write_outputs` files (name and bytes, in
 name order) together with the warnings `write_outputs` returns, and the
@@ -45,8 +44,8 @@ SHIPPED = ("asymmetric_rtt", "one_source_cwr", "three_sources")
 
 
 def mixed_config(sources=True):
-    """Background beside overlapping priority and non-priority messages on
-    two lossy paths that also lose acks; imports the tree on sys.path."""
+    """Background beside overlapping messages on two lossy paths that also
+    lose acks; imports the tree on sys.path."""
     from cwrsim.link import PathConfig
     from cwrsim.scenario import ScenarioConfig
     from cwrsim.traffic import DataSourceConfig
@@ -57,9 +56,8 @@ def mixed_config(sources=True):
         paths=paths, duration_us=2_000_000, seed=5, background=True,
         sources=[
             DataSourceConfig(1, 15_000, 3_000),
-            DataSourceConfig(2, 12_000, 5_000, priority=False,
-                             start_offset_us=0),
-            DataSourceConfig(3, 40_000, 1_000, priority=False),
+            DataSourceConfig(2, 12_000, 5_000, start_offset_us=0),
+            DataSourceConfig(3, 40_000, 1_000),
             DataSourceConfig(4, 25_000, 9_000),
         ] if sources else [])
 
@@ -74,13 +72,12 @@ def stale_rtx_config():
 
     paths = [PathConfig(1, 50_000, rate_bps=20_000_000, loss_rate=0.02),
              PathConfig(2, 50_000, rate_bps=20_000_000, loss_rate=0.004)]
-    sizes = ((10_000, False), (10_000, True), (5_000, True), (3_000, True))
     return ScenarioConfig(
         paths=paths, duration_us=2_000_000, seed=2, background=False,
         path_scheduler="cwr_red", stream_scheduler="pfifo",
-        sources=[DataSourceConfig(i + 1, 70_000, size, priority=priority,
+        sources=[DataSourceConfig(i + 1, 70_000, size,
                                   start_offset_us=100_000)
-                 for i, (size, priority) in enumerate(sizes)])
+                 for i, size in enumerate((10_000, 10_000, 5_000, 3_000))])
 
 
 def early_deadline_config():
