@@ -28,8 +28,9 @@ class SendStream:
     (next_background_offset), and background_frame(offset) builds the Frame
     where one is needed, such as the one a lost packet queues in `rtx`. A lost
     copy of a frame is owed again only while its message is the stream's
-    current one (its epoch) and no copy of its offset has been acked, which
-    is what `delivered` records for the current message.
+    current one (its epoch, and its message id until message_done) and no
+    copy of its offset has been acked, which is what `delivered` records for
+    the current message.
     """
 
     __slots__ = ("stream_id", "priority", "epoch", "enqueue_time", "pending",
@@ -93,8 +94,8 @@ class SendStream:
         return Frame(self.stream_id, 0, offset, MAX_PAYLOAD_BYTES, False, False)
 
     def message_done(self) -> None:
-        # Any queued retransmissions belong to the acknowledged message and
-        # would be discarded as stale at the receiver; drop them.
+        # The message's completion response has arrived: no copy of it is
+        # owed any more, queued or declared lost later.
         self.message_id = None
         self.rtx.clear()
         self._settle()
@@ -103,7 +104,9 @@ class SendStream:
         return sum(f.length + HEADER_BYTES for f in self.pending)
 
     def _owes(self, frame: Frame) -> bool:
-        return frame.epoch == self.epoch and frame.offset not in self.delivered
+        return (frame.epoch == self.epoch
+                and frame.message_id == self.message_id
+                and frame.offset not in self.delivered)
 
     def on_acked(self, frame: Frame) -> None:
         """A copy of one of this stream's message frames was acked."""

@@ -160,6 +160,16 @@ def test_stream_order_ignores_the_order_of_its_input(specs, data):
 
 # -- owed retransmissions ----------------------------------------------------
 
+def test_a_copy_lost_after_its_message_is_done_is_not_owed():
+    # the completion response arrived before the copy's loss was declared
+    stream = stream_with(2_600)
+    frame = stream.pop_pending()
+    stream.pop_pending()
+    stream.message_done()
+    stream.on_lost(frame, 10, 1)
+    assert not stream.rtx and stream not in stream.urgent
+
+
 class DupTables:
     """Reference for which lost copies a stream still owes: the per-node
     tables SendStream.delivered replaced.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,8 @@ from cwrsim.simulation import Simulation
 from cwrsim.traffic import BACKGROUND_STREAM_ID, DataSourceConfig
 from cwrsim.transport import (Frame, MAX_PACKET_BYTES, MAX_PAYLOAD_BYTES,
                               ReceivedOffsets)
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def two_paths(loss=0.0, owd=25_000, **kw):
@@ -559,3 +562,27 @@ def test_acked_response_is_not_resent_from_its_queued_copy():
             in client_sends if frame.message_id == response.message_id] \
         == [(1, False), (2, False)]
     assert lossy.retransmissions == 0
+
+
+@pytest.mark.parametrize("name", ["mixed_config", "late_ack_config"])
+def test_no_retransmission_after_the_completion_response(monkeypatch, name):
+    # cwr_red on lossy paths that also lose acks: a copy of a message frame
+    # can be declared lost after the message's completion response has
+    # arrived, when no copy of it is owed any more
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import identity_sweep
+
+    resends = []
+
+    def trace(node, kind, now, *fields):
+        if node.name == "server" and kind == "send" and fields[-1]:
+            resends.append((now, fields[2]))
+
+    cfg = getattr(identity_sweep, name)()
+    cfg.path_scheduler = "cwr_red"
+    messages = Simulation(cfg, trace=trace).run().messages
+    late = [(now, frame) for now, frame in resends
+            if frame.message_id is not None
+            and messages[frame.message_id].app_acked_at is not None
+            and messages[frame.message_id].app_acked_at <= now]
+    assert resends and late == []
