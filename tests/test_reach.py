@@ -75,3 +75,18 @@ def test_branch_report_lists_a_test_that_never_changed_its_answer(reach):
     report = reach.branch_report(arcs)
     assert any(line.endswith(" PathSendState.ack_packet: never True")
                for line in report)
+
+
+def test_stale_rtx_config_reaches_the_stale_retransmission_continue(reach):
+    # the identity sweep keeps this config for one branch: a stream in the
+    # send pass whose queued retransmissions have all gone stale
+    from identity_sweep import stale_rtx_config
+
+    missed = reach.probe([stale_rtx_config()])
+    source, first = inspect.getsourcelines(Node.try_send)
+    # the `continue` of the branch with neither an owed retransmission nor
+    # data to send
+    [line] = [first + i for i, text in enumerate(source)
+              if text.strip() == "continue"
+              and source[i - 1].strip() == "else:"]
+    assert line not in missed[inspect.getsourcefile(Node.try_send)]

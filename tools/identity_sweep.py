@@ -63,15 +63,19 @@ def mixed_config(sources=True):
 
 
 def stale_rtx_config():
-    """Four sources of both classes on two lossy 20 Mbit/s paths under
-    cwr_red: a stream whose queued retransmissions have all gone stale, with
-    nothing pending, meets Node.try_send's stale-retransmission `continue`."""
+    """Four sources on two lossy 20 Mbit/s paths under cwr_red, the second
+    1 ms slower each way: a duplicated frame's copy on path 1 is declared
+    lost while that path's halved window is below what it has in flight,
+    and the path 2 copy's ack arrives before the retransmission can go. The
+    next send pass meets a stream whose queued retransmissions have all gone
+    stale, with nothing pending: Node.try_send's stale-retransmission
+    `continue`."""
     from cwrsim.link import PathConfig
     from cwrsim.scenario import ScenarioConfig
     from cwrsim.traffic import DataSourceConfig
 
     paths = [PathConfig(1, 50_000, rate_bps=20_000_000, loss_rate=0.02),
-             PathConfig(2, 50_000, rate_bps=20_000_000, loss_rate=0.004)]
+             PathConfig(2, 51_000, rate_bps=20_000_000, loss_rate=0.004)]
     return ScenarioConfig(
         paths=paths, duration_us=2_000_000, seed=2, background=False,
         path_scheduler="cwr_red", stream_scheduler="pfifo",
