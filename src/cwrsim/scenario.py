@@ -241,7 +241,8 @@ _TOP_KEYS = {"duration_us": _parse_int, "seed": _parse_int,
 _PATH_KEYS = {"owd_us": _parse_int, "rate_bps": _parse_int,
               "loss_rate": _parse_float, "ack_loss_enabled": _parse_bool}
 _SOURCE_KEYS = {"inter_arrival_us": _parse_int,
-                "message_size_bytes": _parse_int, "start_offset_us": _parse_int}
+                "message_size_bytes": _parse_int,
+                "start_offset_us": _parse_int}
 _SECTION_KEYS = {"path": _PATH_KEYS, "source": _SOURCE_KEYS}
 # the keys each section must set: its fields without a default
 _REQUIRED_KEYS = {"path": ("owd_us",),

@@ -31,12 +31,12 @@ class Node:
     several paths; the node reads `app_ack` only to label arrival events.
     Every data packet leaves through `_transmit` and every ack through
     `_send_ack`. A background packet travels as its bare offset, so every
-    Frame a node transmits is a message frame, and a priority one. `metrics`, when set, takes
-    this node's cwnd samples, on_cwnd(ps, now, decreased). `on_delivery`
-    is called at every data packet received, on_delivery(now, size,
-    priority, new_bytes); it may be None only on a node that receives no
-    background. `trace`, when set, is called in `_transmit`, so once per
-    data packet sent,
+    Frame a node transmits is a message frame, and a priority one.
+    `metrics`, when set, takes this node's cwnd samples, on_cwnd(ps, now,
+    decreased). `on_delivery` is called at every data packet received,
+    on_delivery(now, size, priority, new_bytes); it may be None only on a
+    node that receives no background. `trace`, when set, is called in
+    `_transmit`, so once per data packet sent,
     trace(node, "send", now, path_id, number, frame, is_duplicate, is_rtx)
     (a background packet's Frame is built from its offset for this record),
     and at every blocked send decision (each one counted in blocked_count),
