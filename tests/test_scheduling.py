@@ -126,24 +126,44 @@ stream_specs = st.lists(
 
 def candidate_streams(specs):
     """The streams try_send passes: those with retransmissions or pending
-    data, and background streams."""
+    data, and background streams. A message stream carries message 1, so
+    the copies of it declared lost are owed and queued."""
     streams = []
     for stream_id, kind, enqueue_time, pending, rtx_times in specs:
-        s = SendStream(stream_id, background=kind == "background",
-                       urgent=set())
+        background = kind == "background"
+        s = SendStream(stream_id, background=background, urgent=set())
         s.epoch = 0
         s.enqueue_time = enqueue_time
+        if not background:
+            s.message_id = 1
         if pending:
             s.pending.append(pri_frame(stream=stream_id))
         for t in rtx_times:
-            s.on_lost(pri_frame(stream=stream_id), t, 1)
-        if s.rtx or kind == "background" or s.pending:
+            lost = (s.background_frame(0) if background
+                    else pri_frame(stream=stream_id))
+            s.on_lost(lost, t, 1)
+        if s.rtx or background or s.pending:
             streams.append(s)
     return streams
 
 
+# retransmissions on two message streams and the background stream, tied
+# in rtx time, beside a fresh message stream
+RTX_SPECS = [(3, "message", 2, True, [4]), (1, "message", 1, False, [4, 0]),
+             (0, "background", 0, False, [2]), (5, "message", 0, True, [])]
+
+
+def test_drawn_streams_owe_their_lost_copies():
+    # the order properties check the retransmission class only while the
+    # losses candidate_streams declares are queued
+    streams = candidate_streams(RTX_SPECS)
+    assert [len(s.rtx) for s in streams] == [1, 2, 1, 0]
+    assert [s.stream_id for s in order(streams)] == [0, 1, 3, 5]
+
+
 @settings(max_examples=300)
 @given(stream_specs)
+@example(RTX_SPECS)
 def test_pfifo_one_key_sort_equals_three_sorts(specs):
     streams = candidate_streams(specs)
     assert order(streams) == three_sort_order(streams)
